@@ -131,10 +131,25 @@ echo "==> skew gate (heavy-light equivalence + zipfian skewsweep smoke)"
 cargo test -q --release --test heavy_light_equivalence
 # Quick zipfian sweep over PartSupp ⋈ Supplier: paired plain/heavy runs
 # must agree bit-for-bit at every skew, with zero freshness violations,
-# zero scan fallbacks, heavy p99 within a fixed resilience factor of
-# the uniform baseline, and a p99 win at the top skew. Timeboxed so a
-# wedged classifier fails the gate instead of hanging CI.
+# zero scan fallbacks, no more join rows emitted heavy than plain, and
+# heavy p99 within a fixed factor of the uniform baseline and of the
+# plain engine. Timeboxed so a wedged classifier fails the gate instead
+# of hanging CI.
 AIVM_BENCH_LABEL=ci timeout 180 ./target/release/repro --quick skewsweep >/dev/null
+
+echo "==> live-column propagation gate (random views x schedules x widths x heavy-light x registry)"
+# Property test over a fixed seed list: pruned, once-consolidated
+# propagation equals direct evaluation after every flush, bit-identical
+# across every configuration (SUM/AVG included). Timeboxed.
+LIVE_COLUMNS_SEEDS="$(seq -s, 0 63)" timeout 300 \
+  cargo test -q --release --test live_columns
+
+echo "==> layered benchmark gate (perf's own tests + a smoke run of all five workloads)"
+# The benchmark every performance claim is measured with must build and
+# pass its output checks against this tree; numbers are not gated here.
+timeout 600 cargo test -q --release --offline --manifest-path perf/Cargo.toml
+timeout 600 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+  run --smoke >/dev/null
 
 echo "==> serve throughput baseline (BENCH_serve.json)"
 AIVM_BENCH_FAST=1 AIVM_BENCH_LABEL=ci cargo bench -p aivm-bench --bench serve >/dev/null

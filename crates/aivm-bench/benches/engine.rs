@@ -4,7 +4,7 @@
 //! Emits `BENCH_engine.json` at the repo root.
 
 use aivm_bench::harness::Suite;
-use aivm_engine::exec::{consolidate, join_index, join_scan, ExecStats};
+use aivm_engine::exec::{consolidate, join_index, join_scan, ExecStats, JoinShape};
 use aivm_engine::{row, DataType, IndexKind, Schema, Table, WRow};
 use std::hint::black_box;
 
@@ -30,15 +30,20 @@ fn delta(size: i64, keys: i64) -> Vec<WRow> {
 fn bench_join_asymmetry(s: &mut Suite) {
     let indexed = table_with(50_000, 5_000, true);
     let unindexed = table_with(50_000, 5_000, false);
+    // Key-to-key join emitting the full `delta ++ table` row.
+    let shape = JoinShape {
+        emit: (0..4).collect(),
+        ..JoinShape::default()
+    };
     for delta_size in [8i64, 64, 512] {
         let d = delta(delta_size, 5_000);
         s.bench(&format!("join/index_probe/{delta_size}"), || {
             let mut stats = ExecStats::default();
-            black_box(join_index(&d, 0, &indexed, 0, &[], None, &mut stats).len())
+            black_box(join_index(&d, &shape, &indexed, &[], None, &mut stats).len())
         });
         s.bench(&format!("join/scan/{delta_size}"), || {
             let mut stats = ExecStats::default();
-            black_box(join_scan(&d, 0, &unindexed, 0, &[], None, &mut stats).len())
+            black_box(join_scan(&d, &shape, &unindexed, &[], None, &mut stats).len())
         });
     }
 }

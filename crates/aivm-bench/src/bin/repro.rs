@@ -101,8 +101,9 @@
 //! `skewsweep` replays zipfian update streams through paired runtimes —
 //! heavy-light partitioning on vs off, everything else identical — and
 //! exits nonzero if checksums diverge, any run violates validity or
-//! falls back to a scan, or heavy-light misses its fresh-read p99 gates
-//! (see `aivm_bench::skew`). `--skew S` narrows the sweep to {0, S};
+//! falls back to a scan, the heavy path emits more join rows than the
+//! plain one, or heavy-light misses its fresh-read p99 gates (see
+//! `aivm_bench::skew`). `--skew S` narrows the sweep to {0, S};
 //! `--events`, `--batch` and `--budget` carry over.
 //!
 //! `loadgen` appends its measured throughput, Stale/Fresh read latency
@@ -555,10 +556,14 @@ fn run_serve(csv: bool, quick: bool, sargs: &ServeArgs) {
 /// PartSupp ⋈ Supplier view per zipf exponent (see `aivm_bench::skew`),
 /// recorded into BENCH_serve.json. Exits nonzero if any pair's final
 /// checksums diverge, any run reports a validity violation or a join
-/// scan fallback, or the heavy-light runtime misses its latency gates:
-/// its fresh-read p99 under the heaviest skew must stay within a fixed
-/// factor of its own uniform baseline, and at zipf 1.4 it must beat the
-/// plain runtime's p99 by the headline factor.
+/// scan fallback, the heavy path emits more join rows than the plain
+/// one, or the heavy-light runtime misses its latency gates: its
+/// fresh-read p99 under the heaviest skew must stay within a fixed factor
+/// of its own uniform baseline and of the plain runtime's p99. (Until
+/// live-column propagation the second gate was a required *gain*: the
+/// heavy path alone cancelled a hot key's dead-column churn before the
+/// fan-out. Every key gets that now, so the plain runtime is as flat and
+/// what is left to gate is that classification costs little.)
 fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
     use aivm_bench::skew::{run_skew_config, SkewOptions, SKEW_POINTS};
     // The p99 gates need support: at the default batch the full sweep
@@ -576,9 +581,9 @@ fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
         Some(s) if s > 0.0 => vec![0.0, s],
         _ => SKEW_POINTS.to_vec(),
     };
-    // Quick mode runs the small scale where fan-outs (and thus the
-    // cancellation win) are modest; gate softer there.
-    let (headline_gain, resilience_factor) = if quick { (1.2, 2.5) } else { (2.0, 2.5) };
+    // Sub-millisecond p99s over ~50 reads (quick) are noisy; the bounds
+    // only have to catch a classifier that stopped paying its way.
+    let (headline_gain, resilience_factor) = (0.4, 2.5);
     let mut t = ExpTable::new(
         "Skew sweep: heavy-light vs plain propagation (PartSupp ⋈ Supplier MIN view)",
         &[
@@ -643,6 +648,14 @@ fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
                 failed = true;
             }
         }
+        if heavy.rows_emitted > plain.rows_emitted {
+            eprintln!(
+                "skewsweep s={s} FAILED: heavy-light emitted {} join rows, the \
+                 plain engine {}",
+                heavy.rows_emitted, plain.rows_emitted
+            );
+            failed = true;
+        }
         if s >= 1.0 && (heavy.heavy_keys == 0 || heavy.heavy_hits == 0) {
             eprintln!(
                 "skewsweep s={s} FAILED: zipf {s} promoted {} key(s) with {} \
@@ -668,8 +681,8 @@ fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
         }
         if s == top_skew && s >= 1.0 && gain < headline_gain {
             eprintln!(
-                "skewsweep s={s} FAILED: heavy-light p99 gain {gain:.2}x below \
-                 the {headline_gain}x gate (plain {:.3} ms, heavy {:.3} ms)",
+                "skewsweep s={s} FAILED: heavy-light p99 at {gain:.2}x of plain, \
+                 below the {headline_gain}x gate (plain {:.3} ms, heavy {:.3} ms)",
                 plain.fresh_p99_ns as f64 / 1e6,
                 heavy.fresh_p99_ns as f64 / 1e6
             );

@@ -6,12 +6,17 @@
 //! and replays identical pre-generated update streams through two
 //! [`MaintenanceRuntime`]s that differ only in whether heavy-light
 //! partitioning is enabled. `supplier.nationkey` is not referenced by
-//! this view, so a hot supplier's nationkey churn cancels inside the
-//! heavy path's column reduction before any join fan-out; the plain
-//! path pays the full `O(fan-out)` expansion per delta row either way.
-//! Results are bit-identical by construction ([`SkewRun::checksum`]
-//! must match across the pair), so the sweep measures pure propagation
-//! cost: fresh-read latency quantiles per zipf exponent.
+//! this view, so a supplier's nationkey churn is dead-column churn:
+//! live-column propagation cancels it in the start delta for every key,
+//! on either path, before any join fan-out. (Before that, only the heavy
+//! path's column reduction did, and the plain path paid the full
+//! `O(fan-out)` expansion per delta row — the p99 gain this sweep was
+//! built to show. What still separates the paths is that heavy partials
+//! are net processed-prefix rows, so a hot key's expansion emits no ±
+//! compensation pairs.) Results are bit-identical by construction
+//! ([`SkewRun::checksum`] must match across the pair), so the sweep
+//! measures pure propagation cost: fresh-read latency quantiles per zipf
+//! exponent.
 //!
 //! Latencies are timed in the driver (not read from the runtime's
 //! histogram) so the classifier's warm-up reads — the first few
@@ -127,11 +132,9 @@ pub fn run_skew_config(
 ) -> Result<SkewRun, EngineError> {
     // The skew scales keep the PartSupp population of the stock scales
     // but spread it over 4x fewer suppliers (fan-out 80 quick, 320
-    // full). Plain propagation already collapses a hot key's intra-flush
-    // churn to two delta rows (Z-set consolidation), so what heavy-light
-    // additionally cancels is worth `2 x fan-out` emitted rows per hot
-    // key per flush — the steeper join makes the measured effect
-    // proportional to the asymmetry rather than to flush bookkeeping.
+    // full): the steeper join makes whatever a path fails to cancel
+    // before the fan-out show in proportion to the asymmetry rather
+    // than to flush bookkeeping.
     let scale = if opts.quick {
         TpcrConfig {
             suppliers: 25,
@@ -254,7 +257,7 @@ mod tests {
         assert!(heavy.heavy_hits > 0, "hot-key deltas took the heavy path");
         assert!(
             heavy.rows_emitted < plain.rows_emitted,
-            "heavy cancellation must shed join fan-out ({} vs {})",
+            "net partials must shed the ± compensation pairs ({} vs {})",
             heavy.rows_emitted,
             plain.rows_emitted
         );

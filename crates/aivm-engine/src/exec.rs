@@ -34,6 +34,9 @@ pub struct ExecStats {
     pub index_probes: u64,
     /// Rows emitted.
     pub rows_emitted: u64,
+    /// Cells emitted: the summed width of every emitted join row — what
+    /// live-column pruning shrinks while `rows_emitted` stays put.
+    pub cells_emitted: u64,
     /// Join steps that degraded to [`join_scan`] because the target
     /// table had no index on the join column. With auto-indexed views
     /// (see `MaterializedView::register`) this must stay zero; the
@@ -53,6 +56,7 @@ impl ExecStats {
         self.rows_scanned += other.rows_scanned;
         self.index_probes += other.index_probes;
         self.rows_emitted += other.rows_emitted;
+        self.cells_emitted += other.cells_emitted;
         self.scan_fallbacks += other.scan_fallbacks;
         self.heavy_hits += other.heavy_hits;
         self.light_hits += other.light_hits;
@@ -126,6 +130,32 @@ pub fn compensated_rows(
     out
 }
 
+/// How a delta join pairs a delta row with a target-table row and what
+/// it emits for the pair. Compiled once per join step by the view's
+/// propagation plan, so the hot loop never builds a cell that nothing
+/// downstream reads.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct JoinShape {
+    /// The probe key: `(delta column, table column)`.
+    pub key: (usize, usize),
+    /// Further `(delta column, table column)` equalities a pair must
+    /// satisfy — the other predicates of a composite or cyclic join.
+    pub checks: Vec<(usize, usize)>,
+    /// Output cells, as indices into `delta row ++ table row`.
+    pub emit: Vec<usize>,
+}
+
+impl JoinShape {
+    /// Emits the pair `(d, row)` at weight `w` if it passes the checks.
+    pub fn emit(&self, out: &mut Vec<WRow>, d: &Row, row: &Row, w: i64, stats: &mut ExecStats) {
+        if self.checks.iter().all(|&(dc, tc)| d.get(dc) == row.get(tc)) {
+            stats.rows_emitted += 1;
+            stats.cells_emitted += self.emit.len() as u64;
+            out.push((d.splice(row, &self.emit), w));
+        }
+    }
+}
+
 /// Groups weighted rows by a single key column, storing *indices* into
 /// the input slice: no row or key clones, which keeps the per-batch join
 /// setup allocation-free apart from the map itself.
@@ -141,75 +171,62 @@ fn group_indices(rows: &[WRow], key: usize) -> FxHashMap<&Value, Vec<usize>> {
 /// the table once: builds a hash table over the delta's join key, scans
 /// every physical row, then corrects with the pending delta.
 ///
-/// Output rows are `delta_row ++ table_row` with multiplied weights.
+/// Output rows are the shape's picked cells with multiplied weights.
 pub fn join_scan(
     delta: &[WRow],
-    delta_key: usize,
+    shape: &JoinShape,
     table: &Table,
-    table_key: usize,
     pending: &[WRow],
     table_filter: Option<&Expr>,
     stats: &mut ExecStats,
 ) -> Vec<WRow> {
-    let by_key = group_indices(delta, delta_key);
+    let by_key = group_indices(delta, shape.key.0);
     let mut out = Vec::with_capacity(delta.len());
     // The scan: every physical row is visited regardless of delta size —
-    // this is the constant-dominated cost shape.
-    for (_, row) in table.iter() {
-        stats.rows_scanned += 1;
+    // this is the constant-dominated cost shape. Compensation then
+    // subtracts the matches against the pending delta.
+    stats.rows_scanned += table.len() as u64;
+    let physical = table.iter().map(|(_, row)| (row, 1));
+    for (row, pw) in physical.chain(pending.iter().map(|(row, pw)| (row, -pw))) {
         if !table_filter.is_none_or(|f| f.eval_bool(row)) {
             continue;
         }
-        if let Some(matches) = by_key.get(row.get(table_key)) {
+        if let Some(matches) = by_key.get(row.get(shape.key.1)) {
             for &di in matches {
                 let (d, w) = &delta[di];
-                out.push((d.concat(row), *w));
+                shape.emit(&mut out, d, row, pw * w, stats);
             }
         }
     }
-    // Compensation: subtract matches against the pending delta.
-    for (row, pw) in pending {
-        if !table_filter.is_none_or(|f| f.eval_bool(row)) {
-            continue;
-        }
-        if let Some(matches) = by_key.get(row.get(table_key)) {
-            for &di in matches {
-                let (d, w) = &delta[di];
-                out.push((d.concat(row), -pw * w));
-            }
-        }
-    }
-    stats.rows_emitted += out.len() as u64;
     out
 }
 
 /// Joins a delta stream against a compensated table via the table's
-/// index on `table_key`: one probe per delta row — the per-modification
-/// cost shape.
+/// index on the shape's table key: one probe per delta row — the
+/// per-modification cost shape.
 ///
 /// # Panics
-/// Panics when the table has no index on `table_key`; the planner must
-/// only choose this operator when one exists.
+/// Panics when the table has no index on the key column; the planner
+/// must only choose this operator when one exists.
 pub fn join_index(
     delta: &[WRow],
-    delta_key: usize,
+    shape: &JoinShape,
     table: &Table,
-    table_key: usize,
     pending: &[WRow],
     table_filter: Option<&Expr>,
     stats: &mut ExecStats,
 ) -> Vec<WRow> {
+    let (delta_key, table_key) = shape.key;
     let index = table
         .index_on(table_key)
         .expect("join_index requires an index on the join column");
     let mut out = Vec::with_capacity(delta.len());
     for (d, w) in delta {
-        let key = d.get(delta_key);
         stats.index_probes += 1;
-        for &rid in index.lookup(key) {
+        for &rid in index.lookup(d.get(delta_key)) {
             let row = table.get(rid).expect("index points at live rows");
             if table_filter.is_none_or(|f| f.eval_bool(row)) {
-                out.push((d.concat(row), *w));
+                shape.emit(&mut out, d, row, *w, stats);
             }
         }
     }
@@ -224,13 +241,12 @@ pub fn join_index(
                 if table_filter.is_none_or(|f| f.eval_bool(row)) {
                     for &di in matches {
                         let (d, w) = &delta[di];
-                        out.push((d.concat(row), -pw * w));
+                        shape.emit(&mut out, d, row, -pw * w, stats);
                     }
                 }
             }
         }
     }
-    stats.rows_emitted += out.len() as u64;
     out
 }
 
@@ -283,6 +299,33 @@ mod tests {
         t
     }
 
+    /// Key-to-key join of a two-cell delta against `t`, emitting the
+    /// unpruned `delta_row ++ table_row`.
+    fn shape(t: &Table) -> JoinShape {
+        JoinShape {
+            emit: (0..2 + t.schema().arity()).collect(),
+            ..JoinShape::default()
+        }
+    }
+
+    #[test]
+    fn pruned_shape_checks_composite_keys_and_emits_only_picked_cells() {
+        let t = table_rs();
+        // Join on k AND delta.1 = t.v; keep only the table's v.
+        let shape = JoinShape {
+            key: (0, 0),
+            checks: vec![(1, 1)],
+            emit: vec![3],
+        };
+        let delta = vec![(row![1i64, "b"], 2), (row![2i64, "zz"], 1)];
+        for join in [join_index, join_scan] {
+            let mut stats = ExecStats::default();
+            let out = join(&delta, &shape, &t, &[], None, &mut stats);
+            assert_eq!(out, vec![(row!["b"], 2)], "only (1,b) passes the check");
+            assert_eq!((stats.rows_emitted, stats.cells_emitted), (1, 1));
+        }
+    }
+
     #[test]
     fn consolidate_merges_and_drops_zeros() {
         let rows = vec![
@@ -301,7 +344,7 @@ mod tests {
         let t = table_rs();
         let delta = vec![(row![1i64, 10i64], 2), (row![3i64, 30i64], 1)];
         let mut stats = ExecStats::default();
-        let mut out = join_scan(&delta, 0, &t, 0, &[], None, &mut stats);
+        let mut out = join_scan(&delta, &shape(&t), &t, &[], None, &mut stats);
         out.sort();
         assert_eq!(
             out,
@@ -319,8 +362,8 @@ mod tests {
         let delta = vec![(row![1i64, 10i64], 1), (row![2i64, 20i64], -1)];
         let mut s1 = ExecStats::default();
         let mut s2 = ExecStats::default();
-        let mut a = join_scan(&delta, 0, &t, 0, &[], None, &mut s1);
-        let mut b = join_index(&delta, 0, &t, 0, &[], None, &mut s2);
+        let mut a = join_scan(&delta, &shape(&t), &t, &[], None, &mut s1);
+        let mut b = join_index(&delta, &shape(&t), &t, &[], None, &mut s2);
         a.sort();
         b.sort();
         assert_eq!(a, b);
@@ -336,13 +379,27 @@ mod tests {
         let pending = vec![(row![2i64, "c"], 1)];
         let delta = vec![(row![2i64, 20i64], 1)];
         let mut stats = ExecStats::default();
-        let out = consolidate(join_scan(&delta, 0, &t, 0, &pending, None, &mut stats));
+        let out = consolidate(join_scan(
+            &delta,
+            &shape(&t),
+            &t,
+            &pending,
+            None,
+            &mut stats,
+        ));
         assert!(
             out.is_empty(),
             "physical match cancelled by compensation: {out:?}"
         );
         // Same through the index path.
-        let out = consolidate(join_index(&delta, 0, &t, 0, &pending, None, &mut stats));
+        let out = consolidate(join_index(
+            &delta,
+            &shape(&t),
+            &t,
+            &pending,
+            None,
+            &mut stats,
+        ));
         assert!(out.is_empty());
     }
 
@@ -355,7 +412,14 @@ mod tests {
         let pending = vec![(row![2i64, "x"], -1)];
         let delta = vec![(row![2i64, 20i64], 1)];
         let mut stats = ExecStats::default();
-        let mut out = consolidate(join_scan(&delta, 0, &t, 0, &pending, None, &mut stats));
+        let mut out = consolidate(join_scan(
+            &delta,
+            &shape(&t),
+            &t,
+            &pending,
+            None,
+            &mut stats,
+        ));
         out.sort();
         assert_eq!(
             out,
@@ -375,9 +439,8 @@ mod tests {
         let mut stats = ExecStats::default();
         let mut out = consolidate(join_index(
             &delta,
-            0,
+            &shape(&t),
             &t,
-            0,
             &pending,
             Some(&keep_a),
             &mut stats,

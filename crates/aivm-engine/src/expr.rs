@@ -169,28 +169,34 @@ impl Expr {
     /// expression over a table's schema is evaluated against a join row
     /// where that table's columns start at `offset`).
     pub fn shift_cols(&self, offset: usize) -> Expr {
+        self.remap_cols(&|i| i + offset)
+    }
+
+    /// Rewrites every column reference `i` to `map(i)` (used to rebase an
+    /// expression over the canonical joined schema onto a pruned delta
+    /// layout that carries only the live columns).
+    pub fn remap_cols(&self, map: &dyn Fn(usize) -> usize) -> Expr {
+        let pair = |l: &Expr, r: &Expr| (Box::new(l.remap_cols(map)), Box::new(r.remap_cols(map)));
         match self {
-            Expr::Col(i) => Expr::Col(i + offset),
+            Expr::Col(i) => Expr::Col(map(*i)),
             Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp(op, l, r) => Expr::Cmp(
-                *op,
-                Box::new(l.shift_cols(offset)),
-                Box::new(r.shift_cols(offset)),
-            ),
-            Expr::Arith(op, l, r) => Expr::Arith(
-                *op,
-                Box::new(l.shift_cols(offset)),
-                Box::new(r.shift_cols(offset)),
-            ),
-            Expr::And(l, r) => Expr::And(
-                Box::new(l.shift_cols(offset)),
-                Box::new(r.shift_cols(offset)),
-            ),
-            Expr::Or(l, r) => Expr::Or(
-                Box::new(l.shift_cols(offset)),
-                Box::new(r.shift_cols(offset)),
-            ),
-            Expr::Not(e) => Expr::Not(Box::new(e.shift_cols(offset))),
+            Expr::Cmp(op, l, r) => {
+                let (l, r) = pair(l, r);
+                Expr::Cmp(*op, l, r)
+            }
+            Expr::Arith(op, l, r) => {
+                let (l, r) = pair(l, r);
+                Expr::Arith(*op, l, r)
+            }
+            Expr::And(l, r) => {
+                let (l, r) = pair(l, r);
+                Expr::And(l, r)
+            }
+            Expr::Or(l, r) => {
+                let (l, r) = pair(l, r);
+                Expr::Or(l, r)
+            }
+            Expr::Not(e) => Expr::Not(Box::new(e.remap_cols(map))),
         }
     }
 
@@ -269,6 +275,15 @@ mod tests {
         let shifted = e.shift_cols(2);
         let r = row![0i64, 0i64, 0i64, 3i64];
         assert!(shifted.eval_bool(&r));
+    }
+
+    #[test]
+    fn remap_cols_rebases_onto_a_pruned_layout() {
+        // Canonical columns 1 and 4 survive pruning as positions 0 and 1.
+        let e = Expr::Not(Box::new(Expr::col(1).eq(Expr::col(4))));
+        let rebased = e.remap_cols(&|c| if c == 1 { 0 } else { 1 });
+        assert!(rebased.eval_bool(&row![7i64, 8i64]));
+        assert!(!rebased.eval_bool(&row![7i64, 7i64]));
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //!   consolidated, locally filtered *processed-prefix* rows
 //!   (`physical − pending`) of the target table at that key. Because
 //!   the partial already excludes the pending delta, heavy expansion
-//!   needs **no compensation pass**, and the start-table delta is first
-//!   *reduced* — columns the view never reads (not referenced by any
-//!   join predicate, residual, projection or aggregate) are replaced by
-//!   `NULL` and the rows consolidated, so the ±churn of a hot key's
-//!   update chain cancels **before** paying join fan-out for it. A
-//!   hot-key delta costs O(delta) instead of O(delta × matches).
+//!   needs **no compensation pass**. Partials hold full target rows; an
+//!   expansion emits through the join step's compiled
+//!   [`JoinShape`](crate::exec::JoinShape) like the light path does, so
+//!   both parts share one pruned layout and one set of composite-key
+//!   checks. (The ±churn of a hot key's update chain cancels before the
+//!   fan-out for *every* key: propagation projects each start delta onto
+//!   its live columns and consolidates — see `ivm`.)
 //!
 //! Reclassification is dynamic and happens only at flush boundaries: a
 //! key whose observed frequency drifts across the threshold is promoted
@@ -36,17 +37,16 @@
 //! decays geometrically so drifting streams demote yesterday's hot keys.
 //!
 //! **Registry interaction:** the multi-view [`crate::registry`] drives
-//! propagation through `take_start_delta`/`propagate_start_delta`
-//! directly, bypassing `flush`. Promotion and partial upkeep only ever
-//! run inside `flush`, so heavy-light state on a registry-managed view
-//! is inert (no key is ever promoted) and shared propagation keeps its
-//! exact semantics.
+//! propagation through `take_start_delta`/`propagate_chunked`
+//! directly, bypassing `flush`. Promotion only ever runs inside `flush`,
+//! so heavy-light state on a registry-managed view is inert (no key is
+//! ever promoted) and shared propagation keeps its exact semantics.
 
 use crate::costmodel::{self, CostConstants};
 use crate::db::{Database, TableId};
 use crate::delta::{DeltaTable, Modification};
 use crate::error::EngineError;
-use crate::exec::{self, WRow};
+use crate::exec::WRow;
 use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
 use crate::ivm::ViewDef;
@@ -315,90 +315,16 @@ pub struct HeavyTrackerSnapshot {
 pub(crate) struct HeavyLightState {
     pub config: HeavyLightConfig,
     pub trackers: Vec<HeavyTracker>,
-    /// Per table: which local columns the view ever reads (join
-    /// predicates, residual, projection, aggregate). All-true disables
-    /// reduction for that table.
-    used_cols: Vec<Vec<bool>>,
-    /// Per table: `used_cols` has at least one unused column.
-    reducible: Vec<bool>,
     pub stats: HeavyLightStats,
 }
 
-/// Collects the canonical-schema columns an expression reads into
-/// per-table local masks.
-fn mark_expr(e: &Expr, offsets: &[usize], arities: &[usize], used: &mut [Vec<bool>]) {
-    let mut cols = Vec::new();
-    e.columns(&mut cols);
-    for c in cols {
-        for t in (0..offsets.len()).rev() {
-            if c >= offsets[t] {
-                let local = c - offsets[t];
-                if local < arities[t] {
-                    used[t][local] = true;
-                }
-                break;
-            }
-        }
-    }
-}
-
 impl HeavyLightState {
-    /// Builds trackers and used-column masks for a view definition.
+    /// Builds the trackers for a view definition.
     pub fn build(
         db: &Database,
         def: &ViewDef,
         config: HeavyLightConfig,
     ) -> Result<Self, EngineError> {
-        let n = def.tables.len();
-        let offsets = def.offsets(db)?;
-        let arities: Vec<usize> = def
-            .tables
-            .iter()
-            .map(|t| Ok(db.table_by_name(t)?.schema().arity()))
-            .collect::<Result<Vec<_>, EngineError>>()?;
-
-        // Used-column masks. Join-key columns are always used (they
-        // survive reduction so classification and joining still work).
-        let mut used: Vec<Vec<bool>> = arities.iter().map(|&a| vec![false; a]).collect();
-        for p in &def.join_preds {
-            for (t, c) in [p.left, p.right] {
-                if t < n && c < arities[t] {
-                    used[t][c] = true;
-                }
-            }
-        }
-        if let Some(r) = &def.residual {
-            mark_expr(r, &offsets, &arities, &mut used);
-        }
-        match (&def.aggregate, &def.projection) {
-            (Some(agg), _) => {
-                for &g in &agg.group_by {
-                    for t in (0..n).rev() {
-                        if g >= offsets[t] && g - offsets[t] < arities[t] {
-                            used[t][g - offsets[t]] = true;
-                            break;
-                        }
-                    }
-                }
-                for (_, arg, _) in &agg.aggs {
-                    mark_expr(arg, &offsets, &arities, &mut used);
-                }
-            }
-            (None, Some(proj)) => {
-                for (e, _) in proj {
-                    mark_expr(e, &offsets, &arities, &mut used);
-                }
-            }
-            // No projection and no aggregate: the output is the full
-            // canonical row, so every column is used.
-            (None, None) => {
-                for m in &mut used {
-                    m.iter_mut().for_each(|u| *u = true);
-                }
-            }
-        }
-        let reducible: Vec<bool> = used.iter().map(|m| m.iter().any(|&u| !u)).collect();
-
         // One tracker per distinct (target, col) join side; the opposite
         // sides of its predicates are the observation sources.
         let mut trackers: Vec<HeavyTracker> = Vec::new();
@@ -441,8 +367,6 @@ impl HeavyLightState {
         Ok(HeavyLightState {
             config,
             trackers,
-            used_cols: used,
-            reducible,
             stats: HeavyLightStats::default(),
         })
     }
@@ -575,10 +499,10 @@ impl HeavyLightState {
         self.stats.heavy_keys = self.trackers.iter().map(|t| t.partials.len() as u64).sum();
     }
 
-    /// Folds a just-flushed (consolidated, locally filtered) prefix of
-    /// table `i` into the partials of every tracker targeting `i`,
-    /// keeping each partial equal to the target's processed-prefix rows
-    /// at its key.
+    /// Folds a just-flushed, locally filtered prefix of table `i` (full
+    /// rows, consolidated or in arrival order) into the partials of
+    /// every tracker targeting `i`, keeping each partial equal to the
+    /// target's processed-prefix rows at its key.
     pub fn fold_flushed(&mut self, i: usize, delta: &[WRow]) {
         for t in &mut self.trackers {
             if t.target != i || t.partials.is_empty() {
@@ -594,52 +518,6 @@ impl HeavyLightState {
                 }
             }
         }
-    }
-
-    /// Reduces a start-table delta of table `i`: rows whose join key is
-    /// heavy for some tracker fed by `i` get their unused columns
-    /// replaced by `NULL` and are consolidated, cancelling hot-key ±
-    /// churn before join fan-out. Sound for any row (the nulled columns
-    /// are never read downstream); applied only to heavy rows so light
-    /// rows keep their exact bytes. Runs before chunked propagation, so
-    /// results and counters are width-independent.
-    pub fn reduce_start_delta(&self, i: usize, delta: Vec<WRow>) -> Vec<WRow> {
-        if !self.reducible[i] {
-            return delta;
-        }
-        let taps: Vec<(&HeavyTracker, usize)> = self
-            .trackers
-            .iter()
-            .filter(|t| t.has_heavy())
-            .flat_map(|t| {
-                t.sources
-                    .iter()
-                    .filter(|&&(src, _)| src == i)
-                    .map(move |&(_, col)| (t, col))
-            })
-            .collect();
-        if taps.is_empty() {
-            return delta;
-        }
-        let used = &self.used_cols[i];
-        let mut out = Vec::with_capacity(delta.len());
-        let mut heavy = Vec::new();
-        for (r, w) in delta {
-            if taps.iter().any(|(t, col)| t.is_heavy(r.get(*col))) {
-                let reduced = Row::new(
-                    r.values()
-                        .iter()
-                        .enumerate()
-                        .map(|(c, v)| if used[c] { v.clone() } else { Value::Null })
-                        .collect(),
-                );
-                heavy.push((reduced, w));
-            } else {
-                out.push((r, w));
-            }
-        }
-        out.extend(exec::consolidate(heavy));
-        out
     }
 
     /// Drops all sketches and partials (config and thresholds survive).

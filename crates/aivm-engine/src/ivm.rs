@@ -30,7 +30,7 @@
 use crate::db::{Database, TableId};
 use crate::delta::{DeltaTable, Modification};
 use crate::error::EngineError;
-use crate::exec::{self, ExecStats, WRow};
+use crate::exec::{self, ExecStats, JoinShape, WRow};
 use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
 use crate::heavy::{HeavyLightConfig, HeavyLightState, HeavyLightStats, HeavyTrackerSnapshot};
@@ -38,7 +38,7 @@ use crate::index::IndexKind;
 use crate::logical::{AggFunc, LogicalPlan};
 use crate::schema::Row;
 use crate::value::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, hash_map, BTreeMap};
 use std::sync::Arc;
 
 /// Below this many weighted delta rows a flush propagates serially even
@@ -107,6 +107,39 @@ impl ViewDef {
             acc += db.table_by_name(name)?.schema().arity();
         }
         Ok(offsets)
+    }
+
+    /// The canonical columns the view's finisher reads — group-by,
+    /// aggregate arguments, projection, residual; every column for a
+    /// `SELECT *` bag — ascending. Delta propagation carries only these
+    /// (plus, mid-join, the columns a predicate still needs).
+    pub(crate) fn live_columns(&self, db: &Database) -> Result<Vec<usize>, EngineError> {
+        let mut width = 0;
+        for name in &self.tables {
+            width += db.table_by_name(name)?.schema().arity();
+        }
+        let mut cols = Vec::new();
+        if let Some(residual) = &self.residual {
+            residual.columns(&mut cols);
+        }
+        match (&self.aggregate, &self.projection) {
+            (Some(agg), _) => {
+                cols.extend(&agg.group_by);
+                agg.aggs
+                    .iter()
+                    .for_each(|(_, arg, _)| arg.columns(&mut cols));
+            }
+            (None, Some(proj)) => proj.iter().for_each(|(e, _)| e.columns(&mut cols)),
+            (None, None) => cols.extend(0..width),
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        match cols.last() {
+            Some(&c) if c >= width => Err(EngineError::Unsupported {
+                message: format!("view reads column {c} of a {width}-column join"),
+            }),
+            _ => Ok(cols),
+        }
     }
 
     /// Builds the left-deep logical plan of the view's SPJ core (no
@@ -228,6 +261,82 @@ struct GroupState {
     aggs: Vec<AggState>,
 }
 
+/// One join step: the table bound next and the predicate probed —
+/// `(bound side, target column)`, `None` for the cross product of a
+/// disconnected join graph.
+type JoinStep = (usize, Option<((usize, usize), usize)>);
+
+/// The compiled propagation plan of one start table. The delta stream
+/// holds the *live* columns of the tables bound so far, in canonical
+/// order: a column is live while a finisher of the sharing group reads it
+/// or a join predicate still connects it to an unbound table. After the
+/// last step that is the view's live set, whichever table started.
+#[derive(Clone, Debug)]
+struct StartPlan {
+    /// Kept so a flush can tell when table growth or a new index changed
+    /// the preferred order and the plan needs a recompile.
+    order: Vec<JoinStep>,
+    /// Live columns of the start table, ascending.
+    start_keep: Vec<usize>,
+    /// Per step: probe key, the other predicates closing at this step
+    /// (composite keys, cycles) and the cells to emit.
+    shapes: Vec<JoinShape>,
+}
+
+/// A view's finishing step, rebased once onto the live layout.
+#[derive(Clone, Debug)]
+enum Finisher {
+    /// `SELECT *` bag: every column is live, the delta row is the output.
+    Whole,
+    /// Bag projecting plain columns (no expression interpreter needed).
+    Cols(Vec<usize>),
+    /// Bag projecting expressions.
+    Exprs(Vec<Expr>),
+    /// Aggregate view. COUNT and multiset MIN/MAX are exact whatever the
+    /// row order and granularity. Float SUM/AVG and Recompute-strategy
+    /// extrema are not, so they fold the delta's *canonical form*: one
+    /// row of group key ++ argument values per distinct combination,
+    /// sorted — a function of the delta multiset alone, hence
+    /// bit-identical whichever layout, propagation width, key
+    /// partitioning or sharing group produced the rows.
+    Agg {
+        group_by: Vec<usize>,
+        aggs: Vec<(AggFunc, Expr)>,
+        /// What the fold needs of the slice it is handed; `Sorted` when
+        /// the live layout already is key ++ arguments.
+        prep: Prep,
+        /// The fold reduces the slice to canonical form itself (the
+        /// layout is wider, or arguments are expressions).
+        reduce: bool,
+    },
+}
+
+/// How far a propagated join delta is prepared before views fold it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Prep {
+    /// As propagated: a bag merges by key and checks multiplicities
+    /// after the whole delta.
+    Raw,
+    /// (−old, +new) pairs cancelled: aggregate state walks the delta row
+    /// by row, and compensation emits rows the state has never seen.
+    Consolidated,
+    /// Consolidated and sorted.
+    Sorted,
+}
+
+impl Prep {
+    /// Prepares `dj` once for every view that will fold it.
+    pub(crate) fn apply(self, mut dj: Vec<WRow>) -> Vec<WRow> {
+        if self > Prep::Raw {
+            dj = exec::consolidate(dj);
+        }
+        if self == Prep::Sorted {
+            dj.sort_unstable();
+        }
+        dj
+    }
+}
+
 /// The maintained result state.
 #[derive(Clone, Debug)]
 enum ViewState {
@@ -275,6 +384,16 @@ impl ViewSnapshot {
 pub struct MaterializedView {
     def: ViewDef,
     table_ids: Vec<TableId>,
+    /// Per-table column offsets in the canonical joined schema.
+    offsets: Vec<usize>,
+    /// The live canonical columns, ascending — what a propagated delta
+    /// row holds: [`ViewDef::live_columns`], or the union over the view's
+    /// sharing group under a [`registry`](crate::registry).
+    live: Vec<usize>,
+    /// One plan per start table, and the residual, compiled for `live`.
+    plans: Vec<StartPlan>,
+    residual: Option<Expr>,
+    finisher: Finisher,
     pending: Vec<DeltaTable>,
     state: ViewState,
     min_strategy: MinStrategy,
@@ -326,9 +445,15 @@ impl MaterializedView {
             .iter()
             .map(|t| db.table_id(t))
             .collect::<Result<Vec<_>, _>>()?;
+        let live = def.live_columns(db)?;
         let mut view = MaterializedView {
+            offsets: def.offsets(db)?,
             def,
             table_ids,
+            live: Vec::new(),
+            plans: Vec::new(),
+            residual: None,
+            finisher: Finisher::Whole,
             pending: (0..n).map(|_| DeltaTable::new()).collect(),
             state: ViewState::Bag(FxHashMap::default()),
             min_strategy,
@@ -344,10 +469,157 @@ impl MaterializedView {
             heavy: None,
             stats: MaintenanceStats::default(),
         };
+        view.set_live(db, live);
         view.recompute(db)?;
         view.stats.recomputes = 0; // initialization is not a recompute
         view.publish_snapshot();
         Ok(view)
+    }
+
+    /// The live canonical columns propagated deltas carry.
+    pub(crate) fn live(&self) -> &[usize] {
+        &self.live
+    }
+
+    /// Compiles plans and finisher for a live set covering the view's own
+    /// [`ViewDef::live_columns`]: at construction, and by the registry
+    /// whenever the view's sharing group (hence the union) changes.
+    pub(crate) fn set_live(&mut self, db: &Database, live: Vec<usize>) {
+        self.live = live;
+        let live = &self.live;
+        let pos = |c: usize| live.binary_search(&c).expect("own columns are live");
+        let plain = |e: &Expr| match e {
+            Expr::Col(c) => Some(pos(*c)),
+            _ => None,
+        };
+        self.residual = self.def.residual.as_ref().map(|e| e.remap_cols(&pos));
+        self.finisher = match (&self.def.aggregate, &self.def.projection) {
+            (Some(spec), _) => {
+                let group_by: Vec<usize> = spec.group_by.iter().map(|&c| pos(c)).collect();
+                let ordered = spec.aggs.iter().any(|(func, _, _)| match func {
+                    AggFunc::Count => false,
+                    AggFunc::Sum | AggFunc::Avg => true,
+                    AggFunc::Min | AggFunc::Max => self.min_strategy == MinStrategy::Recompute,
+                });
+                let args = spec.aggs.iter().map(|(_, arg, _)| plain(arg));
+                let canonical =
+                    (group_by.iter().map(|&c| Some(c)).chain(args)).eq((0..live.len()).map(Some));
+                Finisher::Agg {
+                    group_by,
+                    aggs: (spec.aggs.iter())
+                        .map(|(func, arg, _)| (*func, arg.remap_cols(&pos)))
+                        .collect(),
+                    prep: if ordered && canonical {
+                        Prep::Sorted
+                    } else {
+                        Prep::Consolidated
+                    },
+                    reduce: ordered && !canonical,
+                }
+            }
+            (None, None) => Finisher::Whole,
+            (None, Some(proj)) => match proj.iter().map(|(e, _)| plain(e)).collect() {
+                Some(cols) => Finisher::Cols(cols),
+                None => Finisher::Exprs(proj.iter().map(|(e, _)| e.remap_cols(&pos)).collect()),
+            },
+        };
+        self.plans = (0..self.n())
+            .map(|start| self.compile_plan(start, self.join_order(db, start)))
+            .collect();
+    }
+
+    /// The join order propagation from `start` prefers right now. Among
+    /// the predicates connecting a bound table to an unbound one, indexed
+    /// targets win, and among those the smallest table: small (often
+    /// filtered) dimension tables shrink the stream before it is dragged
+    /// through a large table's fanout ("first indexed predicate" would
+    /// expand through the fact table first and carry the blow-up on).
+    fn join_order(&self, db: &Database, start: usize) -> Vec<JoinStep> {
+        let n = self.n();
+        let mut bound = vec![false; n];
+        bound[start] = true;
+        let mut order: Vec<JoinStep> = Vec::with_capacity(n - 1);
+        while order.len() + 1 < n {
+            let mut best: Option<((bool, usize), JoinStep)> = None; // lower rank is better
+            for p in &self.def.join_preds {
+                for (src, dst) in [(p.left, p.right), (p.right, p.left)] {
+                    if bound[src.0] && !bound[dst.0] {
+                        let table = db.table(self.table_ids[dst.0]);
+                        let rank = (table.index_on(dst.1).is_none(), table.len());
+                        if best.as_ref().is_none_or(|(r, _)| rank < *r) {
+                            best = Some((rank, (dst.0, Some((src, dst.1)))));
+                        }
+                    }
+                }
+            }
+            // Disconnected join graph: cross product with the next
+            // unbound table.
+            let next_unbound = || (0..n).find(|&j| !bound[j]).expect("unbound table exists");
+            let step = best.map_or_else(|| (next_unbound(), None), |(_, step)| step);
+            bound[step.0] = true;
+            order.push(step);
+        }
+        order
+    }
+
+    /// Compiles one start table's plan: which cells each step keeps,
+    /// where its probe key sits, which further predicates it checks.
+    fn compile_plan(&self, start: usize, order: Vec<JoinStep>) -> StartPlan {
+        let (n, offsets) = (self.n(), &self.offsets);
+        let canon = |(t, c): (usize, usize)| offsets[t] + c;
+        let table_of = |c: usize| (0..n).rev().find(|&t| offsets[t] <= c).expect("table 0");
+        let sides = |p: &JoinPred| [(p.left, p.right), (p.right, p.left)];
+        // The live columns of the bound tables, ascending: read by a
+        // finisher, or still joining a table not bound yet.
+        let layout_of = |bound: &[bool]| -> Vec<usize> {
+            let mut cols: Vec<usize> = (self.live.iter().copied())
+                .filter(|&c| bound[table_of(c)])
+                .collect();
+            for (a, b) in self.def.join_preds.iter().flat_map(sides) {
+                if bound[a.0] && !bound[b.0] {
+                    cols.push(canon(a));
+                }
+            }
+            cols.sort_unstable();
+            cols.dedup();
+            cols
+        };
+        let mut bound = vec![false; n];
+        bound[start] = true;
+        let mut layout = layout_of(&bound);
+        let start_keep = layout.iter().map(|c| c - offsets[start]).collect();
+        let mut shapes = Vec::with_capacity(order.len());
+        for &(target, probe) in &order {
+            let pos = |c: usize| layout.binary_search(&c).expect("live until bound");
+            // Every predicate between the target and a bound table closes
+            // here. The probe covers one; the rest of a composite key or
+            // the closing edge of a cycle become per-pair checks.
+            let checks = (self.def.join_preds.iter().flat_map(sides))
+                .filter(|&(src, dst)| bound[src.0] && dst.0 == target)
+                .filter(|&(src, dst)| probe != Some((src, dst.1)))
+                .map(|(src, dst)| (pos(canon(src)), dst.1))
+                .collect();
+            bound[target] = true;
+            let next = layout_of(&bound);
+            let cell = |&c: &usize| {
+                if table_of(c) == target {
+                    layout.len() + c - offsets[target]
+                } else {
+                    pos(c)
+                }
+            };
+            shapes.push(JoinShape {
+                key: probe.map_or((0, 0), |(src, col)| (pos(canon(src)), col)),
+                checks,
+                emit: next.iter().map(cell).collect(),
+            });
+            layout = next;
+        }
+        StartPlan {
+            order,
+            start_keep,
+            shapes,
+        }
     }
 
     /// Registers the view against a mutable database: auto-creates a
@@ -638,73 +910,74 @@ impl MaterializedView {
             if k == 0 {
                 continue;
             }
-            let delta = self.take_start_delta(i, k)?;
+            let delta = self.take_start_delta(db, i, k)?;
             report.mods_processed += k as u64;
             if delta.is_empty() {
-                continue;
+                continue; // filtered out, or churn on dead columns only
             }
-            // Keep the partials of trackers targeting table `i` equal to
-            // its processed-prefix rows: the prefix just left `pending`,
-            // so it joins the materialized side now. Fold the *unreduced*
-            // delta — partials must hold real target rows, since other
-            // tables' deltas expand against them.
-            let delta = match self.heavy.as_mut() {
-                Some(h) => {
-                    h.fold_flushed(i, &delta);
-                    h.reduce_start_delta(i, delta)
-                }
-                None => delta,
-            };
-            if delta.is_empty() {
-                continue; // hot-key churn cancelled entirely
-            }
-            let mut stats = ExecStats::default();
-            let dj = self.propagate_start_delta(db, i, delta, &mut stats)?;
-            report.exec.merge(&stats);
-            self.apply_propagated_delta(dj)?;
+            let dj = self.propagate_chunked(db, i, delta, &mut report.exec)?;
+            self.apply_delta(&self.prep().apply(dj))?;
         }
         self.finish_flush(db, &mut report)?;
         Ok(report)
     }
 
     /// Consumes the next `k` pending modifications of table `i` and
-    /// returns the consolidated, locally filtered start-table delta —
-    /// the first leg of a flush step, split out so the multi-view
+    /// returns the start-table delta propagation begins with: locally
+    /// filtered, projected onto the table's live columns, consolidated.
+    /// The first leg of a flush step, split out so the multi-view
     /// [`registry`](crate::registry) can run it once per sharing group.
     pub(crate) fn take_start_delta(
         &mut self,
+        db: &Database,
         i: usize,
         k: usize,
     ) -> Result<Vec<WRow>, EngineError> {
-        if k > self.pending[i].len() {
-            return Err(EngineError::Maintenance {
-                message: format!(
-                    "flush of {k} from table {i} exceeds pending {}",
-                    self.pending[i].len()
-                ),
-            });
+        self.check_prefix(i, k)?;
+        let order = self.join_order(db, i);
+        if order != self.plans[i].order {
+            self.plans[i] = self.compile_plan(i, order);
         }
         // The delta table precomputed the weighted entries at
         // arrival (columnar layout): the flush reads one contiguous
         // slice instead of reassembling Modification values.
         let mut delta: Vec<WRow> = self.pending[i].take_weighted_prefix(k);
-        // Cancel churn inside the batch before paying join fan-out
-        // for it: an update chain a→b→c contributes (−a,+b,−b,+c)
-        // and the ±b pair would otherwise be propagated through
-        // every join step and applied to the view just to annihilate
-        // there. The surviving multiset is identical, so flush
-        // results are bit-for-bit unchanged.
-        delta = exec::consolidate(delta);
         if let Some(f) = &self.def.filters[i] {
             delta = exec::filter(delta, f);
         }
-        Ok(delta)
+        // Keep the partials of trackers targeting table `i` equal to
+        // its processed-prefix rows: the prefix just left `pending`.
+        // Partials hold real (full-width) target rows, since other
+        // tables' deltas expand against them.
+        if let Some(h) = self.heavy.as_mut() {
+            h.fold_flushed(i, &delta);
+        }
+        let keep = &self.plans[i].start_keep;
+        if delta.first().is_some_and(|(r, _)| keep.len() < r.len()) {
+            for (r, _) in &mut delta {
+                *r = r.project(keep);
+            }
+        }
+        // Cancel churn inside the batch before paying join fan-out
+        // for it: an update chain a→b→c contributes (−a,+b,−b,+c)
+        // and the ±b pair would otherwise be propagated through
+        // every join step just to annihilate in the view. On the live
+        // columns, so is an update of columns nothing downstream reads.
+        // The surviving multiset, seen through the live columns, is
+        // identical, so flush results are unchanged.
+        Ok(exec::consolidate(delta))
     }
 
     /// Consumes the next `k` pending modifications of table `i` without
     /// materializing them — the group-member leg of a shared flush step,
     /// where the leader's identical prefix was already propagated.
     pub(crate) fn discard_start_prefix(&mut self, i: usize, k: usize) -> Result<(), EngineError> {
+        self.check_prefix(i, k)?;
+        self.pending[i].drop_prefix(k);
+        Ok(())
+    }
+
+    fn check_prefix(&self, i: usize, k: usize) -> Result<(), EngineError> {
         if k > self.pending[i].len() {
             return Err(EngineError::Maintenance {
                 message: format!(
@@ -713,41 +986,15 @@ impl MaterializedView {
                 ),
             });
         }
-        self.pending[i].drop_prefix(k);
         Ok(())
     }
 
-    /// Propagates a start-table delta of table `i` through the join with
-    /// compensation (chunked across the configured flush threads),
-    /// returning the join delta in canonical column order with the
-    /// residual applied. Read-only; depends only on the SPJ core and the
-    /// pending compensation state, never on projection/aggregate, which
-    /// is what makes the output shareable across views with the same SPJ
-    /// signature and lockstep pending deltas.
-    pub(crate) fn propagate_start_delta(
-        &self,
-        db: &Database,
-        i: usize,
-        delta: Vec<WRow>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<WRow>, EngineError> {
-        self.propagate_chunked(db, i, delta, stats)
-    }
-
-    /// Applies a propagated canonical-order join delta to this view's
-    /// state (projection / aggregate / distinct are per-view and happen
-    /// here, not in propagation).
-    pub(crate) fn apply_propagated_delta(&mut self, mut dj: Vec<WRow>) -> Result<(), EngineError> {
-        if matches!(self.state, ViewState::Agg(_)) {
-            // Aggregate state walks the delta row by row, so cancel
-            // (−old, +new) pairs first: an unconsolidated stream
-            // could transiently delete a group extremum and force a
-            // spurious recompute. Bag state merges by key and checks
-            // multiplicities after the whole delta (see
-            // `apply_delta`), so it takes the stream raw.
-            dj = exec::consolidate(dj);
+    /// The preparation [`Self::apply_delta`] needs of a join delta.
+    pub(crate) fn prep(&self) -> Prep {
+        match self.finisher {
+            Finisher::Agg { prep, .. } => prep,
+            _ => Prep::Raw,
         }
-        self.apply_delta(&dj)
     }
 
     /// Closes out one flush invocation: resolves a dirty extremum via
@@ -774,13 +1021,19 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Propagates a start-table delta, splitting it across the
-    /// configured flush threads when it is large enough to pay for the
-    /// spawns. Chunking is deterministic (fixed contiguous ranges) and
-    /// outputs merge in chunk order; per-chunk [`ExecStats`] sum into
-    /// `stats`, which keeps the index-probe counters identical to the
-    /// serial path (probes are per delta row).
-    fn propagate_chunked(
+    /// Propagates a start-table delta of table `start` through the join
+    /// with compensation, returning the join delta on the live layout
+    /// with the residual applied. Read-only; depends only on the SPJ
+    /// core, the live set and the pending compensation state, which is
+    /// what makes the output shareable across views with the same SPJ
+    /// signature and lockstep pending deltas.
+    ///
+    /// The delta is split across the configured flush threads when it is
+    /// large enough to pay for the spawns. Chunking is deterministic
+    /// (fixed contiguous ranges) and outputs merge in chunk order;
+    /// per-chunk [`ExecStats`] sum into `stats` (probes are per delta
+    /// row, so the counters match the serial path).
+    pub(crate) fn propagate_chunked(
         &self,
         db: &Database,
         start: usize,
@@ -829,9 +1082,8 @@ impl MaterializedView {
         self.flush(db, &counts)
     }
 
-    /// Propagates a start-table delta through the other tables with
-    /// compensation, returning the join delta in canonical column order
-    /// with the residual filter applied.
+    /// Propagates a start-table delta through the other tables, one
+    /// compiled join step at a time.
     fn propagate(
         &self,
         db: &Database,
@@ -839,184 +1091,108 @@ impl MaterializedView {
         delta: Vec<WRow>,
         stats: &mut ExecStats,
     ) -> Result<Vec<WRow>, EngineError> {
-        let n = self.n();
+        let plan = &self.plans[start];
         let mut stream = delta;
-        // layout[j] = Some(position block) of table j in the current
-        // stream; maintained as the list of table indices in concat order.
-        let mut layout = vec![start];
-        let mut bound = vec![false; n];
-        bound[start] = true;
-
-        while layout.len() < n {
-            // Find a predicate connecting a bound table to an unbound one.
-            // Among the connected candidates, prefer indexed targets, and
-            // among those the smallest table: small (often filtered)
-            // dimension tables shrink the stream before it is dragged
-            // through a large table's fanout. With every join column
-            // indexed (see `register`), "first indexed predicate" would
-            // instead expand through the fact table first and carry the
-            // blow-up through every later join.
-            let mut candidate: Option<(usize, usize, usize)> = None; // (delta_key, target, target_col)
-            let mut best = (true, usize::MAX); // (no index, table rows) — lower is better
-            for p in &self.def.join_preds {
-                let (a, b) = (p.left, p.right);
-                let pair = if bound[a.0] && !bound[b.0] {
-                    Some((a, b))
-                } else if bound[b.0] && !bound[a.0] {
-                    Some((b, a))
-                } else {
-                    None
-                };
-                if let Some((src, dst)) = pair {
-                    let delta_key = self.stream_offset(db, &layout, src.0)? + src.1;
-                    let table = db.table(self.table_ids[dst.0]);
-                    let rank = (table.index_on(dst.1).is_none(), table.len());
-                    if candidate.is_none() || rank < best {
-                        candidate = Some((delta_key, dst.0, dst.1));
-                        best = rank;
-                    }
-                }
-            }
-            match candidate {
-                Some((delta_key, target, target_col)) => {
-                    let table = db.table(self.table_ids[target]);
-                    let pending = self.pending[target].weighted();
-                    let filter = self.def.filters[target].as_ref();
-                    stream = if table.index_on(target_col).is_some() {
-                        let tracker = self
-                            .heavy
-                            .as_ref()
-                            .and_then(|h| h.tracker(target, target_col))
-                            .filter(|t| t.has_heavy());
-                        match tracker {
-                            Some(tr) => {
-                                // Heavy-light split: heavy keys expand
-                                // against their materialized partial
-                                // (processed-prefix rows — no pending
-                                // compensation needed); light keys take
-                                // the classic compensated index join.
-                                let mut light = Vec::with_capacity(stream.len());
-                                let mut heavy = Vec::new();
-                                for (r, w) in stream {
-                                    if tr.is_heavy(r.get(delta_key)) {
-                                        heavy.push((r, w));
-                                    } else {
-                                        light.push((r, w));
-                                    }
-                                }
-                                stats.heavy_hits += heavy.len() as u64;
-                                stats.light_hits += light.len() as u64;
-                                let mut out = if light.is_empty() {
-                                    Vec::new()
-                                } else {
-                                    exec::join_index(
-                                        &light, delta_key, table, target_col, &pending, filter,
-                                        stats,
-                                    )
-                                };
-                                for (d, w) in &heavy {
-                                    stats.index_probes += 1;
-                                    let partial = tr
-                                        .partial(d.get(delta_key))
-                                        .expect("heavy keys have partials");
-                                    for (row, pw) in partial {
-                                        stats.rows_emitted += 1;
-                                        out.push((d.concat(row), w * pw));
-                                    }
-                                }
-                                out
-                            }
-                            None => exec::join_index(
-                                &stream, delta_key, table, target_col, &pending, filter, stats,
-                            ),
-                        }
-                    } else {
-                        // No index on the join column: the per-batch
-                        // scan shape. Counted, not silent — auto-indexed
-                        // views (`register`) must never take this path.
-                        stats.scan_fallbacks += 1;
-                        exec::join_scan(
-                            &stream, delta_key, table, target_col, &pending, filter, stats,
-                        )
-                    };
-                    layout.push(target);
-                    bound[target] = true;
-                }
-                None => {
-                    // Disconnected join graph: cross product with the next
-                    // unbound table (compensated).
-                    let target = (0..n).find(|&j| !bound[j]).expect("unbound table exists");
-                    let table = db.table(self.table_ids[target]);
-                    let pending = self.pending[target].weighted();
-                    let filter = self.def.filters[target].as_ref();
-                    let rows = exec::compensated_rows(table, &pending, filter, stats);
-                    stream = exec::hash_join(&stream, &rows, &[]);
-                    layout.push(target);
-                    bound[target] = true;
-                }
-            }
+        for (&(target, probe), shape) in plan.order.iter().zip(&plan.shapes) {
             // Early exit: an empty delta stays empty through joins.
             if stream.is_empty() {
-                return Ok(Vec::new());
+                return Ok(stream);
             }
+            let table = db.table(self.table_ids[target]);
+            let pending = self.pending[target].weighted();
+            let filter = self.def.filters[target].as_ref();
+            let tracker = |col| {
+                let h = self.heavy.as_ref()?;
+                h.tracker(target, col).filter(|t| t.has_heavy())
+            };
+            stream = match probe {
+                None => {
+                    let rows = exec::compensated_rows(table, &pending, filter, stats);
+                    let mut out = Vec::with_capacity(stream.len() * rows.len());
+                    for ((d, w), (row, rw)) in
+                        stream.iter().flat_map(|d| rows.iter().map(move |r| (d, r)))
+                    {
+                        shape.emit(&mut out, d, row, w * rw, stats);
+                    }
+                    out
+                }
+                // No index on the join column: the per-batch scan
+                // shape. Counted, not silent — auto-indexed views
+                // (`register`) must never take this path.
+                Some((_, col)) if table.index_on(col).is_none() => {
+                    stats.scan_fallbacks += 1;
+                    exec::join_scan(&stream, shape, table, &pending, filter, stats)
+                }
+                Some((_, col)) => match tracker(col) {
+                    None => exec::join_index(&stream, shape, table, &pending, filter, stats),
+                    // Heavy-light split: heavy keys expand against
+                    // their materialized partial (processed-prefix rows
+                    // — no pending compensation needed); light keys take
+                    // the classic compensated index join.
+                    Some(tr) => {
+                        let (heavy, light): (Vec<WRow>, Vec<WRow>) = (stream.into_iter())
+                            .partition(|(r, _)| tr.is_heavy(r.get(shape.key.0)));
+                        stats.heavy_hits += heavy.len() as u64;
+                        stats.light_hits += light.len() as u64;
+                        let mut out = if light.is_empty() {
+                            Vec::new()
+                        } else {
+                            exec::join_index(&light, shape, table, &pending, filter, stats)
+                        };
+                        for (d, w) in &heavy {
+                            stats.index_probes += 1;
+                            let key = d.get(shape.key.0);
+                            for (row, pw) in tr.partial(key).expect("heavy keys have partials") {
+                                shape.emit(&mut out, d, row, w * pw, stats);
+                            }
+                        }
+                        out
+                    }
+                },
+            };
         }
-
-        // Remap to canonical column order.
-        let mut proj = Vec::new();
-        for t in 0..n {
-            let cur = self.stream_offset(db, &layout, t)?;
-            let arity = db.table(self.table_ids[t]).schema().arity();
-            proj.extend(cur..cur + arity);
+        if let Some(residual) = &self.residual {
+            stream = exec::filter(stream, residual);
         }
-        let identity = proj.iter().enumerate().all(|(i, &p)| i == p);
-        let mut out: Vec<WRow> = if identity {
-            stream
-        } else {
-            stream
-                .into_iter()
-                .map(|(r, w)| (r.project(&proj), w))
-                .collect()
-        };
-        if let Some(residual) = &self.def.residual {
-            out = exec::filter(out, residual);
-        }
-        Ok(out)
+        Ok(stream)
     }
 
-    /// Column offset of table `t` inside a stream with the given layout.
-    fn stream_offset(
-        &self,
-        db: &Database,
-        layout: &[usize],
-        t: usize,
-    ) -> Result<usize, EngineError> {
-        let mut off = 0;
-        for &l in layout {
-            if l == t {
-                return Ok(off);
+    /// Applies a propagated join delta (on the live layout, prepared to
+    /// at least [`Self::prep`]) to the view state; projection /
+    /// aggregate / distinct are per-view and happen here, not in
+    /// propagation.
+    pub(crate) fn apply_delta(&mut self, dj: &[WRow]) -> Result<(), EngineError> {
+        let strategy = self.min_strategy;
+        match (&mut self.state, &self.finisher) {
+            (
+                ViewState::Agg(groups),
+                Finisher::Agg {
+                    group_by,
+                    aggs,
+                    prep,
+                    reduce,
+                },
+            ) => {
+                if !reduce && *prep < Prep::Sorted {
+                    let arg = |row: &Row, a: usize| aggs[a].1.eval(row);
+                    self.dirty |= fold_groups(groups, aggs, strategy, dj, group_by, arg)?;
+                    return Ok(());
+                }
+                let cells = |row: &Row| {
+                    let key = group_by.iter().map(|&c| row.get(c).clone());
+                    Row::new(key.chain(aggs.iter().map(|(_, e)| e.eval(row))).collect())
+                };
+                let reduced = reduce
+                    .then(|| Prep::Sorted.apply(dj.iter().map(|(r, w)| (cells(r), *w)).collect()));
+                let canonical = reduced.as_deref().unwrap_or(dj);
+                debug_assert!(canonical.is_sorted(), "delta prepared below Prep::Sorted");
+                let g = group_by.len();
+                let key: Vec<usize> = (0..g).collect();
+                let arg = |row: &Row, a: usize| row.get(g + a).clone();
+                self.dirty |= fold_groups(groups, aggs, strategy, canonical, &key, arg)?;
+                Ok(())
             }
-            off += db.table(self.table_ids[l]).schema().arity();
-        }
-        Err(EngineError::Maintenance {
-            message: format!("table {t} not in stream layout"),
-        })
-    }
-
-    /// Applies a canonical-order join delta to the view state.
-    fn apply_delta(&mut self, dj: &[WRow]) -> Result<(), EngineError> {
-        match (&mut self.state, &self.def.aggregate) {
-            (ViewState::Bag(bag), None) => {
-                use std::collections::hash_map::Entry;
-                // Fast path: a projection made of plain column references
-                // (the common SPJ case) needs no expression interpreter.
-                let plain_cols: Option<Vec<usize>> = self.def.projection.as_ref().and_then(|p| {
-                    p.iter()
-                        .map(|(e, _)| match e {
-                            Expr::Col(i) => Some(*i),
-                            _ => None,
-                        })
-                        .collect()
-                });
+            (ViewState::Bag(bag), finisher) => {
                 // The delta may be unconsolidated: a (−old, +new) pair
                 // whose negative half lands first can dip an entry below
                 // zero transiently. Defer the invariant check to after
@@ -1024,15 +1200,15 @@ impl MaterializedView {
                 // are maintenance bugs.
                 let mut deferred: Vec<Row> = Vec::new();
                 for (row, w) in dj {
-                    let out = match (&plain_cols, &self.def.projection) {
-                        (Some(cols), _) => row.project(cols),
-                        (None, Some(proj)) => {
-                            Row::new(proj.iter().map(|(e, _)| e.eval(row)).collect())
+                    let out = match finisher {
+                        Finisher::Cols(cols) => row.project(cols),
+                        Finisher::Exprs(exprs) => {
+                            Row::new(exprs.iter().map(|e| e.eval(row)).collect())
                         }
-                        (None, None) => row.clone(),
+                        _ => row.clone(),
                     };
                     match bag.entry(out) {
-                        Entry::Occupied(mut e) => {
+                        hash_map::Entry::Occupied(mut e) => {
                             let m = e.get_mut();
                             *m += w;
                             if *m == 0 {
@@ -1041,7 +1217,7 @@ impl MaterializedView {
                                 deferred.push(e.key().clone());
                             }
                         }
-                        Entry::Vacant(v) => {
+                        hash_map::Entry::Vacant(v) => {
                             if *w != 0 {
                                 if *w < 0 {
                                     deferred.push(v.key().clone());
@@ -1066,80 +1242,6 @@ impl MaterializedView {
                 }
                 Ok(())
             }
-            (ViewState::Agg(groups), Some(spec)) => {
-                let mut dirty = self.dirty;
-                for (row, w) in dj {
-                    let key = row.project(&spec.group_by);
-                    let group = groups.entry(key.clone()).or_insert_with(|| GroupState {
-                        weight: 0,
-                        aggs: spec
-                            .aggs
-                            .iter()
-                            .map(|(func, _, _)| new_agg_state(*func, self.min_strategy))
-                            .collect(),
-                    });
-                    group.weight += w;
-                    for (state, (func, arg, _)) in group.aggs.iter_mut().zip(&spec.aggs) {
-                        let v = arg.eval(row);
-                        match state {
-                            AggState::Count => {}
-                            AggState::Sum { sum, non_null } => {
-                                if let Some(x) = v.as_float() {
-                                    *sum += x * *w as f64;
-                                    *non_null += w;
-                                }
-                            }
-                            AggState::Extremum { multiset } => {
-                                if !v.is_null() {
-                                    let e = multiset.entry(v.clone()).or_insert(0);
-                                    *e += w;
-                                    if *e == 0 {
-                                        multiset.remove(&v);
-                                    } else if *e < 0 {
-                                        return Err(EngineError::Maintenance {
-                                            message: "extremum multiset went negative".into(),
-                                        });
-                                    }
-                                }
-                            }
-                            AggState::ExtremumLight { current } => {
-                                if v.is_null() {
-                                    continue;
-                                }
-                                let is_min = matches!(func, AggFunc::Min);
-                                if *w > 0 {
-                                    match current {
-                                        None => *current = Some(v),
-                                        Some(c) => {
-                                            if (is_min && v < *c) || (!is_min && v > *c) {
-                                                *current = Some(v);
-                                            }
-                                        }
-                                    }
-                                } else {
-                                    // Deletion: losing the extremum (or
-                                    // deleting from an untracked state)
-                                    // cannot be resolved locally.
-                                    match current {
-                                        Some(c) if *c == v => dirty = true,
-                                        None => dirty = true,
-                                        _ => {}
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if group.weight == 0 {
-                        groups.remove(&key);
-                    } else if group.weight < 0 {
-                        return Err(EngineError::Maintenance {
-                            message: "group weight went negative".into(),
-                        });
-                    }
-                }
-                self.dirty = dirty;
-                Ok(())
-            }
             _ => Err(EngineError::Maintenance {
                 message: "view state kind disagrees with definition".into(),
             }),
@@ -1147,101 +1249,28 @@ impl MaterializedView {
     }
 
     /// Rebuilds the state from the processed-prefix table states
-    /// (`physical − pending`).
+    /// (`physical − pending`): the whole join, pruned to the live layout,
+    /// folded into an empty state.
     fn recompute(&mut self, db: &Database) -> Result<(), EngineError> {
         let spj = self.def.spj_plan(db)?;
         // Overlay: compensated contents per table. Filters already live
         // in the Scan nodes, so the overlay provides raw rows.
-        let pending_by_name: HashMap<&str, Vec<WRow>> = self
-            .def
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.as_str(), self.pending[i].weighted()))
-            .collect();
         let overlay = |name: &str| -> Option<Vec<WRow>> {
-            let pending = pending_by_name.get(name)?;
-            let id = db.table_id(name).ok()?;
-            let mut rows: Vec<WRow> = db.table(id).iter().map(|(_, r)| (r.clone(), 1)).collect();
-            rows.extend(pending.iter().map(|(r, w)| (r.clone(), -w)));
+            let i = self.def.tables.iter().rposition(|t| t == name)?;
+            let table = db.table(self.table_ids[i]);
+            let mut rows: Vec<WRow> = table.iter().map(|(_, r)| (r.clone(), 1)).collect();
+            rows.extend(self.pending[i].weighted().into_iter().map(|(r, w)| (r, -w)));
             Some(rows)
         };
-        let j = exec::consolidate(spj.execute_with(db, &overlay)?);
-        // Rebuild state.
-        match &self.def.aggregate {
-            None => {
-                let mut bag = FxHashMap::default();
-                for (row, w) in &j {
-                    let out = match &self.def.projection {
-                        Some(proj) => Row::new(proj.iter().map(|(e, _)| e.eval(row)).collect()),
-                        None => row.clone(),
-                    };
-                    *bag.entry(out).or_insert(0) += w;
-                }
-                bag.retain(|_, w| *w != 0);
-                if bag.values().any(|&w| w < 0) {
-                    return Err(EngineError::Maintenance {
-                        message: "recomputed bag has negative multiplicity".into(),
-                    });
-                }
-                self.state = ViewState::Bag(bag);
-            }
-            Some(spec) => {
-                let mut groups: FxHashMap<Row, GroupState> = FxHashMap::default();
-                for (row, w) in &j {
-                    let key = row.project(&spec.group_by);
-                    let group = groups.entry(key).or_insert_with(|| GroupState {
-                        weight: 0,
-                        aggs: spec
-                            .aggs
-                            .iter()
-                            .map(|(func, _, _)| new_agg_state(*func, self.min_strategy))
-                            .collect(),
-                    });
-                    group.weight += w;
-                    for (state, (func, arg, _)) in group.aggs.iter_mut().zip(&spec.aggs) {
-                        let v = arg.eval(row);
-                        match state {
-                            AggState::Count => {}
-                            AggState::Sum { sum, non_null } => {
-                                if let Some(x) = v.as_float() {
-                                    *sum += x * *w as f64;
-                                    *non_null += w;
-                                }
-                            }
-                            AggState::Extremum { multiset } => {
-                                if !v.is_null() {
-                                    *multiset.entry(v).or_insert(0) += w;
-                                }
-                            }
-                            AggState::ExtremumLight { current } => {
-                                if v.is_null() {
-                                    continue;
-                                }
-                                let is_min = matches!(func, AggFunc::Min);
-                                match current {
-                                    None => *current = Some(v),
-                                    Some(c) => {
-                                        if (is_min && v < *c) || (!is_min && v > *c) {
-                                            *current = Some(v);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                groups.retain(|_, g| g.weight != 0);
-                for g in groups.values_mut() {
-                    for state in &mut g.aggs {
-                        if let AggState::Extremum { multiset } = state {
-                            multiset.retain(|_, w| *w != 0);
-                        }
-                    }
-                }
-                self.state = ViewState::Agg(groups);
-            }
+        let mut j = spj.execute_with(db, &overlay)?;
+        for (row, _) in &mut j {
+            *row = row.project(&self.live);
         }
+        self.state = match self.finisher {
+            Finisher::Agg { .. } => ViewState::Agg(FxHashMap::default()),
+            _ => ViewState::Bag(FxHashMap::default()),
+        };
+        self.apply_delta(&self.prep().max(Prep::Consolidated).apply(j))?;
         self.dirty = false;
         self.stats.recomputes += 1;
         Ok(())
@@ -1313,6 +1342,115 @@ fn default_flush_threads() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .unwrap_or(1)
         .max(1)
+}
+
+/// Folds delta rows into aggregate groups. `key_cols` locates a row's
+/// group-key cells and `arg(row, a)` yields its `a`-th aggregate
+/// argument. The group is resolved once per run of consecutive rows with
+/// equal keys — the whole delta for a scalar aggregate, one run per group
+/// for sorted input — instead of one key allocation and map probe per
+/// row. Returns whether an extremum was lost (Recompute strategy).
+fn fold_groups<'a>(
+    groups: &mut FxHashMap<Row, GroupState>,
+    aggs: &[(AggFunc, Expr)],
+    strategy: MinStrategy,
+    rows: &'a [WRow],
+    key_cols: &[usize],
+    arg: impl Fn(&'a Row, usize) -> Value,
+) -> Result<bool, EngineError> {
+    let mut dirty = false;
+    let mut rest = rows;
+    while let Some((first, _)) = rest.first() {
+        let same_key = |(r, _): &&WRow| key_cols.iter().all(|&c| r.get(c) == first.get(c));
+        let (run, tail) = rest.split_at(rest.iter().take_while(same_key).count());
+        rest = tail;
+        let mut fold = |group: &mut GroupState| -> Result<(), EngineError> {
+            for (row, w) in run {
+                group.weight += w;
+                for (a, state) in group.aggs.iter_mut().enumerate() {
+                    if !matches!(state, AggState::Count) {
+                        dirty |= fold_agg(state, aggs[a].0, arg(row, a), *w)?;
+                    }
+                }
+            }
+            if group.weight < 0 {
+                return Err(EngineError::Maintenance {
+                    message: "group weight went negative".into(),
+                });
+            }
+            Ok(())
+        };
+        match groups.entry(first.project(key_cols)) {
+            hash_map::Entry::Occupied(mut e) => {
+                fold(e.get_mut())?;
+                if e.get().weight == 0 {
+                    e.remove();
+                }
+            }
+            hash_map::Entry::Vacant(v) => {
+                let mut group = GroupState {
+                    weight: 0,
+                    aggs: (aggs.iter())
+                        .map(|(func, _)| new_agg_state(*func, strategy))
+                        .collect(),
+                };
+                fold(&mut group)?;
+                if group.weight != 0 {
+                    v.insert(group);
+                }
+            }
+        }
+    }
+    Ok(dirty)
+}
+
+/// Folds one argument value at weight `w` into an aggregate's state;
+/// `Ok(true)` when a Recompute-strategy extremum cannot be resolved
+/// locally.
+fn fold_agg(state: &mut AggState, func: AggFunc, v: Value, w: i64) -> Result<bool, EngineError> {
+    match state {
+        AggState::Count => {}
+        AggState::Sum { sum, non_null } => {
+            if let Some(x) = v.as_float() {
+                *sum += x * w as f64;
+                *non_null += w;
+            }
+        }
+        AggState::Extremum { multiset } if !v.is_null() => {
+            let count = match multiset.entry(v) {
+                btree_map::Entry::Occupied(mut e) => {
+                    *e.get_mut() += w;
+                    match *e.get() {
+                        0 => e.remove(),
+                        count => count,
+                    }
+                }
+                btree_map::Entry::Vacant(e) => *e.insert(w),
+            };
+            if count < 0 {
+                return Err(EngineError::Maintenance {
+                    message: "extremum multiset went negative".into(),
+                });
+            }
+        }
+        AggState::ExtremumLight { current } if !v.is_null() => {
+            if w > 0 {
+                let is_min = func == AggFunc::Min;
+                if current
+                    .as_ref()
+                    .is_none_or(|c| if is_min { v < *c } else { v > *c })
+                {
+                    *current = Some(v);
+                }
+            } else {
+                // Deletion: losing the extremum (or deleting from an
+                // untracked state) cannot be resolved locally.
+                return Ok(current.as_ref().is_none_or(|c| *c == v));
+            }
+        }
+        AggState::Extremum { .. } | AggState::ExtremumLight { .. } => {}
+    }
+    Ok(false)
 }
 
 fn new_agg_state(func: AggFunc, strategy: MinStrategy) -> AggState {
@@ -2038,8 +2176,10 @@ mod tests {
         assert_eq!(plain.result_checksum(), heavy.result_checksum());
 
         // Hot-key churn: the S row at key 0 cycles its tag, which the
-        // MIN view never reads. The heavy path must classify key 0
-        // heavy and cancel the churn before paying the 40-row fan-out.
+        // MIN view never reads. On the live columns every update is a
+        // ±pair of equal rows, so it cancels before any join fan-out —
+        // on the heavy path and the plain one alike.
+        let emitted_before = (plain.stats.exec.rows_emitted, heavy.stats.exec.rows_emitted);
         let mut tag = String::from("t0");
         for round in 0..20 {
             for step in 0..8 {
@@ -2067,12 +2207,30 @@ mod tests {
         assert!(heavy.stats.heavy.heavy_keys > 0);
         assert!(heavy.stats.exec.heavy_hits > 0, "heavy path must be taken");
         assert_eq!(heavy.stats.exec.scan_fallbacks, 0);
-        assert!(
-            heavy.stats.exec.rows_emitted < plain.stats.exec.rows_emitted / 2,
-            "churn cancellation must cut emitted rows: heavy {} vs plain {}",
-            heavy.stats.exec.rows_emitted,
-            plain.stats.exec.rows_emitted
+        assert_eq!(
+            (plain.stats.exec.rows_emitted, heavy.stats.exec.rows_emitted),
+            emitted_before,
+            "churn on a dead column must emit no join rows"
         );
+        // Partials hold full target rows, so they tracked the churn: a
+        // new R row at the hot key joins the *current* S row once.
+        for view in [&mut plain, &mut heavy] {
+            modify(
+                &mut db.clone(),
+                view,
+                "r",
+                Modification::Insert(row![0i64, -1.0f64]),
+            );
+        }
+        db.apply(
+            db.table_id("r").unwrap(),
+            &Modification::Insert(row![0i64, -1.0f64]),
+        )
+        .unwrap();
+        let (rp, rh) = (plain.refresh(&db).unwrap(), heavy.refresh(&db).unwrap());
+        assert_eq!((rp.exec.rows_emitted, rh.exec.rows_emitted), (1, 1));
+        assert_eq!(heavy.scalar(), Some(Value::Float(-1.0)));
+        assert_consistent(&db, &heavy);
         let trackers = heavy.heavy_light_trackers().unwrap();
         assert!(trackers.iter().any(|t| t.heavy_keys > 0), "{trackers:?}");
     }
@@ -2146,5 +2304,218 @@ mod tests {
         assert_consistent(&db, &view);
         let pending = view.pending_counts();
         assert_eq!(pending, vec![0, 0]);
+    }
+
+    /// A(k1, k2, x) ⋈ B(k1, k2, y) on the composite key, every join
+    /// column indexed.
+    fn composite_setup() -> (Database, ViewDef) {
+        let mut db = Database::new();
+        for (name, payload) in [("a", "x"), ("b", "y")] {
+            db.create_table(
+                name,
+                Schema::new(vec![
+                    ("k1", DataType::Int),
+                    ("k2", DataType::Int),
+                    (payload, DataType::Int),
+                ]),
+            )
+            .unwrap();
+        }
+        let def = ViewDef {
+            name: "ab".into(),
+            tables: vec!["a".into(), "b".into()],
+            join_preds: vec![
+                JoinPred {
+                    left: (0, 0),
+                    right: (1, 0),
+                },
+                JoinPred {
+                    left: (0, 1),
+                    right: (1, 1),
+                },
+            ],
+            filters: vec![None, None],
+            residual: None,
+            projection: None,
+            aggregate: None,
+            distinct: false,
+        };
+        (db, def)
+    }
+
+    #[test]
+    fn composite_key_join_checks_every_predicate() {
+        // Regression: propagation used one predicate per join step, so
+        // a(1,1,·) ⋈ b(1,2,·) — equal on k1, different on k2 — was
+        // maintained as a match that direct evaluation rejects.
+        let (mut db, def) = composite_setup();
+        let a = db.table_id("a").unwrap();
+        db.table_mut(a).insert(row![1i64, 1i64, 10i64]).unwrap();
+        let mut view = MaterializedView::register(&mut db, def, MinStrategy::Multiset).unwrap();
+        modify(
+            &mut db,
+            &mut view,
+            "b",
+            Modification::Insert(row![1i64, 2i64, 20i64]),
+        );
+        view.refresh(&db).unwrap();
+        assert!(view.result().is_empty(), "k2 differs: no match");
+        assert_consistent(&db, &view);
+        // Both paths honour the second predicate: the probe (B delta
+        // against A) above, the pending compensation (A delta against a
+        // B whose delta is still pending) and a real match below.
+        modify(
+            &mut db,
+            &mut view,
+            "b",
+            Modification::Insert(row![1i64, 1i64, 21i64]),
+        );
+        modify(
+            &mut db,
+            &mut view,
+            "a",
+            Modification::Insert(row![1i64, 2i64, 11i64]),
+        );
+        view.flush(&db, &[1, 0]).unwrap();
+        assert_consistent(&db, &view);
+        view.refresh(&db).unwrap();
+        assert_consistent(&db, &view);
+        assert_eq!(view.result().len(), 2, "(1,1) and (1,2) pair up once each");
+    }
+
+    #[test]
+    fn composite_key_join_checks_heavy_partials_and_scans() {
+        for indexed in [true, false] {
+            let (mut db, def) = composite_setup();
+            let mut view = if indexed {
+                MaterializedView::register(&mut db, def, MinStrategy::Multiset).unwrap()
+            } else {
+                MaterializedView::new(&db, def, MinStrategy::Multiset).unwrap()
+            };
+            let mut cfg = HeavyLightConfig::with_share(0.2);
+            (cfg.min_observations, cfg.batch_hint) = (8, 8);
+            view.set_heavy_light(&db, cfg).unwrap();
+            // k1 = 7 is hot on both sides; k2 varies, so most k1 matches
+            // fail the second predicate.
+            for round in 0..6i64 {
+                for j in 0..8i64 {
+                    let (t, k2) = if j % 2 == 0 {
+                        ("a", j % 3)
+                    } else {
+                        ("b", j % 4)
+                    };
+                    let m = Modification::Insert(row![7i64, k2, round * 8 + j]);
+                    modify(&mut db, &mut view, t, m);
+                }
+                view.flush(&db, &[2, 1]).unwrap();
+                assert_consistent(&db, &view);
+            }
+            view.refresh(&db).unwrap();
+            assert_consistent(&db, &view);
+            assert_eq!(
+                view.stats.exec.heavy_hits > 0,
+                indexed,
+                "heavy path needs the index"
+            );
+            assert_eq!(view.stats.exec.scan_fallbacks > 0, !indexed);
+        }
+    }
+
+    #[test]
+    fn cyclic_join_closes_the_triangle() {
+        // R(a,b) ⋈ S(b,c) ⋈ T(c,a): whichever table starts, the last
+        // step binds a table connected to *both* bound ones — one
+        // predicate probes, the other must be checked.
+        let mut db = Database::new();
+        for (name, c0, c1) in [("r", "a", "b"), ("s", "b", "c"), ("t", "c", "a")] {
+            db.create_table(
+                name,
+                Schema::new(vec![(c0, DataType::Int), (c1, DataType::Int)]),
+            )
+            .unwrap();
+        }
+        let pred = |l, r| JoinPred { left: l, right: r };
+        let def = ViewDef {
+            name: "triangles".into(),
+            tables: vec!["r".into(), "s".into(), "t".into()],
+            join_preds: vec![
+                pred((0, 1), (1, 0)),
+                pred((1, 1), (2, 0)),
+                pred((2, 1), (0, 0)),
+            ],
+            filters: vec![None, None, None],
+            residual: None,
+            projection: None,
+            aggregate: Some(AggSpec {
+                group_by: vec![0],
+                aggs: vec![(AggFunc::Count, Expr::col(0), "n".into())],
+            }),
+            distinct: false,
+        };
+        let mut view = MaterializedView::register(&mut db, def, MinStrategy::Multiset).unwrap();
+        for i in 0..30i64 {
+            let (t, m) = match i % 3 {
+                0 => ("r", row![i % 2, i % 4]),
+                1 => ("s", row![i % 4, i % 5]),
+                _ => ("t", row![i % 5, i % 2]),
+            };
+            modify(&mut db, &mut view, t, Modification::Insert(m));
+            if i % 4 == 3 {
+                view.flush(&db, &[1, 1, 1]).unwrap();
+                assert_consistent(&db, &view);
+            }
+        }
+        view.refresh(&db).unwrap();
+        assert_consistent(&db, &view);
+        assert!(
+            !view.result().is_empty(),
+            "the stream closes some triangles"
+        );
+    }
+
+    #[test]
+    fn plans_follow_table_growth() {
+        // Compiled against empty tables the order is arbitrary; once S
+        // dwarfs T, a flush must re-plan and bind the small T first.
+        let mut db = Database::new();
+        for name in ["r", "s", "t"] {
+            db.create_table(
+                name,
+                Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]),
+            )
+            .unwrap();
+        }
+        let pred = |l, r| JoinPred { left: l, right: r };
+        let def = ViewDef {
+            name: "star".into(),
+            tables: vec!["r".into(), "s".into(), "t".into()],
+            join_preds: vec![pred((0, 0), (1, 0)), pred((0, 1), (2, 0))],
+            filters: vec![None, None, None],
+            residual: None,
+            projection: Some(vec![(Expr::col(3), "sv".into())]),
+            aggregate: None,
+            distinct: false,
+        };
+        let mut view = MaterializedView::register(&mut db, def, MinStrategy::Multiset).unwrap();
+        for i in 0..50i64 {
+            modify(&mut db, &mut view, "s", Modification::Insert(row![1i64, i]));
+        }
+        modify(
+            &mut db,
+            &mut view,
+            "t",
+            Modification::Insert(row![9i64, 0i64]),
+        );
+        view.refresh(&db).unwrap();
+        // R row matching 50 S rows but no T row: T-first emits nothing.
+        modify(
+            &mut db,
+            &mut view,
+            "r",
+            Modification::Insert(row![1i64, 2i64]),
+        );
+        let report = view.refresh(&db).unwrap();
+        assert_eq!(report.exec.rows_emitted, 0, "T (1 row) binds before S (50)");
+        assert_consistent(&db, &view);
     }
 }

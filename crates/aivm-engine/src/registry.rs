@@ -10,11 +10,12 @@
 //!   application happens once, to the shared database);
 //! * groups views by their *SPJ signature* — identical `(tables,
 //!   join_preds, filters, residual)` — and propagates each start-table
-//!   delta batch **once per group**, fanning the canonical-order join
-//!   delta out to every member, which applies its own projection /
-//!   aggregate / distinct on top. Propagation (the join fan-out with
-//!   compensation) is the dominant maintenance cost, so a group of `m`
-//!   views pays ~1/m of the independent cost;
+//!   delta batch **once per group**, carrying the union of the members'
+//!   live columns. The join delta is consolidated once and every member
+//!   folds its own projection / aggregate / distinct from that one
+//!   shared slice. Propagation (the join fan-out with compensation) is
+//!   the dominant maintenance cost, so a group of `m` views pays ~1/m
+//!   of the independent cost;
 //! * exposes a flattened *(group × table)* cell axis so a scheduler can
 //!   run the paper's knapsack over "which view × which table to flush"
 //!   directly: each cell's pending count is the group's (lockstep)
@@ -191,6 +192,18 @@ impl ViewRegistry {
         self.group_of.push(group);
         self.names.insert(view.def().name.clone(), id);
         self.views.push(view);
+        // A group's shared deltas carry the union of its members' live
+        // columns. Membership changed, so every member recompiles its
+        // plans and rebases its finisher onto the new union.
+        let members = &self.groups[group].members;
+        if members.len() > 1 {
+            let mut live = [self.views[members[0]].live(), self.views[id].live()].concat();
+            live.sort_unstable();
+            live.dedup();
+            for &v in members {
+                self.views[v].set_live(&self.db, live.clone());
+            }
+        }
         Ok(id)
     }
 
@@ -313,8 +326,8 @@ impl ViewRegistry {
     /// Flushes `counts[c]` pending modifications for each cell `c` of
     /// the flattened axis (cells processed in ascending index order).
     ///
-    /// One cell flush runs the leader's propagation once and applies the
-    /// resulting join delta to every member; each member's own delta
+    /// One cell flush runs the leader's propagation once and folds the
+    /// resulting join delta into every member; each member's own delta
     /// cursor advances by the same prefix, preserving lockstep. Views
     /// touched by at least one non-zero cell then close out exactly one
     /// flush (sequence bump + snapshot publication), mirroring a
@@ -375,7 +388,7 @@ impl ViewRegistry {
                 .all(|&v| self.views[v].pending_counts() == self.views[leader].pending_counts()),
             "sharing group {group} lost lockstep"
         );
-        let delta = self.views[leader].take_start_delta(table, k)?;
+        let delta = self.views[leader].take_start_delta(&self.db, table, k)?;
         for &v in &members[1..] {
             self.views[v].discard_start_prefix(table, k)?;
         }
@@ -386,8 +399,7 @@ impl ViewRegistry {
             return Ok(());
         }
         let mut stats = ExecStats::default();
-        let mut dj =
-            self.views[leader].propagate_start_delta(&self.db, table, delta, &mut stats)?;
+        let dj = self.views[leader].propagate_chunked(&self.db, table, delta, &mut stats)?;
         self.stats.propagations += 1;
         self.stats.shared_propagations += (members.len() - 1) as u64;
         per_view
@@ -395,13 +407,12 @@ impl ViewRegistry {
             .expect("leader report exists")
             .exec
             .merge(&stats);
-        for (mi, &v) in members.iter().enumerate() {
-            let d = if mi + 1 == members.len() {
-                std::mem::take(&mut dj)
-            } else {
-                dj.clone()
-            };
-            self.views[v].apply_propagated_delta(d)?;
+        // Prepared once, for the group's most demanding member, then
+        // folded by every member from the one shared slice.
+        let prep = members.iter().map(|&v| self.views[v].prep()).max();
+        let dj = prep.expect("groups are non-empty").apply(dj);
+        for &v in &members {
+            self.views[v].apply_delta(&dj)?;
         }
         Ok(())
     }

@@ -116,6 +116,15 @@ impl Row {
         Row(v.into())
     }
 
+    /// Projects the virtual concatenation `self ++ other` onto the given
+    /// indices without building it (pruned join output: one allocation
+    /// holding only the picked cells).
+    pub fn splice(&self, other: &Row, picks: &[usize]) -> Row {
+        let n = self.len();
+        let cell = |&i: &usize| if i < n { &self.0[i] } else { &other.0[i - n] };
+        Row(picks.iter().map(|i| cell(i).clone()).collect())
+    }
+
     /// Projects the row onto the given column indices.
     pub fn project(&self, indices: &[usize]) -> Row {
         Row(indices.iter().map(|&i| self.0[i].clone()).collect())
@@ -178,6 +187,14 @@ mod tests {
     fn row_concat() {
         let r = row![1i64].concat(&row!["x"]);
         assert_eq!(r, row![1i64, "x"]);
+    }
+
+    #[test]
+    fn row_splice_picks_from_the_virtual_concatenation() {
+        let (l, r) = (row![1i64, 2i64], row!["x", "y"]);
+        assert_eq!(l.splice(&r, &[3, 0]), row!["y", 1i64]);
+        assert_eq!(l.splice(&r, &[0, 1, 2, 3]), l.concat(&r));
+        assert!(l.splice(&r, &[]).is_empty());
     }
 
     #[test]

@@ -82,6 +82,49 @@ mod tests {
     }
 
     #[test]
+    fn propagation_carries_only_the_live_columns() {
+        // MIN(ps.supplycost) reads one of the join's 14 columns. Move a
+        // supplier into the view's region: the delta's two rows pick up
+        // nation.regionkey (2 cells each, suppkey still joins PartSupp),
+        // the surviving one sheds it at region (1 cell), and the
+        // PartSupp fan-out — the step that used to build 14-value rows —
+        // emits supplycost alone.
+        let mut data = generate(&TpcrConfig::small(), 42);
+        let mut view = install_paper_view(&mut data.db, MinStrategy::Multiset).unwrap();
+        let nation_region = |db: &Database, nation: &Value| {
+            let t = db.table_by_name("nation").unwrap();
+            t.get(t.find_by(0, nation).unwrap()).unwrap().get(2).clone()
+        };
+        let region = data.db.table_by_name("region").unwrap();
+        let (_, middle_east) = (region.iter())
+            .find(|(_, r)| r.get(1).as_str() == Some("MIDDLE EAST"))
+            .unwrap();
+        let middle_east = middle_east.get(0).clone();
+        let inside = |db: &Database, nation: &Value| nation_region(db, nation) == middle_east;
+        let target = (0..25i64)
+            .map(Value::Int)
+            .find(|n| inside(&data.db, n))
+            .unwrap();
+        let (_, old) = (data.db.table(data.supplier).iter())
+            .find(|(_, s)| !inside(&data.db, s.get(2)))
+            .unwrap();
+        let old = old.clone();
+        let mut cells = old.values().to_vec();
+        cells[2] = target;
+        let m = aivm_engine::Modification::Update {
+            old,
+            new: aivm_engine::Row::new(cells),
+        };
+        let supplier = view.table_position("supplier").unwrap();
+        view.apply_and_enqueue(&mut data.db, supplier, m).unwrap();
+        let exec = view.refresh(&data.db).unwrap().exec;
+        let fanout = exec.rows_emitted - 3;
+        assert!(fanout > 1, "the supplier has parts: {exec:?}");
+        assert_eq!(exec.cells_emitted, 2 * 2 + 1 + fanout, "{exec:?}");
+        assert_eq!(exec.index_probes, 2 + 2 + 1, "one probe per stream row");
+    }
+
+    #[test]
     fn view_matches_direct_query() {
         let mut data = generate(&TpcrConfig::small(), 7);
         let view = install_paper_view(&mut data.db, MinStrategy::Multiset).unwrap();
