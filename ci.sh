@@ -21,6 +21,13 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --release
 
+echo "==> perf/ still builds against this tree (frozen package, API check)"
+# perf/ is a package of its own that compiles against the product
+# crates' public API and may not be edited alongside them; a rename or
+# signature change that breaks it should fail here, in the first
+# minutes, not in the last gate.
+cargo build --release --offline --manifest-path perf/Cargo.toml
+
 if [[ $fast -eq 0 ]]; then
   echo "==> workspace tests (release)"
   cargo test -q --release --workspace
@@ -48,7 +55,9 @@ echo "==> degradation smoke (injected policy panic must demote, zero violations)
 echo "==> chaos gate (crash/recover equivalence at sampled kill indices)"
 ./target/release/repro chaos --seeds 8 --events 2000 >/dev/null
 
-echo "==> net gate (wire codec + client tests, then a 5s loadgen smoke over TCP)"
+echo "==> net gate (wire codec, conformance + client tests, then a 5s loadgen smoke over TCP)"
+# Includes tests/conformance.rs: one request script against bind,
+# bind_registry and bind_sharded (1 and 2 shards), identical responses.
 cargo test -q --release -p aivm-net -p aivm-client
 # Exits nonzero on any budget violation, protocol error, or a sustained
 # throughput below the 50k events/s floor; appends BENCH_net.json.
@@ -83,7 +92,7 @@ echo "==> shard gate (equivalence at widths 1/2/4/8, sharded loadgen, kill-one-s
 # Property tests: a key-partitioned ShardedRuntime is bit-identical to a
 # single runtime at widths 1/2/4/8 under randomized partial flushes, and
 # mis-keyed partitioners fail co-location validation.
-cargo test -q --release --test shard_equivalence
+cargo test -q --release -p aivm-bench --test shard_equivalence
 # 4-shard serving over TCP: hashed submits, scatter-gather reads,
 # per-shard budgets C/4, cost-proportional rebalancing. Fails on any
 # budget violation, protocol error, or throughput under the floor.
@@ -128,7 +137,7 @@ echo "==> skew gate (heavy-light equivalence + zipfian skewsweep smoke)"
 # to the unpartitioned engine across random promotion thresholds, flush
 # widths 1/2/4/8, mid-stream reclassification points, and WAL
 # recovery-replay.
-cargo test -q --release --test heavy_light_equivalence
+cargo test -q --release -p aivm-bench --test heavy_light_equivalence
 # Quick zipfian sweep over PartSupp ⋈ Supplier: paired plain/heavy runs
 # must agree bit-for-bit at every skew, with zero freshness violations,
 # zero scan fallbacks, no more join rows emitted heavy than plain, and

@@ -791,7 +791,6 @@ fn run_loadgen(csv: bool, quick: bool, sargs: &ServeArgs) {
         wal_sync: sargs.wal_sync,
         max_conns: sargs.max_conns,
         shards,
-        shards_auto,
         views,
         subscribers,
         rebalance: sargs.rebalance.unwrap_or(defaults.rebalance),
@@ -1026,7 +1025,7 @@ fn run_loadgen(csv: bool, quick: bool, sargs: &ServeArgs) {
     let mut suite = aivm_bench::harness::Suite::new("net");
     let mut rec = |name: &str, v: f64| suite.record_value(&format!("{prefix}{name}"), v);
     rec("shards", r.shards as f64);
-    rec("shards_auto", if r.net.shards_auto { 1.0 } else { 0.0 });
+    rec("shards_auto", if shards_auto { 1.0 } else { 0.0 });
     rec("events_per_sec", r.events_per_sec());
     rec("reads_per_sec", r.reads_per_sec());
     rec("flush_threads", sargs.flush_threads.unwrap_or(1) as f64);

@@ -138,11 +138,6 @@ pub struct LoadgenOptions {
     /// — acceptable for this smoke (no checksum is asserted), and
     /// exactly the ambiguity `chaos::run_leader_kill` pins down.
     pub kill_leader: bool,
-    /// Whether `shards` was auto-picked from `available_parallelism`
-    /// rather than set explicitly; recorded in the server's
-    /// [`NetMetrics`] so bench rows from different machines stay
-    /// comparable.
-    pub shards_auto: bool,
     /// Registered views (> 1 runs the multi-view registry stack: one
     /// scheduler maintaining `views` paper-view variants that share
     /// one SPJ core, submits targeting the registry's global table
@@ -177,7 +172,6 @@ impl Default for LoadgenOptions {
             rebalance: RebalancePolicy::CostProportional,
             replicas: false,
             kill_leader: false,
-            shards_auto: false,
             views: 1,
             subscribers: 0,
         }
@@ -641,7 +635,6 @@ fn net_config(opts: &LoadgenOptions) -> NetServerConfig {
         max_connections: opts.max_conns.unwrap_or(opts.clients + 8) + replica_conns + sub_conns,
         submit_high_water: opts.submit_high_water,
         durable_acks: opts.replicas,
-        shards_auto: opts.shards_auto,
         ..NetServerConfig::default()
     }
 }

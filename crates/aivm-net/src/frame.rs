@@ -87,11 +87,12 @@ pub const NET_MAGIC: &[u8; 4] = b"ANET";
 /// health/epoch/replication-lag metrics fields); v5 added multi-view
 /// serving (the read/unsubscribe `view` selector, push subscriptions
 /// via `Subscribe`/`SubscribeOk`/`ViewDelta`, the metrics `per_view`
-/// request flag plus view/subscriber aggregate and breakdown fields,
-/// and the resolved `shards_auto` flag); v6 added heavy-light skew
-/// metrics (`heavy_keys`, `heavy_reclassifications`, `heavy_hits`,
-/// `light_hits`).
-pub const NET_VERSION: u16 = 6;
+/// request flag plus view/subscriber aggregate and breakdown fields);
+/// v6 added heavy-light skew metrics (`heavy_keys`,
+/// `heavy_reclassifications`, `heavy_hits`, `light_hits`); v7 dropped
+/// the metrics frame's `shards_auto` byte (an echo of a launcher flag
+/// the server never acted on).
+pub const NET_VERSION: u16 = 7;
 /// Bytes of framing before each payload (length + checksum).
 pub const FRAME_HEADER_LEN: usize = 12;
 /// Hard cap on a single frame's payload. A length prefix beyond this is
@@ -324,8 +325,8 @@ pub enum Request {
     /// applied, which is what makes retrying a submit safe.
     Submit {
         /// The shard epoch this client believes is current (0 = skip
-        /// the fence check, the pre-replication behaviour). A sharded
-        /// server rejects the batch with [`ErrorCode::StaleEpoch`]
+        /// the fence check, the pre-replication behaviour). The server
+        /// rejects the batch with [`ErrorCode::StaleEpoch`]
         /// *before any side effect* when a target shard's epoch has
         /// advanced past this — fencing writes routed to a deposed
         /// leader.
@@ -576,16 +577,19 @@ pub enum ErrorCode {
     /// The request decoded but is semantically invalid (unknown table,
     /// malformed batch).
     BadRequest,
-    /// The maintenance scheduler is gone (poisoned or shut down);
-    /// retrying against this server will not help.
+    /// No maintenance scheduler is left to answer the request (poisoned
+    /// or shut down — the message carries the scheduler's last error
+    /// when one was recorded); retrying against this server will not
+    /// help.
     Unavailable,
     /// An engine error while executing the request.
     Internal,
-    /// The shard owning the submitted key is down (sharded serving
-    /// only). Rejected *before any side effect* — the router checks
-    /// every target shard's liveness before enqueueing anything — so a
-    /// submit carrying this code is safe to retry (it will succeed once
-    /// the shard's WAL recovery rejoins it).
+    /// The shard owning the submitted key is down (an unsharded server
+    /// is one shard). Rejected *before any side effect* — the router
+    /// checks every target shard's liveness before enqueueing anything
+    /// — so a submit carrying this code is safe to retry (it will
+    /// succeed once recovery rejoins the shard or a follower is
+    /// promoted).
     ShardUnavailable,
     /// The submit carried a shard epoch older than the target shard's
     /// current epoch — the client is talking through a view of the
@@ -747,10 +751,6 @@ pub struct NetMetrics {
     /// Worst per-shard replication lag (leader WAL records not yet
     /// applied by that shard's follower; 0 without replicas).
     pub replica_lag_max: u64,
-    /// True when the shard count was auto-picked from the host's
-    /// available parallelism rather than set explicitly — `shards`
-    /// always carries the *resolved* width either way.
-    pub shards_auto: bool,
     /// Registered views (1 on a single-view server).
     pub views: u64,
     /// Live push subscribers across all views.
@@ -980,7 +980,6 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             buf.put_u64_le(m.failovers);
             buf.put_u64_le(m.cluster_epoch);
             buf.put_u64_le(m.replica_lag_max);
-            buf.put_u8(u8::from(m.shards_auto));
             buf.put_u64_le(m.views);
             buf.put_u64_le(m.subscribers);
             buf.put_u64_le(m.deltas_pushed);
@@ -1224,7 +1223,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, EngineError> {
                 failovers: buf.get_u64_le(),
                 cluster_epoch: buf.get_u64_le(),
                 replica_lag_max: buf.get_u64_le(),
-                shards_auto: buf.get_u8() != 0,
                 views: buf.get_u64_le(),
                 subscribers: buf.get_u64_le(),
                 deltas_pushed: buf.get_u64_le(),
@@ -2047,7 +2045,6 @@ mod tests {
             failovers: rng.gen_range(0..10u64),
             cluster_epoch: rng.gen_range(1..100u64),
             replica_lag_max: rng.gen_range(0..100_000u64),
-            shards_auto: rng.gen_bool(0.5),
             views: rng.gen_range(1..200u64),
             subscribers: rng.gen_range(0..1000u64),
             deltas_pushed: rng.gen_range(0..u64::MAX),

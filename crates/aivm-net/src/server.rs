@@ -1,5 +1,19 @@
 //! The std-only TCP server: an event-driven readiness loop over a
-//! [`ServeHandle`], with admission control.
+//! [`ShardRouter`], with admission control.
+//!
+//! ## One request path
+//!
+//! Every server routes against a [`ShardRouter`] of N shards × V views:
+//! [`NetServer::bind`] and [`NetServer::bind_registry`] wrap their one
+//! scheduler handle in [`ShardRouter::single`], [`NetServer::bind_sharded`]
+//! takes the caller's router. A request is a fan-out of scheduler
+//! tickets over the shards (and, for `Flush`, the views) it touches; a
+//! single-view, single-shard server is the 1 × 1 case of the same
+//! code, not a separate arm. What the router reports — `shards()`,
+//! `views()`, whether it has a subscription hub or a WAL tail — is the
+//! only thing that varies: with one shard a batch is not hashed, a read
+//! is not merged, and a stale read is one `Arc` clone of the published
+//! snapshot.
 //!
 //! ## Architecture
 //!
@@ -20,9 +34,9 @@
 //!
 //! Reads that must consult the scheduler (`Fresh`, `Flush`, `Metrics`)
 //! do not park the worker either: the request becomes a *pending
-//! ticket* ([`ServeHandle::begin_read`]) polled on the worker's tick,
-//! and further frames from that connection wait (pipelining stays
-//! ordered) while other connections keep being served.
+//! ticket fan-out* ([`ServeHandle::begin_read`]) polled on the worker's
+//! tick, and further frames from that connection wait (pipelining
+//! stays ordered) while other connections keep being served.
 //!
 //! ## Admission control
 //!
@@ -32,8 +46,8 @@
 //!    open connections, the handshake answers
 //!    [`HandshakeStatus::Overloaded`] and closes. No frame is ever left
 //!    half-written.
-//! 2. **Queue high water** — a `Submit` arriving while the scheduler's
-//!    ingest queue sits at or above
+//! 2. **Queue high water** — a `Submit` arriving while a target
+//!    shard's ingest queue sits at or above
 //!    [`NetServerConfig::submit_high_water`] outstanding events is
 //!    answered with [`ErrorCode::Overloaded`] without ingesting *any*
 //!    of its batch, which is what makes client-side submit retries
@@ -75,13 +89,12 @@ use crate::frame::{
     WireReadResult, NET_MAGIC, NET_VERSION,
 };
 use crate::poller::{Event, Interest, Poller};
-use aivm_engine::{fxhash, Modification, WRow};
+use aivm_engine::{rows_checksum, Modification};
 use aivm_serve::{
-    ApplyTicket, DeadlineError, FetchOutcome, MetricsSnapshot, MetricsTicket, MultiMetricsSnapshot,
-    ReadMode, ReadTicket, RegistryApplyTicket, RegistryHandle, RegistryMetricsTicket,
-    RegistryReadTicket, ServeHandle, TrySendError,
+    ApplyTicket, FetchOutcome, MetricsTicket, MultiMetricsSnapshot, ReadMode, ReadResult,
+    ReadTicket, RegistryHandle, ServeHandle, Ticket, TrySendError,
 };
-use aivm_shard::{merge_metrics, RouteError, ShardRouter};
+use aivm_shard::{merge_metrics, ShardRouter};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -119,10 +132,6 @@ pub struct NetServerConfig {
     /// round-trip — but an acknowledged write then survives a leader
     /// crash, which is what the failover chaos experiments assert.
     pub durable_acks: bool,
-    /// Record in [`NetMetrics::shards_auto`] that the shard width was
-    /// resolved automatically (e.g. loadgen's `--shards auto`) rather
-    /// than pinned by the operator. Purely informational.
-    pub shards_auto: bool,
 }
 
 impl Default for NetServerConfig {
@@ -134,7 +143,6 @@ impl Default for NetServerConfig {
             poll_interval: Duration::from_millis(1),
             workers: 0,
             durable_acks: false,
-            shards_auto: false,
         }
     }
 }
@@ -165,7 +173,6 @@ struct NetStats {
 
 /// Immutable context shared by the accept thread and every worker.
 struct Shared {
-    n_tables: usize,
     cfg: NetServerConfig,
     stop: Arc<AtomicBool>,
     stats: Arc<NetStats>,
@@ -198,22 +205,9 @@ pub struct NetServer {
     accept_join: Option<JoinHandle<()>>,
 }
 
-/// What a worker's requests are routed against: one scheduler handle,
-/// or a shard router fanning out over several.
-#[derive(Clone)]
-enum Backend {
-    /// The unsharded fast path — identical to the pre-sharding server.
-    Single(ServeHandle),
-    /// Key-partitioned shards behind a [`ShardRouter`].
-    Sharded(ShardRouter),
-    /// A multi-view registry runtime: per-view reads, per-view metrics
-    /// rows, and live push subscriptions over the registry's
-    /// [`aivm_serve::SubscriptionHub`].
-    Registry(RegistryHandle),
-}
-
 impl NetServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts accepting.
+    /// Binds `addr` (e.g. `"127.0.0.1:0"`) over one single-view
+    /// scheduler and starts accepting.
     ///
     /// `n_tables` is the view's base-table count, used to reject
     /// out-of-range `Submit.table` values as [`ErrorCode::BadRequest`]
@@ -224,23 +218,7 @@ impl NetServer {
         n_tables: usize,
         cfg: NetServerConfig,
     ) -> std::io::Result<NetServer> {
-        NetServer::bind_backend(addr, Backend::Single(handle), n_tables, cfg)
-    }
-
-    /// Binds a *sharded* server: submits hash to their owning shard,
-    /// stale reads scatter-gather the per-shard snapshots, fresh reads
-    /// and flushes fan out, and metrics aggregate across shards. The
-    /// router carries the partitioner, merge plan and per-shard
-    /// handles; the caller typically also spawns an
-    /// [`aivm_shard::Coordinator`] over a clone of the same router so
-    /// budget rebalancing and serving observe the same shard liveness.
-    pub fn bind_sharded(
-        addr: impl ToSocketAddrs,
-        router: ShardRouter,
-        cfg: NetServerConfig,
-    ) -> std::io::Result<NetServer> {
-        let n_tables = router.partitioner().key_cols().len();
-        NetServer::bind_backend(addr, Backend::Sharded(router), n_tables, cfg)
+        NetServer::bind_sharded(addr, ShardRouter::single(handle, n_tables), cfg)
     }
 
     /// Binds a *multi-view registry* server: submits target the
@@ -255,14 +233,21 @@ impl NetServer {
         handle: RegistryHandle,
         cfg: NetServerConfig,
     ) -> std::io::Result<NetServer> {
-        let n_tables = handle.table_count();
-        NetServer::bind_backend(addr, Backend::Registry(handle), n_tables, cfg)
+        let n_tables = handle.tables();
+        NetServer::bind_sharded(addr, ShardRouter::single(handle, n_tables), cfg)
     }
 
-    fn bind_backend(
+    /// Binds a server over the caller's router: submits hash to their
+    /// owning shard, stale reads scatter-gather the per-shard
+    /// snapshots, fresh reads and flushes fan out, and metrics
+    /// aggregate across shards. The router carries the partitioner,
+    /// merge plan and per-shard handles; the caller typically also
+    /// spawns an [`aivm_shard::Coordinator`] over a clone of the same
+    /// router so budget rebalancing and serving observe the same shard
+    /// liveness.
+    pub fn bind_sharded(
         addr: impl ToSocketAddrs,
-        backend: Backend,
-        n_tables: usize,
+        router: ShardRouter,
         cfg: NetServerConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
@@ -270,7 +255,6 @@ impl NetServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(Shared {
-            n_tables,
             cfg,
             stop: Arc::clone(&stop),
             stats: Arc::new(NetStats::default()),
@@ -278,7 +262,7 @@ impl NetServer {
         });
         let accept_join = std::thread::Builder::new()
             .name("aivm-net-accept".into())
-            .spawn(move || accept_loop(listener, backend, shared))?;
+            .spawn(move || accept_loop(listener, router, shared))?;
         Ok(NetServer {
             addr: local,
             stop,
@@ -333,17 +317,17 @@ fn wake(handle: &WorkerHandle) {
     let _ = (&handle.wake_tx).write(&[1]);
 }
 
-fn accept_loop(listener: TcpListener, backend: Backend, shared: Arc<Shared>) {
+fn accept_loop(listener: TcpListener, router: ShardRouter, shared: Arc<Shared>) {
     let n_workers = shared.cfg.effective_workers();
     let mut workers = Vec::with_capacity(n_workers);
     for i in 0..n_workers {
-        match spawn_worker(i, backend.clone(), Arc::clone(&shared)) {
+        match spawn_worker(i, router.clone(), Arc::clone(&shared)) {
             Ok(w) => workers.push(w),
             Err(_) if !workers.is_empty() => break, // run with fewer
             Err(_) => return,                       // cannot serve at all
         }
     }
-    drop(backend);
+    drop(router);
 
     let poller = match Poller::new() {
         Ok(p) => p,
@@ -397,7 +381,7 @@ fn accept_loop(listener: TcpListener, backend: Backend, shared: Arc<Shared>) {
 
 fn spawn_worker(
     index: usize,
-    backend: Backend,
+    router: ShardRouter,
     shared: Arc<Shared>,
 ) -> std::io::Result<WorkerHandle> {
     let inbox: Arc<Mutex<VecDeque<NewConn>>> = Arc::new(Mutex::new(VecDeque::new()));
@@ -412,7 +396,7 @@ fn spawn_worker(
         .spawn(move || {
             Worker {
                 shared,
-                backend,
+                router,
                 poller,
                 wake_rx,
                 inbox: worker_inbox,
@@ -447,131 +431,81 @@ enum Phase {
     Active,
 }
 
-/// A scheduler round-trip in flight for one connection. While one is
-/// pending the connection's later frames stay buffered (pipelining
+/// A scheduler round-trip in flight for one connection: a fan-out of
+/// tickets over the shards (and views) the request touches. While one
+/// is pending the connection's later frames stay buffered (pipelining
 /// order), but every *other* connection keeps being served.
 enum Pending {
-    /// A submit the ingest queue had no room for. The event-loop
-    /// equivalent of the blocking server's backpressure: the decoded
-    /// batch parks here and re-attempts admission every tick, replying
-    /// `SubmitOk` the moment capacity frees — the client waits on its
-    /// reply instead of sleeping through a retry backoff. Nothing was
-    /// enqueued while parked, so expiring the deadline into an
-    /// `Overloaded` rejection stays side-effect free and retry-safe.
-    Submit {
-        table: usize,
-        mods: Vec<Modification>,
-        /// With [`NetServerConfig::durable_acks`]: the apply ticket of
-        /// an already-admitted batch — the reply waits for the
-        /// scheduler to apply (and WAL-append) it, not just enqueue it.
-        ticket: Option<ApplyTicket>,
-        started: Instant,
-        deadline: Duration,
-    },
-    /// The sharded submit in flight: sub-batches not yet admitted park
-    /// here and re-attempt each tick, like [`Pending::Submit`]. Once
-    /// *any* sub-batch is admitted the request has had a side effect;
-    /// from then on a failure resolves to `Internal` (not retry-safe)
-    /// instead of the pre-admission `Overloaded`/`ShardUnavailable`
-    /// rejections.
-    SubmitSharded {
-        table: usize,
-        /// The fencing epoch the submit was stamped with (0 skips the
-        /// check). Re-verified on every parked re-attempt: a failover
-        /// while the submit waits on a full queue must still fence it.
-        epoch: u64,
-        /// Per-shard sub-batches still awaiting admission.
-        parts: Vec<(usize, Vec<Modification>)>,
-        /// Events admitted so far (across already-admitted sub-batches).
-        accepted: u64,
-        /// Sub-batch count at split time, for error messages.
-        total: usize,
-        /// With [`NetServerConfig::durable_acks`]: apply tickets of the
-        /// sub-batches already admitted; the reply waits for every one.
-        tickets: Vec<ApplyTicket>,
-        started: Instant,
-        deadline: Duration,
-    },
+    Submit(SubmitState),
+    /// A read of one view: per-shard results gather here as tickets
+    /// resolve; the reply merges them once the last one lands. A shard
+    /// dying mid-flight is skipped and flags the merged result degraded
+    /// rather than failing the read.
     Read {
-        ticket: ReadTicket,
+        /// Outstanding `(shard, ticket)` pairs.
+        tickets: Vec<(usize, ReadTicket)>,
+        /// Results gathered so far.
+        results: Vec<ReadResult>,
+        degraded: bool,
         fresh: bool,
         want_rows: bool,
         started: Instant,
         deadline: Duration,
     },
-    /// A fresh read (or flush, with `flush`) fanned out across shards:
-    /// per-shard tickets resolve independently; the reply merges them
-    /// once the last one lands. A shard dying mid-flight is skipped and
-    /// flags the merged result degraded rather than failing the read.
-    ReadSharded {
-        /// Outstanding `(shard, ticket)` pairs.
-        tickets: Vec<(usize, ReadTicket)>,
-        /// Results gathered so far.
-        results: Vec<aivm_serve::ReadResult>,
-        degraded: bool,
-        want_rows: bool,
-        /// Reply `FlushOk` instead of `ReadOk`.
-        flush: bool,
-        started: Instant,
-        deadline: Duration,
-    },
+    /// One fresh read per (shard × view), reduced to a single
+    /// `FlushOk`. Within a shard the costs add up (views of one sharing
+    /// group drain together: the first member pays, the rest see zero
+    /// pending); across shards the flushes run in parallel, each under
+    /// its own budget, so the reply carries the dearest shard.
     Flush {
-        ticket: ReadTicket,
-        started: Instant,
-        deadline: Duration,
-    },
-    Metrics {
-        ticket: MetricsTicket,
-        per_shard: bool,
+        tickets: Vec<(usize, ReadTicket)>,
+        /// `(shard, flush cost)` of every read that answered.
+        costs: Vec<(usize, f64)>,
+        violated: bool,
         started: Instant,
         deadline: Duration,
     },
     /// Metrics fanned out across shards; merged once every live shard
     /// answered (dead ones are skipped).
-    MetricsSharded {
+    Metrics {
         tickets: Vec<(usize, MetricsTicket)>,
-        snaps: Vec<(usize, MetricsSnapshot)>,
-        per_shard: bool,
-        started: Instant,
-        deadline: Duration,
-    },
-    /// A registry submit parked on a full queue (or, with durable acks,
-    /// waiting on its apply ticket) — the registry twin of
-    /// [`Pending::Submit`].
-    SubmitRegistry {
-        table: usize,
-        mods: Vec<Modification>,
-        ticket: Option<RegistryApplyTicket>,
-        started: Instant,
-        deadline: Duration,
-    },
-    /// A fresh per-view read through the registry scheduler (stale
-    /// reads are answered wait-free from the hub snapshot).
-    ReadRegistry {
-        ticket: RegistryReadTicket,
-        want_rows: bool,
-        started: Instant,
-        deadline: Duration,
-    },
-    /// A registry flush: one fresh read per view, merged into a single
-    /// `FlushOk` (group sharing means only the first member of each
-    /// group pays the drain; the rest see zero pending).
-    FlushRegistry {
-        tickets: Vec<RegistryReadTicket>,
-        flush_cost: f64,
-        violated: bool,
-        started: Instant,
-        deadline: Duration,
-    },
-    /// Registry metrics in flight; the reply attaches per-view rows
-    /// when the request asked for them.
-    MetricsRegistry {
-        ticket: RegistryMetricsTicket,
+        snaps: Vec<(usize, MultiMetricsSnapshot)>,
         per_shard: bool,
         per_view: bool,
         started: Instant,
         deadline: Duration,
     },
+}
+
+/// A submit in flight. Sub-batches the ingest queues had no room for
+/// park here — the event-loop equivalent of blocking backpressure — and
+/// re-attempt admission every tick, replying `SubmitOk` the moment
+/// capacity frees: the client waits on its reply instead of sleeping
+/// through a retry backoff. While nothing is enqueued, expiring the
+/// deadline into an `Overloaded` rejection stays side-effect free and
+/// retry-safe. Once *any* sub-batch is admitted the request has had a
+/// side effect; from then on a failure resolves to `Internal` (not
+/// retry-safe) instead of the pre-admission
+/// `Overloaded`/`ShardUnavailable`/`StaleEpoch` rejections.
+struct SubmitState {
+    table: usize,
+    /// The fencing epoch the submit was stamped with (0 skips the
+    /// check). Re-verified on every parked re-attempt: a failover
+    /// while the submit waits on a full queue must still fence it.
+    epoch: u64,
+    /// Per-shard sub-batches still awaiting admission.
+    parts: Vec<(usize, Vec<Modification>)>,
+    /// Events admitted so far (across already-admitted sub-batches).
+    accepted: u64,
+    /// Sub-batch count at split time, for error messages.
+    total: usize,
+    /// With [`NetServerConfig::durable_acks`]: apply tickets of the
+    /// sub-batches already admitted; the reply waits for every one —
+    /// for the schedulers to apply (and WAL-append) the batch, not just
+    /// enqueue it.
+    tickets: Vec<(usize, ApplyTicket)>,
+    started: Instant,
+    deadline: Duration,
 }
 
 /// One live push subscription held by a connection: the next delta seq
@@ -595,7 +529,7 @@ struct Conn {
     /// post-corrupt error replies, drain).
     close_after_flush: bool,
     pending: Option<Pending>,
-    /// Live push subscriptions (registry backend only). The worker's
+    /// Live push subscriptions (routers with a hub only). The worker's
     /// tick pumps hub deltas into `wbuf` for each entry, bounded by
     /// [`WBUF_HIGH`].
     subs: Vec<SubState>,
@@ -625,7 +559,7 @@ impl Conn {
 
 struct Worker {
     shared: Arc<Shared>,
-    backend: Backend,
+    router: ShardRouter,
     poller: Poller,
     wake_rx: UnixStream,
     inbox: Arc<Mutex<VecDeque<NewConn>>>,
@@ -693,12 +627,10 @@ impl Worker {
     /// queue — the one pending kind whose progress is gated purely on
     /// this worker re-offering it.
     fn has_parked_submit(&self) -> bool {
-        self.conns.iter().flatten().any(|c| {
-            matches!(
-                c.pending,
-                Some(Pending::Submit { .. }) | Some(Pending::SubmitSharded { .. })
-            )
-        })
+        self.conns
+            .iter()
+            .flatten()
+            .any(|c| matches!(c.pending, Some(Pending::Submit(_))))
     }
 
     fn drain_wake(&mut self) {
@@ -777,13 +709,11 @@ impl Worker {
 
     /// Handles one readiness event for one connection.
     fn dispatch(&mut self, slot: usize, ev: Event) {
-        let shared = Arc::clone(&self.shared);
-        let backend = self.backend.clone();
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
         if ev.readable {
-            handle_readable(&shared, &backend, conn);
+            handle_readable(&self.shared, &self.router, conn);
         }
         if ev.writable {
             flush_wbuf(conn);
@@ -818,8 +748,6 @@ impl Worker {
     /// Polls every in-flight scheduler ticket; a resolved one queues its
     /// response and lets the connection resume parsing buffered frames.
     fn poll_pendings(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let backend = self.backend.clone();
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
@@ -827,10 +755,10 @@ impl Worker {
             if conn.pending.is_none() {
                 continue;
             }
-            if poll_pending(&shared, &backend, conn) {
+            if poll_pending(&self.shared, &self.router, conn) {
                 // Resolved: frames that queued up behind the pending
                 // reply parse now, without waiting for new readability.
-                process(&shared, &backend, conn);
+                process(&self.shared, &self.router, conn);
                 flush_wbuf(conn);
                 self.finish_dispatch(slot);
             }
@@ -838,17 +766,16 @@ impl Worker {
     }
 
     /// Pushes new hub delta batches to every subscribed connection
-    /// (registry backend only). The per-subscriber buffer is the
+    /// (routers with a hub only). The per-subscriber buffer is the
     /// connection's write buffer, bounded by [`WBUF_HIGH`]: a peer that
     /// stops draining its socket stops receiving pushes, the hub's
     /// bounded ring absorbs the backlog, and once the position falls
     /// off the ring the subscriber is resynced from the snapshot — the
     /// flush path never waits on a slow subscriber.
     fn pump_subscriptions(&mut self) {
-        let Backend::Registry(handle) = &self.backend else {
+        let Some(hub) = self.router.hub().cloned() else {
             return;
         };
-        let hub = Arc::clone(handle.hub());
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
@@ -953,11 +880,9 @@ impl Worker {
 
     fn close(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            if !conn.subs.is_empty() {
-                if let Backend::Registry(handle) = &self.backend {
-                    for s in &conn.subs {
-                        handle.hub().subscriber_closed(s.view as usize);
-                    }
+            if let Some(hub) = self.router.hub() {
+                for s in &conn.subs {
+                    hub.subscriber_closed(s.view as usize);
                 }
             }
             let _ = self.poller.delete(conn.stream.as_raw_fd());
@@ -975,7 +900,7 @@ impl Worker {
 
 /// Reads until `WouldBlock`/EOF, parsing as bytes land. Bounded passes
 /// per event so one firehose connection cannot starve its worker.
-fn handle_readable(shared: &Shared, backend: &Backend, conn: &mut Conn) {
+fn handle_readable(shared: &Shared, router: &ShardRouter, conn: &mut Conn) {
     for _ in 0..8 {
         if conn.dead
             || conn.pending.is_some()
@@ -991,7 +916,7 @@ fn handle_readable(shared: &Shared, backend: &Backend, conn: &mut Conn) {
                 conn.dead = true;
                 break;
             }
-            Ok(_) => process(shared, backend, conn),
+            Ok(_) => process(shared, router, conn),
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(_) => {
@@ -1006,7 +931,7 @@ fn handle_readable(shared: &Shared, backend: &Backend, conn: &mut Conn) {
 /// Parses everything currently buffered: the handshake, then frames
 /// until the buffer runs dry, a scheduler round-trip starts, or the
 /// stream turns corrupt.
-fn process(shared: &Shared, backend: &Backend, conn: &mut Conn) {
+fn process(shared: &Shared, router: &ShardRouter, conn: &mut Conn) {
     if conn.phase == Phase::Hello && !handle_hello(conn) {
         return;
     }
@@ -1022,7 +947,7 @@ fn process(shared: &Shared, backend: &Backend, conn: &mut Conn) {
                 shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                 let outcome = {
                     let payload = conn.rbuf.payload(range);
-                    handle_frame(shared, backend, payload)
+                    handle_frame(shared, router, payload)
                 };
                 match outcome {
                     FrameOutcome::Reply(resp) => queue_response(conn, &resp),
@@ -1038,8 +963,8 @@ fn process(shared: &Shared, backend: &Backend, conn: &mut Conn) {
                             Some(s) => s.next_seq = next_seq,
                             None => {
                                 conn.subs.push(SubState { view, next_seq });
-                                if let Backend::Registry(handle) = backend {
-                                    handle.hub().subscriber_opened(view as usize);
+                                if let Some(hub) = router.hub() {
+                                    hub.subscriber_opened(view as usize);
                                 }
                             }
                         }
@@ -1048,8 +973,8 @@ fn process(shared: &Shared, backend: &Backend, conn: &mut Conn) {
                     FrameOutcome::Unsubscribe { view, reply } => {
                         if let Some(pos) = conn.subs.iter().position(|s| s.view == view) {
                             conn.subs.swap_remove(pos);
-                            if let Backend::Registry(handle) = backend {
-                                handle.hub().subscriber_closed(view as usize);
+                            if let Some(hub) = router.hub() {
+                                hub.subscriber_closed(view as usize);
                             }
                         }
                         queue_response(conn, &reply);
@@ -1128,7 +1053,7 @@ fn handle_hello(conn: &mut Conn) -> bool {
 enum FrameOutcome {
     /// Answer immediately.
     Reply(Response),
-    /// A scheduler round-trip started; poll the ticket.
+    /// A scheduler round-trip started; poll the tickets.
     Wait(Pending),
     /// Register a push subscription on the connection (the position is
     /// already resolved), then answer.
@@ -1154,181 +1079,34 @@ fn deadline_of(deadline_ms: u32, cfg: &NetServerConfig) -> Duration {
     }
 }
 
-fn handle_frame(shared: &Shared, backend: &Backend, payload: &[u8]) -> FrameOutcome {
+fn handle_frame(shared: &Shared, router: &ShardRouter, payload: &[u8]) -> FrameOutcome {
     let frame = match decode_request_ref(payload) {
         Ok(f) => f,
         Err(err) => return FrameOutcome::Corrupt(err),
     };
     let deadline = deadline_of(frame.deadline_ms, &shared.cfg);
-    match backend {
-        Backend::Single(handle) => handle_frame_single(shared, handle, frame.request, deadline),
-        Backend::Sharded(router) => handle_frame_sharded(shared, router, frame.request, deadline),
-        Backend::Registry(handle) => handle_frame_registry(shared, handle, frame.request, deadline),
-    }
-}
-
-/// The rejection for view-targeted requests naming a view the backend
-/// does not have (a single-view server only has view 0).
-fn bad_view(view: u32, views: usize) -> Response {
-    Response::Error {
-        code: ErrorCode::BadRequest,
-        message: format!("view {view} out of range ({views} views)"),
-    }
-}
-
-/// The rejection for `Subscribe`/`Unsubscribe` on a backend without a
-/// subscription hub.
-fn no_subscriptions() -> Response {
-    Response::Error {
-        code: ErrorCode::BadRequest,
-        message: "push subscriptions require a registry server".into(),
-    }
-}
-
-fn handle_frame_single(
-    shared: &Shared,
-    handle: &ServeHandle,
-    request: RequestRef<'_>,
-    deadline: Duration,
-) -> FrameOutcome {
-    match request {
+    match frame.request {
         RequestRef::Ping => FrameOutcome::Reply(Response::Pong),
-        RequestRef::Submit(s) => submit(shared, handle, s, deadline),
+        RequestRef::Submit(s) => submit(shared, router, s, deadline),
         RequestRef::Read {
             view,
             fresh,
             want_rows,
-        } => {
-            if view != 0 {
-                return FrameOutcome::Reply(bad_view(view, 1));
-            }
-            // Stale reads are answered straight from the published
-            // flush-boundary snapshot: no scheduler round-trip, the
-            // checksum is precomputed, and rows are cloned only when
-            // the client asked for them.
-            if !fresh {
-                if let Some(snap) = handle.snapshot_for_read() {
-                    return FrameOutcome::Reply(Response::ReadOk(WireReadResult {
-                        fresh: false,
-                        lag: snap.lag(),
-                        flush_cost: 0.0,
-                        violated: false,
-                        degraded: false,
-                        checksum: snap.checksum,
-                        rows: want_rows.then(|| snap.rows.clone()),
-                    }));
-                }
-            }
-            let mode = if fresh {
-                ReadMode::Fresh
-            } else {
-                ReadMode::Stale
-            };
-            match handle.begin_read(mode) {
-                Some(ticket) => FrameOutcome::Wait(Pending::Read {
-                    ticket,
-                    fresh,
-                    want_rows,
-                    started: Instant::now(),
-                    deadline,
-                }),
-                None => FrameOutcome::Reply(unavailable(handle)),
-            }
-        }
+        } => begin_read(router, view, fresh, want_rows, deadline),
+        RequestRef::Flush => begin_flush(router, deadline),
         RequestRef::Metrics {
             per_shard,
-            per_view: _,
-        } => match handle.begin_metrics() {
-            Some(ticket) => FrameOutcome::Wait(Pending::Metrics {
-                ticket,
-                per_shard,
-                started: Instant::now(),
-                deadline,
-            }),
-            None => FrameOutcome::Reply(unavailable(handle)),
-        },
-        RequestRef::Flush => match handle.begin_read(ReadMode::Fresh) {
-            Some(ticket) => FrameOutcome::Wait(Pending::Flush {
-                ticket,
-                started: Instant::now(),
-                deadline,
-            }),
-            None => FrameOutcome::Reply(unavailable(handle)),
-        },
-        RequestRef::ReplicaSubscribe { .. } => FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "replication requires a sharded server".into(),
-        }),
-        RequestRef::Subscribe { .. } | RequestRef::Unsubscribe { .. } => {
-            FrameOutcome::Reply(no_subscriptions())
-        }
-    }
-}
-
-fn handle_frame_sharded(
-    shared: &Shared,
-    router: &ShardRouter,
-    request: RequestRef<'_>,
-    deadline: Duration,
-) -> FrameOutcome {
-    match request {
-        RequestRef::Ping => FrameOutcome::Reply(Response::Pong),
-        RequestRef::Submit(s) => submit_sharded(shared, router, s, deadline),
-        RequestRef::Read {
-            view,
-            fresh,
-            want_rows,
+            per_view,
         } => {
-            if view != 0 {
-                return FrameOutcome::Reply(bad_view(view, 1));
-            }
-            if !fresh {
-                // Merged scatter-gather over the per-shard published
-                // snapshots — still wait-free: no scheduler round-trip
-                // on any shard, dead shards skipped and flagged.
-                return match router.read_stale() {
-                    Ok(m) => FrameOutcome::Reply(Response::ReadOk(WireReadResult {
-                        fresh: false,
-                        lag: m.lag,
-                        flush_cost: 0.0,
-                        violated: false,
-                        degraded: m.degraded,
-                        checksum: m.checksum,
-                        rows: want_rows.then_some(m.rows),
-                    })),
-                    Err(err) => FrameOutcome::Reply(Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("shard merge failed: {err}"),
-                    }),
-                };
-            }
-            begin_fanout_read(router, want_rows, false, deadline)
-        }
-        RequestRef::Flush => begin_fanout_read(router, false, true, deadline),
-        RequestRef::Metrics {
-            per_shard,
-            per_view: _,
-        } => {
-            let mut tickets = Vec::new();
-            let mut any_slot = false;
-            for i in 0..router.shards() {
-                let Some(handle) = router.handle(i) else {
-                    continue;
-                };
-                any_slot = true;
-                match handle.begin_metrics() {
-                    Some(t) => tickets.push((i, t)),
-                    None => router.mark_dead(i),
-                }
-            }
+            let tickets = fan_out(router, |h| h.begin_metrics().map(|t| vec![t]));
             if tickets.is_empty() {
-                let _ = any_slot;
-                return FrameOutcome::Reply(all_shards_unavailable());
+                return FrameOutcome::Reply(unavailable(router));
             }
-            FrameOutcome::Wait(Pending::MetricsSharded {
+            FrameOutcome::Wait(Pending::Metrics {
                 tickets,
                 snaps: Vec::new(),
                 per_shard,
+                per_view,
                 started: Instant::now(),
                 deadline,
             })
@@ -1336,94 +1114,13 @@ fn handle_frame_sharded(
         RequestRef::ReplicaSubscribe { shard, from_record } => {
             FrameOutcome::Reply(replica_subscribe(router, shard, from_record))
         }
-        RequestRef::Subscribe { .. } | RequestRef::Unsubscribe { .. } => {
-            FrameOutcome::Reply(no_subscriptions())
-        }
-    }
-}
-
-/// Routes one decoded frame against a multi-view registry backend.
-fn handle_frame_registry(
-    shared: &Shared,
-    handle: &RegistryHandle,
-    request: RequestRef<'_>,
-    deadline: Duration,
-) -> FrameOutcome {
-    match request {
-        RequestRef::Ping => FrameOutcome::Reply(Response::Pong),
-        RequestRef::Submit(s) => submit_registry(shared, handle, s, deadline),
-        RequestRef::Read {
-            view,
-            fresh,
-            want_rows,
-        } => {
-            let v = view as usize;
-            if v >= handle.view_count() {
-                return FrameOutcome::Reply(bad_view(view, handle.view_count()));
-            }
-            if !fresh {
-                // Wait-free off the hub's latest published snapshot,
-                // exactly like the single backend's stale path.
-                let Some(snap) = handle.snapshot_for_read(v) else {
-                    return FrameOutcome::Reply(registry_unavailable(handle));
-                };
-                return FrameOutcome::Reply(Response::ReadOk(WireReadResult {
-                    fresh: false,
-                    lag: snap.lag(),
-                    flush_cost: 0.0,
-                    violated: false,
-                    degraded: false,
-                    checksum: snap.checksum,
-                    rows: want_rows.then(|| snap.rows.clone()),
-                }));
-            }
-            match handle.begin_read(v, ReadMode::Fresh) {
-                Some(ticket) => FrameOutcome::Wait(Pending::ReadRegistry {
-                    ticket,
-                    want_rows,
-                    started: Instant::now(),
-                    deadline,
-                }),
-                None => FrameOutcome::Reply(registry_unavailable(handle)),
-            }
-        }
-        RequestRef::Flush => {
-            let mut tickets = Vec::with_capacity(handle.view_count());
-            for v in 0..handle.view_count() {
-                match handle.begin_read(v, ReadMode::Fresh) {
-                    Some(t) => tickets.push(t),
-                    None => return FrameOutcome::Reply(registry_unavailable(handle)),
-                }
-            }
-            FrameOutcome::Wait(Pending::FlushRegistry {
-                tickets,
-                flush_cost: 0.0,
-                violated: false,
-                started: Instant::now(),
-                deadline,
-            })
-        }
-        RequestRef::Metrics {
-            per_shard,
-            per_view,
-        } => match handle.begin_metrics() {
-            Some(ticket) => FrameOutcome::Wait(Pending::MetricsRegistry {
-                ticket,
-                per_shard,
-                per_view,
-                started: Instant::now(),
-                deadline,
-            }),
-            None => FrameOutcome::Reply(registry_unavailable(handle)),
-        },
-        RequestRef::ReplicaSubscribe { .. } => FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: "replication requires a sharded server".into(),
-        }),
-        RequestRef::Subscribe { view, from_seq } => subscribe_registry(handle, view, from_seq),
+        RequestRef::Subscribe { view, from_seq } => subscribe(router, view, from_seq),
         RequestRef::Unsubscribe { view } => {
-            if (view as usize) >= handle.view_count() {
-                return FrameOutcome::Reply(bad_view(view, handle.view_count()));
+            if router.hub().is_none() {
+                return FrameOutcome::Reply(no_subscriptions());
+            }
+            if (view as usize) >= router.views() {
+                return FrameOutcome::Reply(bad_view(view, router.views()));
             }
             // The ack is a plain Pong: by the time it is queued, no
             // further ViewDelta for this view follows it on the wire.
@@ -1433,6 +1130,220 @@ fn handle_frame_registry(
             }
         }
     }
+}
+
+/// Starts one scheduler request per live shard (`begin` may start
+/// several, e.g. one per view) and returns the `(shard, ticket)` pairs
+/// to poll. A shard that refuses a ticket is marked dead; dead shards
+/// contribute nothing, so an empty result means no shard can answer.
+fn fan_out<T>(
+    router: &ShardRouter,
+    begin: impl Fn(&ServeHandle) -> Option<Vec<Ticket<T>>>,
+) -> Vec<(usize, Ticket<T>)> {
+    let mut tickets = Vec::new();
+    for shard in 0..router.shards() {
+        match router.with_handle(shard, &begin) {
+            Some(Some(started)) => tickets.extend(started.into_iter().map(|t| (shard, t))),
+            Some(None) => router.mark_dead(shard),
+            None => {}
+        }
+    }
+    tickets
+}
+
+/// Polls every outstanding ticket of a fan-out once. A reply retires
+/// its ticket and is handed to `on(shard, Some(reply))`; a shard whose
+/// scheduler died mid-flight is marked dead, *all* its tickets are
+/// retired, and `on(shard, None)` tells the caller to forget what that
+/// shard had contributed.
+fn poll_fan_out<T>(
+    router: &ShardRouter,
+    tickets: &mut Vec<(usize, Ticket<T>)>,
+    mut on: impl FnMut(usize, Option<T>),
+) {
+    let mut i = 0;
+    while i < tickets.len() {
+        let shard = tickets[i].0;
+        match tickets[i].1.try_take() {
+            Ok(Some(reply)) => {
+                tickets.swap_remove(i);
+                on(shard, Some(reply));
+            }
+            Ok(None) => i += 1,
+            Err(_) => {
+                router.mark_dead(shard);
+                tickets.retain(|(s, _)| *s != shard);
+                on(shard, None);
+                // Positions shifted; re-polling a ticket that was not
+                // ready a moment ago is harmless.
+                i = 0;
+            }
+        }
+    }
+}
+
+/// The rejection for view-targeted requests naming a view the router
+/// does not have (a single-view server only has view 0).
+fn bad_view(view: u32, views: usize) -> Response {
+    Response::Error {
+        code: ErrorCode::BadRequest,
+        message: format!("view {view} out of range ({views} views)"),
+    }
+}
+
+/// The rejection for `Subscribe`/`Unsubscribe` on a router without a
+/// subscription hub.
+fn no_subscriptions() -> Response {
+    Response::Error {
+        code: ErrorCode::BadRequest,
+        message: "push subscriptions require a registry server".into(),
+    }
+}
+
+/// Starts a read of one view on every shard.
+///
+/// A stale read takes each shard's published flush-boundary snapshot —
+/// no scheduler round-trip, wait-free with respect to maintenance — and
+/// goes through a scheduler only where none is published (model
+/// backends). A fresh read is one ticket per shard.
+fn begin_read(
+    router: &ShardRouter,
+    view: u32,
+    fresh: bool,
+    want_rows: bool,
+    deadline: Duration,
+) -> FrameOutcome {
+    let v = view as usize;
+    if v >= router.views() {
+        return FrameOutcome::Reply(bad_view(view, router.views()));
+    }
+    if !fresh && router.shards() == 1 {
+        // One shard: its snapshot *is* the answer. One `Arc` clone, the
+        // checksum is precomputed, and rows are cloned only when the
+        // client asked for them.
+        let snap = router.with_handle(0, |h| h.snapshot_view_for_read(v));
+        if let Some(snap) = snap.flatten() {
+            return FrameOutcome::Reply(Response::ReadOk(WireReadResult {
+                fresh: false,
+                lag: snap.lag(),
+                flush_cost: 0.0,
+                violated: false,
+                degraded: false,
+                checksum: snap.checksum,
+                rows: want_rows.then(|| snap.rows.clone()),
+            }));
+        }
+    }
+    enum Leg {
+        Done(ReadResult),
+        Wait(ReadTicket),
+        Gone,
+    }
+    let mode = if fresh {
+        ReadMode::Fresh
+    } else {
+        ReadMode::Stale
+    };
+    let mut tickets = Vec::new();
+    let mut results = Vec::new();
+    let mut degraded = false;
+    for shard in 0..router.shards() {
+        let leg = router.with_handle(shard, |h| {
+            if let Some(snap) = (!fresh).then(|| h.snapshot_view_for_read(v)).flatten() {
+                return Leg::Done(ReadResult {
+                    rows: Some(snap.rows.clone()),
+                    lag: snap.lag(),
+                    flush_cost: 0.0,
+                    violated: false,
+                });
+            }
+            h.begin_read(v, mode).map_or(Leg::Gone, Leg::Wait)
+        });
+        match leg {
+            Some(Leg::Done(r)) => results.push(r),
+            Some(Leg::Wait(t)) => tickets.push((shard, t)),
+            Some(Leg::Gone) => {
+                router.mark_dead(shard);
+                degraded = true;
+            }
+            None => degraded = true,
+        }
+    }
+    if tickets.is_empty() {
+        return FrameOutcome::Reply(finish_read(router, results, degraded, fresh, want_rows));
+    }
+    FrameOutcome::Wait(Pending::Read {
+        tickets,
+        results,
+        degraded,
+        fresh,
+        want_rows,
+        started: Instant::now(),
+        deadline,
+    })
+}
+
+/// Turns the gathered per-shard results into the read reply. With one
+/// shard its result is the reply as it stands; with several, rows are
+/// re-aggregated by the router's merge plan, lags add up, and the
+/// dearest per-shard flush is reported (each is individually bounded by
+/// that shard's budget).
+fn finish_read(
+    router: &ShardRouter,
+    mut results: Vec<ReadResult>,
+    degraded: bool,
+    fresh: bool,
+    want_rows: bool,
+) -> Response {
+    if results.is_empty() {
+        return unavailable(router);
+    }
+    if router.shards() == 1 {
+        let r = results.swap_remove(0);
+        return Response::ReadOk(WireReadResult {
+            fresh,
+            lag: r.lag,
+            flush_cost: r.flush_cost,
+            violated: r.violated,
+            degraded: false,
+            checksum: r.rows.as_deref().map(rows_checksum).unwrap_or(0),
+            rows: if want_rows { r.rows } else { None },
+        });
+    }
+    match router.merge_reads(&results) {
+        Ok(m) => Response::ReadOk(WireReadResult {
+            fresh,
+            lag: m.lag,
+            flush_cost: m.flush_cost,
+            violated: m.violated,
+            degraded,
+            checksum: m.checksum,
+            rows: want_rows.then_some(m.rows),
+        }),
+        Err(err) => Response::Error {
+            code: ErrorCode::Internal,
+            message: format!("shard merge failed: {err}"),
+        },
+    }
+}
+
+/// Starts a flush: one fresh read per (shard × view).
+fn begin_flush(router: &ShardRouter, deadline: Duration) -> FrameOutcome {
+    let tickets = fan_out(router, |h| {
+        (0..router.views())
+            .map(|v| h.begin_read(v, ReadMode::Fresh))
+            .collect()
+    });
+    if tickets.is_empty() {
+        return FrameOutcome::Reply(unavailable(router));
+    }
+    FrameOutcome::Wait(Pending::Flush {
+        tickets,
+        costs: Vec::new(),
+        violated: false,
+        started: Instant::now(),
+        deadline,
+    })
 }
 
 /// Resolves a `Subscribe` request to its starting position and reply.
@@ -1445,12 +1356,14 @@ fn handle_frame_registry(
 /// * `from_seq` off the ring — the subscriber is too far behind (or
 ///   from a previous incarnation): degrade to a snapshot resync
 ///   instead of an error.
-fn subscribe_registry(handle: &RegistryHandle, view: u32, from_seq: u64) -> FrameOutcome {
+fn subscribe(router: &ShardRouter, view: u32, from_seq: u64) -> FrameOutcome {
+    let Some(hub) = router.hub() else {
+        return FrameOutcome::Reply(no_subscriptions());
+    };
     let v = view as usize;
-    if v >= handle.view_count() {
-        return FrameOutcome::Reply(bad_view(view, handle.view_count()));
+    if v >= router.views() {
+        return FrameOutcome::Reply(bad_view(view, router.views()));
     }
-    let hub = handle.hub();
     let resync = |snap: &aivm_engine::ViewSnapshot| FrameOutcome::Subscribe {
         view,
         next_seq: snap.seq + 1,
@@ -1480,17 +1393,6 @@ fn subscribe_registry(handle: &RegistryHandle, view: u32, from_seq: u64) -> Fram
             },
         },
         FetchOutcome::Resync(snap) => resync(&snap),
-    }
-}
-
-/// `unavailable` for the registry backend.
-fn registry_unavailable(handle: &RegistryHandle) -> Response {
-    Response::Error {
-        code: ErrorCode::Unavailable,
-        message: match handle.last_error() {
-            Some(e) => format!("scheduler stopped: {e}"),
-            None => "scheduler stopped".into(),
-        },
     }
 }
 
@@ -1529,72 +1431,31 @@ fn replica_subscribe(router: &ShardRouter, shard: u32, from_record: u64) -> Resp
     }
 }
 
-/// Fans a fresh read (or flush) out to every live shard. Shards that
-/// refuse a ticket are marked dead; the eventual merge is flagged
-/// degraded when any slot was skipped.
-fn begin_fanout_read(
-    router: &ShardRouter,
-    want_rows: bool,
-    flush: bool,
-    deadline: Duration,
-) -> FrameOutcome {
-    let mut tickets = Vec::new();
-    let mut degraded = false;
-    for i in 0..router.shards() {
-        let Some(handle) = router.handle(i) else {
-            degraded = true;
-            continue;
-        };
-        match handle.begin_read(ReadMode::Fresh) {
-            Some(t) => tickets.push((i, t)),
-            None => {
-                router.mark_dead(i);
-                degraded = true;
-            }
-        }
-    }
-    if tickets.is_empty() {
-        return FrameOutcome::Reply(all_shards_unavailable());
-    }
-    FrameOutcome::Wait(Pending::ReadSharded {
-        tickets,
-        results: Vec::new(),
-        degraded,
-        want_rows,
-        flush,
-        started: Instant::now(),
-        deadline,
-    })
-}
-
+/// The submit entry point. The whole batch is split by owning shard and
+/// admission-checked against *every* target shard before the first
+/// sub-batch is enqueued, so pre-admission rejections (`BadRequest`,
+/// `StaleEpoch`, `Overloaded`, `ShardUnavailable`) are retry-safe: no
+/// shard has seen any part of the batch.
 fn submit(
     shared: &Shared,
-    handle: &ServeHandle,
+    router: &ShardRouter,
     s: SubmitRef<'_>,
     deadline: Duration,
 ) -> FrameOutcome {
-    if (s.table as usize) >= shared.n_tables {
+    let n_tables = router.partitioner().key_cols().len();
+    let table = s.table as usize;
+    if table >= n_tables {
         return FrameOutcome::Reply(Response::Error {
             code: ErrorCode::BadRequest,
-            message: format!(
-                "table {} out of range ({} tables)",
-                s.table, shared.n_tables
-            ),
+            message: format!("table {table} out of range ({n_tables} tables)"),
         });
     }
-    // Admission check for the WHOLE batch before the first ingest: a
-    // rejected submit has provably had no side effect, so the client may
-    // retry it without double-applying.
-    if let Some(hw) = shared.cfg.submit_high_water {
-        if handle.queue_depth() >= hw {
-            shared
-                .stats
-                .overload_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return FrameOutcome::Reply(Response::Error {
-                code: ErrorCode::Overloaded,
-                message: format!("ingest queue at {} (high water {hw})", handle.queue_depth()),
-            });
+    // With one shard the target is known without looking at a row, so
+    // an overloaded server sheds the frame before materializing it.
+    let one_shard = router.shards() == 1;
+    if one_shard {
+        if let Some(rejection) = precheck(shared, router, s.epoch, 0..1) {
+            return FrameOutcome::Reply(rejection);
         }
     }
     // The only allocations on the submit path: materializing the rows
@@ -1608,242 +1469,10 @@ fn submit(
             message: format!("undecodable request: {err}"),
         });
     }
-    let table = s.table as usize;
-    match try_submit(shared, handle, table, &mods) {
-        SubmitStep::Parked => FrameOutcome::Wait(Pending::Submit {
-            table,
-            mods,
-            ticket: None,
-            started: Instant::now(),
-            deadline,
-        }),
-        SubmitStep::Durable(ticket) => FrameOutcome::Wait(Pending::Submit {
-            table,
-            mods,
-            ticket: Some(ticket),
-            started: Instant::now(),
-            deadline,
-        }),
-        SubmitStep::Reply(resp) => FrameOutcome::Reply(resp),
-    }
-}
-
-/// The outcome of one single-backend admission attempt.
-enum SubmitStep {
-    /// The queue is full right now — park and retry each tick.
-    Parked,
-    /// The request resolved (`SubmitOk` at enqueue, or a typed error).
-    Reply(Response),
-    /// Admitted under durable acks: poll the apply ticket before
-    /// acknowledging.
-    Durable(ApplyTicket),
-}
-
-/// One admission attempt for a decoded batch.
-fn try_submit(
-    shared: &Shared,
-    handle: &ServeHandle,
-    table: usize,
-    mods: &[Modification],
-) -> SubmitStep {
-    let accepted = mods.len() as u64;
-    // The clone is cheap (rows are `Arc`s) and keeps the batch owned by
-    // the connection until admission actually succeeds.
-    if shared.cfg.durable_acks {
-        return match handle.try_ingest_batch_tracked(table, mods.to_vec()) {
-            Ok(ticket) => {
-                shared
-                    .stats
-                    .submitted_events
-                    .fetch_add(accepted, Ordering::Relaxed);
-                SubmitStep::Durable(ticket)
-            }
-            Err(TrySendError::Full) => SubmitStep::Parked,
-            Err(TrySendError::Disconnected) => SubmitStep::Reply(unavailable(handle)),
-        };
-    }
-    match handle.try_ingest_batch(table, mods.to_vec()) {
-        Ok(()) => {
-            shared
-                .stats
-                .submitted_events
-                .fetch_add(accepted, Ordering::Relaxed);
-            SubmitStep::Reply(Response::SubmitOk { accepted })
-        }
-        Err(TrySendError::Full) => SubmitStep::Parked,
-        Err(TrySendError::Disconnected) => SubmitStep::Reply(unavailable(handle)),
-    }
-}
-
-/// The outcome of one registry-backend admission attempt.
-enum SubmitRegistryStep {
-    /// The queue is full right now — park and retry each tick.
-    Parked,
-    /// The request resolved (`SubmitOk` at enqueue, or a typed error).
-    Reply(Response),
-    /// Admitted under durable acks: poll the apply ticket before
-    /// acknowledging.
-    Durable(RegistryApplyTicket),
-}
-
-/// The registry submit entry point — the single-backend flow against
-/// the registry's global base-table axis.
-fn submit_registry(
-    shared: &Shared,
-    handle: &RegistryHandle,
-    s: SubmitRef<'_>,
-    deadline: Duration,
-) -> FrameOutcome {
-    if (s.table as usize) >= shared.n_tables {
-        return FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: format!(
-                "table {} out of range ({} tables)",
-                s.table, shared.n_tables
-            ),
-        });
-    }
-    if let Some(hw) = shared.cfg.submit_high_water {
-        if handle.queue_depth() >= hw {
-            shared
-                .stats
-                .overload_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            return FrameOutcome::Reply(Response::Error {
-                code: ErrorCode::Overloaded,
-                message: format!("ingest queue at {} (high water {hw})", handle.queue_depth()),
-            });
-        }
-    }
-    let mut mods: Vec<Modification> = Vec::new();
-    if let Err(err) = s.decode_mods_into(&mut mods) {
-        return FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: format!("undecodable request: {err}"),
-        });
-    }
-    let table = s.table as usize;
-    match try_submit_registry(shared, handle, table, &mods) {
-        SubmitRegistryStep::Parked => FrameOutcome::Wait(Pending::SubmitRegistry {
-            table,
-            mods,
-            ticket: None,
-            started: Instant::now(),
-            deadline,
-        }),
-        SubmitRegistryStep::Durable(ticket) => FrameOutcome::Wait(Pending::SubmitRegistry {
-            table,
-            mods,
-            ticket: Some(ticket),
-            started: Instant::now(),
-            deadline,
-        }),
-        SubmitRegistryStep::Reply(resp) => FrameOutcome::Reply(resp),
-    }
-}
-
-/// One admission attempt for a decoded registry batch.
-fn try_submit_registry(
-    shared: &Shared,
-    handle: &RegistryHandle,
-    table: usize,
-    mods: &[Modification],
-) -> SubmitRegistryStep {
-    let accepted = mods.len() as u64;
-    if shared.cfg.durable_acks {
-        return match handle.try_ingest_batch_tracked(table, mods.to_vec()) {
-            Ok(ticket) => {
-                shared
-                    .stats
-                    .submitted_events
-                    .fetch_add(accepted, Ordering::Relaxed);
-                SubmitRegistryStep::Durable(ticket)
-            }
-            Err(TrySendError::Full) => SubmitRegistryStep::Parked,
-            Err(TrySendError::Disconnected) => {
-                SubmitRegistryStep::Reply(registry_unavailable(handle))
-            }
-        };
-    }
-    match handle.try_ingest_batch(table, mods.to_vec()) {
-        Ok(()) => {
-            shared
-                .stats
-                .submitted_events
-                .fetch_add(accepted, Ordering::Relaxed);
-            SubmitRegistryStep::Reply(Response::SubmitOk { accepted })
-        }
-        Err(TrySendError::Full) => SubmitRegistryStep::Parked,
-        Err(TrySendError::Disconnected) => SubmitRegistryStep::Reply(registry_unavailable(handle)),
-    }
-}
-
-/// Polls the apply ticket of an admitted durable-ack registry submit.
-fn poll_registry_apply(
-    shared: &Shared,
-    ticket: &RegistryApplyTicket,
-    accepted: u64,
-    started: Instant,
-    deadline: Duration,
-) -> Option<Response> {
-    match ticket.try_take() {
-        Ok(Some(Ok(()))) => Some(Response::SubmitOk { accepted }),
-        Ok(Some(Err(err))) => Some(Response::Error {
-            code: ErrorCode::Internal,
-            message: format!("apply failed after admission: {err}"),
-        }),
-        Ok(None) if started.elapsed() >= deadline => {
-            shared
-                .stats
-                .deadline_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            Some(Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                message: format!(
-                    "batch admitted but not applied within {deadline:?}; durability indeterminate"
-                ),
-            })
-        }
-        Ok(None) => None,
-        Err(_) => Some(Response::Error {
-            code: ErrorCode::Internal,
-            message: "scheduler stopped after admission; write durability indeterminate".into(),
-        }),
-    }
-}
-
-/// The sharded submit entry point. The whole batch is split by owning
-/// shard and admission-checked against *every* target shard before the
-/// first sub-batch is enqueued, so pre-admission rejections
-/// (`BadRequest`, `Overloaded`, `ShardUnavailable`) are retry-safe: no
-/// shard has seen any part of the batch.
-fn submit_sharded(
-    shared: &Shared,
-    router: &ShardRouter,
-    s: SubmitRef<'_>,
-    deadline: Duration,
-) -> FrameOutcome {
-    if (s.table as usize) >= shared.n_tables {
-        return FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: format!(
-                "table {} out of range ({} tables)",
-                s.table, shared.n_tables
-            ),
-        });
-    }
-    let mut mods: Vec<Modification> = Vec::new();
-    if let Err(err) = s.decode_mods_into(&mut mods) {
-        return FrameOutcome::Reply(Response::Error {
-            code: ErrorCode::BadRequest,
-            message: format!("undecodable request: {err}"),
-        });
-    }
-    let table = s.table as usize;
     // Routing errors (repartitioning update, arity too short for the
     // partition column) are the client's fault — typed, before any
     // side effect.
-    let mut parts = match router.split_batch(table, mods) {
+    let parts = match router.split_batch(table, mods) {
         Ok(p) => p,
         Err(err) => {
             return FrameOutcome::Reply(Response::Error {
@@ -1855,58 +1484,60 @@ fn submit_sharded(
     if parts.is_empty() {
         return FrameOutcome::Reply(Response::SubmitOk { accepted: 0 });
     }
-    // Pre-check every target shard: epoch fence, then liveness, then
-    // high water. Failing here — before the first enqueue — is what
-    // keeps retries safe even though the batch spans shards.
-    for (shard, _) in &parts {
-        if s.epoch != 0 {
-            let current = router.epoch_of(*shard);
-            if s.epoch < current {
-                return FrameOutcome::Reply(stale_epoch(*shard, current, s.epoch));
-            }
+    if !one_shard {
+        if let Some(rejection) = precheck(shared, router, s.epoch, parts.iter().map(|p| p.0)) {
+            return FrameOutcome::Reply(rejection);
         }
-        let Some(handle) = router.handle(*shard) else {
-            return FrameOutcome::Reply(shard_unavailable(*shard));
+    }
+    let mut st = SubmitState {
+        table,
+        epoch: s.epoch,
+        total: parts.len(),
+        parts,
+        accepted: 0,
+        tickets: Vec::new(),
+        started: Instant::now(),
+        deadline,
+    };
+    match try_submit(shared, router, &mut st) {
+        Some(resp) => FrameOutcome::Reply(resp),
+        None => FrameOutcome::Wait(Pending::Submit(st)),
+    }
+}
+
+/// The whole-batch admission check over every target shard: epoch
+/// fence, then liveness, then high water. Failing here — before the
+/// first enqueue — is what keeps retries safe even when the batch spans
+/// shards.
+fn precheck(
+    shared: &Shared,
+    router: &ShardRouter,
+    epoch: u64,
+    targets: impl Iterator<Item = usize>,
+) -> Option<Response> {
+    let high_water = shared.cfg.submit_high_water;
+    for shard in targets {
+        let current = router.epoch_of(shard);
+        if epoch != 0 && epoch < current {
+            return Some(stale_epoch(shard, current, epoch));
+        }
+        let Some(depth) = router.with_handle(shard, |h| high_water.map(|_| h.queue_depth())) else {
+            return Some(shard_unavailable(shard));
         };
-        if let Some(hw) = shared.cfg.submit_high_water {
-            let depth = handle.queue_depth();
+        if let (Some(depth), Some(hw)) = (depth, high_water) {
             if depth >= hw {
                 shared
                     .stats
                     .overload_rejections
                     .fetch_add(1, Ordering::Relaxed);
-                return FrameOutcome::Reply(Response::Error {
+                return Some(Response::Error {
                     code: ErrorCode::Overloaded,
                     message: format!("shard {shard} ingest queue at {depth} (high water {hw})"),
                 });
             }
         }
     }
-    let total = parts.len();
-    let mut accepted = 0u64;
-    let mut tickets = Vec::new();
-    match try_submit_sharded(
-        shared,
-        router,
-        table,
-        s.epoch,
-        &mut parts,
-        &mut accepted,
-        total,
-        &mut tickets,
-    ) {
-        Some(resp) => FrameOutcome::Reply(resp),
-        None => FrameOutcome::Wait(Pending::SubmitSharded {
-            table,
-            epoch: s.epoch,
-            parts,
-            accepted,
-            total,
-            tickets,
-            started: Instant::now(),
-            deadline,
-        }),
-    }
+    None
 }
 
 /// One admission round over the remaining sub-batches. `None` parks the
@@ -1917,17 +1548,7 @@ fn submit_sharded(
 /// target died before anything was admitted, `Internal` when a target
 /// died *after* part of the batch was admitted (the client must
 /// reconcile, not blindly retry).
-#[allow(clippy::too_many_arguments)]
-fn try_submit_sharded(
-    shared: &Shared,
-    router: &ShardRouter,
-    table: usize,
-    epoch: u64,
-    parts: &mut Vec<(usize, Vec<Modification>)>,
-    accepted: &mut u64,
-    total: usize,
-    tickets: &mut Vec<ApplyTicket>,
-) -> Option<Response> {
+fn try_submit(shared: &Shared, router: &ShardRouter, st: &mut SubmitState) -> Option<Response> {
     // Re-run the epoch fence on every admission round, not just the
     // initial pre-check: a submit parked on a full queue can outlive a
     // failover, and admitting it afterwards would feed the promoted
@@ -1936,65 +1557,62 @@ fn try_submit_sharded(
     // reject. Rejection is only retry-safe while nothing has been
     // admitted; past that point the partial-submit paths below own the
     // error semantics.
-    if epoch != 0 && *accepted == 0 {
-        for (shard, _) in parts.iter() {
+    if st.epoch != 0 && st.accepted == 0 {
+        for (shard, _) in &st.parts {
             let current = router.epoch_of(*shard);
-            if epoch < current {
-                return Some(stale_epoch(*shard, current, epoch));
+            if st.epoch < current {
+                return Some(stale_epoch(*shard, current, st.epoch));
             }
         }
     }
     let durable = shared.cfg.durable_acks;
     let mut i = 0;
-    while i < parts.len() {
-        let (shard, mods) = &parts[i];
+    while i < st.parts.len() {
+        let (shard, mods) = &st.parts[i];
         let shard = *shard;
         let events = mods.len() as u64;
-        // Clone keeps the sub-batch owned by the connection until its
-        // admission actually succeeds (rows are `Arc`s; cheap).
-        let step = if durable {
-            match router.handle(shard) {
-                None => Err(RouteError::ShardUnavailable(shard)),
-                Some(h) => match h.try_ingest_batch_tracked(table, mods.clone()) {
-                    Ok(t) => {
-                        tickets.push(t);
-                        Ok(())
-                    }
-                    Err(TrySendError::Full) => Err(RouteError::Overloaded(shard)),
-                    Err(TrySendError::Disconnected) => Err(RouteError::ShardUnavailable(shard)),
-                },
+        // The clone is cheap (rows are `Arc`s) and keeps the sub-batch
+        // owned by the connection until its admission actually succeeds.
+        let step = router.with_handle(shard, |h| {
+            if durable {
+                h.try_ingest_batch_tracked(st.table, mods.clone()).map(Some)
+            } else {
+                h.try_ingest_batch(st.table, mods.clone()).map(|()| None)
             }
-        } else {
-            router.try_submit_shard(shard, table, mods.clone())
-        };
+        });
         match step {
-            Ok(()) => {
-                *accepted += events;
+            Some(Ok(ticket)) => {
+                st.tickets.extend(ticket.map(|t| (shard, t)));
+                st.accepted += events;
                 shared
                     .stats
                     .submitted_events
                     .fetch_add(events, Ordering::Relaxed);
-                parts.swap_remove(i);
+                st.parts.swap_remove(i);
             }
-            Err(RouteError::Overloaded(_)) => i += 1,
-            Err(RouteError::ShardUnavailable(_)) => {
-                if *accepted == 0 {
+            Some(Err(TrySendError::Full)) => i += 1,
+            gone => {
+                if gone.is_some() {
+                    router.mark_dead(shard);
+                }
+                if st.accepted == 0 {
                     return Some(shard_unavailable(shard));
                 }
                 return Some(Response::Error {
                     code: ErrorCode::Internal,
                     message: format!(
                         "partial submit: shard {shard} died after {} events \
-                         ({} of {total} sub-batches) were admitted",
-                        *accepted,
-                        total - parts.len()
+                         ({} of {} sub-batches) were admitted",
+                        st.accepted,
+                        st.total - st.parts.len(),
+                        st.total
                     ),
                 });
             }
         }
     }
-    (parts.is_empty() && tickets.is_empty()).then_some(Response::SubmitOk {
-        accepted: *accepted,
+    (st.parts.is_empty() && st.tickets.is_empty()).then_some(Response::SubmitOk {
+        accepted: st.accepted,
     })
 }
 
@@ -2019,52 +1637,82 @@ fn shard_unavailable(shard: usize) -> Response {
     }
 }
 
-fn all_shards_unavailable() -> Response {
+/// The rejection for a request no shard is left to answer, carrying
+/// the scheduler error that explains why (when one was recorded — a
+/// crash is silent).
+fn unavailable(router: &ShardRouter) -> Response {
     Response::Error {
         code: ErrorCode::Unavailable,
-        message: "all shards unavailable".into(),
+        message: match router.last_error() {
+            Some(e) => format!("scheduler stopped: {e}"),
+            None => "scheduler stopped".into(),
+        },
     }
 }
 
-/// Polls the apply tickets of an admitted durable-ack submit. `None`
-/// keeps waiting; `SubmitOk` once every ticket confirms its sub-batch
-/// applied (and WAL-logged). Every failure past this point is
-/// `Internal`/`DeadlineExceeded`, never retry-safe: the batch (or part
-/// of it) is already in a scheduler queue, and its durability is
-/// indeterminate at best.
-fn poll_apply_tickets(
-    shared: &Shared,
-    tickets: &mut Vec<ApplyTicket>,
-    accepted: u64,
-    started: Instant,
-    deadline: Duration,
-) -> Option<Response> {
-    let mut i = 0;
-    while i < tickets.len() {
-        match tickets[i].try_take() {
-            Ok(Some(Ok(()))) => {
-                tickets.swap_remove(i);
-            }
-            Ok(Some(Err(err))) => {
-                return Some(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: format!("apply failed after admission: {err}"),
-                });
-            }
-            Ok(None) => i += 1,
-            Err(_) => {
-                return Some(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "scheduler stopped after admission; write durability indeterminate"
-                        .into(),
-                });
-            }
+/// Advances a pending submit: another admission round for the parked
+/// sub-batches, then — once all are in — the apply tickets of a
+/// durable-ack submit.
+fn poll_submit(shared: &Shared, router: &ShardRouter, st: &mut SubmitState) -> Option<Response> {
+    if let Some(resp) = try_submit(shared, router, st) {
+        return Some(resp);
+    }
+    let expired = st.started.elapsed() >= st.deadline;
+    if !st.parts.is_empty() {
+        if !expired {
+            return None;
         }
+        shared
+            .stats
+            .overload_rejections
+            .fetch_add(1, Ordering::Relaxed);
+        return Some(if st.accepted == 0 {
+            // Nothing enqueued on any shard, so the rejection is
+            // retry-safe — Overloaded, not DeadlineExceeded.
+            Response::Error {
+                code: ErrorCode::Overloaded,
+                message: format!("ingest queue stayed at capacity for {:?}", st.deadline),
+            }
+        } else {
+            // Part of the batch is in; an Overloaded reply would invite
+            // a double-applying retry. Be honest instead.
+            Response::Error {
+                code: ErrorCode::Internal,
+                message: format!(
+                    "partial submit: {} events admitted, {} of {} sub-batches still \
+                     queued at deadline",
+                    st.accepted,
+                    st.parts.len(),
+                    st.total
+                ),
+            }
+        });
     }
-    if tickets.is_empty() {
-        return Some(Response::SubmitOk { accepted });
+    // Every sub-batch is admitted; only the apply outcomes are
+    // outstanding. Every failure past this point is `Internal` /
+    // `DeadlineExceeded`, never retry-safe: the batch is already in a
+    // scheduler queue, and its durability is indeterminate at best.
+    let mut failed: Option<String> = None;
+    poll_fan_out(router, &mut st.tickets, |_, applied| match applied {
+        Some(Ok(())) => {}
+        Some(Err(err)) => failed = Some(format!("apply failed after admission: {err}")),
+        None => {
+            failed =
+                Some("scheduler stopped after admission; write durability indeterminate".into())
+        }
+    });
+    if let Some(message) = failed {
+        return Some(Response::Error {
+            code: ErrorCode::Internal,
+            message,
+        });
     }
-    if started.elapsed() >= deadline {
+    if st.tickets.is_empty() {
+        return Some(Response::SubmitOk {
+            accepted: st.accepted,
+        });
+    }
+    if expired {
         shared
             .stats
             .deadline_rejections
@@ -2072,406 +1720,105 @@ fn poll_apply_tickets(
         return Some(Response::Error {
             code: ErrorCode::DeadlineExceeded,
             message: format!(
-                "batch admitted but not applied within {deadline:?}; durability indeterminate"
+                "batch admitted but not applied within {:?}; durability indeterminate",
+                st.deadline
             ),
         });
     }
     None
 }
 
-/// Polls one pending ticket (or ticket fan-out). Returns true when it
-/// resolved (a response was queued and `conn.pending` cleared).
-fn poll_pending(shared: &Shared, backend: &Backend, conn: &mut Conn) -> bool {
+/// Polls one pending ticket fan-out. Returns true when it resolved (a
+/// response was queued and `conn.pending` cleared).
+fn poll_pending(shared: &Shared, router: &ShardRouter, conn: &mut Conn) -> bool {
     let Some(pending) = conn.pending.as_mut() else {
         return false;
     };
+    let engine_error = |err: aivm_engine::EngineError| Response::Error {
+        code: ErrorCode::Internal,
+        message: err.to_string(),
+    };
     let resolved: Option<Response> = match pending {
-        Pending::Submit {
-            table,
-            mods,
-            ticket,
-            started,
-            deadline,
-        } => {
-            let Backend::Single(handle) = backend else {
-                return mismatched_pending(conn);
-            };
-            if ticket.is_some() {
-                // Admitted under durable acks: the batch is in; only
-                // the apply outcome is outstanding.
-                let mut one = Vec::new();
-                if let Some(t) = ticket.take() {
-                    one.push(t);
-                }
-                let resolved =
-                    poll_apply_tickets(shared, &mut one, mods.len() as u64, *started, *deadline);
-                if resolved.is_none() {
-                    *ticket = one.pop();
-                }
-                resolved
-            } else {
-                match try_submit(shared, handle, *table, mods) {
-                    SubmitStep::Reply(resp) => Some(resp),
-                    SubmitStep::Durable(t) => {
-                        *ticket = Some(t);
-                        None
-                    }
-                    SubmitStep::Parked if started.elapsed() >= *deadline => {
-                        // Still nothing enqueued, so the rejection is
-                        // retry-safe — Overloaded, not DeadlineExceeded.
-                        shared
-                            .stats
-                            .overload_rejections
-                            .fetch_add(1, Ordering::Relaxed);
-                        Some(Response::Error {
-                            code: ErrorCode::Overloaded,
-                            message: format!("ingest queue stayed at capacity for {deadline:?}"),
-                        })
-                    }
-                    SubmitStep::Parked => None,
-                }
-            }
-        }
-        Pending::SubmitSharded {
-            table,
-            epoch,
-            parts,
-            accepted,
-            total,
-            tickets,
-            started,
-            deadline,
-        } => {
-            let Backend::Sharded(router) = backend else {
-                return mismatched_pending(conn);
-            };
-            match try_submit_sharded(
-                shared, router, *table, *epoch, parts, accepted, *total, tickets,
-            ) {
-                Some(resp) => Some(resp),
-                None if parts.is_empty() => {
-                    // Every sub-batch is admitted; with durable acks
-                    // the reply now waits on the apply tickets.
-                    poll_apply_tickets(shared, tickets, *accepted, *started, *deadline)
-                }
-                None if started.elapsed() >= *deadline => {
-                    shared
-                        .stats
-                        .overload_rejections
-                        .fetch_add(1, Ordering::Relaxed);
-                    if *accepted == 0 {
-                        // Nothing enqueued on any shard: retry-safe.
-                        Some(Response::Error {
-                            code: ErrorCode::Overloaded,
-                            message: format!(
-                                "shard ingest queues stayed at capacity for {deadline:?}"
-                            ),
-                        })
-                    } else {
-                        // Part of the batch is in; an Overloaded reply
-                        // would invite a double-applying retry. Be
-                        // honest instead.
-                        Some(Response::Error {
-                            code: ErrorCode::Internal,
-                            message: format!(
-                                "partial submit: {accepted} events admitted, \
-                                 {} of {total} sub-batches still queued at deadline",
-                                parts.len()
-                            ),
-                        })
-                    }
-                }
-                None => None,
-            }
-        }
+        Pending::Submit(st) => poll_submit(shared, router, st),
         Pending::Read {
-            ticket,
+            tickets,
+            results,
+            degraded,
             fresh,
             want_rows,
             started,
             deadline,
-        } => match ticket.try_take() {
-            Ok(Some(Ok(r))) => {
-                let checksum = r.rows.as_deref().map(rows_checksum).unwrap_or(0);
-                Some(Response::ReadOk(WireReadResult {
-                    fresh: *fresh,
-                    lag: r.lag,
-                    flush_cost: r.flush_cost,
-                    violated: r.violated,
-                    degraded: false,
-                    checksum,
-                    rows: if *want_rows { r.rows } else { None },
-                }))
-            }
-            Ok(Some(Err(err))) => Some(Response::Error {
-                code: ErrorCode::Internal,
-                message: err.to_string(),
-            }),
-            Ok(None) => deadline_check(shared, *started, *deadline),
-            Err(DeadlineError::Disconnected) | Err(_) => Some(stale_unavailable(shared)),
-        },
-        Pending::ReadSharded {
-            tickets,
-            results,
-            degraded,
-            want_rows,
-            flush,
-            started,
-            deadline,
         } => {
-            let Backend::Sharded(router) = backend else {
-                return mismatched_pending(conn);
-            };
-            let mut failed: Option<Response> = None;
-            let mut i = 0;
-            while i < tickets.len() {
-                let (shard, ticket) = &tickets[i];
-                let shard = *shard;
-                match ticket.try_take() {
-                    Ok(Some(Ok(r))) => {
-                        results.push(r);
-                        tickets.swap_remove(i);
-                    }
-                    Ok(Some(Err(err))) => {
-                        failed = Some(Response::Error {
-                            code: ErrorCode::Internal,
-                            message: err.to_string(),
-                        });
-                        break;
-                    }
-                    Ok(None) => i += 1,
-                    Err(_) => {
-                        // The shard died mid-read: skip it, serve the
-                        // survivors, flag the merge degraded.
-                        router.mark_dead(shard);
-                        *degraded = true;
-                        tickets.swap_remove(i);
-                    }
-                }
-            }
+            let mut failed = None;
+            poll_fan_out(router, tickets, |_, reply| match reply {
+                Some(Ok(r)) => results.push(r),
+                Some(Err(err)) => failed = Some(engine_error(err)),
+                // The shard died mid-read: skip it, serve the
+                // survivors, flag the merge degraded.
+                None => *degraded = true,
+            });
             if failed.is_some() {
                 failed
             } else if !tickets.is_empty() {
                 deadline_check(shared, *started, *deadline)
-            } else if results.is_empty() {
-                Some(all_shards_unavailable())
             } else {
-                match router.merge_reads(results) {
-                    Ok(m) if *flush => Some(Response::FlushOk {
-                        flush_cost: m.flush_cost,
-                        violated: m.violated,
-                    }),
-                    Ok(m) => Some(Response::ReadOk(WireReadResult {
-                        fresh: true,
-                        lag: m.lag,
-                        flush_cost: m.flush_cost,
-                        violated: m.violated,
-                        degraded: *degraded,
-                        checksum: m.checksum,
-                        rows: want_rows.then_some(m.rows),
-                    })),
-                    Err(err) => Some(Response::Error {
-                        code: ErrorCode::Internal,
-                        message: format!("shard merge failed: {err}"),
-                    }),
-                }
+                let results = std::mem::take(results);
+                Some(finish_read(router, results, *degraded, *fresh, *want_rows))
             }
         }
         Pending::Flush {
-            ticket,
-            started,
-            deadline,
-        } => match ticket.try_take() {
-            Ok(Some(Ok(r))) => Some(Response::FlushOk {
-                flush_cost: r.flush_cost,
-                violated: r.violated,
-            }),
-            Ok(Some(Err(err))) => Some(Response::Error {
-                code: ErrorCode::Internal,
-                message: err.to_string(),
-            }),
-            Ok(None) => deadline_check(shared, *started, *deadline),
-            Err(_) => Some(stale_unavailable(shared)),
-        },
-        Pending::Metrics {
-            ticket,
-            per_shard,
-            started,
-            deadline,
-        } => match ticket.try_take() {
-            Ok(Some(snap)) => {
-                let mut nm = net_metrics(&snap, shared);
-                if let Backend::Single(handle) = backend {
-                    nm.staleness_max = handle.snapshot_for_read().map(|s| s.lag()).unwrap_or(0);
-                }
-                if *per_shard {
-                    nm.per_shard = Some(vec![ShardMetricsRow {
-                        shard: 0,
-                        live: true,
-                        events_ingested: snap.events_ingested,
-                        queue_depth: snap.queue_depth as u64,
-                        flush_count: snap.flush_count,
-                        total_flush_cost: snap.total_flush_cost,
-                        budget: snap.budget,
-                        staleness: nm.staleness_max,
-                        epoch: 0,
-                        replica_lag: 0,
-                        health: 1,
-                    }]);
-                }
-                Some(Response::MetricsOk(Box::new(nm)))
-            }
-            Ok(None) => deadline_check(shared, *started, *deadline),
-            Err(_) => Some(stale_unavailable(shared)),
-        },
-        Pending::MetricsSharded {
             tickets,
-            snaps,
-            per_shard,
-            started,
-            deadline,
-        } => {
-            let Backend::Sharded(router) = backend else {
-                return mismatched_pending(conn);
-            };
-            let mut i = 0;
-            while i < tickets.len() {
-                let (shard, ticket) = &tickets[i];
-                let shard = *shard;
-                match ticket.try_take() {
-                    Ok(Some(snap)) => {
-                        snaps.push((shard, snap));
-                        tickets.swap_remove(i);
-                    }
-                    Ok(None) => i += 1,
-                    Err(_) => {
-                        router.mark_dead(shard);
-                        tickets.swap_remove(i);
-                    }
-                }
-            }
-            if !tickets.is_empty() {
-                deadline_check(shared, *started, *deadline)
-            } else if snaps.is_empty() {
-                Some(all_shards_unavailable())
-            } else {
-                Some(Response::MetricsOk(Box::new(sharded_metrics(
-                    shared, router, snaps, *per_shard,
-                ))))
-            }
-        }
-        Pending::SubmitRegistry {
-            table,
-            mods,
-            ticket,
-            started,
-            deadline,
-        } => {
-            let Backend::Registry(handle) = backend else {
-                return mismatched_pending(conn);
-            };
-            if let Some(t) = ticket.as_ref() {
-                poll_registry_apply(shared, t, mods.len() as u64, *started, *deadline)
-            } else {
-                match try_submit_registry(shared, handle, *table, mods) {
-                    SubmitRegistryStep::Reply(resp) => Some(resp),
-                    SubmitRegistryStep::Durable(t) => {
-                        *ticket = Some(t);
-                        None
-                    }
-                    SubmitRegistryStep::Parked if started.elapsed() >= *deadline => {
-                        shared
-                            .stats
-                            .overload_rejections
-                            .fetch_add(1, Ordering::Relaxed);
-                        Some(Response::Error {
-                            code: ErrorCode::Overloaded,
-                            message: format!("ingest queue stayed at capacity for {deadline:?}"),
-                        })
-                    }
-                    SubmitRegistryStep::Parked => None,
-                }
-            }
-        }
-        Pending::ReadRegistry {
-            ticket,
-            want_rows,
-            started,
-            deadline,
-        } => match ticket.try_take() {
-            Ok(Some(Ok(r))) => {
-                let checksum = r.rows.as_deref().map(rows_checksum).unwrap_or(0);
-                Some(Response::ReadOk(WireReadResult {
-                    fresh: true,
-                    lag: r.lag,
-                    flush_cost: r.flush_cost,
-                    violated: r.violated,
-                    degraded: false,
-                    checksum,
-                    rows: if *want_rows { r.rows } else { None },
-                }))
-            }
-            Ok(Some(Err(err))) => Some(Response::Error {
-                code: ErrorCode::Internal,
-                message: err.to_string(),
-            }),
-            Ok(None) => deadline_check(shared, *started, *deadline),
-            Err(_) => Some(stale_unavailable(shared)),
-        },
-        Pending::FlushRegistry {
-            tickets,
-            flush_cost,
+            costs,
             violated,
             started,
             deadline,
         } => {
-            let mut failed: Option<Response> = None;
-            let mut i = 0;
-            while i < tickets.len() {
-                match tickets[i].try_take() {
-                    Ok(Some(Ok(r))) => {
-                        *flush_cost += r.flush_cost;
-                        *violated |= r.violated;
-                        tickets.swap_remove(i);
-                    }
-                    Ok(Some(Err(err))) => {
-                        failed = Some(Response::Error {
-                            code: ErrorCode::Internal,
-                            message: err.to_string(),
-                        });
-                        break;
-                    }
-                    Ok(None) => i += 1,
-                    Err(_) => {
-                        failed = Some(stale_unavailable(shared));
-                        break;
-                    }
+            let mut failed = None;
+            poll_fan_out(router, tickets, |shard, reply| match reply {
+                Some(Ok(r)) => {
+                    costs.push((shard, r.flush_cost));
+                    *violated |= r.violated;
                 }
-            }
+                Some(Err(err)) => failed = Some(engine_error(err)),
+                None => costs.retain(|(s, _)| *s != shard),
+            });
             if failed.is_some() {
                 failed
             } else if !tickets.is_empty() {
                 deadline_check(shared, *started, *deadline)
+            } else if costs.is_empty() {
+                Some(unavailable(router))
             } else {
+                let mut per_shard = vec![0.0f64; router.shards()];
+                for (shard, cost) in costs.iter() {
+                    per_shard[*shard] += cost;
+                }
                 Some(Response::FlushOk {
-                    flush_cost: *flush_cost,
+                    flush_cost: per_shard.into_iter().fold(0.0, f64::max),
                     violated: *violated,
                 })
             }
         }
-        Pending::MetricsRegistry {
-            ticket,
+        Pending::Metrics {
+            tickets,
+            snaps,
             per_shard,
             per_view,
             started,
             deadline,
-        } => match ticket.try_take() {
-            Ok(Some(mm)) => Some(Response::MetricsOk(Box::new(registry_net_metrics(
-                shared, &mm, *per_shard, *per_view,
-            )))),
-            Ok(None) => deadline_check(shared, *started, *deadline),
-            Err(_) => Some(stale_unavailable(shared)),
-        },
+        } => {
+            poll_fan_out(router, tickets, |shard, reply| {
+                snaps.extend(reply.map(|snap| (shard, snap)))
+            });
+            if !tickets.is_empty() {
+                deadline_check(shared, *started, *deadline)
+            } else if snaps.is_empty() {
+                Some(unavailable(router))
+            } else {
+                let nm = wire_metrics(shared, router, snaps, *per_shard, *per_view);
+                Some(Response::MetricsOk(Box::new(nm)))
+            }
+        }
     };
     match resolved {
         Some(resp) => {
@@ -2480,96 +1827,6 @@ fn poll_pending(shared: &Shared, backend: &Backend, conn: &mut Conn) -> bool {
             true
         }
         None => false,
-    }
-}
-
-/// Defensive: a pending variant met the wrong backend kind (cannot
-/// happen — variants are constructed per backend). Fail the request
-/// typed rather than panicking the worker.
-fn mismatched_pending(conn: &mut Conn) -> bool {
-    conn.pending = None;
-    queue_response(
-        conn,
-        &Response::Error {
-            code: ErrorCode::Internal,
-            message: "pending request does not match server backend".into(),
-        },
-    );
-    true
-}
-
-/// Folds the gathered per-shard snapshots into the merged wire metrics:
-/// counters sum, staleness takes the worst shard, and the optional
-/// per-shard breakdown includes dead slots with `live: false`.
-fn sharded_metrics(
-    shared: &Shared,
-    router: &ShardRouter,
-    snaps: &[(usize, MetricsSnapshot)],
-    per_shard: bool,
-) -> NetMetrics {
-    let merged = merge_metrics(&snaps.iter().map(|(_, m)| m.clone()).collect::<Vec<_>>());
-    let mut nm = net_metrics(&merged, shared);
-    nm.shards = router.shards() as u64;
-    nm.shards_live = snaps.len() as u64;
-    let lag_of = |i: usize| -> u64 {
-        router
-            .handle(i)
-            .and_then(|h| h.snapshot_for_read())
-            .map(|s| s.lag())
-            .unwrap_or(0)
-    };
-    let replica_lag_of =
-        |i: usize| -> u64 { router.replica_status(i).map(|r| r.lag()).unwrap_or(0) };
-    nm.staleness_max = (0..router.shards()).map(lag_of).max().unwrap_or(0);
-    nm.failovers = router.failovers();
-    nm.cluster_epoch = router.cluster_epoch();
-    nm.replica_lag_max = (0..router.shards()).map(replica_lag_of).max().unwrap_or(0);
-    if per_shard {
-        let rows = (0..router.shards())
-            .map(|i| match snaps.iter().find(|(s, _)| *s == i) {
-                Some((_, m)) => ShardMetricsRow {
-                    shard: i as u32,
-                    live: true,
-                    events_ingested: m.events_ingested,
-                    queue_depth: m.queue_depth as u64,
-                    flush_count: m.flush_count,
-                    total_flush_cost: m.total_flush_cost,
-                    budget: m.budget,
-                    staleness: lag_of(i),
-                    epoch: router.epoch_of(i),
-                    replica_lag: replica_lag_of(i),
-                    health: shard_health(router, i, true),
-                },
-                None => ShardMetricsRow {
-                    shard: i as u32,
-                    live: false,
-                    events_ingested: 0,
-                    queue_depth: 0,
-                    flush_count: 0,
-                    total_flush_cost: 0.0,
-                    budget: 0.0,
-                    staleness: 0,
-                    epoch: router.epoch_of(i),
-                    replica_lag: replica_lag_of(i),
-                    health: shard_health(router, i, false),
-                },
-            })
-            .collect();
-        nm.per_shard = Some(rows);
-    }
-    nm
-}
-
-/// The per-shard health code surfaced in metrics rows: 0 = leader dead,
-/// 1 = leader live with no (healthy) follower tailing, 2 = leader live
-/// with a healthy follower.
-fn shard_health(router: &ShardRouter, i: usize, live: bool) -> u8 {
-    if !live {
-        return 0;
-    }
-    match router.replica_status(i) {
-        Some(r) if r.healthy() => 2,
-        _ => 1,
     }
 }
 
@@ -2589,25 +1846,6 @@ fn deadline_check(shared: &Shared, started: Instant, deadline: Duration) -> Opti
             started.elapsed()
         ),
     })
-}
-
-fn unavailable(handle: &ServeHandle) -> Response {
-    Response::Error {
-        code: ErrorCode::Unavailable,
-        message: match handle.last_error() {
-            Some(e) => format!("scheduler stopped: {e}"),
-            None => "scheduler stopped".into(),
-        },
-    }
-}
-
-/// `unavailable` for contexts that only have the shared state (the
-/// pending poller); the ticket's disconnect already names the cause.
-fn stale_unavailable(_shared: &Shared) -> Response {
-    Response::Error {
-        code: ErrorCode::Unavailable,
-        message: "scheduler stopped".into(),
-    }
 }
 
 fn queue_response(conn: &mut Conn, resp: &Response) {
@@ -2644,11 +1882,44 @@ fn flush_wbuf(conn: &mut Conn) {
     }
 }
 
-/// Folds a runtime snapshot and the net-layer counters into the wire
-/// metrics struct.
-fn net_metrics(snap: &MetricsSnapshot, shared: &Shared) -> NetMetrics {
+/// Folds the gathered per-shard snapshots and the net-layer counters
+/// into the wire metrics: counters sum across shards, staleness takes
+/// the worst (shard × view), the view axis is whatever the runtimes
+/// report (a single-view runtime reports none), and the optional
+/// per-shard breakdown includes dead slots with `live: false`.
+fn wire_metrics(
+    shared: &Shared,
+    router: &ShardRouter,
+    snaps: &[(usize, MultiMetricsSnapshot)],
+    per_shard: bool,
+    per_view: bool,
+) -> NetMetrics {
+    let merged;
+    let snap = if router.shards() == 1 {
+        // One shard's counters are the totals as they stand.
+        &snaps[0].1.global
+    } else {
+        let globals: Vec<_> = snaps.iter().map(|(_, m)| m.global.clone()).collect();
+        merged = merge_metrics(&globals);
+        &merged
+    };
+    // A shard is as stale as its stalest view's last published
+    // snapshot — read through the *uncounted* accessor: a Metrics
+    // request is not a served read.
+    let staleness_of = |i: usize| -> u64 {
+        let worst = |h: &ServeHandle| {
+            (0..router.views())
+                .filter_map(|v| h.snapshot_view(v))
+                .map(|s| s.lag())
+                .max()
+        };
+        router.with_handle(i, worst).flatten().unwrap_or(0)
+    };
+    let replica_lag_of =
+        |i: usize| -> u64 { router.replica_status(i).map(|r| r.lag()).unwrap_or(0) };
+    let view_rows = || snaps.iter().flat_map(|(_, m)| m.views.iter());
     let stats = &shared.stats;
-    NetMetrics {
+    let mut nm = NetMetrics {
         events_ingested: snap.events_ingested,
         ticks: snap.ticks,
         flush_count: snap.flush_count,
@@ -2674,19 +1945,18 @@ fn net_metrics(snap: &MetricsSnapshot, shared: &Shared) -> NetMetrics {
         submitted_events: stats.submitted_events.load(Ordering::Relaxed),
         overload_rejections: stats.overload_rejections.load(Ordering::Relaxed),
         deadline_rejections: stats.deadline_rejections.load(Ordering::Relaxed),
-        shards: 1,
-        shards_live: 1,
-        staleness_max: 0,
+        shards: router.shards() as u64,
+        shards_live: snaps.len() as u64,
+        staleness_max: (0..router.shards()).map(staleness_of).max().unwrap_or(0),
         budget: snap.budget,
         budget_rebalances: snap.budget_rebalances,
-        failovers: 0,
-        cluster_epoch: 0,
-        replica_lag_max: 0,
-        shards_auto: shared.cfg.shards_auto,
-        views: 1,
-        subscribers: 0,
-        deltas_pushed: 0,
-        sub_lag_max: 0,
+        failovers: router.failovers(),
+        cluster_epoch: router.cluster_epoch(),
+        replica_lag_max: (0..router.shards()).map(replica_lag_of).max().unwrap_or(0),
+        views: router.views() as u64,
+        subscribers: view_rows().map(|v| v.subscribers).sum(),
+        deltas_pushed: view_rows().map(|v| v.deltas_pushed).sum(),
+        sub_lag_max: view_rows().map(|v| v.sub_lag_max).max().unwrap_or(0),
         heavy_keys: snap.heavy_keys,
         heavy_reclassifications: snap.heavy_reclassifications,
         heavy_hits: snap.heavy_hits,
@@ -2694,65 +1964,53 @@ fn net_metrics(snap: &MetricsSnapshot, shared: &Shared) -> NetMetrics {
         per_shard: None,
         per_view: None,
         last_error: snap.last_error.clone(),
-    }
-}
-
-/// Folds a registry metrics snapshot into the wire metrics struct:
-/// scheduler-global counters plus the view axis (fleet totals always,
-/// per-view rows when asked for).
-fn registry_net_metrics(
-    shared: &Shared,
-    mm: &MultiMetricsSnapshot,
-    per_shard: bool,
-    per_view: bool,
-) -> NetMetrics {
-    let mut nm = net_metrics(&mm.global, shared);
-    nm.views = mm.views.len() as u64;
-    nm.subscribers = mm.views.iter().map(|v| v.subscribers).sum();
-    nm.deltas_pushed = mm.views.iter().map(|v| v.deltas_pushed).sum();
-    nm.sub_lag_max = mm.views.iter().map(|v| v.sub_lag_max).max().unwrap_or(0);
-    nm.staleness_max = mm.views.iter().map(|v| v.pending).max().unwrap_or(0);
+    };
     if per_shard {
-        nm.per_shard = Some(vec![ShardMetricsRow {
-            shard: 0,
-            live: true,
-            events_ingested: mm.global.events_ingested,
-            queue_depth: mm.global.queue_depth as u64,
-            flush_count: mm.global.flush_count,
-            total_flush_cost: mm.global.total_flush_cost,
-            budget: mm.global.budget,
-            staleness: nm.staleness_max,
-            epoch: 0,
-            replica_lag: 0,
-            health: 1,
-        }]);
+        let rows = (0..router.shards())
+            .map(|i| {
+                let m = snaps.iter().find(|(s, _)| *s == i).map(|(_, m)| &m.global);
+                ShardMetricsRow {
+                    shard: i as u32,
+                    live: m.is_some(),
+                    events_ingested: m.map_or(0, |m| m.events_ingested),
+                    queue_depth: m.map_or(0, |m| m.queue_depth as u64),
+                    flush_count: m.map_or(0, |m| m.flush_count),
+                    total_flush_cost: m.map_or(0.0, |m| m.total_flush_cost),
+                    budget: m.map_or(0.0, |m| m.budget),
+                    staleness: m.map_or(0, |_| staleness_of(i)),
+                    epoch: router.epoch_of(i),
+                    replica_lag: replica_lag_of(i),
+                    health: shard_health(router, i, m.is_some()),
+                }
+            })
+            .collect();
+        nm.per_shard = Some(rows);
     }
-    if per_view {
-        nm.per_view = Some(
-            mm.views
-                .iter()
-                .map(|v| ViewMetricsRow {
-                    view: v.view,
-                    group: v.group,
-                    flushes: v.flushes,
-                    pending: v.pending,
-                    violations: v.violations,
-                    deltas_pushed: v.deltas_pushed,
-                    subscribers: v.subscribers,
-                    sub_lag_max: v.sub_lag_max,
-                })
-                .collect(),
-        );
+    if per_view && view_rows().next().is_some() {
+        let rows = view_rows().map(|v| ViewMetricsRow {
+            view: v.view,
+            group: v.group,
+            flushes: v.flushes,
+            pending: v.pending,
+            violations: v.violations,
+            deltas_pushed: v.deltas_pushed,
+            subscribers: v.subscribers,
+            sub_lag_max: v.sub_lag_max,
+        });
+        nm.per_view = Some(rows.collect());
     }
     nm
 }
 
-/// The same order-independent content checksum as
-/// `MaterializedView::result_checksum`, computed over shipped rows.
-fn rows_checksum(rows: &[WRow]) -> u64 {
-    let mut acc: u64 = 0;
-    for (row, w) in rows {
-        acc = acc.wrapping_add(fxhash::hash_one(&(row, w)));
+/// The per-shard health code surfaced in metrics rows: 0 = leader dead,
+/// 1 = leader live with no (healthy) follower tailing, 2 = leader live
+/// with a healthy follower.
+fn shard_health(router: &ShardRouter, i: usize, live: bool) -> u8 {
+    if !live {
+        return 0;
     }
-    acc
+    match router.replica_status(i) {
+        Some(r) if r.healthy() => 2,
+        _ => 1,
+    }
 }

@@ -54,16 +54,15 @@ pub mod wal;
 pub use fault::{CostOverrun, FaultPlan};
 pub use metrics::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
 pub use multi::{
-    fold_delta, DeltaBatch, FetchOutcome, MultiConfig, MultiMetricsSnapshot, RegistryApplyTicket,
-    RegistryHandle, RegistryMetricsTicket, RegistryReadTicket, RegistryRuntime, RegistryServer,
+    fold_delta, DeltaBatch, FetchOutcome, MultiConfig, MultiMetricsSnapshot, RegistryRuntime,
     SubscriptionHub, ViewMetricsSnapshot, APPLY_SHARE, DELTA_RING_CAP,
 };
 pub use policy::{AsSolverPolicy, FlushPolicy, NaiveFlush, OnlineFlush, PlannedFlush};
 pub use queue::TrySendError;
 pub use runtime::{MaintenanceRuntime, ReadMode, ReadResult, ServeConfig, TickReport};
 pub use server::{
-    ApplyTicket, DeadlineError, MetricsTicket, ReadTicket, ServeError, ServeHandle, ServeServer,
-    ServerConfig,
+    ApplyTicket, DeadlineError, Handle, MetricsTicket, ReadTicket, RegistryHandle, RegistryServer,
+    Runtime, ServeError, ServeHandle, ServeServer, Server, ServerConfig, Ticket,
 };
 pub use trace::{Trace, TraceStep};
 pub use wal::{

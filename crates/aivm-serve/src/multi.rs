@@ -37,17 +37,16 @@
 //! and benches; production-scale logs would add a checkpoint exactly
 //! like the single-view runtime's).
 //!
-//! [`RegistryServer`]/[`RegistryHandle`] mirror the single-view
-//! [`ServeServer`](crate::server::ServeServer): a bounded weighted MPSC
-//! queue in front of a scheduler thread, wait-free stale reads from hub
-//! snapshots, poll-style tickets for event-loop frontends, and a
-//! poisoned last-error slot on hard failures.
+//! The threaded layer is the generic [`Server`](crate::server::Server):
+//! [`RegistryRuntime`] implements [`Runtime`] and is driven by the same
+//! scheduler loop, queue, tickets, fence and snapshot slots as the
+//! single-view runtime.
 
+use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::policy::{FlushPolicy, NaiveFlush};
-use crate::queue::{channel, Receiver, RecvError, Sender, TrySendError};
 use crate::runtime::{ReadMode, ReadResult};
-use crate::server::{DeadlineError, ServeError, ServerConfig};
+use crate::server::Runtime;
 use crate::wal::{read_wal, WalRecord, WalWriter};
 use aivm_core::{fits, total_cost, CostModel, Counts};
 use aivm_engine::exec::consolidate;
@@ -56,9 +55,7 @@ use aivm_solver::PolicyContext;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError as MpscTrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Fraction of a table's propagation cost charged per *additional*
@@ -120,7 +117,6 @@ pub struct SubscriptionHub {
     channels: Vec<Mutex<ViewChannel>>,
     subscribers: Vec<AtomicU64>,
     sub_lag_max: Vec<AtomicU64>,
-    snapshot_reads: AtomicU64,
 }
 
 impl SubscriptionHub {
@@ -140,7 +136,6 @@ impl SubscriptionHub {
                 .collect(),
             subscribers: (0..n).map(|_| AtomicU64::new(0)).collect(),
             sub_lag_max: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            snapshot_reads: AtomicU64::new(0),
         }
     }
 
@@ -178,17 +173,6 @@ impl SubscriptionHub {
     /// The latest published snapshot of a view (O(1) `Arc` clone).
     pub fn snapshot(&self, view: usize) -> Arc<ViewSnapshot> {
         Arc::clone(&self.lock(view).snapshot)
-    }
-
-    /// [`SubscriptionHub::snapshot`], counted as a served stale read.
-    pub fn snapshot_for_read(&self, view: usize) -> Arc<ViewSnapshot> {
-        self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-        self.snapshot(view)
-    }
-
-    /// Stale reads served straight from hub snapshots so far.
-    pub fn snapshot_reads(&self) -> u64 {
-        self.snapshot_reads.load(Ordering::Relaxed)
     }
 
     /// The seq of the latest published batch (the head a subscriber
@@ -358,6 +342,7 @@ pub struct RegistryRuntime {
     /// Last snapshot pushed to the hub, per view (diff base).
     published: Vec<Arc<ViewSnapshot>>,
     view_violations: Vec<u64>,
+    faults: FaultPlan,
     demoted: bool,
     rebalances: u64,
     recoveries: u64,
@@ -442,6 +427,7 @@ impl RegistryRuntime {
             metrics: Metrics::new(n_cells),
             wal: None,
             view_violations: vec![0; n_views],
+            faults: FaultPlan::none(),
             demoted: false,
             rebalances: 0,
             recoveries: 0,
@@ -487,6 +473,14 @@ impl RegistryRuntime {
     /// event is appended to it.
     pub fn attach_wal(&mut self, wal: WalWriter) {
         self.wal = Some(wal);
+    }
+
+    /// Installs a fault-injection plan. The policy-level triggers
+    /// (`policy_panic_at`, `flush_error_at`) demote to [`NaiveFlush`]
+    /// exactly as on the single-view runtime; `cost_overrun` is inert
+    /// here because this runtime does not recalibrate its cost models.
+    pub fn set_faults(&mut self, plan: FaultPlan) {
+        self.faults = plan;
     }
 
     /// The wrapped registry (read access for harnesses and benches).
@@ -602,7 +596,15 @@ impl RegistryRuntime {
     pub fn tick(&mut self) -> Result<crate::runtime::TickReport, EngineError> {
         let t = self.t;
         self.window = Counts::zero(self.ctx.n());
-        let action = self.decide_guarded(t);
+        let mut action = self.decide_guarded(t);
+        if self.faults.flush_fails(t) {
+            // Injected pre-write flush failure: a no-op flush, and the
+            // policy that asked for it is demoted.
+            self.faults.flush_error_at = None;
+            self.metrics.flush_errors += 1;
+            self.demote();
+            action = Counts::zero(self.ctx.n());
+        }
         let cost = self.execute_flush(&action)?;
         let violated = self.ctx.is_full(&self.pending);
         self.metrics.ticks += 1;
@@ -678,7 +680,6 @@ impl RegistryRuntime {
         global.budget = self.ctx.budget;
         global.budget_rebalances = self.rebalances;
         global.recoveries = self.recoveries;
-        global.snapshot_reads = self.hub.snapshot_reads();
         let stats = self.registry.stats();
         let views = (0..self.registry.view_count())
             .map(|v| {
@@ -729,12 +730,21 @@ impl RegistryRuntime {
         Ok((cost, violated))
     }
 
-    /// Runs the policy under `catch_unwind`; a panic or overdraw
-    /// permanently demotes to [`NaiveFlush`].
+    /// Runs the policy under `catch_unwind`; a panic (real or injected)
+    /// or overdraw permanently demotes to [`NaiveFlush`].
     fn decide_guarded(&mut self, t: usize) -> Counts {
+        let inject = self.faults.policy_panics(t);
+        if inject {
+            self.faults.policy_panic_at = None;
+        }
         let pending = &self.pending;
         let policy = &mut self.policy;
-        let decided = catch_unwind(AssertUnwindSafe(|| policy.decide(t, pending)));
+        let decided = catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic!("injected policy fault at t = {t}");
+            }
+            policy.decide(t, pending)
+        }));
         match decided {
             Ok(a) if a.len() == self.ctx.n() && a.dominated_by(&self.pending) => return a,
             Ok(_) | Err(_) => {}
@@ -854,444 +864,60 @@ impl RegistryRuntime {
     }
 }
 
-enum Msg {
-    Dml {
-        table: usize,
-        m: Modification,
-    },
-    DmlBatch {
-        table: usize,
-        mods: Vec<Modification>,
-        done: Option<SyncSender<Result<(), EngineError>>>,
-    },
-    Read {
+impl Runtime for RegistryRuntime {
+    fn views(&self) -> usize {
+        self.view_count()
+    }
+
+    fn tables(&self) -> usize {
+        self.table_names.len()
+    }
+
+    fn hub(&self) -> Option<Arc<SubscriptionHub>> {
+        Some(Arc::clone(&self.hub))
+    }
+
+    fn set_faults(&mut self, plan: FaultPlan) {
+        RegistryRuntime::set_faults(self, plan)
+    }
+
+    fn ingest_count(&mut self, _table: usize, _k: u64) -> Result<(), EngineError> {
+        Err(EngineError::Maintenance {
+            message: "registry runtimes ingest modifications, not bare counts".into(),
+        })
+    }
+
+    fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError> {
+        RegistryRuntime::ingest_dml(self, table, m)
+    }
+
+    fn tick(&mut self) -> Result<(), EngineError> {
+        RegistryRuntime::tick(self).map(|_| ())
+    }
+
+    fn read_at(
+        &mut self,
         view: usize,
         mode: ReadMode,
         enqueued: Instant,
-        reply: SyncSender<Result<ReadResult, EngineError>>,
-    },
-    Metrics {
-        reply: SyncSender<MultiMetricsSnapshot>,
-    },
-    SetBudget {
-        budget: f64,
-    },
-}
-
-/// A cloneable producer/client handle to a running [`RegistryServer`].
-#[derive(Clone)]
-pub struct RegistryHandle {
-    tx: Sender<Msg>,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-    hub: Arc<SubscriptionHub>,
-    views: usize,
-    tables: usize,
-}
-
-impl RegistryHandle {
-    /// The subscription hub (network workers pull delta batches and
-    /// snapshots from it without scheduler round-trips).
-    pub fn hub(&self) -> &Arc<SubscriptionHub> {
-        &self.hub
+    ) -> Result<ReadResult, EngineError> {
+        self.read_view_at(view, mode, enqueued)
     }
 
-    /// Number of registered views.
-    pub fn view_count(&self) -> usize {
-        self.views
+    fn set_budget(&mut self, budget: f64) -> Result<(), EngineError> {
+        RegistryRuntime::set_budget(self, budget)
     }
 
-    /// Number of base tables on the global ingest axis.
-    pub fn table_count(&self) -> usize {
-        self.tables
+    fn wal_records(&self) -> u64 {
+        RegistryRuntime::wal_records(self)
     }
 
-    /// The latest published snapshot of a view, counted as a served
-    /// stale read. Wait-free with respect to maintenance.
-    pub fn snapshot_for_read(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
-        (view < self.views).then(|| self.hub.snapshot_for_read(view))
+    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        (view < self.view_count()).then(|| self.registry.snapshot(view))
     }
 
-    /// Ingests one DML event for a global base table. Blocks while the
-    /// queue is full; returns `false` if the server is gone.
-    pub fn ingest_dml(&self, table: usize, m: Modification) -> bool {
-        self.tx.send(Msg::Dml { table, m }, true).is_ok()
-    }
-
-    /// Ingests a whole DML batch as one queue message without blocking
-    /// (a full queue is a typed [`TrySendError::Full`]); the batch
-    /// charges one capacity unit per modification.
-    pub fn try_ingest_batch(
-        &self,
-        table: usize,
-        mods: Vec<Modification>,
-    ) -> Result<(), TrySendError> {
-        let weight = mods.len();
-        self.tx.try_send_weighted(
-            Msg::DmlBatch {
-                table,
-                mods,
-                done: None,
-            },
-            true,
-            weight,
-        )
-    }
-
-    /// [`RegistryHandle::try_ingest_batch`] with an apply + WAL-append
-    /// acknowledgement through the returned ticket.
-    pub fn try_ingest_batch_tracked(
-        &self,
-        table: usize,
-        mods: Vec<Modification>,
-    ) -> Result<RegistryApplyTicket, TrySendError> {
-        let weight = mods.len();
-        let (done, rx) = sync_channel(1);
-        self.tx.try_send_weighted(
-            Msg::DmlBatch {
-                table,
-                mods,
-                done: Some(done),
-            },
-            true,
-            weight,
-        )?;
-        Ok(RegistryApplyTicket { rx })
-    }
-
-    /// Serves a per-view read. Stale reads are answered wait-free from
-    /// the hub snapshot; fresh reads travel through the scheduler.
-    /// `None` if the server is gone.
-    pub fn read_view(
-        &self,
-        view: usize,
-        mode: ReadMode,
-    ) -> Option<Result<ReadResult, EngineError>> {
-        if mode == ReadMode::Stale {
-            let snap = self.snapshot_for_read(view)?;
-            return Some(Ok(ReadResult {
-                lag: snap.lag(),
-                rows: Some(snap.rows.clone()),
-                flush_cost: 0.0,
-                violated: false,
-            }));
-        }
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send_control(Msg::Read {
-                view,
-                mode,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .ok()?;
-        rx.recv().ok()
-    }
-
-    /// Starts a per-view read without waiting for the reply; poll the
-    /// returned ticket. Built for event-loop frontends.
-    pub fn begin_read(&self, view: usize, mode: ReadMode) -> Option<RegistryReadTicket> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send_control(Msg::Read {
-                view,
-                mode,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .ok()?;
-        Some(RegistryReadTicket { rx })
-    }
-
-    /// Starts a metrics fetch without waiting; poll the returned
-    /// ticket. `None` if the server is gone.
-    pub fn begin_metrics(&self) -> Option<RegistryMetricsTicket> {
-        let (reply, rx) = sync_channel(1);
-        self.tx.send_control(Msg::Metrics { reply }).ok()?;
-        Some(RegistryMetricsTicket { rx })
-    }
-
-    /// Fetches a metrics snapshot. `None` if the server is gone.
-    pub fn metrics(&self) -> Option<MultiMetricsSnapshot> {
-        let (reply, rx) = sync_channel(1);
-        self.tx.send_control(Msg::Metrics { reply }).ok()?;
-        rx.recv().ok()
-    }
-
-    /// Requests a refresh-budget change, applied in queue order.
-    /// Returns `false` if the server is gone.
-    pub fn set_budget(&self, budget: f64) -> bool {
-        self.tx.send_control(Msg::SetBudget { budget }).is_ok()
-    }
-
-    /// Current ingest-queue depth (approximate).
-    pub fn queue_depth(&self) -> usize {
-        self.tx.len()
-    }
-
-    /// The error that stopped (or is poisoning) the scheduler, if any.
-    pub fn last_error(&self) -> Option<ServeError> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-}
-
-/// An in-flight per-view read started with
-/// [`RegistryHandle::begin_read`].
-pub struct RegistryReadTicket {
-    rx: std::sync::mpsc::Receiver<Result<ReadResult, EngineError>>,
-}
-
-impl RegistryReadTicket {
-    /// Polls for the reply without blocking. `Ok(None)` means "not
-    /// yet"; `Err` means the scheduler is gone.
-    pub fn try_take(&self) -> Result<Option<Result<ReadResult, EngineError>>, DeadlineError> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(Some(r)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
-    }
-}
-
-/// An in-flight durable-ack batch started with
-/// [`RegistryHandle::try_ingest_batch_tracked`].
-pub struct RegistryApplyTicket {
-    rx: std::sync::mpsc::Receiver<Result<(), EngineError>>,
-}
-
-impl RegistryApplyTicket {
-    /// Polls for completion without blocking. `Ok(None)` means "not
-    /// yet"; `Err` means the scheduler died, batch outcome unknown.
-    pub fn try_take(&self) -> Result<Option<Result<(), EngineError>>, DeadlineError> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(Some(r)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
-    }
-}
-
-/// An in-flight metrics fetch started with
-/// [`RegistryHandle::begin_metrics`].
-pub struct RegistryMetricsTicket {
-    rx: std::sync::mpsc::Receiver<MultiMetricsSnapshot>,
-}
-
-impl RegistryMetricsTicket {
-    /// Polls for the snapshot without blocking. `Ok(None)` means "not
-    /// yet"; `Err` means the scheduler is gone.
-    pub fn try_take(&self) -> Result<Option<MultiMetricsSnapshot>, DeadlineError> {
-        match self.rx.try_recv() {
-            Ok(snap) => Ok(Some(snap)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
-    }
-}
-
-/// A scheduler thread driving a [`RegistryRuntime`]. Reuses
-/// [`ServerConfig`]; fault injection fields other than
-/// `kill_at_record` are ignored (the registry runtime has no fault
-/// plan), and fencing does not apply (the registry path is unsharded).
-pub struct RegistryServer {
-    handle: RegistryHandle,
-    join: JoinHandle<RegistryRuntime>,
-}
-
-impl RegistryServer {
-    /// Spawns the scheduler thread.
-    pub fn spawn(runtime: RegistryRuntime, cfg: ServerConfig) -> Self {
-        let capacity = cfg.queue_capacity.max(1);
-        let high_water = cfg.shed_high_water.map(|h| h.clamp(1, capacity));
-        let (tx, rx) = channel::<Msg>(capacity, high_water);
-        let last_error = Arc::new(Mutex::new(None));
-        let handle = RegistryHandle {
-            tx,
-            last_error: Arc::clone(&last_error),
-            hub: runtime.hub(),
-            views: runtime.view_count(),
-            tables: runtime.table_names().len(),
-        };
-        let join = std::thread::spawn(move || scheduler_loop(runtime, rx, last_error, cfg));
-        RegistryServer { handle, join }
-    }
-
-    /// A new producer/client handle.
-    pub fn handle(&self) -> RegistryHandle {
-        self.handle.clone()
-    }
-
-    /// The error that stopped (or is poisoning) the scheduler, if any.
-    pub fn last_error(&self) -> Option<ServeError> {
-        self.handle.last_error()
-    }
-
-    /// Drops this server's own handle and waits for the scheduler to
-    /// drain and exit, returning the runtime. Any handles cloned from
-    /// this server must be dropped first.
-    pub fn shutdown(self) -> RegistryRuntime {
-        let RegistryServer { handle, join } = self;
-        drop(handle);
-        join.join().expect("registry scheduler thread panicked")
-    }
-}
-
-struct SchedulerState {
-    ingest_errors: u64,
-    max_depth: usize,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-}
-
-impl SchedulerState {
-    fn poison(&self, err: ServeError) {
-        *self.last_error.lock().unwrap_or_else(|e| e.into_inner()) = Some(err);
-    }
-}
-
-fn scheduler_loop(
-    mut runtime: RegistryRuntime,
-    rx: Receiver<Msg>,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-    cfg: ServerConfig,
-) -> RegistryRuntime {
-    let mut st = SchedulerState {
-        ingest_errors: 0,
-        max_depth: 0,
-        last_error,
-    };
-    loop {
-        let mut disconnected = false;
-        match rx.recv_timeout(cfg.tick_interval) {
-            Ok(msg) => {
-                st.max_depth = st.max_depth.max(rx.len() + 1);
-                // Drain up to `max_batch` *events* (modification
-                // weight) before ticking — same backlog bound as the
-                // single-view scheduler.
-                let mut drained = handle_msg(&mut runtime, msg, &rx, &mut st).max(1);
-                while drained < cfg.max_batch.max(1) {
-                    match rx.try_recv() {
-                        Ok(msg) => {
-                            st.max_depth = st.max_depth.max(rx.len() + 1);
-                            drained += handle_msg(&mut runtime, msg, &rx, &mut st).max(1);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Disconnected) => disconnected = true,
-        }
-        if disconnected {
-            break;
-        }
-        let ticks = runtime.metrics().global.ticks;
-        if let Err(source) = runtime.tick() {
-            st.poison(ServeError {
-                ticks,
-                during: "tick",
-                source,
-            });
-            return runtime;
-        }
-        if cfg.faults.should_kill(runtime.wal_records()) {
-            return runtime;
-        }
-    }
-    runtime
-}
-
-/// Applies one queue message, returning its event weight (see the
-/// single-view scheduler for the weighting rationale).
-fn handle_msg(
-    runtime: &mut RegistryRuntime,
-    msg: Msg,
-    rx: &Receiver<Msg>,
-    st: &mut SchedulerState,
-) -> usize {
-    match msg {
-        Msg::Dml { table, m } => {
-            if let Err(source) = runtime.ingest_dml(table, m) {
-                st.ingest_errors += 1;
-                st.poison(ServeError {
-                    ticks: runtime.metrics().global.ticks,
-                    during: "ingest",
-                    source,
-                });
-            }
-            1
-        }
-        Msg::DmlBatch { table, mods, done } => {
-            let weight = mods.len();
-            let mut first_err: Option<EngineError> = None;
-            for m in mods {
-                if let Err(source) = runtime.ingest_dml(table, m) {
-                    st.ingest_errors += 1;
-                    if first_err.is_none() {
-                        first_err = Some(source.clone());
-                    }
-                    st.poison(ServeError {
-                        ticks: runtime.metrics().global.ticks,
-                        during: "ingest",
-                        source,
-                    });
-                }
-            }
-            if let Some(done) = done {
-                let _ = reply_best_effort(
-                    done,
-                    match first_err {
-                        None => Ok(()),
-                        Some(e) => Err(e),
-                    },
-                );
-            }
-            weight
-        }
-        Msg::Read {
-            view,
-            mode,
-            enqueued,
-            reply,
-        } => {
-            let result = runtime.read_view_at(view, mode, enqueued);
-            let _ = reply_best_effort(reply, result);
-            0
-        }
-        Msg::Metrics { reply } => {
-            let mut snap = runtime.metrics();
-            snap.global.queue_depth = rx.len();
-            snap.global.max_queue_depth = st.max_depth;
-            snap.global.shed_events = rx.shed_count();
-            snap.global.ingest_errors = st.ingest_errors;
-            snap.global.last_error = st
-                .last_error
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map(|e| e.to_string());
-            let _ = reply_best_effort(reply, snap);
-            0
-        }
-        Msg::SetBudget { budget } => {
-            if let Err(source) = runtime.set_budget(budget) {
-                st.poison(ServeError {
-                    ticks: runtime.metrics().global.ticks,
-                    during: "set-budget",
-                    source,
-                });
-            }
-            0
-        }
-    }
-}
-
-/// Replies without blocking the scheduler if the requester gave up.
-fn reply_best_effort<T>(reply: SyncSender<T>, value: T) -> Result<(), ()> {
-    match reply.try_send(value) {
-        Ok(()) => Ok(()),
-        Err(MpscTrySendError::Full(_)) | Err(MpscTrySendError::Disconnected(_)) => Err(()),
+    fn metrics(&self) -> MultiMetricsSnapshot {
+        RegistryRuntime::metrics(self)
     }
 }
 
@@ -1299,6 +925,8 @@ fn reply_best_effort<T>(reply: SyncSender<T>, value: T) -> Result<(), ()> {
 mod tests {
     use super::*;
     use crate::policy::OnlineFlush;
+    use crate::queue::TrySendError;
+    use crate::server::{RegistryServer, ServerConfig};
     use crate::wal::{MemWal, WalWriter};
     use aivm_engine::logical::AggFunc;
     use aivm_engine::{
@@ -1610,8 +1238,8 @@ mod tests {
             .unwrap();
         let server = RegistryServer::spawn(rt, ServerConfig::default());
         let h = server.handle();
-        assert_eq!(h.view_count(), 3);
-        assert_eq!(h.table_count(), 2);
+        assert_eq!(h.views(), 3);
+        assert_eq!(h.tables(), 2);
         let mut producers = Vec::new();
         for p in 0..2 {
             let h = server.handle();
@@ -1636,7 +1264,7 @@ mod tests {
             let stale = h.read_view(v, ReadMode::Stale).expect("alive").unwrap();
             assert!(stale.rows.is_some());
         }
-        let m = h.metrics().expect("alive");
+        let m = h.metrics_by_view().expect("alive");
         assert_eq!(m.global.events_ingested, 800);
         assert_eq!(m.global.constraint_violations, 0);
         assert_eq!(m.views.len(), 3);
@@ -1688,6 +1316,64 @@ mod tests {
         assert_eq!(dml, 5);
         drop(h);
         server.shutdown();
+    }
+
+    #[test]
+    fn fenced_registry_server_rejects_ingest_and_stops_logging() {
+        let mem = MemWal::new();
+        let mut rt =
+            RegistryRuntime::new(config(40.0), Box::new(OnlineFlush::new()), registry_of(2))
+                .unwrap();
+        rt.attach_wal(WalWriter::create(Box::new(mem.clone()), 1).unwrap());
+        let server = RegistryServer::spawn(rt, ServerConfig::default());
+        let h = server.handle();
+        assert!(h.ingest_dml(0, Modification::Insert(row![1i64, 1.0f64])));
+        h.fence();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !h.fence_acknowledged() {
+            assert!(Instant::now() < deadline, "fence never acknowledged");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Every ingest path rejects without touching the scheduler.
+        assert!(!h.ingest_dml(0, Modification::Insert(row![2i64, 2.0f64])));
+        assert!(matches!(
+            h.try_ingest_batch(0, vec![]),
+            Err(TrySendError::Disconnected)
+        ));
+        assert!(h.try_ingest_batch_tracked(0, vec![]).is_err());
+        // Fresh reads (which would flush and log) error on every view;
+        // stale reads and metrics stay available.
+        for v in 0..2 {
+            let r = h.read_view(v, ReadMode::Fresh).expect("scheduler replies");
+            assert!(r.is_err(), "fresh read of view {v} on a fenced server");
+            let stale = h.read_view(v, ReadMode::Stale).expect("alive").unwrap();
+            assert!(stale.rows.is_some());
+        }
+        assert!(h.metrics().is_some());
+        // The sealed log stops growing: no ticks are appended while
+        // fenced.
+        let frozen = mem.bytes().len();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(mem.bytes().len(), frozen, "fenced leader appended to WAL");
+        drop(h);
+        server.shutdown();
+    }
+
+    #[test]
+    fn injected_policy_panic_demotes_the_registry_policy() {
+        let mut rt =
+            RegistryRuntime::new(config(40.0), Box::new(OnlineFlush::new()), registry_of(2))
+                .unwrap();
+        rt.set_faults(FaultPlan {
+            policy_panic_at: Some(1),
+            ..FaultPlan::none()
+        });
+        for i in 0..3 {
+            feed(&mut rt, i);
+            assert!(!rt.tick().unwrap().violated);
+        }
+        assert!(rt.demoted());
+        assert_eq!(rt.metrics().global.policy_demotions, 1);
     }
 
     #[test]

@@ -875,6 +875,75 @@ impl MaintenanceRuntime {
     }
 }
 
+impl crate::server::Runtime for MaintenanceRuntime {
+    fn views(&self) -> usize {
+        1
+    }
+
+    fn tables(&self) -> usize {
+        self.n()
+    }
+
+    fn set_faults(&mut self, plan: FaultPlan) {
+        MaintenanceRuntime::set_faults(self, plan)
+    }
+
+    fn ingest_count(&mut self, table: usize, k: u64) -> Result<(), EngineError> {
+        if !matches!(self.backend, Backend::Model) || table >= self.n() {
+            return Err(EngineError::Maintenance {
+                message: format!(
+                    "cannot ingest a bare count for table {table}: needs a model-backed \
+                     runtime and a table index below {}",
+                    self.n()
+                ),
+            });
+        }
+        MaintenanceRuntime::ingest_count(self, table, k);
+        Ok(())
+    }
+
+    fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError> {
+        MaintenanceRuntime::ingest_dml(self, table, m)
+    }
+
+    fn tick(&mut self) -> Result<(), EngineError> {
+        MaintenanceRuntime::tick(self).map(|_| ())
+    }
+
+    fn read_at(
+        &mut self,
+        view: usize,
+        mode: ReadMode,
+        enqueued: Instant,
+    ) -> Result<ReadResult, EngineError> {
+        if view != 0 {
+            return Err(EngineError::Maintenance {
+                message: format!("view {view} out of range for 1 view"),
+            });
+        }
+        MaintenanceRuntime::read_at(self, mode, enqueued)
+    }
+
+    fn set_budget(&mut self, budget: f64) -> Result<(), EngineError> {
+        MaintenanceRuntime::set_budget(self, budget)
+    }
+
+    fn wal_records(&self) -> u64 {
+        MaintenanceRuntime::wal_records(self)
+    }
+
+    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        (view == 0).then(|| self.view_snapshot()).flatten()
+    }
+
+    fn metrics(&self) -> crate::multi::MultiMetricsSnapshot {
+        crate::multi::MultiMetricsSnapshot {
+            global: MaintenanceRuntime::metrics(self),
+            ..Default::default()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,14 @@
 //! The threaded serving layer: bounded-MPSC ingest in front of a
 //! scheduler thread.
 //!
-//! [`ServeServer::spawn`] moves a [`MaintenanceRuntime`] onto a
-//! scheduler thread and returns a cloneable [`ServeHandle`]. Producers
-//! push DML through the bounded [`queue`](crate::queue) — a full queue
-//! blocks the producer (backpressure) rather than growing without
-//! bound, and with a configured high-water mark overload sheds the
-//! oldest *sheddable* (ingest) messages instead, counted in metrics.
+//! [`Server::spawn`] moves a [`Runtime`] — the single-view
+//! [`MaintenanceRuntime`] or the multi-view [`RegistryRuntime`]; a lone
+//! view is just the registry's N = 1 as far as this layer can tell —
+//! onto a scheduler thread and returns a cloneable [`Handle`].
+//! Producers push DML through the bounded [`queue`](crate::queue) — a
+//! full queue blocks the producer (backpressure) rather than growing
+//! without bound, and with a configured high-water mark overload sheds
+//! the oldest *sheddable* (ingest) messages instead, counted in metrics.
 //! The scheduler loop alternates between draining a bounded batch of
 //! queued events and running one runtime tick, so ticks keep firing at
 //! `tick_interval` even when the stream goes quiet (ONLINE's rate
@@ -16,7 +18,11 @@
 //! Reads and metrics requests travel on the same queue as DML (marked
 //! unsheddable — a reply channel must never be dropped), each carrying
 //! a rendezvous channel for the reply; fresh-read latency is measured
-//! from enqueue to reply, so it includes queue wait.
+//! from enqueue to reply, so it includes queue wait. Stale reads never
+//! reach the scheduler at all once a view has a published snapshot:
+//! after every tick and every fresh read the scheduler stores each
+//! view's latest flush-boundary [`ViewSnapshot`] in a per-view slot the
+//! handles read directly.
 //!
 //! ## Failure behaviour
 //!
@@ -26,35 +32,69 @@
 //! failure, or a strict-mode constraint violation) is *poisonous*: the
 //! error lands in a shared last-error slot, the scheduler stops
 //! maintaining, and every subsequent client call observes the
-//! disconnect (`false`/`None`) while [`ServeHandle::last_error`]
-//! explains why. An injected kill from a [`FaultPlan`] stops the
-//! scheduler silently mid-stream — the simulated crash the recovery
-//! path and `repro chaos` are built around.
+//! disconnect (`false`/`None`) while [`Handle::last_error`] explains
+//! why. An injected kill from a [`FaultPlan`] stops the scheduler
+//! silently mid-stream — the simulated crash the recovery path and
+//! `repro chaos` are built around.
 //!
-//! [`ServeServer::shutdown`] returns the runtime (and therefore its
-//! metrics and recorded trace) once the scheduler drains; all producer
-//! handles must be dropped first, or the scheduler keeps waiting for
-//! more events.
+//! [`Server::shutdown`] returns the runtime (and therefore its metrics
+//! and recorded trace) once the scheduler drains; all producer handles
+//! must be dropped first, or the scheduler keeps waiting for more
+//! events.
 
 use crate::fault::FaultPlan;
 use crate::metrics::MetricsSnapshot;
+use crate::multi::{MultiMetricsSnapshot, RegistryRuntime, SubscriptionHub};
 use crate::queue::{channel, Receiver, RecvError, Sender, TrySendError};
 use crate::runtime::{MaintenanceRuntime, ReadMode, ReadResult};
 use aivm_engine::{EngineError, Modification, ViewSnapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{
-    sync_channel, RecvTimeoutError, SyncSender, TrySendError as MpscTrySendError,
-};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The shared snapshot slot: the scheduler stores the view's latest
-/// flush-boundary [`ViewSnapshot`] here; client handles serve stale
-/// reads from it without a scheduler round-trip. The lock is held only
-/// for the `Arc` store/clone — never across row evaluation — so
-/// readers and the publisher exchange a pointer, not data.
-type SnapshotSlot = Arc<RwLock<Option<Arc<ViewSnapshot>>>>;
+/// What the scheduler thread drives: a maintenance core that ingests
+/// base-table modifications, flushes under a budget on every tick and
+/// serves per-view reads. [`MaintenanceRuntime`] implements it with
+/// one view, [`RegistryRuntime`] with as many as were registered.
+pub trait Runtime: Send + 'static {
+    /// Views maintained; reads name one by index (`0..views()`).
+    fn views(&self) -> usize;
+    /// Base tables on the ingest axis (`0..tables()`).
+    fn tables(&self) -> usize;
+    /// The push-subscription hub, for runtimes that publish per-flush
+    /// delta batches.
+    fn hub(&self) -> Option<Arc<SubscriptionHub>> {
+        None
+    }
+    /// Installs the fault-injection plan (scheduler kills are honoured
+    /// by the server itself).
+    fn set_faults(&mut self, plan: FaultPlan);
+    /// Ingests `k` anonymous events for `table` (model backends).
+    fn ingest_count(&mut self, table: usize, k: u64) -> Result<(), EngineError>;
+    /// Applies one modification to `table` and enqueues its delta.
+    fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError>;
+    /// Closes the arrival window and runs one scheduler step.
+    fn tick(&mut self) -> Result<(), EngineError>;
+    /// Serves a read of `view`, measuring latency from `enqueued`.
+    fn read_at(
+        &mut self,
+        view: usize,
+        mode: ReadMode,
+        enqueued: Instant,
+    ) -> Result<ReadResult, EngineError>;
+    /// Changes the refresh budget `C` (WAL-logged).
+    fn set_budget(&mut self, budget: f64) -> Result<(), EngineError>;
+    /// Records appended to the attached WAL (0 without one).
+    fn wal_records(&self) -> u64;
+    /// The current flush-boundary snapshot of `view` (`None` on model
+    /// backends, which materialise no rows).
+    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>>;
+    /// The runtime's counters; a single-view runtime leaves the view
+    /// axis empty.
+    fn metrics(&self) -> MultiMetricsSnapshot;
+}
 
 /// Configuration of the threaded server.
 #[derive(Clone, Debug)]
@@ -121,26 +161,24 @@ enum Msg {
         table: usize,
         k: u64,
     },
+    /// A batch of modifications as one queue message: one lock
+    /// acquisition and one wakeup per wire frame instead of one per
+    /// modification (a lone modification is a batch of one). With
+    /// `done` set, the scheduler reports apply+WAL-append completion
+    /// through it — the durable-ack path.
     Dml {
-        table: usize,
-        m: Modification,
-    },
-    /// A whole submit batch as one queue message: one lock acquisition
-    /// and one wakeup per wire frame instead of one per modification.
-    /// With `done` set, the scheduler reports apply+WAL-append
-    /// completion through it — the durable-ack path.
-    DmlBatch {
         table: usize,
         mods: Vec<Modification>,
         done: Option<SyncSender<Result<(), EngineError>>>,
     },
     Read {
+        view: usize,
         mode: ReadMode,
         enqueued: Instant,
         reply: SyncSender<Result<ReadResult, EngineError>>,
     },
     Metrics {
-        reply: SyncSender<MetricsSnapshot>,
+        reply: SyncSender<MultiMetricsSnapshot>,
     },
     /// A coordinator-initiated refresh-budget change (fire-and-forget:
     /// the coordinator observes the effect through the next metrics
@@ -161,47 +199,106 @@ pub enum DeadlineError {
     /// still execute the request later; its reply is dropped
     /// best-effort, never blocking the scheduler.
     TimedOut,
-    /// The server is gone (check [`ServeHandle::last_error`] for why).
+    /// The server is gone (check [`Handle::last_error`] for why).
     Disconnected,
 }
 
-/// A cloneable producer/client handle to a running [`ServeServer`].
-#[derive(Clone)]
-pub struct ServeHandle {
-    tx: Sender<Msg>,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-    snapshot: SnapshotSlot,
-    snapshot_reads: Arc<AtomicU64>,
-    fenced: Arc<AtomicBool>,
-    fence_seen: Arc<AtomicBool>,
+/// State shared by every handle clone and the scheduler thread.
+struct Shared {
+    /// One slot per view: the scheduler stores the view's latest
+    /// flush-boundary [`ViewSnapshot`] here; handles serve stale reads
+    /// from it without a scheduler round-trip. A lock is held only for
+    /// the `Arc` store/clone — never across row evaluation — so readers
+    /// and the publisher exchange a pointer, not data.
+    snapshots: Vec<RwLock<Option<Arc<ViewSnapshot>>>>,
+    /// Stale reads served from `snapshots`; they never pass through
+    /// the scheduler, so this is the only place they are counted.
+    snapshot_reads: AtomicU64,
+    last_error: Mutex<Option<ServeError>>,
+    fenced: AtomicBool,
+    fence_seen: AtomicBool,
+    tables: usize,
+    hub: Option<Arc<SubscriptionHub>>,
 }
 
-impl ServeHandle {
-    /// The latest published flush-boundary snapshot (engine backends;
-    /// `None` on the model backend or before the first publication).
-    /// Wait-free with respect to maintenance: no scheduler round-trip,
-    /// and the returned snapshot stays valid even while further flushes
-    /// publish newer ones.
-    pub fn snapshot(&self) -> Option<Arc<ViewSnapshot>> {
-        self.snapshot
-            .read()
+impl Shared {
+    fn last_error(&self) -> Option<ServeError> {
+        self.last_error
+            .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
     }
 
-    /// [`ServeHandle::snapshot`], counted as a served snapshot read in
+    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        self.snapshots
+            .get(view)?
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+}
+
+/// A cloneable producer/client handle to a running [`Server`].
+#[derive(Clone)]
+pub struct Handle {
+    tx: Sender<Msg>,
+    shared: Arc<Shared>,
+}
+
+/// The handle of a [`ServeServer`].
+pub type ServeHandle = Handle;
+/// The handle of a [`RegistryServer`].
+pub type RegistryHandle = Handle;
+
+impl Handle {
+    /// Number of views the runtime maintains.
+    pub fn views(&self) -> usize {
+        self.shared.snapshots.len()
+    }
+
+    /// Number of base tables on the ingest axis.
+    pub fn tables(&self) -> usize {
+        self.shared.tables
+    }
+
+    /// The subscription hub, when the runtime publishes delta batches
+    /// (network workers pull them without scheduler round-trips).
+    pub fn hub(&self) -> Option<&Arc<SubscriptionHub>> {
+        self.shared.hub.as_ref()
+    }
+
+    /// The latest published flush-boundary snapshot of `view` (`None`
+    /// on the model backend, before the first publication, or for a
+    /// view out of range). Wait-free with respect to maintenance: no
+    /// scheduler round-trip, and the returned snapshot stays valid even
+    /// while further flushes publish newer ones.
+    pub fn snapshot_view(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        self.shared.snapshot(view)
+    }
+
+    /// [`Handle::snapshot_view`], counted as a served snapshot read in
     /// [`MetricsSnapshot::snapshot_reads`]. Frontends (e.g. the TCP
     /// server) that answer stale reads directly from the snapshot call
     /// this so the serve metrics still see every read.
-    pub fn snapshot_for_read(&self) -> Option<Arc<ViewSnapshot>> {
-        let snap = self.snapshot()?;
-        self.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+    pub fn snapshot_view_for_read(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        let snap = self.snapshot_view(view)?;
+        self.shared.snapshot_reads.fetch_add(1, Ordering::Relaxed);
         Some(snap)
     }
 
+    /// [`Handle::snapshot_view`] of view 0.
+    pub fn snapshot(&self) -> Option<Arc<ViewSnapshot>> {
+        self.snapshot_view(0)
+    }
+
+    /// [`Handle::snapshot_view_for_read`] of view 0.
+    pub fn snapshot_for_read(&self) -> Option<Arc<ViewSnapshot>> {
+        self.snapshot_view_for_read(0)
+    }
+
     /// Serves a stale read from the published snapshot when one exists.
-    fn snapshot_read(&self) -> Option<ReadResult> {
-        let snap = self.snapshot_for_read()?;
+    fn snapshot_read(&self, view: usize) -> Option<ReadResult> {
+        let snap = self.snapshot_view_for_read(view)?;
         Some(ReadResult {
             lag: snap.lag(),
             rows: Some(snap.rows.clone()),
@@ -209,6 +306,7 @@ impl ServeHandle {
             violated: false,
         })
     }
+
     /// Fences this server: every subsequent ingest (through *any* clone
     /// of the handle) is rejected, the scheduler stops ticking and
     /// WAL-appending, and only reads and metrics keep being served.
@@ -220,12 +318,12 @@ impl ServeHandle {
     /// irreversible — a fenced leader rejoins by recovering from its
     /// log as a fresh server, never by un-fencing.
     pub fn fence(&self) {
-        self.fenced.store(true, Ordering::SeqCst);
+        self.shared.fenced.store(true, Ordering::SeqCst);
     }
 
-    /// Whether [`ServeHandle::fence`] has been called on this server.
+    /// Whether [`Handle::fence`] has been called on this server.
     pub fn is_fenced(&self) -> bool {
-        self.fenced.load(Ordering::SeqCst)
+        self.shared.fenced.load(Ordering::SeqCst)
     }
 
     /// Whether the fence is *effective*: the scheduler has observed the
@@ -233,33 +331,35 @@ impl ServeHandle {
     /// gone entirely. Promotion spins briefly on this before sealing
     /// the leader's log.
     pub fn fence_acknowledged(&self) -> bool {
-        if self.fence_seen.load(Ordering::SeqCst) {
+        if self.shared.fence_seen.load(Ordering::SeqCst) {
             return true;
         }
         // A dead scheduler can never apply anything again: the fence is
         // vacuously effective. Probing with a control send is safe — a
-        // live scheduler just answers one extra metrics request.
+        // live scheduler just runs one extra loop iteration.
         self.tx.send_control(Msg::FenceProbe).is_err()
     }
 
     /// Ingests `k` anonymous events for `table` (model backend).
     /// Blocks while the queue is full (unless shedding is on); returns
-    /// `false` if the server is gone.
+    /// `false` if the server is gone or fenced.
     pub fn ingest_count(&self, table: usize, k: u64) -> bool {
-        if self.is_fenced() {
-            return false;
-        }
-        self.tx.send(Msg::Count { table, k }, true).is_ok()
+        !self.is_fenced() && self.tx.send(Msg::Count { table, k }, true).is_ok()
     }
 
     /// Ingests one DML event for `table` (engine backend). Blocks while
     /// the queue is full (unless shedding is on); returns `false` if
-    /// the server is gone.
+    /// the server is gone or fenced.
     pub fn ingest_dml(&self, table: usize, m: Modification) -> bool {
         if self.is_fenced() {
             return false;
         }
-        self.tx.send(Msg::Dml { table, m }, true).is_ok()
+        let msg = Msg::Dml {
+            table,
+            mods: vec![m],
+            done: None,
+        };
+        self.tx.send(msg, true).is_ok()
     }
 
     /// Ingests a whole DML batch as **one** queue message, without
@@ -274,29 +374,17 @@ impl ServeHandle {
     /// admission bound is on outstanding events regardless of how they
     /// are batched on the wire. That keeps the maintenance backlog —
     /// and with it the cost of any single flush or forced refresh —
-    /// as bounded as the old modification-at-a-time path kept it.
+    /// as bounded as the modification-at-a-time path keeps it.
     pub fn try_ingest_batch(
         &self,
         table: usize,
         mods: Vec<Modification>,
     ) -> Result<(), TrySendError> {
-        if self.is_fenced() {
-            return Err(TrySendError::Disconnected);
-        }
-        let weight = mods.len();
-        self.tx.try_send_weighted(
-            Msg::DmlBatch {
-                table,
-                mods,
-                done: None,
-            },
-            true,
-            weight,
-        )
+        self.try_send_batch(table, mods, None)
     }
 
-    /// [`ServeHandle::try_ingest_batch`] with an apply acknowledgement:
-    /// the returned [`ApplyTicket`] completes once the scheduler has
+    /// [`Handle::try_ingest_batch`] with an apply acknowledgement: the
+    /// returned [`ApplyTicket`] completes once the scheduler has
     /// applied the whole batch **and** WAL-logged it (each record is
     /// appended after its modification applies). Frontends that promise
     /// "an acknowledged write survives leader failover" reply to the
@@ -310,51 +398,62 @@ impl ServeHandle {
         table: usize,
         mods: Vec<Modification>,
     ) -> Result<ApplyTicket, TrySendError> {
+        let (done, rx) = sync_channel(1);
+        self.try_send_batch(table, mods, Some(done))?;
+        Ok(Ticket { rx })
+    }
+
+    fn try_send_batch(
+        &self,
+        table: usize,
+        mods: Vec<Modification>,
+        done: Option<SyncSender<Result<(), EngineError>>>,
+    ) -> Result<(), TrySendError> {
         if self.is_fenced() {
             return Err(TrySendError::Disconnected);
         }
         let weight = mods.len();
-        let (done, rx) = sync_channel(1);
-        self.tx.try_send_weighted(
-            Msg::DmlBatch {
-                table,
-                mods,
-                done: Some(done),
-            },
-            true,
-            weight,
-        )?;
-        Ok(ApplyTicket { rx })
+        self.tx
+            .try_send_weighted(Msg::Dml { table, mods, done }, true, weight)
     }
 
-    /// Serves a read. Stale reads are answered wait-free from the
-    /// published [`ViewSnapshot`] when one exists (engine backends) —
-    /// no scheduler round-trip, no queue wait, and they keep working
+    /// Sends a request/reply control message (charges no event weight,
+    /// is never shed, never blocks) and returns the reply's ticket.
+    fn request<T>(&self, msg: impl FnOnce(SyncSender<T>) -> Msg) -> Option<Ticket<T>> {
+        let (reply, rx) = sync_channel(1);
+        self.tx.send_control(msg(reply)).ok()?;
+        Some(Ticket { rx })
+    }
+
+    /// Serves a read of `view`. Stale reads are answered wait-free from
+    /// the published [`ViewSnapshot`] when one exists (engine backends)
+    /// — no scheduler round-trip, no queue wait, and they keep working
     /// even while the scheduler is busy flushing. The reported lag is
     /// as of the snapshot's publication. Fresh reads (and stale reads
     /// on the model backend) travel through the scheduler queue;
-    /// `None` if the server is gone (check [`ServeHandle::last_error`]
-    /// for why).
-    pub fn read(&self, mode: ReadMode) -> Option<Result<ReadResult, EngineError>> {
+    /// `None` if the server is gone (check [`Handle::last_error`] for
+    /// why).
+    pub fn read_view(
+        &self,
+        view: usize,
+        mode: ReadMode,
+    ) -> Option<Result<ReadResult, EngineError>> {
         if mode == ReadMode::Stale {
-            if let Some(r) = self.snapshot_read() {
+            if let Some(r) = self.snapshot_read(view) {
                 return Some(Ok(r));
             }
         }
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send_control(Msg::Read {
-                mode,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .ok()?;
-        rx.recv().ok()
+        self.begin_read(view, mode)?.wait()
     }
 
-    /// [`ServeHandle::read`] bounded by a deadline: gives up (but does
-    /// not cancel the read) once `timeout` elapses without a reply.
-    /// Queue wait counts against the deadline, which is what makes a
+    /// [`Handle::read_view`] of view 0.
+    pub fn read(&self, mode: ReadMode) -> Option<Result<ReadResult, EngineError>> {
+        self.read_view(0, mode)
+    }
+
+    /// [`Handle::read`] bounded by a deadline: gives up (but does not
+    /// cancel the read) once `timeout` elapses without a reply. Queue
+    /// wait counts against the deadline, which is what makes a
     /// per-request deadline meaningful under backlog.
     pub fn read_deadline(
         &self,
@@ -362,68 +461,49 @@ impl ServeHandle {
         timeout: Duration,
     ) -> Result<Result<ReadResult, EngineError>, DeadlineError> {
         if mode == ReadMode::Stale {
-            if let Some(r) = self.snapshot_read() {
+            if let Some(r) = self.snapshot_read(0) {
                 return Ok(Ok(r));
             }
         }
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send_control(Msg::Read {
-                mode,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .map_err(|_| DeadlineError::Disconnected)?;
-        match rx.recv_timeout(timeout) {
-            Ok(r) => Ok(r),
-            Err(RecvTimeoutError::Timeout) => Err(DeadlineError::TimedOut),
-            Err(RecvTimeoutError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
+        self.begin_read(0, mode)
+            .ok_or(DeadlineError::Disconnected)?
+            .wait_timeout(timeout)
     }
 
-    /// Starts a read without waiting for the reply: the scheduler
-    /// executes it in queue order and the returned [`ReadTicket`] is
-    /// polled with [`ReadTicket::try_take`]. Built for event-loop
-    /// frontends that must never park a thread per in-flight read.
-    /// Stale reads are still best served via
-    /// [`ServeHandle::snapshot_for_read`] first — this path always
-    /// takes the scheduler round trip. The send itself applies the
-    /// queue's backpressure (reads are unsheddable). `None` if the
-    /// server is gone.
-    pub fn begin_read(&self, mode: ReadMode) -> Option<ReadTicket> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send_control(Msg::Read {
-                mode,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .ok()?;
-        Some(ReadTicket { rx })
+    /// Starts a read of `view` without waiting for the reply: the
+    /// scheduler executes it in queue order and the returned
+    /// [`ReadTicket`] is polled with [`Ticket::try_take`]. Built for
+    /// event-loop frontends that must never park a thread per in-flight
+    /// read. Stale reads are still best served via
+    /// [`Handle::snapshot_view_for_read`] first — this path always
+    /// takes the scheduler round trip. `None` if the server is gone.
+    pub fn begin_read(&self, view: usize, mode: ReadMode) -> Option<ReadTicket> {
+        let enqueued = Instant::now();
+        self.request(|reply| Msg::Read {
+            view,
+            mode,
+            enqueued,
+            reply,
+        })
     }
 
     /// Starts a metrics fetch without waiting; poll the returned
     /// [`MetricsTicket`]. `None` if the server is gone.
     pub fn begin_metrics(&self) -> Option<MetricsTicket> {
-        let (reply, rx) = sync_channel(1);
-        self.tx.send_control(Msg::Metrics { reply }).ok()?;
-        Some(MetricsTicket {
-            rx,
-            snapshot_reads: Arc::clone(&self.snapshot_reads),
-        })
+        self.request(|reply| Msg::Metrics { reply })
     }
 
-    /// Fetches a metrics snapshot (includes live queue depths, shed
-    /// counts and the last scheduler error). `None` if the server is
-    /// gone.
+    /// Fetches the scheduler-global counters (including live queue
+    /// depths, shed counts and the last scheduler error). `None` if the
+    /// server is gone.
     pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        let (reply, rx) = sync_channel(1);
-        self.tx.send_control(Msg::Metrics { reply }).ok()?;
-        let mut snap = rx.recv().ok()?;
-        // Snapshot-served reads never pass through the scheduler; the
-        // handles' shared counter is the only place they are counted.
-        snap.snapshot_reads = self.snapshot_reads.load(Ordering::Relaxed);
-        Some(snap)
+        self.metrics_by_view().map(|m| m.global)
+    }
+
+    /// [`Handle::metrics`] with the per-view rows a multi-view runtime
+    /// reports attached.
+    pub fn metrics_by_view(&self) -> Option<MultiMetricsSnapshot> {
+        self.begin_metrics()?.wait()
     }
 
     /// Requests a refresh-budget change, applied by the scheduler in
@@ -443,114 +523,91 @@ impl ServeHandle {
 
     /// The error that stopped (or is poisoning) the scheduler, if any.
     pub fn last_error(&self) -> Option<ServeError> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.shared.last_error()
     }
 }
 
-/// An in-flight scheduler read started with [`ServeHandle::begin_read`].
-/// Dropping the ticket abandons the reply (the scheduler may still
-/// execute the read; its reply is discarded best-effort, never blocking
-/// the scheduler) — the same give-up semantics as
-/// [`ServeHandle::read_deadline`] timing out.
-pub struct ReadTicket {
-    rx: std::sync::mpsc::Receiver<Result<ReadResult, EngineError>>,
+/// An in-flight scheduler request. Dropping the ticket abandons the
+/// reply (the scheduler may still execute the request; its reply is
+/// discarded best-effort, never blocking the scheduler) — the same
+/// give-up semantics as [`Handle::read_deadline`] timing out.
+pub struct Ticket<T> {
+    rx: std::sync::mpsc::Receiver<T>,
 }
 
-impl ReadTicket {
-    /// Polls for the reply without blocking. `Ok(None)` means "not yet";
-    /// `Err` means the scheduler is gone.
-    pub fn try_take(&self) -> Result<Option<Result<ReadResult, EngineError>>, DeadlineError> {
+/// A read started with [`Handle::begin_read`].
+pub type ReadTicket = Ticket<Result<ReadResult, EngineError>>;
+/// A durable-ack batch started with [`Handle::try_ingest_batch_tracked`];
+/// completes after the batch has applied and been WAL-logged.
+pub type ApplyTicket = Ticket<Result<(), EngineError>>;
+/// A metrics fetch started with [`Handle::begin_metrics`].
+pub type MetricsTicket = Ticket<MultiMetricsSnapshot>;
+
+impl<T> Ticket<T> {
+    /// Polls for the reply without blocking. `Ok(None)` means "not
+    /// yet"; `Err` means the scheduler is gone (for an [`ApplyTicket`]:
+    /// died with the batch outcome indeterminate).
+    pub fn try_take(&self) -> Result<Option<T>, DeadlineError> {
         match self.rx.try_recv() {
             Ok(r) => Ok(Some(r)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
         }
+    }
+
+    fn wait(self) -> Option<T> {
+        self.rx.recv().ok()
+    }
+
+    fn wait_timeout(self, timeout: Duration) -> Result<T, DeadlineError> {
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => DeadlineError::TimedOut,
+            RecvTimeoutError::Disconnected => DeadlineError::Disconnected,
+        })
     }
 }
 
-/// An in-flight durable-ack batch started with
-/// [`ServeHandle::try_ingest_batch_tracked`]. Completes after the
-/// batch has applied and been WAL-logged.
-pub struct ApplyTicket {
-    rx: std::sync::mpsc::Receiver<Result<(), EngineError>>,
+/// A scheduler thread driving a [`Runtime`].
+pub struct Server<R> {
+    handle: Handle,
+    join: JoinHandle<R>,
 }
 
-impl ApplyTicket {
-    /// Polls for completion without blocking. `Ok(None)` means "not
-    /// yet"; `Err` means the scheduler died with the batch outcome
-    /// indeterminate.
-    pub fn try_take(&self) -> Result<Option<Result<(), EngineError>>, DeadlineError> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(Some(r)),
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
-    }
-}
+/// The single-view server.
+pub type ServeServer = Server<MaintenanceRuntime>;
+/// The multi-view server.
+pub type RegistryServer = Server<RegistryRuntime>;
 
-/// An in-flight metrics fetch started with
-/// [`ServeHandle::begin_metrics`].
-pub struct MetricsTicket {
-    rx: std::sync::mpsc::Receiver<MetricsSnapshot>,
-    snapshot_reads: Arc<AtomicU64>,
-}
-
-impl MetricsTicket {
-    /// Polls for the snapshot without blocking. `Ok(None)` means "not
-    /// yet"; `Err` means the scheduler is gone.
-    pub fn try_take(&self) -> Result<Option<MetricsSnapshot>, DeadlineError> {
-        match self.rx.try_recv() {
-            Ok(mut snap) => {
-                // Snapshot-served reads never pass through the
-                // scheduler; the handles' shared counter is the only
-                // place they are counted.
-                snap.snapshot_reads = self.snapshot_reads.load(Ordering::Relaxed);
-                Ok(Some(snap))
-            }
-            Err(std::sync::mpsc::TryRecvError::Empty) => Ok(None),
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => Err(DeadlineError::Disconnected),
-        }
-    }
-}
-
-/// A scheduler thread driving a [`MaintenanceRuntime`].
-pub struct ServeServer {
-    handle: ServeHandle,
-    join: JoinHandle<MaintenanceRuntime>,
-}
-
-impl ServeServer {
+impl<R: Runtime> Server<R> {
     /// Spawns the scheduler thread.
-    pub fn spawn(mut runtime: MaintenanceRuntime, cfg: ServerConfig) -> Self {
+    pub fn spawn(mut runtime: R, cfg: ServerConfig) -> Self {
         let capacity = cfg.queue_capacity.max(1);
         let high_water = cfg.shed_high_water.map(|h| h.clamp(1, capacity));
         let (tx, rx) = channel::<Msg>(capacity, high_water);
-        let last_error = Arc::new(Mutex::new(None));
-        // Publish the initial snapshot before the first client can
+        // Publish the initial snapshots before the first client can
         // read, so stale reads are wait-free from the very start.
-        let snapshot: SnapshotSlot = Arc::new(RwLock::new(runtime.view_snapshot()));
-        let fenced = Arc::new(AtomicBool::new(false));
-        let fence_seen = Arc::new(AtomicBool::new(false));
-        let handle = ServeHandle {
+        let shared = Arc::new(Shared {
+            snapshots: (0..runtime.views())
+                .map(|v| RwLock::new(runtime.snapshot(v)))
+                .collect(),
+            snapshot_reads: AtomicU64::new(0),
+            last_error: Mutex::new(None),
+            fenced: AtomicBool::new(false),
+            fence_seen: AtomicBool::new(false),
+            tables: runtime.tables(),
+            hub: runtime.hub(),
+        });
+        let handle = Handle {
             tx,
-            last_error: Arc::clone(&last_error),
-            snapshot: Arc::clone(&snapshot),
-            snapshot_reads: Arc::new(AtomicU64::new(0)),
-            fenced: Arc::clone(&fenced),
-            fence_seen: Arc::clone(&fence_seen),
+            shared: Arc::clone(&shared),
         };
         runtime.set_faults(cfg.faults.clone());
-        let join = std::thread::spawn(move || {
-            scheduler_loop(runtime, rx, last_error, snapshot, fenced, fence_seen, cfg)
-        });
-        ServeServer { handle, join }
+        let join = std::thread::spawn(move || scheduler_loop(runtime, rx, shared, cfg));
+        Server { handle, join }
     }
 
     /// A new producer/client handle.
-    pub fn handle(&self) -> ServeHandle {
+    pub fn handle(&self) -> Handle {
         self.handle.clone()
     }
 
@@ -562,8 +619,8 @@ impl ServeServer {
     /// Drops this server's own handle and waits for the scheduler to
     /// drain and exit, returning the runtime with its final metrics and
     /// trace. Any handles cloned from this server must be dropped first.
-    pub fn shutdown(self) -> MaintenanceRuntime {
-        let ServeServer { handle, join } = self;
+    pub fn shutdown(self) -> R {
+        let Server { handle, join } = self;
         drop(handle);
         join.join().expect("scheduler thread panicked")
     }
@@ -572,17 +629,42 @@ impl ServeServer {
 struct SchedulerState {
     ingest_errors: u64,
     max_depth: usize,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-    fenced: Arc<AtomicBool>,
+    shared: Arc<Shared>,
 }
 
 impl SchedulerState {
-    fn poison(&self, err: ServeError) {
-        *self.last_error.lock().unwrap_or_else(|e| e.into_inner()) = Some(err);
+    fn poison<R: Runtime>(&self, runtime: &R, during: &'static str, source: EngineError) {
+        let err = ServeError {
+            ticks: runtime.metrics().global.ticks,
+            during,
+            source,
+        };
+        *self
+            .shared
+            .last_error
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = Some(err);
     }
 
     fn fenced(&self) -> bool {
-        self.fenced.load(Ordering::SeqCst)
+        self.shared.fenced.load(Ordering::SeqCst)
+    }
+
+    /// Re-publishes the snapshot of every view that flushed (a view's
+    /// snapshot `Arc` changes identity at every flush boundary and
+    /// nowhere else), keeping idle ticks free of write-lock traffic.
+    fn publish<R: Runtime>(&self, runtime: &R) {
+        for (view, slot) in self.shared.snapshots.iter().enumerate() {
+            let current = runtime.snapshot(view);
+            let unchanged = match (&*slot.read().unwrap_or_else(|e| e.into_inner()), &current) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (None, None) => true,
+                _ => false,
+            };
+            if !unchanged {
+                *slot.write().unwrap_or_else(|e| e.into_inner()) = current;
+            }
+        }
     }
 }
 
@@ -593,39 +675,18 @@ fn fenced_error() -> EngineError {
     }
 }
 
-fn scheduler_loop(
-    mut runtime: MaintenanceRuntime,
+fn scheduler_loop<R: Runtime>(
+    mut runtime: R,
     rx: Receiver<Msg>,
-    last_error: Arc<Mutex<Option<ServeError>>>,
-    snapshot: SnapshotSlot,
-    fenced: Arc<AtomicBool>,
-    fence_seen: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     cfg: ServerConfig,
-) -> MaintenanceRuntime {
+) -> R {
     let mut st = SchedulerState {
         ingest_errors: 0,
         max_depth: 0,
-        last_error,
-        fenced,
-    };
-    // Re-publish only when the view actually flushed (the snapshot
-    // `Arc` changes identity at every flush boundary and nowhere else),
-    // keeping idle ticks free of write-lock traffic.
-    let mut published = runtime.view_snapshot();
-    let mut publish = |runtime: &MaintenanceRuntime| {
-        let current = runtime.view_snapshot();
-        let changed = match (&published, &current) {
-            (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
-            (None, None) => false,
-            _ => true,
-        };
-        if changed {
-            *snapshot.write().unwrap_or_else(|e| e.into_inner()) = current.clone();
-            published = current;
-        }
+        shared,
     };
     loop {
-        let mut disconnected = false;
         match rx.recv_timeout(cfg.tick_interval) {
             Ok(msg) => {
                 // +1 counts the message being consumed, so a lone
@@ -650,15 +711,12 @@ fn scheduler_loop(
                 }
             }
             Err(RecvError::Timeout) => {}
-            Err(RecvError::Disconnected) => disconnected = true,
-        }
-        // One scheduler tick per drain window — including idle windows,
-        // so policies observe quiet periods. Skip the final tick after
-        // disconnect: shutdown must not mutate state past the last
-        // client interaction, or recorded traces would grow a tail no
-        // client observed.
-        if disconnected {
-            break;
+            // One scheduler tick per drain window — including idle
+            // windows, so policies observe quiet periods — but none
+            // after disconnect: shutdown must not mutate state past the
+            // last client interaction, or recorded traces would grow a
+            // tail no client observed.
+            Err(RecvError::Disconnected) => break,
         }
         if st.fenced() {
             // A fenced leader must not append another log record: no
@@ -667,22 +725,17 @@ fn scheduler_loop(
             // fence here (after the drain above rejected any ingest)
             // gives promotion a happens-before edge: once acknowledged,
             // the sealed log can no longer grow.
-            fence_seen.store(true, Ordering::SeqCst);
+            st.shared.fence_seen.store(true, Ordering::SeqCst);
             continue;
         }
-        let ticks = runtime.metrics().ticks;
         if let Err(source) = runtime.tick() {
             // A failed tick poisons the server: the flush (or its WAL
             // record) may be half-applied, so maintaining further would
             // compound the damage. Clients observe the disconnect.
-            st.poison(ServeError {
-                ticks,
-                during: "tick",
-                source,
-            });
+            st.poison(&runtime, "tick", source);
             return runtime;
         }
-        publish(&runtime);
+        st.publish(&runtime);
         if cfg.faults.should_kill(runtime.wal_records()) {
             // Simulated crash: vanish without draining or replying.
             return runtime;
@@ -699,8 +752,8 @@ fn scheduler_loop(
 /// batches cost the same drain budget. Control messages (reads,
 /// metrics) add no flush work and return 0; the drain loop still
 /// charges every message a minimum of 1 so it always terminates.
-fn handle_msg(
-    runtime: &mut MaintenanceRuntime,
+fn handle_msg<R: Runtime>(
+    runtime: &mut R,
     msg: Msg,
     rx: &Receiver<Msg>,
     st: &mut SchedulerState,
@@ -709,73 +762,43 @@ fn handle_msg(
         Msg::Count { table, k } => {
             if st.fenced() {
                 st.ingest_errors += 1;
-            } else if table < runtime.n() {
-                runtime.ingest_count(table, k);
-            } else {
+            } else if let Err(source) = runtime.ingest_count(table, k) {
                 st.ingest_errors += 1;
+                st.poison(runtime, "ingest", source);
             }
             1
         }
-        Msg::Dml { table, m } => {
-            if st.fenced() {
+        Msg::Dml { table, mods, done } => {
+            let weight = mods.len();
+            let outcome = if st.fenced() {
                 // Ingests racing the fence are dropped unapplied (and
                 // therefore unlogged): the sealed log cannot grow.
-                st.ingest_errors += 1;
-                return 1;
-            }
-            // A rejected DML mutated nothing: count it, record it, keep
-            // serving.
-            if let Err(source) = runtime.ingest_dml(table, m) {
-                st.ingest_errors += 1;
-                st.poison(ServeError {
-                    ticks: runtime.metrics().ticks,
-                    during: "ingest",
-                    source,
-                });
-            }
-            1
-        }
-        Msg::DmlBatch { table, mods, done } => {
-            let weight = mods.len();
-            if st.fenced() {
                 st.ingest_errors += weight as u64;
-                if let Some(done) = done {
-                    let _ = reply_best_effort(done, Err(fenced_error()));
-                }
-                return weight;
-            }
-            // Same per-modification failure semantics as a stream of
-            // Msg::Dml: a bad modification is counted and recorded, the
-            // rest of the batch still applies.
-            let mut first_err: Option<EngineError> = None;
-            for m in mods {
-                if let Err(source) = runtime.ingest_dml(table, m) {
-                    st.ingest_errors += 1;
-                    if first_err.is_none() {
-                        first_err = Some(source.clone());
+                Err(fenced_error())
+            } else {
+                // A rejected modification mutated nothing: it is counted
+                // and recorded, the rest of the batch still applies, and
+                // the scheduler keeps serving.
+                let mut first_err = None;
+                for m in mods {
+                    if let Err(source) = runtime.ingest_dml(table, m) {
+                        st.ingest_errors += 1;
+                        first_err.get_or_insert_with(|| source.clone());
+                        st.poison(runtime, "ingest", source);
                     }
-                    st.poison(ServeError {
-                        ticks: runtime.metrics().ticks,
-                        during: "ingest",
-                        source,
-                    });
                 }
-            }
+                first_err.map_or(Ok(()), Err)
+            };
             if let Some(done) = done {
                 // Every applied modification is WAL-logged by the time
                 // we get here (ingest logs after applying), so this
                 // acknowledgement really is a durability acknowledgement.
-                let _ = reply_best_effort(
-                    done,
-                    match first_err {
-                        None => Ok(()),
-                        Some(e) => Err(e),
-                    },
-                );
+                let _ = done.try_send(outcome);
             }
             weight
         }
         Msg::Read {
+            view,
             mode,
             enqueued,
             reply,
@@ -785,54 +808,44 @@ fn handle_msg(
                 // not. Stale reads keep serving the sealed state.
                 Err(fenced_error())
             } else {
-                runtime.read_at(mode, enqueued)
+                runtime.read_at(view, mode, enqueued)
             };
-            let _ = reply_best_effort(reply, result);
+            if mode == ReadMode::Fresh {
+                // The forced flush moved the view: a stale read issued
+                // after this reply must not observe an older state.
+                st.publish(runtime);
+            }
+            // `try_send` never blocks the scheduler on a requester that
+            // gave up (the rendezvous slot holds one reply).
+            let _ = reply.try_send(result);
             0
         }
         Msg::Metrics { reply } => {
             let mut snap = runtime.metrics();
-            snap.queue_depth = rx.len();
-            snap.max_queue_depth = st.max_depth;
-            snap.shed_events = rx.shed_count();
-            snap.ingest_errors = st.ingest_errors;
-            snap.last_error = st
-                .last_error
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .as_ref()
-                .map(|e| e.to_string());
-            let _ = reply_best_effort(reply, snap);
+            snap.global.queue_depth = rx.len();
+            snap.global.max_queue_depth = st.max_depth;
+            snap.global.shed_events = rx.shed_count();
+            snap.global.ingest_errors = st.ingest_errors;
+            snap.global.snapshot_reads = st.shared.snapshot_reads.load(Ordering::Relaxed);
+            snap.global.last_error = st.shared.last_error().map(|e| e.to_string());
+            let _ = reply.try_send(snap);
             0
         }
         Msg::SetBudget { budget } => {
-            if st.fenced() {
-                // A budget change is WAL-logged; the sealed log of a
-                // fenced leader must not grow. Dropped silently — the
-                // coordinator rebalances against the promoted replica.
-                return 0;
-            }
-            // An invalid budget (or a WAL append failure) poisons the
+            // A budget change is WAL-logged; the sealed log of a fenced
+            // leader must not grow. Dropped silently — the coordinator
+            // rebalances against the promoted replica. Otherwise an
+            // invalid budget (or a WAL append failure) poisons the
             // server like a failed ingest would: the flush schedule can
             // no longer be reproduced from the log.
-            if let Err(source) = runtime.set_budget(budget) {
-                st.poison(ServeError {
-                    ticks: runtime.metrics().ticks,
-                    during: "set-budget",
-                    source,
-                });
+            if !st.fenced() {
+                if let Err(source) = runtime.set_budget(budget) {
+                    st.poison(runtime, "set-budget", source);
+                }
             }
             0
         }
         Msg::FenceProbe => 0,
-    }
-}
-
-/// Replies without blocking the scheduler if the requester gave up.
-fn reply_best_effort<T>(reply: SyncSender<T>, value: T) -> Result<(), ()> {
-    match reply.try_send(value) {
-        Ok(()) => Ok(()),
-        Err(MpscTrySendError::Full(_)) | Err(MpscTrySendError::Disconnected(_)) => Err(()),
     }
 }
 

@@ -34,6 +34,5 @@ pub use partition::{Partitioner, Route};
 pub use runtime::{merge_reads, partition_database, MergedRead, ShardedRuntime};
 pub use set::{
     merge_metrics, Coordinator, CoordinatorConfig, CoordinatorStats, FailoverConfig,
-    FailoverMonitor, FailoverStats, MergedSnapshot, Promoter, RebalancePolicy, ReplicaStatus,
-    RouteError, ShardRouter,
+    FailoverMonitor, FailoverStats, Promoter, RebalancePolicy, ReplicaStatus, ShardRouter,
 };

@@ -27,7 +27,6 @@
 
 use std::collections::BTreeMap;
 
-use aivm_engine::fxhash;
 use aivm_engine::{AggFunc, EngineError, Row, Value, ViewDef, WRow};
 
 /// How per-shard result rows combine into the global result.
@@ -160,11 +159,7 @@ impl MergeSpec {
     /// Order-independent content checksum of a merged row set, using
     /// the same formula as `MaterializedView::result_checksum`.
     pub fn checksum(rows: &[WRow]) -> u64 {
-        let mut acc = 0u64;
-        for (row, w) in rows {
-            acc = acc.wrapping_add(fxhash::hash_one(&(row, w)));
-        }
-        acc
+        aivm_engine::rows_checksum(rows)
     }
 }
 
@@ -203,6 +198,7 @@ fn merge_cell(func: AggFunc, a: &Value, b: &Value) -> Result<Value, EngineError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aivm_engine::fxhash;
     use aivm_engine::AggSpec;
     use aivm_engine::Expr;
 

@@ -199,6 +199,15 @@ impl Partitioner {
         table: usize,
         mods: Vec<Modification>,
     ) -> Result<Vec<(usize, Vec<Modification>)>, EngineError> {
+        if self.shards == 1 {
+            // One shard owns every row: nothing to hash, nothing to
+            // clone for broadcast tables.
+            return Ok(if mods.is_empty() {
+                Vec::new()
+            } else {
+                vec![(0, mods)]
+            });
+        }
         let mut per_shard: Vec<Vec<Modification>> = vec![Vec::new(); self.shards];
         for m in mods {
             match self.route(table, &m)? {

@@ -44,36 +44,15 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aivm_engine::{EngineError, Modification, ViewDef, ViewSnapshot, WRow};
-use aivm_serve::{DeadlineError, MetricsSnapshot, ReadResult, ServeHandle, TrySendError, WalTail};
+use aivm_engine::{EngineError, Modification, ViewDef};
+use aivm_serve::{
+    DeadlineError, MetricsSnapshot, ReadResult, ServeError, ServeHandle, SubscriptionHub, WalTail,
+};
 
 use crate::error::ShardError;
 use crate::merge::MergeSpec;
 use crate::partition::Partitioner;
 use crate::runtime::{merge_reads, MergedRead};
-
-/// Why a routed operation could not reach a shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RouteError {
-    /// The owning shard is dead (marked unavailable). Retry-safe.
-    ShardUnavailable(usize),
-    /// The owning shard's queue is full (backpressure). Retry-safe.
-    Overloaded(usize),
-}
-
-/// A merged stale read served from per-shard snapshots.
-#[derive(Clone, Debug)]
-pub struct MergedSnapshot {
-    /// Re-aggregated rows over the live shards.
-    pub rows: Vec<WRow>,
-    /// Order-independent checksum of `rows`.
-    pub checksum: u64,
-    /// Total staleness (pending modifications) summed over live shards.
-    pub lag: u64,
-    /// True when at least one shard was dead or had no published
-    /// snapshot — `rows` then covers only part of the key space.
-    pub degraded: bool,
-}
 
 /// Live replication state for one shard's follower, shared between the
 /// replica thread (writer) and the router/metrics path (readers).
@@ -156,6 +135,15 @@ impl ReplicaStatus {
     }
 }
 
+/// One shard's place in the router.
+enum Slot {
+    Live(ServeHandle),
+    /// Marked dead; keeps what the scheduler's last-error slot said at
+    /// that moment, so a rejection long after the death still names
+    /// the cause.
+    Dead(Option<ServeError>),
+}
+
 /// Cloneable façade over the per-shard [`ServeHandle`]s.
 #[derive(Clone)]
 pub struct ShardRouter {
@@ -163,7 +151,12 @@ pub struct ShardRouter {
 }
 
 struct RouterInner {
-    slots: Vec<RwLock<Option<ServeHandle>>>,
+    slots: Vec<RwLock<Slot>>,
+    /// Views every shard maintains (shards are replicas of one schema).
+    views: usize,
+    /// The push-subscription hub: a delta stream is per scheduler, so
+    /// only a one-shard router has one to offer.
+    hub: Option<Arc<SubscriptionHub>>,
     part: Partitioner,
     merge: MergeSpec,
     /// The global refresh budget `C` the coordinator divides.
@@ -203,10 +196,33 @@ impl ShardRouter {
         }
         part.validate(def)?;
         let merge = MergeSpec::from_def(def)?;
+        Ok(Self::assemble(handles, part, merge, global_budget))
+    }
+
+    /// The N = 1 of the cluster: one scheduler behind the routing
+    /// façade, with nothing to hash, nothing to merge and no budget to
+    /// divide. This is what an unsharded server routes against, so
+    /// sharded and unsharded serving share one request path.
+    pub fn single(handle: ServeHandle, n_tables: usize) -> Self {
+        let part = Partitioner::single(n_tables);
+        Self::assemble(vec![handle], part, MergeSpec::bag(), 0.0)
+    }
+
+    fn assemble(
+        handles: Vec<ServeHandle>,
+        part: Partitioner,
+        merge: MergeSpec,
+        global_budget: f64,
+    ) -> Self {
         let n = handles.len();
-        Ok(ShardRouter {
+        ShardRouter {
             inner: Arc::new(RouterInner {
-                slots: handles.into_iter().map(|h| RwLock::new(Some(h))).collect(),
+                views: handles[0].views(),
+                hub: (n == 1).then(|| handles[0].hub().cloned()).flatten(),
+                slots: handles
+                    .into_iter()
+                    .map(|h| RwLock::new(Slot::Live(h)))
+                    .collect(),
                 part,
                 merge,
                 global_budget,
@@ -215,7 +231,7 @@ impl ShardRouter {
                 replicas: (0..n).map(|_| RwLock::new(None)).collect(),
                 failovers: AtomicU64::new(0),
             }),
-        })
+        }
     }
 
     /// Number of shard slots (dead or alive).
@@ -238,19 +254,56 @@ impl ShardRouter {
         self.inner.global_budget
     }
 
+    /// Views every shard maintains.
+    pub fn views(&self) -> usize {
+        self.inner.views
+    }
+
+    /// The push-subscription hub, if this router fronts exactly one
+    /// scheduler that publishes delta batches.
+    pub fn hub(&self) -> Option<&Arc<SubscriptionHub>> {
+        self.inner.hub.as_ref()
+    }
+
+    /// Runs `f` against shard `i`'s handle without cloning it (a handle
+    /// clone takes the shard's queue lock twice); `None` when the slot
+    /// is dead. `f` runs under the slot's read lock, so it must neither
+    /// block nor call back into [`ShardRouter::mark_dead`].
+    pub fn with_handle<T>(&self, i: usize, f: impl FnOnce(&ServeHandle) -> T) -> Option<T> {
+        match &*self.inner.slots[i].read().unwrap() {
+            Slot::Live(h) => Some(f(h)),
+            Slot::Dead(_) => None,
+        }
+    }
+
     /// A clone of shard `i`'s handle, or `None` when the slot is dead.
     pub fn handle(&self, i: usize) -> Option<ServeHandle> {
-        self.inner.slots[i].read().unwrap().clone()
+        self.with_handle(i, ServeHandle::clone)
     }
 
     /// Marks shard `i` dead, dropping its handle. Idempotent.
     pub fn mark_dead(&self, i: usize) {
-        *self.inner.slots[i].write().unwrap() = None;
+        let mut slot = self.inner.slots[i].write().unwrap();
+        if let Slot::Live(h) = &*slot {
+            *slot = Slot::Dead(h.last_error());
+        }
     }
 
     /// Rejoins a recovered shard at slot `i`.
     pub fn rejoin(&self, i: usize, handle: ServeHandle) {
-        *self.inner.slots[i].write().unwrap() = Some(handle);
+        *self.inner.slots[i].write().unwrap() = Slot::Live(handle);
+    }
+
+    /// The first scheduler error any shard has recorded, dead slots
+    /// included — why the router cannot serve, when it cannot.
+    pub fn last_error(&self) -> Option<ServeError> {
+        self.inner
+            .slots
+            .iter()
+            .find_map(|slot| match &*slot.read().unwrap() {
+                Slot::Live(h) => h.last_error(),
+                Slot::Dead(cause) => cause.clone(),
+            })
     }
 
     /// Shard `i`'s current fencing epoch (starts at 1, bumped by every
@@ -305,9 +358,7 @@ impl ShardRouter {
     /// every applied record, so it is itself replicable). Returns the
     /// new epoch.
     pub fn promote(&self, i: usize, handle: ServeHandle, tail: Option<WalTail>) -> u64 {
-        if let Some(old) = self.handle(i) {
-            old.fence();
-        }
+        self.with_handle(i, ServeHandle::fence);
         // Bump the epoch *before* the new leader becomes reachable:
         // any submit that can route to the promoted follower is then
         // guaranteed to observe the post-failover epoch at the fence
@@ -317,18 +368,11 @@ impl ShardRouter {
         // fresh-epoch submit racing the swap just sees an empty slot
         // and gets the retry-safe ShardUnavailable.
         let epoch = self.inner.epochs[i].fetch_add(1, Ordering::SeqCst) + 1;
-        *self.inner.slots[i].write().unwrap() = Some(handle);
+        self.rejoin(i, handle);
         *self.inner.replicas[i].write().unwrap() = None;
         *self.inner.tails[i].write().unwrap() = tail;
         self.inner.failovers.fetch_add(1, Ordering::SeqCst);
         epoch
-    }
-
-    /// Indices of live shards.
-    pub fn live_shards(&self) -> Vec<usize> {
-        (0..self.shards())
-            .filter(|&i| self.inner.slots[i].read().unwrap().is_some())
-            .collect()
     }
 
     /// Splits a batch by owning shard (see [`Partitioner::split_batch`]).
@@ -340,82 +384,10 @@ impl ShardRouter {
         self.inner.part.split_batch(table, mods)
     }
 
-    /// Tries to enqueue one per-shard sub-batch. On `Disconnected` the
-    /// slot is marked dead and the caller gets
-    /// [`RouteError::ShardUnavailable`]; a full queue maps to
-    /// [`RouteError::Overloaded`]. Both are rejected before any side
-    /// effect, so retrying is safe.
-    pub fn try_submit_shard(
-        &self,
-        shard: usize,
-        table: usize,
-        mods: Vec<Modification>,
-    ) -> Result<(), RouteError> {
-        let Some(handle) = self.handle(shard) else {
-            return Err(RouteError::ShardUnavailable(shard));
-        };
-        match handle.try_ingest_batch(table, mods) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Disconnected) => {
-                self.mark_dead(shard);
-                Err(RouteError::ShardUnavailable(shard))
-            }
-            Err(_) => Err(RouteError::Overloaded(shard)),
-        }
-    }
-
-    /// Scatter-gathers the per-shard published snapshots into one
-    /// merged stale read. Never blocks on a scheduler: dead shards and
-    /// shards without a published snapshot yet are skipped and flagged
-    /// via `degraded`. Returns an error only if re-aggregation itself
-    /// fails (malformed rows).
-    pub fn read_stale(&self) -> Result<MergedSnapshot, EngineError> {
-        let mut parts: Vec<Vec<WRow>> = Vec::with_capacity(self.shards());
-        let mut lag = 0u64;
-        let mut degraded = false;
-        for i in 0..self.shards() {
-            let snap: Option<Arc<ViewSnapshot>> =
-                self.handle(i).and_then(|h| h.snapshot_for_read());
-            match snap {
-                Some(s) => {
-                    lag += s.lag();
-                    parts.push(s.rows.clone());
-                }
-                None => degraded = true,
-            }
-        }
-        let rows = self.inner.merge.merge(&parts)?;
-        let checksum = MergeSpec::checksum(&rows);
-        Ok(MergedSnapshot {
-            rows,
-            checksum,
-            lag,
-            degraded,
-        })
-    }
-
     /// Merges fan-out fresh-read results gathered by the caller (the
     /// network server collects per-shard tickets asynchronously).
     pub fn merge_reads(&self, results: &[ReadResult]) -> Result<MergedRead, EngineError> {
         merge_reads(&self.inner.merge, results)
-    }
-
-    /// Blocking merged fresh read across all live shards; `degraded`
-    /// reports whether any dead shard was skipped.
-    pub fn read_fresh(&self) -> Result<(MergedRead, bool), EngineError> {
-        let live = self.live_shards();
-        let degraded = live.len() < self.shards();
-        let mut results = Vec::with_capacity(live.len());
-        for i in live {
-            let Some(handle) = self.handle(i) else {
-                continue;
-            };
-            match handle.read(aivm_serve::ReadMode::Fresh) {
-                Some(r) => results.push(r?),
-                None => self.mark_dead(i),
-            }
-        }
-        Ok((self.merge_reads(&results)?, degraded))
     }
 
     /// Samples every live shard's metrics. Returns `(index, snapshot)`
