@@ -28,6 +28,30 @@ echo "==> perf/ still builds against this tree (frozen package, API check)"
 # minutes, not in the last gate.
 cargo build --release --offline --manifest-path perf/Cargo.toml
 
+echo "==> perf contract (the benchmark's own invocation, all five workloads)"
+# The benchmark driver runs `perf --workload W ...` and reads only the
+# last stdout line; anything else there makes the run `output_malformed`.
+# A product crate printing to stdout (a scheduler thread saying goodbye
+# at shutdown, say) would become that line, so the product crates stay
+# silent on stdout, and every workload's last line must be one JSON
+# object: correct, nothing failed, the four end-to-end metrics present.
+if grep -rn 'println!' crates/aivm-{serve,net,shard,client,engine}/src; then
+  echo "product crates must not print to stdout" >&2
+  exit 1
+fi
+for workload in replay-balanced replay-skew wire-ps-closed views-mixed-open \
+  cluster-durable-closed; do
+  last=$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+    --workload "$workload" --seed 2005 --seconds 2 --trace 0 | tail -n 1)
+  if ! jq -se 'length == 1 and (.[0] | type == "object" and .correct == true
+      and .failed == 0 and (.metrics | has("setup_s") and has("events_per_s")
+      and has("fresh_read_p50_ms") and has("cpu_s_per_mevent")))' \
+      <<<"$last" >/dev/null; then
+    echo "perf $workload: malformed or failing verdict: $last" >&2
+    exit 1
+  fi
+done
+
 if [[ $fast -eq 0 ]]; then
   echo "==> workspace tests (release)"
   cargo test -q --release --workspace
@@ -57,7 +81,8 @@ echo "==> chaos gate (crash/recover equivalence at sampled kill indices)"
 
 echo "==> net gate (wire codec, conformance + client tests, then a 5s loadgen smoke over TCP)"
 # Includes tests/conformance.rs: one request script against bind,
-# bind_registry and bind_sharded (1 and 2 shards), identical responses.
+# bind_registry and bind_sharded (1 and 2 shards), identical responses
+# up to the declared differences (shards, views, hub on one shard).
 cargo test -q --release -p aivm-net -p aivm-client
 # Exits nonzero on any budget violation, protocol error, or a sustained
 # throughput below the 50k events/s floor; appends BENCH_net.json.
@@ -89,9 +114,10 @@ cargo test -q --release --test columnar_delta
 cargo test -q --release -p aivm-net --test zero_alloc
 
 echo "==> shard gate (equivalence at widths 1/2/4/8, sharded loadgen, kill-one-shard)"
-# Property tests: a key-partitioned ShardedRuntime is bit-identical to a
-# single runtime at widths 1/2/4/8 under randomized partial flushes, and
-# mis-keyed partitioners fail co-location validation.
+# Property tests: N key-partitioned runtimes, routed and merged as the
+# router does, are bit-identical to a single runtime at widths 1/2/4/8
+# under randomized partial flushes, and mis-keyed partitioners fail
+# co-location validation.
 cargo test -q --release -p aivm-bench --test shard_equivalence
 # 4-shard serving over TCP: hashed submits, scatter-gather reads,
 # per-shard budgets C/4, cost-proportional rebalancing. Fails on any

@@ -871,7 +871,7 @@ fn run_loadgen_registry(
     net.shutdown();
     let runtime = server.shutdown();
     let mm = runtime.metrics();
-    let scan_fallbacks = (0..runtime.view_count())
+    let scan_fallbacks = (0..runtime.views())
         .map(|v| runtime.registry().view(v).stats.exec.scan_fallbacks)
         .sum();
     if let Some(p) = wal_path {

@@ -151,7 +151,7 @@ pub fn run_multiview(
         if r.violated {
             violations += 1;
         }
-        shared_checksums.push(rt.view_checksum(v));
+        shared_checksums.push(rt.registry().result_checksum(v));
     }
     let shared_elapsed = shared_started.elapsed();
     let mm = rt.metrics();

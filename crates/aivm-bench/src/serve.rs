@@ -369,10 +369,8 @@ impl ServeExperiment {
     /// costs on the global table axis, with the fan-out-scaled budget.
     pub fn registry_config(&self, views: usize) -> MultiConfig {
         MultiConfig {
-            table_costs: self.costs.clone(),
             budget: self.registry_budget(views),
-            strict: false,
-            flush_threads: self.opts.flush_threads,
+            ..self.config()
         }
     }
 
@@ -622,7 +620,7 @@ mod tests {
     fn registry_variants_share_one_group() {
         let exp = ServeExperiment::build(quick_opts()).expect("build");
         let rt = exp.registry_runtime("online", 6).expect("registry runtime");
-        assert_eq!(rt.view_count(), 6);
+        assert_eq!(rt.views(), 6);
         assert_eq!(
             rt.registry().group_count(),
             1,

@@ -199,7 +199,7 @@ pub fn run_skew_config(
             break;
         }
         let read_started = Instant::now();
-        rt.read_at(ReadMode::Fresh, read_started)?;
+        rt.read_view_at(0, ReadMode::Fresh, read_started)?;
         reads += 1;
         if reads > opts.warmup_reads {
             latencies.push(read_started.elapsed().as_nanos() as u64);

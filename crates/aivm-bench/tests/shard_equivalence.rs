@@ -1,12 +1,13 @@
-//! Shard-merge correctness: for the paper view, a key-partitioned
-//! [`ShardedRuntime`] must be *observationally identical* to one
-//! unsharded runtime fed the same stream — same Fresh-read rows, same
-//! order-independent checksum — at every width, for any interleaving
-//! of partial flushes.
+//! Shard-merge correctness: for the paper view, N key-partitioned
+//! runtimes — every modification routed by [`Partitioner::route`],
+//! every read merged by [`merge_reads`], as the shard router does —
+//! must be *observationally identical* to one unsharded runtime fed the
+//! same stream — same Fresh-read rows, same order-independent checksum
+//! — at every width, for any interleaving of partial flushes.
 //!
-//! The single runtime is deliberately wrapped in a 1-way
-//! `ShardedRuntime` so both sides go through the exact same
-//! merge/checksum pipeline; what differs is only the partitioning.
+//! The single runtime is deliberately driven as a 1-way set
+//! ([`Partitioner::single`]) so both sides go through the exact same
+//! route/merge/checksum pipeline; what differs is only the partitioning.
 //! Flush schedules are *intentionally divergent* between the two sides
 //! (seeded random ticks hit random shards), because the equivalence
 //! claim is about state, not schedules: a Fresh read flushes
@@ -14,10 +15,54 @@
 //! happened before it.
 
 use aivm_bench::serve::{ServeExperiment, ServeOptions};
-use aivm_serve::ReadMode;
-use aivm_shard::{MergeSpec, Partitioner, ShardedRuntime};
+use aivm_engine::Modification;
+use aivm_serve::{MaintenanceRuntime, ReadMode};
+use aivm_shard::{merge_reads, MergeSpec, MergedRead, Partitioner, Route};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// N runtimes over the partitions of one database.
+struct Shards {
+    runtimes: Vec<MaintenanceRuntime>,
+    part: Partitioner,
+    merge: MergeSpec,
+}
+
+impl Shards {
+    fn new(exp: &ServeExperiment, runtimes: Vec<MaintenanceRuntime>, part: Partitioner) -> Self {
+        assert_eq!(runtimes.len(), part.shards());
+        part.validate(exp.view_def())
+            .expect("co-located partitioner");
+        let merge = MergeSpec::from_def(exp.view_def()).expect("merge spec");
+        Shards {
+            runtimes,
+            part,
+            merge,
+        }
+    }
+
+    /// Routes one modification to its owning shard (every shard for a
+    /// replicated table).
+    fn ingest(&mut self, table: usize, m: Modification) {
+        match self.part.route(table, &m).expect("routable") {
+            Route::One(s) => self.runtimes[s].ingest_dml(table, m).expect("ingest"),
+            Route::All => {
+                for rt in &mut self.runtimes {
+                    rt.ingest_dml(table, m.clone()).expect("ingest");
+                }
+            }
+        }
+    }
+
+    /// Reads every shard (a Fresh read flushes each under its own
+    /// budget) and merges.
+    fn read(&mut self, mode: ReadMode) -> MergedRead {
+        let reads: Vec<_> = (self.runtimes.iter_mut())
+            .map(|rt| rt.read(mode).expect("shard read"))
+            .collect();
+        merge_reads(&self.merge, &reads).expect("merge")
+    }
+}
 
 fn build_exp(events_each: usize, seed: u64) -> ServeExperiment {
     ServeExperiment::build(ServeOptions {
@@ -70,17 +115,12 @@ fn assert_equivalent(exp: &ServeExperiment, shards: usize, seed: u64) {
     let single_rt = exp
         .runtime(exp.policy("online").expect("known policy"))
         .expect("single runtime");
-    let mut single = ShardedRuntime::new(
-        vec![single_rt],
-        Partitioner::single(exp.costs.len()),
-        exp.view_def(),
-    )
-    .expect("1-way wrapper");
+    let mut single = Shards::new(exp, vec![single_rt], Partitioner::single(exp.costs.len()));
     // Subject: the key-partitioned set with budget C/N per shard.
     let (runtimes, part) = exp
         .sharded_runtimes("online", shards)
         .expect("sharded runtimes");
-    let mut sharded = ShardedRuntime::new(runtimes, part, exp.view_def()).expect("sharded runtime");
+    let mut sharded = Shards::new(exp, runtimes, part);
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xeda7);
     let mut checks = 0u32;
@@ -88,24 +128,24 @@ fn assert_equivalent(exp: &ServeExperiment, shards: usize, seed: u64) {
         match op {
             Op::Ps(i) => {
                 let m = exp.ps_stream[i].clone();
-                single.ingest_dml(exp.ps_pos, m.clone()).expect("single ps");
-                sharded.ingest_dml(exp.ps_pos, m).expect("sharded ps");
+                single.ingest(exp.ps_pos, m.clone());
+                sharded.ingest(exp.ps_pos, m);
             }
             Op::Supp(i) => {
                 let m = exp.supp_stream[i].clone();
-                single
-                    .ingest_dml(exp.supp_pos, m.clone())
-                    .expect("single supp");
-                sharded.ingest_dml(exp.supp_pos, m).expect("sharded supp");
+                single.ingest(exp.supp_pos, m.clone());
+                sharded.ingest(exp.supp_pos, m);
             }
-            Op::TickSingle => single.tick_all().expect("single tick"),
+            Op::TickSingle => {
+                single.runtimes[0].tick().expect("single tick");
+            }
             Op::TickShard(i) => {
-                sharded.shard_mut(i).tick().expect("shard tick");
+                sharded.runtimes[i].tick().expect("shard tick");
             }
             Op::FreshCheck => {
                 checks += 1;
-                let a = single.read(ReadMode::Fresh).expect("single fresh");
-                let b = sharded.read(ReadMode::Fresh).expect("sharded fresh");
+                let a = single.read(ReadMode::Fresh);
+                let b = sharded.read(ReadMode::Fresh);
                 assert!(!a.violated && !b.violated, "budget violated at a check");
                 assert_eq!(
                     a.rows, b.rows,
@@ -123,15 +163,14 @@ fn assert_equivalent(exp: &ServeExperiment, shards: usize, seed: u64) {
     // Ground truth: evaluate the view definition from scratch over each
     // shard's base tables and merge — the maintained, merged result
     // must equal direct evaluation, not just the other runtime.
-    let merge = MergeSpec::from_def(exp.view_def()).expect("merge spec");
-    let direct_parts: Vec<Vec<aivm_engine::WRow>> = (0..shards)
-        .map(|i| {
-            let db = sharded.shard(i).database().expect("engine backend");
+    let direct_parts: Vec<Vec<aivm_engine::WRow>> = (sharded.runtimes.iter())
+        .map(|rt| {
+            let db = rt.database().expect("engine backend");
             exp.make_view(db).expect("direct view").result()
         })
         .collect();
-    let direct = merge.merge(&direct_parts).expect("direct merge");
-    let maintained = sharded.read(ReadMode::Fresh).expect("final fresh");
+    let direct = sharded.merge.merge(&direct_parts).expect("direct merge");
+    let maintained = sharded.read(ReadMode::Fresh);
     assert_eq!(
         maintained.rows, direct,
         "shards={shards} seed={seed}: maintained result != direct evaluation"

@@ -38,9 +38,11 @@
 //!
 //! **Registry interaction:** the multi-view [`crate::registry`] drives
 //! propagation through `take_start_delta`/`propagate_chunked`
-//! directly, bypassing `flush`. Promotion only ever runs inside `flush`,
-//! so heavy-light state on a registry-managed view is inert (no key is
-//! ever promoted) and shared propagation keeps its exact semantics.
+//! directly, so only a sharing group's leader uses its state; the
+//! registry's flush reclassifies the leader at the same boundary, and
+//! through the same helper, as `flush` does — which is what keeps a
+//! heavy-light view served as a registry of one classifying exactly as
+//! it does standalone.
 
 use crate::costmodel::{self, CostConstants};
 use crate::db::{Database, TableId};

@@ -688,10 +688,10 @@ impl MaterializedView {
     ///
     /// Call after construction and before ingesting; re-enabling
     /// mid-life is allowed (state rebuilds from an empty sketch, which
-    /// only resets classification, never results). Intended for
-    /// standalone views: on a [`crate::registry`]-managed view the state
-    /// is inert (promotion only happens inside [`MaterializedView::flush`],
-    /// which the registry bypasses), so shared propagation is unaffected.
+    /// only resets classification, never results). Under a
+    /// [`crate::registry`] only a sharing group's leader propagates, so
+    /// only the leader's state is live; the registry reclassifies it at
+    /// the same flush boundary [`MaterializedView::flush`] does.
     pub fn set_heavy_light(
         &mut self,
         db: &Database,
@@ -897,14 +897,7 @@ impl MaterializedView {
             });
         }
         let mut report = FlushReport::default();
-        // Heavy-light reclassification is a flush-boundary event: keys
-        // whose observed frequency drifted across the threshold migrate
-        // between partitions *before* any prefix is consumed, so the
-        // migration sees the exact processed-prefix state and the flush
-        // result is bit-identical to the unpartitioned engine.
-        if let Some(h) = self.heavy.as_mut() {
-            h.reclassify(db, &self.table_ids, &self.pending, &self.def.filters);
-        }
+        self.reclassify_heavy(db);
         for (i, &c) in counts.iter().enumerate() {
             let k = c as usize;
             if k == 0 {
@@ -920,6 +913,19 @@ impl MaterializedView {
         }
         self.finish_flush(db, &mut report)?;
         Ok(report)
+    }
+
+    /// Heavy-light reclassification, a flush-boundary event: keys whose
+    /// observed frequency drifted across the threshold migrate between
+    /// partitions *before* any prefix is consumed, so the migration sees
+    /// the exact processed-prefix state and the flush result is
+    /// bit-identical to the unpartitioned engine. Opens every
+    /// [`MaterializedView::flush`] and every registry flush of a group
+    /// this view leads.
+    pub(crate) fn reclassify_heavy(&mut self, db: &Database) {
+        if let Some(h) = self.heavy.as_mut() {
+            h.reclassify(db, &self.table_ids, &self.pending, &self.def.filters);
+        }
     }
 
     /// Consumes the next `k` pending modifications of table `i` and

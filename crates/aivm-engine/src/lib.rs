@@ -24,7 +24,6 @@ pub mod logical;
 pub mod measure;
 pub mod registry;
 pub mod schema;
-pub mod shared;
 pub mod sql;
 pub mod table;
 pub mod value;
@@ -52,7 +51,6 @@ pub use logical::{AggFunc, LogicalPlan};
 pub use measure::{measure_cost_function, CostMeasurement, MeasureConfig};
 pub use registry::{Cell, RegistryFlushReport, RegistryStats, ViewRegistry};
 pub use schema::{Column, Row, Schema};
-pub use shared::SharedView;
 pub use sql::{parse_query, parse_view};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -180,6 +180,24 @@ impl ViewRegistry {
             });
         }
         let view = MaterializedView::register(&mut self.db, def, strategy)?;
+        self.insert(view)
+    }
+
+    /// A registry of one: wraps `db` and a view already built over it,
+    /// keeping whatever the caller configured on the view (heavy-light
+    /// sketches, MIN/MAX strategy, physical design) and turning on
+    /// snapshot publication. This is how a single view becomes the N = 1
+    /// of the multi-view serving runtime.
+    pub fn adopt(db: Database, mut view: MaterializedView) -> Result<Self, EngineError> {
+        view.set_snapshot_publishing(true);
+        let mut reg = ViewRegistry::new(db);
+        reg.insert(view)?;
+        Ok(reg)
+    }
+
+    /// Routes a new view's tables, assigns its sharing group and
+    /// rebases the group onto the union of its members' live columns.
+    fn insert(&mut self, view: MaterializedView) -> Result<ViewId, EngineError> {
         let id = self.views.len();
         for (pos, table_name) in view.def().tables.iter().enumerate() {
             let table_id = self.db.table_id(table_name)?;
@@ -280,6 +298,50 @@ impl ViewRegistry {
             .collect()
     }
 
+    /// The pending modifications per cell, in arrival order — a
+    /// durability checkpoint's delta payload. By lockstep the group
+    /// leader's delta tables stand for every member's, so a registry of
+    /// one yields exactly its view's per-table layout.
+    pub fn pending_snapshot(&self) -> Vec<Vec<Modification>> {
+        (self.groups.iter())
+            .flat_map(|g| self.views[g.members[0]].pending_snapshot())
+            .collect()
+    }
+
+    /// Restores every view from a checkpoint: pending deltas per cell
+    /// (as [`ViewRegistry::pending_snapshot`] took them, installed into
+    /// each member of the cell's group) and each view's flush sequence,
+    /// so republished snapshots carry the seqs the checkpointed run had
+    /// reached. The database must already hold every arrival, pending
+    /// ones included (§2 arrival semantics).
+    pub fn restore_pending(
+        &mut self,
+        cells: Vec<Vec<Modification>>,
+        seqs: &[u64],
+    ) -> Result<(), EngineError> {
+        if cells.len() != self.cells.len() || seqs.len() != self.views.len() {
+            return Err(EngineError::Maintenance {
+                message: format!(
+                    "checkpoint holds {} cells and {} seqs; registry has {} and {}",
+                    cells.len(),
+                    seqs.len(),
+                    self.cells.len(),
+                    self.views.len()
+                ),
+            });
+        }
+        let mut cells = cells.into_iter();
+        for group in &self.groups {
+            let leader = &self.views[group.members[0]];
+            let mods: Vec<Vec<Modification>> = cells.by_ref().take(leader.n()).collect();
+            for &v in &group.members {
+                self.views[v].stats.flushes = seqs[v];
+                self.views[v].restore_pending(&self.db, mods.clone())?;
+            }
+        }
+        Ok(())
+    }
+
     /// Pending counts of one view (its group's, by lockstep).
     pub fn pending_counts(&self, id: ViewId) -> Vec<u64> {
         self.views[id].pending_counts()
@@ -345,6 +407,19 @@ impl ViewRegistry {
         }
         let mut report = RegistryFlushReport::default();
         let mut per_view: HashMap<ViewId, FlushReport> = HashMap::new();
+        // Every touched group's leader (the member whose heavy-light
+        // state drives the shared propagation) reclassifies first, at
+        // the flush boundary — exactly where `MaterializedView::flush`
+        // does.
+        let mut touched_groups: Vec<usize> = (self.cells.iter().zip(counts))
+            .filter(|&(_, &k)| k > 0)
+            .map(|(cell, _)| cell.group)
+            .collect();
+        touched_groups.dedup();
+        for g in touched_groups {
+            let leader = self.groups[g].members[0];
+            self.views[leader].reclassify_heavy(&self.db);
+        }
         for (c, &count) in counts.iter().enumerate() {
             let k = count as usize;
             if k == 0 {

@@ -207,7 +207,9 @@ pub struct NetServer {
 
 impl NetServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) over one single-view
-    /// scheduler and starts accepting.
+    /// scheduler and starts accepting. A single view is a registry of
+    /// one, so everything [`NetServer::bind_registry`] serves is served
+    /// here for view 0, push subscriptions included.
     ///
     /// `n_tables` is the view's base-table count, used to reject
     /// out-of-range `Submit.table` values as [`ErrorCode::BadRequest`]
@@ -1192,11 +1194,11 @@ fn bad_view(view: u32, views: usize) -> Response {
 }
 
 /// The rejection for `Subscribe`/`Unsubscribe` on a router without a
-/// subscription hub.
+/// subscription hub (several shards, or a runtime without an engine).
 fn no_subscriptions() -> Response {
     Response::Error {
         code: ErrorCode::BadRequest,
-        message: "push subscriptions require a registry server".into(),
+        message: "push subscriptions require a single-shard server with an engine".into(),
     }
 }
 
@@ -1884,9 +1886,8 @@ fn flush_wbuf(conn: &mut Conn) {
 
 /// Folds the gathered per-shard snapshots and the net-layer counters
 /// into the wire metrics: counters sum across shards, staleness takes
-/// the worst (shard × view), the view axis is whatever the runtimes
-/// report (a single-view runtime reports none), and the optional
-/// per-shard breakdown includes dead slots with `live: false`.
+/// the worst (shard × view), per-view rows fold across shards, and the
+/// optional per-shard breakdown includes dead slots with `live: false`.
 fn wire_metrics(
     shared: &Shared,
     router: &ShardRouter,
@@ -1987,17 +1988,31 @@ fn wire_metrics(
         nm.per_shard = Some(rows);
     }
     if per_view && view_rows().next().is_some() {
-        let rows = view_rows().map(|v| ViewMetricsRow {
-            view: v.view,
-            group: v.group,
-            flushes: v.flushes,
-            pending: v.pending,
-            violations: v.violations,
-            deltas_pushed: v.deltas_pushed,
-            subscribers: v.subscribers,
-            sub_lag_max: v.sub_lag_max,
-        });
-        nm.per_view = Some(rows.collect());
+        // One row per view: counters sum across shards, the subscriber
+        // lag is the worst shard's.
+        let mut rows: Vec<ViewMetricsRow> = Vec::with_capacity(router.views());
+        for v in view_rows() {
+            let Some(row) = rows.iter_mut().find(|r| r.view == v.view) else {
+                rows.push(ViewMetricsRow {
+                    view: v.view,
+                    group: v.group,
+                    flushes: v.flushes,
+                    pending: v.pending,
+                    violations: v.violations,
+                    deltas_pushed: v.deltas_pushed,
+                    subscribers: v.subscribers,
+                    sub_lag_max: v.sub_lag_max,
+                });
+                continue;
+            };
+            row.flushes += v.flushes;
+            row.pending += v.pending;
+            row.violations += v.violations;
+            row.deltas_pushed += v.deltas_pushed;
+            row.subscribers += v.subscribers;
+            row.sub_lag_max = row.sub_lag_max.max(v.sub_lag_max);
+        }
+        nm.per_view = Some(rows);
     }
     nm
 }

@@ -11,11 +11,15 @@
 //!   metrics; a stale read serves one published snapshot per shard, so
 //!   `snapshot_reads` grows by `shards` per read; only a multi-shard
 //!   router can admit a batch *partially*.
-//! * **views** (1, 2, 1, 1): `views` in metrics and the out-of-range
-//!   bound; per-view metrics rows exist only where the runtime has a
-//!   view axis (the registry).
-//! * **hub** (only `bind_registry`): `Subscribe`/`Unsubscribe` are
-//!   served there and `BadRequest` elsewhere.
+//! * **views** (1, 2, 1, 1): `views` in metrics, the out-of-range bound
+//!   and the number of per-view metrics rows (every runtime has a view
+//!   axis — a single view is a registry of one — and rows fold across
+//!   shards).
+//! * **hub** (every single-shard router: `bind`, `bind_registry`,
+//!   `bind_sharded` at one shard): every runtime publishes deltas to a
+//!   hub, so `Subscribe`/`Unsubscribe` are served wherever one
+//!   scheduler stands behind the router, and are `BadRequest` on two
+//!   shards (a multi-shard router has no hub).
 //! * **failover** (only `bind_sharded`, whose caller keeps the router):
 //!   a fencing epoch can only advance — and a stamped epoch go stale —
 //!   where someone can `promote`.
@@ -75,7 +79,7 @@ impl Kind {
     }
 
     fn has_hub(self) -> bool {
-        self == Kind::BindRegistry
+        self.shards() == 1
     }
 
     /// Whether the test (like any `bind_sharded` caller) holds the
@@ -596,7 +600,7 @@ fn the_same_script_gets_the_same_responses_from_every_constructor() {
                     k.views(),
                     // Two stale reads, one snapshot served per shard.
                     2 * k.shards(),
-                    if k == Kind::BindRegistry { "2" } else { "-" },
+                    k.views(),
                     s = k.shards(),
                 )
             },

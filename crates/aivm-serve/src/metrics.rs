@@ -168,9 +168,6 @@ pub struct MetricsSnapshot {
     pub recalibrations: u64,
     /// Times this runtime's state was rebuilt from WAL + checkpoint.
     pub recoveries: u64,
-    /// WAL append failures (counts-only runtimes surface them here
-    /// instead of erroring the ingest path).
-    pub wal_errors: u64,
     /// Records appended to the attached WAL (0 without one).
     pub wal_records: u64,
     /// WAL records appended but not yet fsynced — the window of events
@@ -212,8 +209,49 @@ pub struct MetricsSnapshot {
     pub light_hits: u64,
 }
 
+/// Per-view counters in a [`MultiMetricsSnapshot`].
+#[derive(Clone, Debug, Default)]
+pub struct ViewMetricsSnapshot {
+    /// Registry view id.
+    pub view: u32,
+    /// Sharing-group index.
+    pub group: u32,
+    /// Flushes this view has closed (its snapshot seq head).
+    pub flushes: u64,
+    /// Pending modifications not yet reflected in the view (its
+    /// group's backlog, summed over tables).
+    pub pending: u64,
+    /// Ticks after which refreshing this view's group would have
+    /// exceeded the budget `C`, plus fresh reads of it that did (must
+    /// stay 0 for a correct policy).
+    pub violations: u64,
+    /// Delta batches published for this view.
+    pub deltas_pushed: u64,
+    /// Live push subscribers.
+    pub subscribers: u64,
+    /// Largest observed subscriber lag (seqs behind head).
+    pub sub_lag_max: u64,
+}
+
+/// A [`MetricsSnapshot`] with the view axis attached.
+#[derive(Clone, Debug, Default)]
+pub struct MultiMetricsSnapshot {
+    /// Runtime-global counters. Per-table vectors run over the
+    /// (group × table) cell axis.
+    pub global: MetricsSnapshot,
+    /// Per-view rows, indexed by view id.
+    pub views: Vec<ViewMetricsSnapshot>,
+    /// Sharing groups in the registry.
+    pub groups: u64,
+    /// Join propagations actually executed.
+    pub propagations: u64,
+    /// Propagations saved by sharing (each would have been paid by an
+    /// independent runtime).
+    pub shared_propagations: u64,
+}
+
 /// Mutable counter state owned by the runtime.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct Metrics {
     pub events_ingested: u64,
     pub ticks: u64,
@@ -232,30 +270,15 @@ pub(crate) struct Metrics {
     pub cost_overruns: u64,
     pub recalibrations: u64,
     pub recoveries: u64,
-    pub wal_errors: u64,
+    pub budget_rebalances: u64,
 }
 
 impl Metrics {
     pub(crate) fn new(n: usize) -> Self {
         Metrics {
-            events_ingested: 0,
-            ticks: 0,
             flushes_per_table: vec![0; n],
             mods_flushed_per_table: vec![0; n],
-            flush_count: 0,
-            total_flush_cost: 0.0,
-            max_flush_cost: 0.0,
-            flush_cost_millis: LatencyHistogram::new(),
-            fresh_reads: 0,
-            stale_reads: 0,
-            refresh_latency_ns: LatencyHistogram::new(),
-            constraint_violations: 0,
-            policy_demotions: 0,
-            flush_errors: 0,
-            cost_overruns: 0,
-            recalibrations: 0,
-            recoveries: 0,
-            wal_errors: 0,
+            ..Metrics::default()
         }
     }
 
@@ -278,6 +301,8 @@ impl Metrics {
         }
     }
 
+    /// The counters this struct owns; the runtime and the server fill in
+    /// the gauges they own (WAL position, queue depths, budget, …).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             events_ingested: self.events_ingested,
@@ -290,30 +315,16 @@ impl Metrics {
             flush_cost_millis: self.flush_cost_millis.snapshot(),
             fresh_reads: self.fresh_reads,
             stale_reads: self.stale_reads,
-            snapshot_reads: 0,
             refresh_latency_ns: self.refresh_latency_ns.snapshot(),
-            queue_depth: 0,
-            max_queue_depth: 0,
             constraint_violations: self.constraint_violations,
             policy_demotions: self.policy_demotions,
             flush_errors: self.flush_errors,
             cost_overruns: self.cost_overruns,
             recalibrations: self.recalibrations,
             recoveries: self.recoveries,
-            wal_errors: self.wal_errors,
-            wal_records: 0,
-            wal_fsync_lag: 0,
-            wal_sync_every: 0,
-            degraded: false,
-            shed_events: 0,
-            ingest_errors: 0,
-            last_error: None,
-            budget: 0.0,
-            budget_rebalances: 0,
-            heavy_keys: 0,
-            heavy_reclassifications: 0,
-            heavy_hits: 0,
-            light_hits: 0,
+            degraded: self.policy_demotions > 0,
+            budget_rebalances: self.budget_rebalances,
+            ..MetricsSnapshot::default()
         }
     }
 }

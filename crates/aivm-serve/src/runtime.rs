@@ -6,49 +6,47 @@
 //! these from its scheduler loop; tests and benchmarks drive it
 //! directly, which is what makes live behaviour reproducible offline.
 //!
-//! Two backends share the same scheduling logic:
+//! The paper schedules one knapsack — a cost function per table, one
+//! budget `C` — and so does the runtime, over a [`ViewRegistry`]'s
+//! *(sharing group × table)* **cell** axis: one asymmetric budget
+//! decides "which view × which table to flush". A cell costs its
+//! table's model scaled by `1 + APPLY_SHARE·(m − 1)` for a group of `m`
+//! views: propagation runs once per group (the sharing win), but every
+//! member still pays its own apply/projection share. The special cases
+//! are the N = 1 of that one path, not paths of their own: one view
+//! ([`MaintenanceRuntime::engine`]) is a registry of one, and
+//! counts-only mode ([`MaintenanceRuntime::model`]) is the runtime with
+//! no engine — cells = tables, flushes charge the cost functions but
+//! touch no data (policy tests, benchmarks, and recovery's shadow
+//! replay). Unqualified methods (`read`, `view_checksum`,
+//! `maintenance_stats`) mean view 0, as
+//! [`Handle::read`](crate::Handle::read) does; every flush boundary
+//! publishes the views it advanced to the runtime's [`SubscriptionHub`].
 //!
-//! * **Model** — counts-only; flushes charge the configured cost
-//!   functions but touch no data. For policy tests and throughput
-//!   benchmarks.
-//! * **Engine** — owns a [`Database`] and a [`MaterializedView`]; DML
-//!   ingest applies each modification to the base table and enqueues it
-//!   in the view's delta table (arrival-time semantics, §2), and flushes
-//!   propagate deltas for real.
-//!
-//! ## Durability
-//!
-//! With a [`WalWriter`] attached, every state-changing event — ingest,
-//! tick, forced flush — is appended to the log *after* it applied.
-//! Because scheduling is a deterministic function of the event
-//! sequence, [`MaintenanceRuntime::recover`] rebuilds the exact state
-//! of an uncrashed run: it restores data from the latest
-//! [`Checkpoint`] (or the genesis database), *shadow-replays* the
-//! checkpointed log prefix in counts-only mode to rebuild policy
-//! state, metrics and trace, then replays the log tail against the
-//! engine for real.
-//!
-//! ## Graceful degradation
-//!
-//! The runtime never `panic!`s on a misbehaving policy. Decisions run
-//! under `catch_unwind`; a panicking or overdrawing policy is
-//! permanently demoted to [`NaiveFlush`] (the one policy that is valid
-//! by construction), counted in metrics. An injected flush failure
-//! (which models a transient pre-write error) demotes the same way and
-//! skips the flush; a *real* engine flush error propagates, because
-//! the view state can no longer be trusted. Sustained flush-cost
-//! overruns beyond [`DRIFT_RATIO`] trigger a cost-model recalibration
-//! after [`RECALIBRATE_AFTER`] consecutive overruns. Strict mode turns
-//! constraint violations into typed [`EngineError::Maintenance`]
-//! errors instead of panics.
+//! With a [`WalWriter`] attached, every state-changing event is logged
+//! *after* it applied; because scheduling is a deterministic function
+//! of the event sequence, [`MaintenanceRuntime::recover_registry`]
+//! rebuilds the exact state of an uncrashed run. A misbehaving policy
+//! never crashes the runtime: decisions run under `catch_unwind`, and a
+//! panicking, overdrawing or (injected) flush-failing policy is demoted
+//! to [`NaiveFlush`], the one policy valid by construction, while a
+//! *real* engine flush error propagates, because the view state can no
+//! longer be trusted. Sustained flush-cost overruns beyond
+//! [`DRIFT_RATIO`] recalibrate the cost model after [`RECALIBRATE_AFTER`]
+//! consecutive overruns; strict mode turns constraint violations into
+//! typed [`EngineError::Maintenance`] errors instead of counts.
 
 use crate::fault::FaultPlan;
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, MultiMetricsSnapshot, ViewMetricsSnapshot};
+use crate::multi::SubscriptionHub;
 use crate::policy::{FlushPolicy, NaiveFlush};
 use crate::trace::Trace;
 use crate::wal::{read_wal, Checkpoint, EngineCheckpoint, WalRecord, WalWriter};
 use aivm_core::{fits, total_cost, CostModel, Counts};
-use aivm_engine::{Database, EngineError, MaterializedView, Modification, ViewSnapshot, WRow};
+use aivm_engine::{
+    Database, EngineError, MaterializedView, Modification, TableId, ViewRegistry, ViewSnapshot,
+    WRow,
+};
 use aivm_solver::PolicyContext;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -61,12 +59,20 @@ pub const DRIFT_RATIO: f64 = 1.5;
 /// Consecutive overruns that trigger a cost-model recalibration.
 pub const RECALIBRATE_AFTER: u32 = 3;
 
+/// Fraction of a table's propagation cost charged per *additional*
+/// group member: propagation runs once per group, but each member pays
+/// its own apply/projection work on the shared join delta.
+pub const APPLY_SHARE: f64 = 0.1;
+
 /// Configuration of a [`MaintenanceRuntime`].
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Per-table cost functions (the model the scheduler reasons with).
+    /// Per-base-table cost functions over the ingest axis (see
+    /// [`MaintenanceRuntime::table_names`]: one view's tables in view
+    /// order, a registry's distinct tables in first-appearance order).
+    /// Cell costs scale these by fan-out.
     pub costs: Vec<CostModel>,
-    /// The refresh response-time budget `C`.
+    /// The refresh response-time budget `C` (shared across all views).
     pub budget: f64,
     /// Record every step into a replayable [`Trace`].
     pub record_trace: bool,
@@ -104,15 +110,15 @@ pub enum ReadMode {
     /// Return the current materialized `V` without flushing. Free, but
     /// pending modifications are not reflected.
     Stale,
-    /// Flush everything pending, then read. By the paper's validity
-    /// invariant the flush always costs ≤ `C`.
+    /// Flush everything pending for the view, then read. By the paper's
+    /// validity invariant the flush always costs ≤ `C`.
     Fresh,
 }
 
 /// Outcome of a read.
 #[derive(Clone, Debug)]
 pub struct ReadResult {
-    /// Materialized rows (engine backend; `None` on the model backend).
+    /// Materialized rows (`None` without an engine).
     pub rows: Option<Vec<WRow>>,
     /// Pending modifications *not* reflected in `rows` (0 for fresh).
     pub lag: u64,
@@ -137,24 +143,50 @@ pub struct TickReport {
     pub violated: bool,
 }
 
-enum Backend {
-    Model,
-    Engine(Box<EngineState>),
+/// One sharing group on the scheduling axis.
+#[derive(Clone, Debug)]
+struct Group {
+    /// The group's cells, in table order.
+    cells: Vec<usize>,
+    /// Member views; a fresh read of any of them refreshes all.
+    views: Vec<usize>,
 }
 
-struct EngineState {
-    db: Database,
-    view: MaterializedView,
+/// The scheduling axis: which cells a table's arrivals land in, and
+/// which cells and views each sharing group spans.
+#[derive(Clone, Debug)]
+struct Axis {
+    /// Cells fed by each table of the ingest axis.
+    routes: Vec<Vec<usize>>,
+    groups: Vec<Group>,
+    /// View → its group.
+    group_of: Vec<usize>,
+}
+
+/// The data half of a runtime: the registry whose cells the axis
+/// schedules, and the hub its flushes publish to.
+struct Engine {
+    registry: ViewRegistry,
+    /// Ingest axis: distinct table names across all views, in
+    /// first-appearance order. `Dml` WAL records and the wire `Submit`
+    /// frame address tables by index into this axis.
+    table_names: Vec<String>,
+    /// Engine table id per ingest-axis table.
+    table_ids: Vec<TableId>,
+    hub: Arc<SubscriptionHub>,
 }
 
 /// The synchronous maintenance core. See the module docs.
 pub struct MaintenanceRuntime {
     ctx: PolicyContext,
-    /// The cost functions as configured, before any recalibration —
-    /// the stand-in for "true" flush costs when simulating drift.
+    /// The cell costs as configured, before any recalibration — the
+    /// stand-in for "true" flush costs when simulating drift.
     original_costs: Vec<CostModel>,
     policy: Box<dyn FlushPolicy>,
-    backend: Backend,
+    axis: Axis,
+    /// `None` in counts-only mode, and while recovery shadow-replays.
+    engine: Option<Engine>,
+    /// Pending counts over the cell axis (the paper's `s`).
     pending: Counts,
     window: Counts,
     t: usize,
@@ -163,94 +195,154 @@ pub struct MaintenanceRuntime {
     trace: Option<Trace>,
     wal: Option<WalWriter>,
     faults: FaultPlan,
-    demoted: bool,
     overrun_streak: u32,
-    rebalances: u64,
+    /// Flush boundaries each view has closed — its snapshot seq —
+    /// counted here too, so a shadow replay can restore them.
+    view_flushes: Vec<u64>,
+    /// Per view: ticks whose post-state would break its freshness
+    /// guarantee, plus fresh reads that did.
+    view_violations: Vec<u64>,
 }
 
 impl MaintenanceRuntime {
-    /// Creates a counts-only (model-backed) runtime.
-    pub fn model(cfg: ServeConfig, mut policy: Box<dyn FlushPolicy>) -> Self {
+    /// Creates a counts-only runtime: no engine, a cell per table.
+    pub fn model(cfg: ServeConfig, policy: Box<dyn FlushPolicy>) -> Self {
         let n = cfg.costs.len();
+        let axis = Axis {
+            routes: (0..n).map(|i| vec![i]).collect(),
+            groups: vec![Group {
+                cells: (0..n).collect(),
+                views: vec![0],
+            }],
+            group_of: vec![0],
+        };
+        let costs = cfg.costs.clone();
+        Self::build(cfg, policy, axis, costs, None)
+    }
+
+    /// Creates a runtime owning `db` and one `view` built over it — a
+    /// registry of one. The cost vector must have one entry per base
+    /// table of the view, in view order.
+    pub fn engine(
+        cfg: ServeConfig,
+        policy: Box<dyn FlushPolicy>,
+        db: Database,
+        view: MaterializedView,
+    ) -> Result<Self, EngineError> {
+        Self::new(cfg, policy, ViewRegistry::adopt(db, view)?)
+    }
+
+    /// Creates a runtime over a registry (register all views first — the
+    /// scheduling axis is fixed at construction). `cfg.costs` must have
+    /// one entry per distinct base table across the registered views.
+    pub fn new(
+        cfg: ServeConfig,
+        policy: Box<dyn FlushPolicy>,
+        mut registry: ViewRegistry,
+    ) -> Result<Self, EngineError> {
+        let views = registry.view_count();
+        if views == 0 {
+            return Err(EngineError::Maintenance {
+                message: "a maintenance runtime needs at least one registered view".into(),
+            });
+        }
+        registry.set_flush_threads(cfg.flush_threads);
+        let mut table_names: Vec<String> = Vec::new();
+        for v in 0..views {
+            for name in &registry.view(v).def().tables {
+                if !table_names.contains(name) {
+                    table_names.push(name.clone());
+                }
+            }
+        }
+        if cfg.costs.len() != table_names.len() {
+            return Err(EngineError::Maintenance {
+                message: format!(
+                    "cost vector arity {} != {} distinct base tables",
+                    cfg.costs.len(),
+                    table_names.len()
+                ),
+            });
+        }
+        let table_ids = (table_names.iter())
+            .map(|t| registry.db().table_id(t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut axis = Axis {
+            routes: vec![Vec::new(); table_names.len()],
+            groups: (0..registry.group_count())
+                .map(|g| Group {
+                    cells: Vec::new(),
+                    views: registry.group_members(g).to_vec(),
+                })
+                .collect(),
+            group_of: (0..views).map(|v| registry.group_of(v)).collect(),
+        };
+        let fanout = registry.cell_fanout();
+        let mut costs = Vec::with_capacity(fanout.len());
+        for (c, cell) in registry.cells().iter().enumerate() {
+            let leader = registry.group_members(cell.group)[0];
+            let name = &registry.view(leader).def().tables[cell.table];
+            let table = (table_names.iter().position(|t| t == name))
+                .expect("cell table is on the ingest axis");
+            axis.routes[table].push(c);
+            axis.groups[cell.group].cells.push(c);
+            let share = 1.0 + APPLY_SHARE * (fanout[c] as f64 - 1.0);
+            costs.push(cfg.costs[table].scaled(share));
+        }
+        let engine = Engine {
+            hub: SubscriptionHub::of(&registry),
+            registry,
+            table_names,
+            table_ids,
+        };
+        Ok(Self::build(cfg, policy, axis, costs, Some(engine)))
+    }
+
+    fn build(
+        cfg: ServeConfig,
+        mut policy: Box<dyn FlushPolicy>,
+        axis: Axis,
+        costs: Vec<CostModel>,
+        engine: Option<Engine>,
+    ) -> Self {
+        let n = costs.len();
+        let views = axis.group_of.len();
         let ctx = PolicyContext {
-            costs: cfg.costs.clone(),
+            costs,
             budget: cfg.budget,
         };
         policy.reset(&ctx);
+        let (pending, view_flushes) = match &engine {
+            Some(e) => (
+                Counts::from_slice(&e.registry.cell_counts()),
+                (0..views)
+                    .map(|v| e.registry.view(v).stats.flushes)
+                    .collect(),
+            ),
+            None => (Counts::zero(n), vec![0; views]),
+        };
         MaintenanceRuntime {
-            trace: cfg
-                .record_trace
-                .then(|| Trace::new(cfg.costs.clone(), cfg.budget)),
-            original_costs: cfg.costs,
+            trace: (cfg.record_trace).then(|| Trace::new(ctx.costs.clone(), cfg.budget)),
+            original_costs: ctx.costs.clone(),
             ctx,
             policy,
-            backend: Backend::Model,
-            pending: Counts::zero(n),
+            axis,
+            engine,
+            pending,
             window: Counts::zero(n),
             t: 0,
             strict: cfg.strict,
             metrics: Metrics::new(n),
             wal: None,
             faults: FaultPlan::none(),
-            demoted: false,
             overrun_streak: 0,
-            rebalances: 0,
+            view_flushes,
+            view_violations: vec![0; views],
         }
     }
 
-    /// Creates an engine-backed runtime owning `db` and `view`. The
-    /// cost vector must have one entry per base table of the view, in
-    /// view order.
-    pub fn engine(
-        cfg: ServeConfig,
-        policy: Box<dyn FlushPolicy>,
-        db: Database,
-        mut view: MaterializedView,
-    ) -> Result<Self, EngineError> {
-        if cfg.costs.len() != view.n() {
-            return Err(EngineError::Maintenance {
-                message: format!(
-                    "cost vector arity {} != view tables {}",
-                    cfg.costs.len(),
-                    view.n()
-                ),
-            });
-        }
-        view.set_flush_threads(cfg.flush_threads);
-        // The serving stack reads Stale from flush-boundary snapshots,
-        // so publication must be on however the view was constructed.
-        view.set_snapshot_publishing(true);
-        let mut rt = Self::model(cfg, policy);
-        rt.backend = Backend::Engine(Box::new(EngineState { db, view }));
-        Ok(rt)
-    }
-
-    /// Rebuilds an engine-backed runtime from a WAL image.
-    ///
-    /// Three phases:
-    ///
-    /// 1. **Shadow replay** — the log prefix covered by `checkpoint`
-    ///    re-runs in counts-only mode: every tick consults the (fresh)
-    ///    policy exactly as the original run did, rebuilding policy
-    ///    state, metrics, trace and accumulated cost without touching
-    ///    data. The resulting pending counts must match the checkpoint
-    ///    (else the artifacts disagree and recovery fails as
-    ///    [`EngineError::Corrupt`]).
-    /// 2. **State restore** — database and pending delta tables come
-    ///    from the checkpoint (the database snapshot already reflects
-    ///    *every* logged DML up to the checkpoint, because arrivals
-    ///    apply immediately under §2 semantics); `make_view`
-    ///    reconstructs the view definition, which the codec does not
-    ///    serialize. With no checkpoint, `genesis_db` — the database as
-    ///    it was when the WAL was created — seeds phase 3 instead.
-    /// 3. **Engine replay** — the log tail past the checkpoint replays
-    ///    for real: DML applies to base tables, ticks flush.
-    ///
-    /// Determinism makes this exact: a recovered runtime reproduces the
-    /// uncrashed run's view checksum, pending counts, trace and cost
-    /// bit-for-bit, which `repro chaos` asserts at every kill index.
-    /// The returned runtime has no WAL attached; call
-    /// [`MaintenanceRuntime::attach_wal`] to resume logging.
+    /// [`MaintenanceRuntime::recover_registry`] for a single view, which
+    /// `make_view` rebuilds over the restored database.
     pub fn recover(
         cfg: ServeConfig,
         policy: Box<dyn FlushPolicy>,
@@ -259,167 +351,121 @@ impl MaintenanceRuntime {
         genesis_db: Database,
         make_view: &dyn Fn(&Database) -> Result<MaterializedView, EngineError>,
     ) -> Result<Self, EngineError> {
+        let make_registry = |db: Database| {
+            let view = make_view(&db)?;
+            ViewRegistry::adopt(db, view)
+        };
+        Self::recover_registry(
+            cfg,
+            policy,
+            wal_bytes,
+            checkpoint,
+            genesis_db,
+            &make_registry,
+        )
+    }
+
+    /// Rebuilds a runtime from a WAL image.
+    ///
+    /// Three phases:
+    ///
+    /// 1. **State restore** — the database comes from the checkpoint
+    ///    (its snapshot already reflects *every* logged DML up to the
+    ///    checkpoint, because arrivals apply immediately under §2
+    ///    semantics) or, without one, is `genesis_db` — the database as
+    ///    it was when the WAL was created. `make_registry` registers
+    ///    the views over it (the codec does not serialize definitions).
+    /// 2. **Shadow replay** — the log prefix covered by `checkpoint`
+    ///    re-runs with the engine detached: every tick consults the
+    ///    (fresh) policy exactly as the original run did, rebuilding
+    ///    policy state, metrics, trace, accumulated cost and view flush
+    ///    seqs without touching data. The resulting pending counts must
+    ///    match the checkpoint (else the artifacts disagree and recovery
+    ///    fails as [`EngineError::Corrupt`]); the checkpoint's per-cell
+    ///    pending deltas and the replayed seqs are then installed.
+    /// 3. **Engine replay** — the log tail past the checkpoint replays
+    ///    for real: DML applies to base tables, ticks flush.
+    ///
+    /// Determinism makes this exact: a recovered runtime reproduces the
+    /// uncrashed run's view checksums, pending cells, hub head seqs,
+    /// trace and cost bit-for-bit, which `repro chaos` asserts at every
+    /// kill index. The returned runtime has no WAL attached; call
+    /// [`MaintenanceRuntime::attach_wal`] to resume logging.
+    pub fn recover_registry(
+        cfg: ServeConfig,
+        policy: Box<dyn FlushPolicy>,
+        wal_bytes: &[u8],
+        checkpoint: Option<&Checkpoint>,
+        genesis_db: Database,
+        make_registry: &dyn Fn(Database) -> Result<ViewRegistry, EngineError>,
+    ) -> Result<Self, EngineError> {
         let corrupt = |message: String| EngineError::Corrupt {
             context: "recovery".into(),
             offset: 0,
             message,
         };
-        let outcome = read_wal(wal_bytes)?;
-        let records = outcome.records;
-        let prefix = match checkpoint {
-            Some(ck) => {
-                let covered = ck.wal_records as usize;
-                if covered > records.len() {
-                    return Err(corrupt(format!(
-                        "checkpoint covers {covered} wal records but only {} are readable",
-                        records.len()
-                    )));
-                }
-                covered
-            }
-            None => 0,
-        };
-        let flush_threads = cfg.flush_threads;
-        let mut rt = MaintenanceRuntime::model(cfg, policy);
-        for rec in &records[..prefix] {
-            rt.replay_shadow(rec)?;
-        }
-        // Install the data state at the checkpoint position.
-        let state = match checkpoint {
-            Some(ck) => {
-                if rt.t as u64 != ck.t {
-                    return Err(corrupt(format!(
-                        "shadow replay reached t = {} but checkpoint says t = {}",
-                        rt.t, ck.t
-                    )));
-                }
-                if ck.pending.len() != rt.n()
-                    || ck
-                        .pending
-                        .iter()
-                        .enumerate()
-                        .any(|(i, &p)| rt.pending[i] != p)
-                {
-                    return Err(corrupt(format!(
-                        "shadow replay pending {:?} disagrees with checkpoint {:?}",
-                        rt.pending, ck.pending
-                    )));
-                }
-                let EngineCheckpoint { db, pending_mods } = ck
-                    .engine
-                    .as_ref()
-                    .ok_or_else(|| corrupt("checkpoint has no engine payload".into()))?;
-                let db = aivm_engine::restore(bytes::Bytes::from(db.as_slice()))?;
-                let mut view = make_view(&db)?;
-                view.set_flush_threads(flush_threads);
-                view.set_snapshot_publishing(true);
-                view.restore_pending(&db, pending_mods.clone())?;
-                EngineState { db, view }
-            }
-            None => {
-                let mut view = make_view(&genesis_db)?;
-                view.set_flush_threads(flush_threads);
-                view.set_snapshot_publishing(true);
-                EngineState {
-                    db: genesis_db,
-                    view,
-                }
-            }
-        };
-        if state.view.n() != rt.n() {
+        let records = read_wal(wal_bytes)?.records;
+        let prefix = checkpoint.map_or(0, |ck| ck.wal_records as usize);
+        if prefix > records.len() {
             return Err(corrupt(format!(
-                "recovered view has {} tables, config has {}",
-                state.view.n(),
-                rt.n()
+                "checkpoint covers {prefix} wal records but only {} are readable",
+                records.len()
             )));
         }
-        rt.backend = Backend::Engine(Box::new(state));
-        // Replay the tail for real.
+        let payload = (checkpoint.map(|ck| ck.engine.as_ref()))
+            .map(|e| e.ok_or_else(|| corrupt("checkpoint has no engine payload".into())))
+            .transpose()?;
+        let db = match payload {
+            Some(e) => aivm_engine::restore(bytes::Bytes::from(e.db.as_slice()))?,
+            None => genesis_db,
+        };
+        let mut rt = Self::new(cfg, policy, make_registry(db)?)?;
+        let mut engine = rt.engine.take().expect("built with an engine");
+        for rec in &records[..prefix] {
+            rt.apply_record(rec)?;
+        }
+        if let (Some(ck), Some(e)) = (checkpoint, payload) {
+            let pending: Vec<u64> = rt.pending.iter().collect();
+            if rt.t as u64 != ck.t || pending != ck.pending {
+                return Err(corrupt(format!(
+                    "shadow replay reached t = {}, pending {pending:?}; checkpoint says \
+                     t = {}, pending {:?}",
+                    rt.t, ck.t, ck.pending
+                )));
+            }
+            engine
+                .registry
+                .restore_pending(e.pending_mods.clone(), &rt.view_flushes)?;
+            engine.hub = SubscriptionHub::of(&engine.registry);
+        }
+        rt.engine = Some(engine);
         for rec in &records[prefix..] {
-            rt.replay_engine(rec)?;
+            rt.apply_record(rec)?;
         }
         rt.metrics.recoveries += 1;
         Ok(rt)
     }
 
-    /// Applies one log record in counts-only (shadow) mode.
-    fn replay_shadow(&mut self, rec: &WalRecord) -> Result<(), EngineError> {
-        let bounds = |table: usize, n: usize| {
-            if table >= n {
-                Err(EngineError::Corrupt {
-                    context: "wal".into(),
-                    offset: 0,
-                    message: format!("record table {table} out of range for {n} tables"),
-                })
-            } else {
-                Ok(())
-            }
-        };
-        match rec {
-            WalRecord::Dml { table, .. } => {
-                bounds(*table, self.n())?;
-                self.pending[*table] += 1;
-                self.window[*table] += 1;
-                self.metrics.events_ingested += 1;
-            }
-            WalRecord::Count { table, k } => {
-                bounds(*table, self.n())?;
-                self.pending[*table] += k;
-                self.window[*table] += k;
-                self.metrics.events_ingested += k;
-            }
-            WalRecord::Tick => {
-                self.tick()?;
-            }
-            WalRecord::Forced => {
-                self.forced_refresh()?;
-            }
-            WalRecord::SetBudget { budget } => {
-                self.set_budget(*budget)?;
-            }
-            WalRecord::ForcedView { .. } => {
-                return Err(EngineError::Corrupt {
-                    context: "wal".into(),
-                    offset: 0,
-                    message: "registry record in a single-view log".into(),
-                })
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies one log record against the engine backend.
-    fn replay_engine(&mut self, rec: &WalRecord) -> Result<(), EngineError> {
-        match rec {
-            WalRecord::Dml { table, m } => self.ingest_dml(*table, m.clone()),
-            WalRecord::Count { .. } => Err(EngineError::Corrupt {
-                context: "wal".into(),
-                offset: 0,
-                message: "counts-only record in an engine-backed log".into(),
-            }),
-            WalRecord::Tick => self.tick().map(|_| ()),
-            WalRecord::Forced => self.forced_refresh().map(|_| ()),
-            WalRecord::SetBudget { budget } => self.set_budget(*budget),
-            WalRecord::ForcedView { .. } => Err(EngineError::Corrupt {
-                context: "wal".into(),
-                offset: 0,
-                message: "registry record in a single-view log".into(),
-            }),
-        }
-    }
-
-    /// Applies one replicated log record to this (engine-backed)
-    /// runtime — the follower path of WAL tail-streaming.
-    ///
-    /// Semantically identical to the engine-replay phase of
-    /// [`MaintenanceRuntime::recover`], but incremental: a follower
-    /// applies records as segments arrive instead of replaying a whole
-    /// image at once. With a WAL of its own attached, each applied
-    /// record is re-logged (`ingest_dml`/`tick`/`forced_refresh` log
-    /// after applying), so the follower's log mirrors the leader's and
-    /// the follower is itself recoverable and promotable.
+    /// Applies one log record — the replay step of recovery, and the
+    /// follower path of WAL tail-streaming, where a follower applies
+    /// records as segments arrive instead of replaying a whole image at
+    /// once. With a WAL of its own attached, each applied record is
+    /// re-logged (ingest, tick and forced flush log after applying), so
+    /// the follower's log mirrors the leader's and the follower is
+    /// itself recoverable and promotable. Without an engine a
+    /// modification is just an arrival: the counts-only shadow of the
+    /// log.
     pub fn apply_record(&mut self, rec: &WalRecord) -> Result<(), EngineError> {
-        self.replay_engine(rec)
+        match rec {
+            WalRecord::Dml { table, m } if self.engine.is_some() => {
+                self.ingest_dml(*table, m.clone())
+            }
+            WalRecord::Dml { table, .. } => self.try_ingest_count(*table, 1),
+            WalRecord::Count { table, k } => self.try_ingest_count(*table, *k),
+            WalRecord::Tick => self.tick().map(drop),
+            WalRecord::ForcedView { view } => self.forced_refresh(*view as usize).map(drop),
+            WalRecord::SetBudget { budget } => self.set_budget(*budget),
+        }
     }
 
     /// Attaches a write-ahead log; every subsequent state-changing
@@ -452,9 +498,8 @@ impl MaintenanceRuntime {
         }
         self.ctx.budget = budget;
         self.policy.reset(&self.ctx);
-        self.rebalances += 1;
-        self.wal_log(WalRecord::SetBudget { budget })?;
-        Ok(())
+        self.metrics.budget_rebalances += 1;
+        self.wal_log(WalRecord::SetBudget { budget })
     }
 
     /// Installs a fault-injection plan (see [`FaultPlan`]).
@@ -475,78 +520,88 @@ impl MaintenanceRuntime {
         }
     }
 
-    /// Captures a checkpoint of the current state, tagged with the
-    /// current WAL position. Meaningful at event boundaries (between
-    /// ingests/ticks), which is the only place the scheduler takes
-    /// them.
+    /// Captures the database and the pending counts and deltas per cell,
+    /// tagged with the current WAL position. Meaningful at event
+    /// boundaries (between ingests/ticks), the only place the scheduler
+    /// takes them.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             wal_records: self.wal_records(),
             t: self.t as u64,
             pending: self.pending.iter().collect(),
-            engine: match &self.backend {
-                Backend::Model => None,
-                Backend::Engine(e) => Some(EngineCheckpoint {
-                    db: aivm_engine::snapshot(&e.db).to_vec(),
-                    pending_mods: e.view.pending_snapshot(),
-                }),
-            },
+            engine: self.engine.as_ref().map(|e| EngineCheckpoint {
+                db: aivm_engine::snapshot(e.registry.db()).to_vec(),
+                pending_mods: e.registry.pending_snapshot(),
+            }),
         }
     }
 
-    /// Content checksum of the materialized view (engine backend only).
+    /// The view registry (`None` without an engine).
+    pub fn registry(&self) -> Option<&ViewRegistry> {
+        self.engine.as_ref().map(|e| &e.registry)
+    }
+
+    /// The subscription hub every flush boundary publishes to (`None`
+    /// without an engine, which materializes no rows).
+    pub fn hub(&self) -> Option<&Arc<SubscriptionHub>> {
+        self.engine.as_ref().map(|e| &e.hub)
+    }
+
+    /// Content checksum of view 0 (`None` without an engine).
     pub fn view_checksum(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(e.view.result_checksum()),
-        }
+        Some(self.registry()?.result_checksum(0))
     }
 
-    /// The view's current immutable flush-boundary snapshot (engine
-    /// backend only). Cloning the `Arc` is cheap; the snapshot never
-    /// mutates, so the caller can hand it to other threads and serve
-    /// stale reads from it without coming back here.
-    pub fn view_snapshot(&self) -> Option<Arc<ViewSnapshot>> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(e.view.snapshot()),
-        }
+    /// The immutable flush-boundary snapshot of `view` (`None` without an
+    /// engine): an `Arc` other threads serve stale reads from without
+    /// coming back here.
+    pub fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
+        Some(self.registry()?.snapshot(view))
     }
 
-    /// The view's cumulative maintenance counters (engine backend
-    /// only). `exec.scan_fallbacks` must stay 0 on auto-indexed views —
-    /// the TPC-R repro gates on it.
+    /// View 0's cumulative maintenance counters (`None` without an
+    /// engine). `exec.scan_fallbacks` must stay 0 on auto-indexed
+    /// views — the TPC-R repro gates on it.
     pub fn maintenance_stats(&self) -> Option<&aivm_engine::MaintenanceStats> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(&e.view.stats),
-        }
+        Some(&self.registry()?.view(0).stats)
     }
 
-    /// Content checksum of the database (engine backend only).
+    /// Content checksum of the database (`None` without an engine).
     pub fn db_checksum(&self) -> Option<u64> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(e.db.content_checksum()),
-        }
+        Some(self.database()?.content_checksum())
     }
 
-    /// The live database (engine backend only). Equivalence and chaos
-    /// harnesses use it to evaluate the view definition directly over
-    /// the base tables and compare against the maintained result.
-    pub fn database(&self) -> Option<&aivm_engine::Database> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(&e.db),
-        }
+    /// The live database (`None` without an engine). Equivalence and
+    /// chaos harnesses use it to evaluate view definitions directly
+    /// over the base tables and compare against the maintained results.
+    pub fn database(&self) -> Option<&Database> {
+        Some(self.registry()?.db())
     }
 
-    /// Number of base tables.
+    /// The ingest axis by name: distinct base tables in first-appearance
+    /// order across views (empty without an engine). `ingest_dml`
+    /// indexes into this.
+    pub fn table_names(&self) -> &[String] {
+        self.engine.as_ref().map_or(&[], |e| &e.table_names)
+    }
+
+    /// Number of cells on the scheduling axis (tables, for one view or
+    /// without an engine).
     pub fn n(&self) -> usize {
         self.ctx.n()
     }
 
-    /// The current pending-counts state `s`.
+    /// Views maintained; reads name one by index (`0..views()`).
+    pub fn views(&self) -> usize {
+        self.axis.group_of.len()
+    }
+
+    /// Base tables on the ingest axis (`0..tables()`).
+    pub fn tables(&self) -> usize {
+        self.axis.routes.len()
+    }
+
+    /// The current pending-counts state `s` over the cell axis.
     pub fn pending(&self) -> &Counts {
         &self.pending
     }
@@ -558,88 +613,88 @@ impl MaintenanceRuntime {
 
     /// Whether the original policy was demoted to [`NaiveFlush`].
     pub fn demoted(&self) -> bool {
-        self.demoted
+        self.metrics.policy_demotions > 0
     }
 
-    /// Position of a base table within the view, by name (engine
-    /// backend only; `None` on the model backend or unknown names).
-    pub fn table_position(&self, name: &str) -> Option<usize> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => e.view.table_position(name),
+    /// Counts `k` arrivals for `table` into every cell it feeds.
+    fn arrive(&mut self, table: usize, k: u64) {
+        for &c in &self.axis.routes[table] {
+            self.pending[c] += k;
+            self.window[c] += k;
         }
-    }
-
-    /// Ingests `k` anonymous modification events for `table` (model
-    /// backend only — the engine backend needs the actual rows).
-    ///
-    /// # Panics
-    ///
-    /// On an engine-backed runtime, or when `table` is out of range.
-    pub fn ingest_count(&mut self, table: usize, k: u64) {
-        assert!(
-            matches!(self.backend, Backend::Model),
-            "engine-backed runtimes ingest modifications, not bare counts"
-        );
-        self.pending[table] += k;
-        self.window[table] += k;
         self.metrics.events_ingested += k;
-        if let Some(w) = &mut self.wal {
-            // Counts-only runtimes are test/bench vehicles; a WAL
-            // failure here still surfaces, via the metrics error count.
-            if w.append(&WalRecord::Count { table, k }).is_err() {
-                self.metrics.wal_errors += 1;
-            }
-        }
     }
 
-    /// Ingests one DML event for the `table`-th base table: applies it
-    /// to the base table and enqueues it in the view's delta table
-    /// (engine backend only). On success the event is WAL-logged; a
-    /// failed apply changes nothing and is safe to retry or drop.
+    /// Ingests `k` anonymous modification events for `table` on a
+    /// counts-only runtime (an engine needs the actual rows); panics
+    /// where [`MaintenanceRuntime::try_ingest_count`] errs.
+    pub fn ingest_count(&mut self, table: usize, k: u64) {
+        self.try_ingest_count(table, k)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// [`MaintenanceRuntime::ingest_count`] as a typed error instead of
+    /// a panic (the scheduler thread's path).
+    pub fn try_ingest_count(&mut self, table: usize, k: u64) -> Result<(), EngineError> {
+        if self.engine.is_some() || table >= self.tables() {
+            return Err(self.bad_ingest(table, "a counts-only runtime"));
+        }
+        self.arrive(table, k);
+        self.wal_log(WalRecord::Count { table, k })
+    }
+
+    /// Ingests one DML event for the `table`-th base table of the
+    /// ingest axis: applies it to the shared database once and enqueues
+    /// it into every dependent view's delta table (each dependent cell's
+    /// pending count grows by one — the event's maintenance debt is per
+    /// group, which is exactly what the cell cost models charge for).
+    /// On success the event is WAL-logged; a failed apply changes
+    /// nothing and is safe to retry or drop.
     pub fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError> {
-        let e = match &mut self.backend {
-            Backend::Model => {
-                return Err(EngineError::Maintenance {
-                    message: "model-backed runtimes ingest counts, not modifications".into(),
-                })
-            }
-            Backend::Engine(e) => e,
+        let tables = self.tables();
+        let Some(e) = self.engine.as_mut().filter(|_| table < tables) else {
+            return Err(self.bad_ingest(table, "an engine"));
         };
-        e.view.apply_and_enqueue(&mut e.db, table, m.clone())?;
-        self.pending[table] += 1;
-        self.window[table] += 1;
-        self.metrics.events_ingested += 1;
-        self.wal_log(WalRecord::Dml { table, m })?;
-        Ok(())
+        e.registry.ingest(e.table_ids[table], m.clone())?;
+        self.arrive(table, 1);
+        self.wal_log(WalRecord::Dml { table, m })
+    }
+
+    /// The typed rejection of an ingest this runtime cannot apply.
+    fn bad_ingest(&self, table: usize, needs: &str) -> EngineError {
+        EngineError::Maintenance {
+            message: format!(
+                "cannot ingest into table {table}: needs {needs} and a table index below {}",
+                self.tables()
+            ),
+        }
     }
 
     /// Closes the current arrival window and runs one scheduler step:
     /// consults the policy (under `catch_unwind`, demoting it on a
     /// panic or overdraw), executes its flush, checks the post-action
-    /// state against the budget, and tracks cost drift.
+    /// state against the budget — globally and per view — and tracks
+    /// cost drift.
     pub fn tick(&mut self) -> Result<TickReport, EngineError> {
         let t = self.t;
         let zero = Counts::zero(self.n());
         let arrivals = std::mem::replace(&mut self.window, zero);
         let mut action = self.decide_guarded(t);
-        let cost;
         if self.faults.flush_fails(t) {
-            self.faults.flush_error_at = None;
             // Injected flush failure: models a transient error surfaced
             // *before* any state mutation. The tick degrades to a
             // no-op flush and the policy is demoted — its next decision
             // will be made by NaiveFlush against the grown backlog.
+            self.faults.flush_error_at = None;
             self.metrics.flush_errors += 1;
-            self.demote(t);
+            self.demote();
             action = Counts::zero(self.n());
-            cost = 0.0;
-        } else {
-            cost = self.execute_flush(&action)?;
         }
+        let cost = self.execute_flush(&action)?;
         self.track_drift(t, &action, cost);
         let violated = self.ctx.is_full(&self.pending);
         self.metrics.ticks += 1;
+        self.note_view_violations();
         self.finish_step(arrivals, action.clone(), false, cost, violated, t)?;
         self.wal_log(WalRecord::Tick)?;
         Ok(TickReport {
@@ -672,7 +727,7 @@ impl MaintenanceRuntime {
         }
         // The policy panicked mid-decision (its internal state can no
         // longer be trusted) or overdrew. Demote and re-decide.
-        self.demote(t);
+        self.demote();
         let fallback = self.policy.decide(t, &self.pending);
         if fallback.len() == self.n() && fallback.dominated_by(&self.pending) {
             fallback
@@ -683,11 +738,10 @@ impl MaintenanceRuntime {
 
     /// Permanently replaces the policy with a freshly reset
     /// [`NaiveFlush`] (idempotent; counted once).
-    fn demote(&mut self, _t: usize) {
-        if self.demoted {
+    fn demote(&mut self) {
+        if self.demoted() {
             return;
         }
-        self.demoted = true;
         self.metrics.policy_demotions += 1;
         let mut naive: Box<dyn FlushPolicy> = Box::new(NaiveFlush::new());
         naive.reset(&self.ctx);
@@ -697,9 +751,9 @@ impl MaintenanceRuntime {
     /// Compares the tick's "measured" flush cost (the original cost
     /// model, times any injected overrun factor) against the estimate
     /// the scheduler charged. A sustained drift beyond [`DRIFT_RATIO`]
-    /// recalibrates the cost model in place: every cost function is
-    /// scaled by the observed ratio and the policy is reset against the
-    /// updated context.
+    /// recalibrates the cost model in place: every cell's cost function
+    /// is scaled by the observed ratio and the policy is reset against
+    /// the updated context.
     fn track_drift(&mut self, t: usize, action: &Counts, estimated: f64) {
         if action.is_zero() || estimated <= 0.0 {
             return;
@@ -720,71 +774,117 @@ impl MaintenanceRuntime {
         }
     }
 
-    /// The forced full flush that completes a fresh read (and replays
-    /// `Forced` log records): empties pending at refresh cost, bypassing
-    /// the policy.
-    fn forced_refresh(&mut self) -> Result<(f64, bool), EngineError> {
-        let t = self.t;
-        let action = self.pending.clone();
-        let cost = self.ctx.refresh_cost(&action);
-        // The validity invariant: the post-action state is never full,
-        // so the refresh that empties it fits C.
-        let violated = !fits(cost, self.ctx.budget);
-        let flush_cost = self.execute_flush(&action)?;
-        debug_assert!((flush_cost - cost).abs() < 1e-9);
-        self.metrics.fresh_reads += 1;
-        self.finish_step(Counts::zero(self.n()), action, true, cost, violated, t)?;
-        self.wal_log(WalRecord::Forced)?;
-        Ok((cost, violated))
-    }
-
-    /// Serves a read, measuring end-to-end latency from `enqueued`.
-    ///
-    /// A fresh read first runs one normal policy tick (the paper's model
-    /// adds the step's arrivals *before* the action at `t`, so the
-    /// policy gets to see everything that arrived since the last tick)
-    /// and then force-flushes the post-action remainder — a *forced*
-    /// step recorded in the trace but never shown to the policy. The
-    /// forced flush is the refresh the constraint `C` governs: any
-    /// correct policy leaves the post-action state non-full, so it
-    /// always costs ≤ `C`.
-    pub fn read_at(
-        &mut self,
-        mode: ReadMode,
-        enqueued: Instant,
-    ) -> Result<ReadResult, EngineError> {
-        match mode {
-            ReadMode::Stale => {
-                self.metrics.stale_reads += 1;
-                Ok(ReadResult {
-                    rows: self.current_rows(),
-                    lag: self.pending.total(),
-                    flush_cost: 0.0,
-                    violated: false,
-                })
-            }
-            ReadMode::Fresh => {
-                self.tick()?;
-                let (cost, violated) = self.forced_refresh()?;
-                self.metrics
-                    .refresh_latency_ns
-                    .record(enqueued.elapsed().as_nanos() as u64);
-                Ok(ReadResult {
-                    rows: self.current_rows(),
-                    lag: 0,
-                    flush_cost: cost,
-                    violated,
-                })
+    /// Counts, per view, ticks whose post-state would break its
+    /// freshness guarantee: its group's refresh cost — what a fresh read
+    /// of any member pays — exceeds C. A valid policy never lets any cell
+    /// subset exceed the budget the whole state fits in, so these stay 0
+    /// exactly when global violations do — but they are *attributed* to
+    /// views, which is what the loadgen's per-view staleness gate
+    /// asserts on.
+    fn note_view_violations(&mut self) {
+        for g in 0..self.axis.groups.len() {
+            if !fits(
+                self.ctx.refresh_cost(&self.group_refresh(g)),
+                self.ctx.budget,
+            ) {
+                for &v in &self.axis.groups[g].views {
+                    self.view_violations[v] += 1;
+                }
             }
         }
     }
 
-    /// [`MaintenanceRuntime::read_at`] measured from now.
-    pub fn read(&mut self, mode: ReadMode) -> Result<ReadResult, EngineError> {
-        self.read_at(mode, Instant::now())
+    /// The action refreshing sharing group `g`: every pending
+    /// modification of its cells.
+    fn group_refresh(&self, g: usize) -> Counts {
+        let mut action = Counts::zero(self.n());
+        for &c in &self.axis.groups[g].cells {
+            action[c] = self.pending[c];
+        }
+        action
     }
 
-    /// A snapshot of the runtime's counters.
+    /// `view`'s sharing group, or a typed error for a view out of range.
+    fn group_of(&self, view: usize) -> Result<usize, EngineError> {
+        (self.axis.group_of.get(view).copied()).ok_or_else(|| EngineError::Maintenance {
+            message: format!("view {view} out of range for {} views", self.views()),
+        })
+    }
+
+    /// The forced flush completing a fresh read of `view` (and replaying
+    /// `ForcedView` records): empties the view's sharing group at
+    /// refresh cost, bypassing the policy. Other groups are untouched.
+    fn forced_refresh(&mut self, view: usize) -> Result<(f64, bool), EngineError> {
+        let t = self.t;
+        let action = self.group_refresh(self.group_of(view)?);
+        let cost = self.ctx.refresh_cost(&action);
+        // The validity invariant: any valid policy leaves the *whole*
+        // post-action state non-full, so refreshing one group (a subset
+        // of it) fits C a fortiori.
+        let violated = !fits(cost, self.ctx.budget);
+        self.execute_flush(&action)?;
+        self.metrics.fresh_reads += 1;
+        if violated {
+            self.view_violations[view] += 1;
+        }
+        self.finish_step(Counts::zero(self.n()), action, true, cost, violated, t)?;
+        self.wal_log(WalRecord::ForcedView { view: view as u32 })?;
+        Ok((cost, violated))
+    }
+
+    /// Serves a read of `view`, measuring end-to-end latency from
+    /// `enqueued`.
+    ///
+    /// A fresh read first runs one normal policy tick (the paper's model
+    /// adds the step's arrivals *before* the action at `t`, so the
+    /// policy gets to see everything that arrived since the last tick)
+    /// and then force-flushes the post-action remainder of the view's
+    /// group — a *forced* step recorded in the trace but never shown to
+    /// the policy. The forced flush is the refresh the constraint `C`
+    /// governs: any correct policy leaves the post-action state
+    /// non-full, so it always costs ≤ `C`. A stale read reports the
+    /// group's pending total as its lag.
+    pub fn read_view_at(
+        &mut self,
+        view: usize,
+        mode: ReadMode,
+        enqueued: Instant,
+    ) -> Result<ReadResult, EngineError> {
+        let g = self.group_of(view)?;
+        let (flush_cost, violated) = match mode {
+            ReadMode::Stale => {
+                self.metrics.stale_reads += 1;
+                (0.0, false)
+            }
+            ReadMode::Fresh => {
+                self.tick()?;
+                let done = self.forced_refresh(view)?;
+                self.metrics
+                    .refresh_latency_ns
+                    .record(enqueued.elapsed().as_nanos() as u64);
+                done
+            }
+        };
+        Ok(ReadResult {
+            rows: self.registry().map(|r| r.result(view)),
+            lag: self.group_refresh(g).total(),
+            flush_cost,
+            violated,
+        })
+    }
+
+    /// [`MaintenanceRuntime::read_view_at`] measured from now.
+    pub fn read_view(&mut self, view: usize, mode: ReadMode) -> Result<ReadResult, EngineError> {
+        self.read_view_at(view, mode, Instant::now())
+    }
+
+    /// [`MaintenanceRuntime::read_view`] of view 0.
+    pub fn read(&mut self, mode: ReadMode) -> Result<ReadResult, EngineError> {
+        self.read_view_at(0, mode, Instant::now())
+    }
+
+    /// A snapshot of the runtime-global counters. Per-table vectors run
+    /// over the cell axis; heavy-light counters sum over views.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         if let Some(w) = &self.wal {
@@ -792,16 +892,45 @@ impl MaintenanceRuntime {
             snap.wal_fsync_lag = w.unsynced();
             snap.wal_sync_every = w.sync_every();
         }
-        snap.degraded = self.demoted;
         snap.budget = self.ctx.budget;
-        snap.budget_rebalances = self.rebalances;
-        if let Some(ms) = self.maintenance_stats() {
-            snap.heavy_keys = ms.heavy.heavy_keys;
-            snap.heavy_reclassifications = ms.heavy.reclassifications();
-            snap.heavy_hits = ms.exec.heavy_hits;
-            snap.light_hits = ms.exec.light_hits;
+        if let Some(reg) = self.registry() {
+            for v in 0..reg.view_count() {
+                let ms = &reg.view(v).stats;
+                snap.heavy_keys += ms.heavy.heavy_keys;
+                snap.heavy_reclassifications += ms.heavy.reclassifications();
+                snap.heavy_hits += ms.exec.heavy_hits;
+                snap.light_hits += ms.exec.light_hits;
+            }
         }
         snap
+    }
+
+    /// [`MaintenanceRuntime::metrics`] with the view axis attached.
+    pub fn metrics_by_view(&self) -> MultiMetricsSnapshot {
+        let hub = self.hub();
+        let views = (0..self.views())
+            .map(|v| {
+                let g = self.axis.group_of[v];
+                ViewMetricsSnapshot {
+                    view: v as u32,
+                    group: g as u32,
+                    flushes: self.view_flushes[v],
+                    pending: self.group_refresh(g).total(),
+                    violations: self.view_violations[v],
+                    deltas_pushed: hub.map_or(0, |h| h.deltas_pushed(v)),
+                    subscribers: hub.map_or(0, |h| h.subscriber_count(v)),
+                    sub_lag_max: hub.map_or(0, |h| h.sub_lag_max(v)),
+                }
+            })
+            .collect();
+        let stats = self.registry().map(|r| r.stats()).unwrap_or_default();
+        MultiMetricsSnapshot {
+            global: self.metrics(),
+            views,
+            groups: self.axis.groups.len() as u64,
+            propagations: stats.propagations,
+            shared_propagations: stats.shared_propagations,
+        }
     }
 
     /// The recorded trace so far, if tracing is enabled.
@@ -822,14 +951,25 @@ impl MaintenanceRuntime {
         }
     }
 
-    /// Executes a flush action against the backend, returning its model
-    /// cost.
+    /// Executes a flush action over the cell axis — through the engine,
+    /// publishing a delta batch for every view it advanced — and
+    /// returns its model cost.
     fn execute_flush(&mut self, action: &Counts) -> Result<f64, EngineError> {
         let cost = total_cost(&self.ctx.costs, action);
-        if let Backend::Engine(e) = &mut self.backend {
-            if !action.is_zero() {
-                let counts: Vec<u64> = action.iter().collect();
-                e.view.flush(&e.db, &counts)?;
+        if action.is_zero() {
+            return Ok(cost);
+        }
+        if let Some(e) = &mut self.engine {
+            let counts: Vec<u64> = action.iter().collect();
+            for v in e.registry.flush_cells(&counts)?.touched {
+                e.hub.publish(v, e.registry.snapshot(v));
+            }
+        }
+        for group in &self.axis.groups {
+            if group.cells.iter().any(|&c| action[c] > 0) {
+                for &v in &group.views {
+                    self.view_flushes[v] += 1;
+                }
             }
         }
         self.pending = self
@@ -866,91 +1006,18 @@ impl MaintenanceRuntime {
         }
         Ok(())
     }
-
-    fn current_rows(&self) -> Option<Vec<WRow>> {
-        match &self.backend {
-            Backend::Model => None,
-            Backend::Engine(e) => Some(e.view.result()),
-        }
-    }
-}
-
-impl crate::server::Runtime for MaintenanceRuntime {
-    fn views(&self) -> usize {
-        1
-    }
-
-    fn tables(&self) -> usize {
-        self.n()
-    }
-
-    fn set_faults(&mut self, plan: FaultPlan) {
-        MaintenanceRuntime::set_faults(self, plan)
-    }
-
-    fn ingest_count(&mut self, table: usize, k: u64) -> Result<(), EngineError> {
-        if !matches!(self.backend, Backend::Model) || table >= self.n() {
-            return Err(EngineError::Maintenance {
-                message: format!(
-                    "cannot ingest a bare count for table {table}: needs a model-backed \
-                     runtime and a table index below {}",
-                    self.n()
-                ),
-            });
-        }
-        MaintenanceRuntime::ingest_count(self, table, k);
-        Ok(())
-    }
-
-    fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError> {
-        MaintenanceRuntime::ingest_dml(self, table, m)
-    }
-
-    fn tick(&mut self) -> Result<(), EngineError> {
-        MaintenanceRuntime::tick(self).map(|_| ())
-    }
-
-    fn read_at(
-        &mut self,
-        view: usize,
-        mode: ReadMode,
-        enqueued: Instant,
-    ) -> Result<ReadResult, EngineError> {
-        if view != 0 {
-            return Err(EngineError::Maintenance {
-                message: format!("view {view} out of range for 1 view"),
-            });
-        }
-        MaintenanceRuntime::read_at(self, mode, enqueued)
-    }
-
-    fn set_budget(&mut self, budget: f64) -> Result<(), EngineError> {
-        MaintenanceRuntime::set_budget(self, budget)
-    }
-
-    fn wal_records(&self) -> u64 {
-        MaintenanceRuntime::wal_records(self)
-    }
-
-    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>> {
-        (view == 0).then(|| self.view_snapshot()).flatten()
-    }
-
-    fn metrics(&self) -> crate::multi::MultiMetricsSnapshot {
-        crate::multi::MultiMetricsSnapshot {
-            global: MaintenanceRuntime::metrics(self),
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::policy::{NaiveFlush, OnlineFlush};
     use crate::wal::MemWal;
     use aivm_core::CostModel;
-    use aivm_engine::{row, DataType, MinStrategy, Schema, Value, ViewDef};
+    use aivm_engine::logical::AggFunc;
+    use aivm_engine::{
+        row, AggSpec, DataType, Expr, JoinPred, MinStrategy, Schema, Value, ViewDef,
+    };
 
     fn model_runtime(policy: Box<dyn FlushPolicy>) -> MaintenanceRuntime {
         let cfg = ServeConfig::new(
@@ -958,6 +1025,105 @@ mod tests {
             6.0,
         );
         MaintenanceRuntime::model(cfg, policy)
+    }
+
+    /// Base tables `r(k, x)` and `s(k, y)` of the registry fixtures.
+    pub(crate) fn base() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            "r",
+            Schema::new(vec![("k", DataType::Int), ("x", DataType::Float)]),
+        )
+        .unwrap();
+        db.create_table(
+            "s",
+            Schema::new(vec![("k", DataType::Int), ("y", DataType::Int)]),
+        )
+        .unwrap();
+        db
+    }
+
+    pub(crate) fn join_def(name: &str) -> ViewDef {
+        ViewDef {
+            name: name.into(),
+            tables: vec!["r".into(), "s".into()],
+            join_preds: vec![JoinPred {
+                left: (0, 0),
+                right: (1, 0),
+            }],
+            filters: vec![None, None],
+            residual: None,
+            projection: None,
+            aggregate: None,
+            distinct: false,
+        }
+    }
+
+    pub(crate) fn sum_def(name: &str) -> ViewDef {
+        ViewDef {
+            aggregate: Some(AggSpec {
+                group_by: vec![0],
+                aggs: vec![(AggFunc::Sum, Expr::col(3), "s".into())],
+            }),
+            ..join_def(name)
+        }
+    }
+
+    /// [`join_def`] with `s.y > 0`: a different SPJ core, so a group of
+    /// its own.
+    pub(crate) fn filtered_def(name: &str) -> ViewDef {
+        ViewDef {
+            filters: vec![
+                None,
+                Some(Expr::Cmp(
+                    aivm_engine::CmpOp::Gt,
+                    Box::new(Expr::col(1)),
+                    Box::new(Expr::lit(0i64)),
+                )),
+            ],
+            ..join_def(name)
+        }
+    }
+
+    /// The given views registered over `db`.
+    pub(crate) fn registry_over(db: Database, defs: &[ViewDef]) -> ViewRegistry {
+        let mut reg = ViewRegistry::new(db);
+        for def in defs {
+            reg.register_view(def.clone(), MinStrategy::Multiset)
+                .unwrap();
+        }
+        reg
+    }
+
+    /// `n` views sharing one SPJ core (plain join, then n−1 SUMs).
+    pub(crate) fn registry_of(n: usize) -> ViewRegistry {
+        let defs: Vec<ViewDef> = (0..n)
+            .map(|i| match i {
+                0 => join_def("v0"),
+                _ => sum_def(&format!("v{i}")),
+            })
+            .collect();
+        registry_over(base(), &defs)
+    }
+
+    pub(crate) fn registry_config(budget: f64) -> ServeConfig {
+        ServeConfig::new(
+            vec![CostModel::linear(0.05, 0.2), CostModel::linear(0.02, 0.5)],
+            budget,
+        )
+    }
+
+    /// Arrivals `i` of the registry fixtures: one row per table, and a
+    /// delete every fifth step.
+    pub(crate) fn feed(rt: &mut MaintenanceRuntime, i: i64) {
+        rt.ingest_dml(0, Modification::Insert(row![i % 7, (i as f64) * 0.5]))
+            .unwrap();
+        rt.ingest_dml(1, Modification::Insert(row![i % 7, i - 20]))
+            .unwrap();
+        if i % 5 == 4 {
+            rt.ingest_dml(1, Modification::Delete(row![(i - 1) % 7, i - 21]))
+                .unwrap();
+        }
     }
 
     /// A policy that never flushes (violates the contract on purpose).
@@ -1159,34 +1325,57 @@ mod tests {
 
     #[test]
     fn sustained_cost_overrun_triggers_recalibration() {
-        let mut rt = model_runtime(Box::new(NaiveFlush::new()));
-        rt.set_faults(FaultPlan {
-            cost_overrun: Some(crate::fault::CostOverrun {
-                from_t: 0,
-                factor: 2.0,
-            }),
-            ..FaultPlan::none()
-        });
-        for _ in 0..20 {
-            rt.ingest_count(0, 30);
-            rt.ingest_count(1, 10);
-            rt.tick().unwrap();
+        // Counts-only, and a two-view registry (one sharing group): the
+        // same drift tracking runs over either cell axis.
+        let registry = MaintenanceRuntime::new(
+            ServeConfig::new(
+                vec![CostModel::linear(0.05, 0.2), CostModel::linear(0.02, 3.0)],
+                6.0,
+            ),
+            Box::new(NaiveFlush::new()),
+            registry_of(2),
+        )
+        .unwrap();
+        for mut rt in [model_runtime(Box::new(NaiveFlush::new())), registry] {
+            let ingest = |rt: &mut MaintenanceRuntime, table: usize, k: u64| {
+                if rt.registry().is_none() {
+                    return rt.ingest_count(table, k);
+                }
+                for i in 0..k as i64 {
+                    let m = match table {
+                        0 => row![i % 7, i as f64],
+                        _ => row![i % 7, i],
+                    };
+                    rt.ingest_dml(table, Modification::Insert(m)).unwrap();
+                }
+            };
+            rt.set_faults(FaultPlan {
+                cost_overrun: Some(crate::fault::CostOverrun {
+                    from_t: 0,
+                    factor: 2.0,
+                }),
+                ..FaultPlan::none()
+            });
+            for _ in 0..20 {
+                ingest(&mut rt, 0, 30);
+                ingest(&mut rt, 1, 10);
+                rt.tick().unwrap();
+            }
+            let m = rt.metrics();
+            assert!(m.cost_overruns >= RECALIBRATE_AFTER as u64);
+            assert_eq!(
+                m.recalibrations, 1,
+                "one recalibration absorbs the 2x drift"
+            );
+            // After recalibration estimates match "measured" costs; the
+            // overrun streak stops growing.
+            let overruns_at_recal = m.cost_overruns;
+            for _ in 0..10 {
+                ingest(&mut rt, 0, 30);
+                rt.tick().unwrap();
+            }
+            assert_eq!(rt.metrics().cost_overruns, overruns_at_recal);
         }
-        let m = rt.metrics();
-        assert!(m.cost_overruns >= RECALIBRATE_AFTER as u64);
-        assert_eq!(
-            m.recalibrations, 1,
-            "one recalibration absorbs the 2x drift"
-        );
-        // After recalibration estimates match "measured" costs; the
-        // overrun streak stops growing.
-        let overruns_at_recal = m.cost_overruns;
-        let mut rt2 = rt;
-        for _ in 0..10 {
-            rt2.ingest_count(0, 30);
-            rt2.tick().unwrap();
-        }
-        assert_eq!(rt2.metrics().cost_overruns, overruns_at_recal);
     }
 
     /// A one-table engine runtime over a trivial SELECT * view.

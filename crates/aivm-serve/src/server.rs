@@ -1,9 +1,8 @@
 //! The threaded serving layer: bounded-MPSC ingest in front of a
 //! scheduler thread.
 //!
-//! [`Server::spawn`] moves a [`Runtime`] — the single-view
-//! [`MaintenanceRuntime`] or the multi-view [`RegistryRuntime`]; a lone
-//! view is just the registry's N = 1 as far as this layer can tell —
+//! [`Server::spawn`] moves a [`MaintenanceRuntime`] — or its
+//! [`RegistryRuntime`] name, converted in and back out at shutdown —
 //! onto a scheduler thread and returns a cloneable [`Handle`].
 //! Producers push DML through the bounded [`queue`](crate::queue) — a
 //! full queue blocks the producer (backpressure) rather than growing
@@ -43,8 +42,8 @@
 //! events.
 
 use crate::fault::FaultPlan;
-use crate::metrics::MetricsSnapshot;
-use crate::multi::{MultiMetricsSnapshot, RegistryRuntime, SubscriptionHub};
+use crate::metrics::{MetricsSnapshot, MultiMetricsSnapshot};
+use crate::multi::{RegistryRuntime, SubscriptionHub};
 use crate::queue::{channel, Receiver, RecvError, Sender, TrySendError};
 use crate::runtime::{MaintenanceRuntime, ReadMode, ReadResult};
 use aivm_engine::{EngineError, Modification, ViewSnapshot};
@@ -53,48 +52,6 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// What the scheduler thread drives: a maintenance core that ingests
-/// base-table modifications, flushes under a budget on every tick and
-/// serves per-view reads. [`MaintenanceRuntime`] implements it with
-/// one view, [`RegistryRuntime`] with as many as were registered.
-pub trait Runtime: Send + 'static {
-    /// Views maintained; reads name one by index (`0..views()`).
-    fn views(&self) -> usize;
-    /// Base tables on the ingest axis (`0..tables()`).
-    fn tables(&self) -> usize;
-    /// The push-subscription hub, for runtimes that publish per-flush
-    /// delta batches.
-    fn hub(&self) -> Option<Arc<SubscriptionHub>> {
-        None
-    }
-    /// Installs the fault-injection plan (scheduler kills are honoured
-    /// by the server itself).
-    fn set_faults(&mut self, plan: FaultPlan);
-    /// Ingests `k` anonymous events for `table` (model backends).
-    fn ingest_count(&mut self, table: usize, k: u64) -> Result<(), EngineError>;
-    /// Applies one modification to `table` and enqueues its delta.
-    fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError>;
-    /// Closes the arrival window and runs one scheduler step.
-    fn tick(&mut self) -> Result<(), EngineError>;
-    /// Serves a read of `view`, measuring latency from `enqueued`.
-    fn read_at(
-        &mut self,
-        view: usize,
-        mode: ReadMode,
-        enqueued: Instant,
-    ) -> Result<ReadResult, EngineError>;
-    /// Changes the refresh budget `C` (WAL-logged).
-    fn set_budget(&mut self, budget: f64) -> Result<(), EngineError>;
-    /// Records appended to the attached WAL (0 without one).
-    fn wal_records(&self) -> u64;
-    /// The current flush-boundary snapshot of `view` (`None` on model
-    /// backends, which materialise no rows).
-    fn snapshot(&self, view: usize) -> Option<Arc<ViewSnapshot>>;
-    /// The runtime's counters; a single-view runtime leaves the view
-    /// axis empty.
-    fn metrics(&self) -> MultiMetricsSnapshot;
-}
 
 /// Configuration of the threaded server.
 #[derive(Clone, Debug)]
@@ -567,42 +524,46 @@ impl<T> Ticket<T> {
     }
 }
 
-/// A scheduler thread driving a [`Runtime`].
+/// A scheduler thread driving a [`MaintenanceRuntime`].
 pub struct Server<R> {
     handle: Handle,
     join: JoinHandle<R>,
 }
 
-/// The single-view server.
+/// The server of a runtime built with one view.
 pub type ServeServer = Server<MaintenanceRuntime>;
-/// The multi-view server.
+/// The server of a runtime built over a registry.
 pub type RegistryServer = Server<RegistryRuntime>;
 
-impl<R: Runtime> Server<R> {
+impl<R> Server<R>
+where
+    R: Into<MaintenanceRuntime> + From<MaintenanceRuntime> + Send + 'static,
+{
     /// Spawns the scheduler thread.
-    pub fn spawn(mut runtime: R, cfg: ServerConfig) -> Self {
+    pub fn spawn(runtime: R, cfg: ServerConfig) -> Self {
         let capacity = cfg.queue_capacity.max(1);
         let high_water = cfg.shed_high_water.map(|h| h.clamp(1, capacity));
         let (tx, rx) = channel::<Msg>(capacity, high_water);
+        let mut rt: MaintenanceRuntime = runtime.into();
         // Publish the initial snapshots before the first client can
         // read, so stale reads are wait-free from the very start.
         let shared = Arc::new(Shared {
-            snapshots: (0..runtime.views())
-                .map(|v| RwLock::new(runtime.snapshot(v)))
+            snapshots: (0..rt.views())
+                .map(|v| RwLock::new(rt.snapshot(v)))
                 .collect(),
             snapshot_reads: AtomicU64::new(0),
             last_error: Mutex::new(None),
             fenced: AtomicBool::new(false),
             fence_seen: AtomicBool::new(false),
-            tables: runtime.tables(),
-            hub: runtime.hub(),
+            tables: rt.tables(),
+            hub: rt.hub().cloned(),
         });
         let handle = Handle {
             tx,
             shared: Arc::clone(&shared),
         };
-        runtime.set_faults(cfg.faults.clone());
-        let join = std::thread::spawn(move || scheduler_loop(runtime, rx, shared, cfg));
+        rt.set_faults(cfg.faults.clone());
+        let join = std::thread::spawn(move || R::from(scheduler_loop(rt, rx, shared, cfg)));
         Server { handle, join }
     }
 
@@ -633,9 +594,9 @@ struct SchedulerState {
 }
 
 impl SchedulerState {
-    fn poison<R: Runtime>(&self, runtime: &R, during: &'static str, source: EngineError) {
+    fn poison(&self, runtime: &MaintenanceRuntime, during: &'static str, source: EngineError) {
         let err = ServeError {
-            ticks: runtime.metrics().global.ticks,
+            ticks: runtime.metrics().ticks,
             during,
             source,
         };
@@ -653,7 +614,7 @@ impl SchedulerState {
     /// Re-publishes the snapshot of every view that flushed (a view's
     /// snapshot `Arc` changes identity at every flush boundary and
     /// nowhere else), keeping idle ticks free of write-lock traffic.
-    fn publish<R: Runtime>(&self, runtime: &R) {
+    fn publish(&self, runtime: &MaintenanceRuntime) {
         for (view, slot) in self.shared.snapshots.iter().enumerate() {
             let current = runtime.snapshot(view);
             let unchanged = match (&*slot.read().unwrap_or_else(|e| e.into_inner()), &current) {
@@ -675,12 +636,12 @@ fn fenced_error() -> EngineError {
     }
 }
 
-fn scheduler_loop<R: Runtime>(
-    mut runtime: R,
+fn scheduler_loop(
+    mut runtime: MaintenanceRuntime,
     rx: Receiver<Msg>,
     shared: Arc<Shared>,
     cfg: ServerConfig,
-) -> R {
+) -> MaintenanceRuntime {
     let mut st = SchedulerState {
         ingest_errors: 0,
         max_depth: 0,
@@ -752,8 +713,8 @@ fn scheduler_loop<R: Runtime>(
 /// batches cost the same drain budget. Control messages (reads,
 /// metrics) add no flush work and return 0; the drain loop still
 /// charges every message a minimum of 1 so it always terminates.
-fn handle_msg<R: Runtime>(
-    runtime: &mut R,
+fn handle_msg(
+    runtime: &mut MaintenanceRuntime,
     msg: Msg,
     rx: &Receiver<Msg>,
     st: &mut SchedulerState,
@@ -762,7 +723,7 @@ fn handle_msg<R: Runtime>(
         Msg::Count { table, k } => {
             if st.fenced() {
                 st.ingest_errors += 1;
-            } else if let Err(source) = runtime.ingest_count(table, k) {
+            } else if let Err(source) = runtime.try_ingest_count(table, k) {
                 st.ingest_errors += 1;
                 st.poison(runtime, "ingest", source);
             }
@@ -808,7 +769,7 @@ fn handle_msg<R: Runtime>(
                 // not. Stale reads keep serving the sealed state.
                 Err(fenced_error())
             } else {
-                runtime.read_at(view, mode, enqueued)
+                runtime.read_view_at(view, mode, enqueued)
             };
             if mode == ReadMode::Fresh {
                 // The forced flush moved the view: a stale read issued
@@ -821,7 +782,7 @@ fn handle_msg<R: Runtime>(
             0
         }
         Msg::Metrics { reply } => {
-            let mut snap = runtime.metrics();
+            let mut snap = runtime.metrics_by_view();
             snap.global.queue_depth = rx.len();
             snap.global.max_queue_depth = st.max_depth;
             snap.global.shed_events = rx.shed_count();

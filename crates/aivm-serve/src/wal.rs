@@ -2,22 +2,24 @@
 //!
 //! Durability follows the classic command-log design: every event that
 //! changes runtime state — a DML ingest, a count ingest, a scheduler
-//! tick, a forced (Fresh-read) flush — is appended to an append-only
+//! tick, a forced (Fresh-read) flush of one view's sharing group, a
+//! budget change — is appended to an append-only
 //! log *after* it has been applied. Because the runtime is
 //! deterministic given its event sequence (policies are pure functions
 //! of `(t, pending)` and the engine applies modifications
 //! deterministically), replaying the log reproduces the exact view
 //! state, pending counts, accumulated cost and trace of an uncrashed
 //! run. Periodic [`Checkpoint`]s bound replay time by snapshotting the
-//! database (via `aivm-engine`'s codec) and the per-table pending
-//! deltas at a known log position.
+//! database (via `aivm-engine`'s codec) and the pending deltas of every
+//! scheduling cell at a known log position.
 //!
 //! ## Log format
 //!
 //! ```text
 //! header: magic "AWAL" | version u16
 //! record: payload_len u32 | fxhash64(payload) u64 | payload
-//! payload: kind u8 (0 dml, 1 tick, 2 forced, 3 count) | kind fields
+//! payload: kind u8 (0 dml, 1 tick, 3 count, 4 set-budget,
+//!          5 forced-view) | kind fields
 //! ```
 //!
 //! All integers little-endian. The per-record checksum makes torn tails
@@ -56,21 +58,19 @@ fn checksum(bytes: &[u8]) -> u64 {
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
     /// A DML modification ingested for base table `table` (the position
-    /// within the view, not the database id).
+    /// on the runtime's ingest axis, not the database id).
     Dml {
-        /// Base-table position within the view.
+        /// Base-table position on the ingest axis.
         table: usize,
         /// The ingested modification.
         m: Modification,
     },
     /// A scheduler tick (window close + policy flush).
     Tick,
-    /// A forced full flush (the second half of a Fresh read).
-    Forced,
     /// A counts-only ingest of `k` modifications for table `table`
-    /// (Model-backend runtimes).
+    /// (runtimes without an engine).
     Count {
-        /// Base-table position within the view.
+        /// Base-table position on the ingest axis.
         table: usize,
         /// Number of modifications ingested.
         k: u64,
@@ -83,13 +83,10 @@ pub enum WalRecord {
         /// The new refresh budget `C` for this runtime.
         budget: f64,
     },
-    /// A forced flush of one registered view's sharing group (the
-    /// second half of a per-view Fresh read on a multi-view
-    /// [`RegistryRuntime`](crate::multi::RegistryRuntime)). The plain
-    /// [`WalRecord::Forced`] carries no view axis, so registry logs use
-    /// this instead.
+    /// A forced flush of one view's sharing group (the second half of a
+    /// Fresh read of that view; view 0 on a single-view runtime).
     ForcedView {
-        /// The registry view id whose group was refreshed.
+        /// The view whose group was refreshed.
         view: u32,
     },
 }
@@ -105,7 +102,6 @@ impl WalRecord {
                 put_modification(&mut b, m);
             }
             WalRecord::Tick => b.put_u8(1),
-            WalRecord::Forced => b.put_u8(2),
             WalRecord::Count { table, k } => {
                 b.put_u8(3);
                 b.put_u32_le(*table as u32);
@@ -144,7 +140,6 @@ impl WalRecord {
                 WalRecord::Dml { table, m }
             }
             1 => WalRecord::Tick,
-            2 => WalRecord::Forced,
             3 => {
                 if buf.remaining() < 12 {
                     return Err(corrupt("count fields", &buf));
@@ -640,10 +635,11 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WalRecord>, EngineError> {
 /// A durability checkpoint: everything needed to rebuild runtime state
 /// at a known log position without replaying the whole log.
 ///
-/// Policy state, metrics and the trace are *not* stored — recovery
-/// rebuilds them deterministically by shadow-replaying the log prefix
-/// in counts-only mode (see `MaintenanceRuntime::recover`), which keeps
-/// the checkpoint format independent of policy internals.
+/// Policy state, metrics, the trace and view flush seqs are *not*
+/// stored — recovery rebuilds them deterministically by shadow-replaying
+/// the log prefix with the engine detached (see
+/// `MaintenanceRuntime::recover_registry`), which keeps the checkpoint
+/// format independent of policy internals and of the view axis.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// Number of log records this checkpoint covers: recovery replays
@@ -651,10 +647,11 @@ pub struct Checkpoint {
     pub wal_records: u64,
     /// The runtime's step counter at checkpoint time.
     pub t: u64,
-    /// Pending modification counts per base table (the state vector).
+    /// Pending modification counts per scheduling cell (the state
+    /// vector; per base table for one view).
     pub pending: Vec<u64>,
-    /// Engine-backend payload: database snapshot plus the pending
-    /// delta-table contents. `None` for counts-only (Model) runtimes.
+    /// Engine payload: database snapshot plus the pending delta-table
+    /// contents. `None` for counts-only runtimes.
     pub engine: Option<EngineCheckpoint>,
 }
 
@@ -663,7 +660,8 @@ pub struct Checkpoint {
 pub struct EngineCheckpoint {
     /// `aivm_engine::codec::snapshot` image of the database.
     pub db: Vec<u8>,
-    /// Pending modifications per base table, in arrival order.
+    /// Pending modifications per scheduling cell (per base table for
+    /// one view), in arrival order.
     pub pending_mods: Vec<Vec<Modification>>,
 }
 
@@ -803,7 +801,7 @@ mod tests {
                     new: row![3i64],
                 },
             },
-            WalRecord::Forced,
+            WalRecord::ForcedView { view: 0 },
             WalRecord::SetBudget { budget: 12.5 },
             WalRecord::ForcedView { view: 3 },
         ]
@@ -907,6 +905,32 @@ mod tests {
     }
 
     #[test]
+    fn retired_forced_kind_is_corrupt() {
+        // Kind 2 was the view-less forced flush; a forced flush is now
+        // always `ForcedView` (kind 5), view 0 on a single-view runtime.
+        assert_eq!(
+            WalRecord::ForcedView { view: 0 }.encode().as_ref(),
+            &[5, 0, 0, 0, 0]
+        );
+        let err = WalRecord::decode(Bytes::from(&[2u8][..])).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Corrupt { message, .. } if message == "record kind 2"),
+            "got {err:?}"
+        );
+        // Framed and checksummed, it is structural damage, not a torn
+        // tail.
+        let mem = write_log(&[WalRecord::Tick], 1);
+        let mut w = WalWriter::resume(Box::new(mem.clone()), 1, 1);
+        w.append(&WalRecord::Tick).unwrap();
+        let mut bytes = mem.bytes();
+        let payload = bytes.len() - 1;
+        bytes[payload] = 2;
+        let sum = checksum(&bytes[payload..]).to_le_bytes();
+        bytes[payload - 8..payload].copy_from_slice(&sum);
+        assert!(matches!(read_wal(&bytes), Err(EngineError::Corrupt { .. })));
+    }
+
+    #[test]
     fn resume_appends_after_existing_records() {
         let recs = sample_records();
         let mem = write_log(&recs[..3], 1);
@@ -953,7 +977,7 @@ mod tests {
             bad[i] ^= 1;
             assert!(Checkpoint::decode(&bad).is_err(), "flip at {i}");
         }
-        // Model-backend checkpoints omit the engine payload.
+        // Counts-only checkpoints omit the engine payload.
         let model = Checkpoint {
             wal_records: 1,
             t: 1,

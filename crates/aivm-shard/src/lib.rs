@@ -31,7 +31,7 @@ pub mod set;
 pub use error::ShardError;
 pub use merge::MergeSpec;
 pub use partition::{Partitioner, Route};
-pub use runtime::{merge_reads, partition_database, MergedRead, ShardedRuntime};
+pub use runtime::{merge_reads, partition_database, MergedRead};
 pub use set::{
     merge_metrics, Coordinator, CoordinatorConfig, CoordinatorStats, FailoverConfig,
     FailoverMonitor, FailoverStats, Promoter, RebalancePolicy, ReplicaStatus, ShardRouter,

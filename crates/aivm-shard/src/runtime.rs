@@ -1,20 +1,18 @@
-//! A synchronous sharded maintenance runtime: N independent
-//! [`MaintenanceRuntime`]s, each owning a disjoint key partition of the
-//! base data, driven through a single façade that routes ingests and
-//! merges reads.
-//!
-//! This is the single-threaded core the serving layer
-//! ([`crate::ShardRouter`]) builds on, and the object the equivalence
-//! tests exercise directly: every operation on a `ShardedRuntime` must
-//! be observationally identical to the same operation on one unsharded
-//! runtime over the union of the partitions.
+//! The synchronous pieces of sharding: splitting a database into
+//! per-shard partitions and merging per-shard reads back into one
+//! answer. Every operation on N shards built from these must be
+//! observationally identical to the same operation on one unsharded
+//! runtime over the union of the partitions (`shard_equivalence`
+//! drives N runtimes through [`Partitioner::route`] and
+//! [`merge_reads`] to check exactly that); the threaded
+//! [`crate::ShardRouter`] does its own fan-out over the same pieces.
 
-use aivm_engine::{Database, EngineError, Modification, TableId, WRow};
-use aivm_serve::{MaintenanceRuntime, ReadMode, ReadResult};
+use aivm_engine::{Database, EngineError, TableId, WRow};
+use aivm_serve::ReadResult;
 
 use crate::error::ShardError;
 use crate::merge::MergeSpec;
-use crate::partition::{Partitioner, Route};
+use crate::partition::Partitioner;
 
 /// A merged read answer across shards.
 #[derive(Clone, Debug)]
@@ -33,113 +31,7 @@ pub struct MergedRead {
     pub violated: bool,
 }
 
-/// N maintenance runtimes behind one partition-aware façade.
-pub struct ShardedRuntime {
-    shards: Vec<MaintenanceRuntime>,
-    part: Partitioner,
-    merge: MergeSpec,
-}
-
-impl ShardedRuntime {
-    /// Assembles a sharded runtime from per-shard runtimes (one per
-    /// partition produced by [`partition_database`]), checking that the
-    /// partitioner satisfies the co-location invariant for `def`.
-    pub fn new(
-        shards: Vec<MaintenanceRuntime>,
-        part: Partitioner,
-        def: &aivm_engine::ViewDef,
-    ) -> Result<Self, EngineError> {
-        if shards.len() != part.shards() {
-            return Err(ShardError::ShardCountMismatch {
-                what: "runtimes",
-                got: shards.len(),
-                want: part.shards(),
-            }
-            .into());
-        }
-        part.validate(def)?;
-        let merge = MergeSpec::from_def(def)?;
-        Ok(ShardedRuntime {
-            shards,
-            part,
-            merge,
-        })
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioner (for callers that pre-route batches).
-    pub fn partitioner(&self) -> &Partitioner {
-        &self.part
-    }
-
-    /// The merge plan (for callers that gather shard reads themselves).
-    pub fn merge_spec(&self) -> &MergeSpec {
-        &self.merge
-    }
-
-    /// Direct access to one shard's runtime.
-    pub fn shard(&self, i: usize) -> &MaintenanceRuntime {
-        &self.shards[i]
-    }
-
-    /// Mutable access to one shard's runtime (tests drive partial
-    /// flushes and budget changes through this).
-    pub fn shard_mut(&mut self, i: usize) -> &mut MaintenanceRuntime {
-        &mut self.shards[i]
-    }
-
-    /// Routes and applies one modification to the owning shard (or all
-    /// shards for replicated tables). `table` is the view-canonical
-    /// table position.
-    pub fn ingest_dml(&mut self, table: usize, m: Modification) -> Result<(), EngineError> {
-        match self.part.route(table, &m)? {
-            Route::One(s) => self.shards[s].ingest_dml(table, m),
-            Route::All => {
-                for shard in self.shards.iter_mut() {
-                    shard.ingest_dml(table, m.clone())?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Runs one scheduler tick on every shard.
-    pub fn tick_all(&mut self) -> Result<(), EngineError> {
-        for shard in self.shards.iter_mut() {
-            shard.tick()?;
-        }
-        Ok(())
-    }
-
-    /// Serves a merged read: per-shard read (fresh reads flush each
-    /// shard under its own budget), then re-aggregation.
-    pub fn read(&mut self, mode: ReadMode) -> Result<MergedRead, EngineError> {
-        let mut results = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter_mut() {
-            results.push(shard.read(mode)?);
-        }
-        merge_reads(&self.merge, &results)
-    }
-
-    /// The merged view checksum without flushing (stale contents).
-    pub fn checksum(&mut self) -> Result<u64, EngineError> {
-        Ok(self.read(ReadMode::Stale)?.checksum)
-    }
-
-    /// Replaces a shard's runtime in place (chaos tests: swap in a
-    /// runtime recovered from the shard's WAL) and returns the old one.
-    pub fn replace_shard(&mut self, i: usize, rt: MaintenanceRuntime) -> MaintenanceRuntime {
-        std::mem::replace(&mut self.shards[i], rt)
-    }
-}
-
 /// Merges per-shard [`ReadResult`]s into one [`MergedRead`].
-///
-/// Shared by the sync façade above and the threaded serving router.
 pub fn merge_reads(merge: &MergeSpec, results: &[ReadResult]) -> Result<MergedRead, EngineError> {
     let mut parts = Vec::with_capacity(results.len());
     let mut lag = 0u64;

@@ -442,7 +442,6 @@ pub fn merge_metrics(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
         out.cost_overruns += m.cost_overruns;
         out.recalibrations += m.recalibrations;
         out.recoveries += m.recoveries;
-        out.wal_errors += m.wal_errors;
         out.wal_records += m.wal_records;
         out.wal_fsync_lag = out.wal_fsync_lag.max(m.wal_fsync_lag);
         out.wal_sync_every = out.wal_sync_every.max(m.wal_sync_every);

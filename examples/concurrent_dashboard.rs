@@ -5,19 +5,43 @@
 //!
 //! * [`aivm::engine::snapshot`] / [`restore`] — binary checkpoints of a
 //!   generated database (skip regeneration across runs);
-//! * [`aivm::engine::SharedView`] — reader threads serve dashboard
-//!   queries while a writer applies updates and runs maintenance;
-//! * SQL `ORDER BY` / `LIMIT` for the dashboard's top-k query.
+//! * [`ViewSnapshot`] reads — the writer owns the database and the view
+//!   and publishes each flush boundary's immutable snapshot; reader
+//!   threads serve dashboard panels from the latest one without ever
+//!   blocking maintenance or seeing a torn state (the read path the
+//!   serving runtime's stale reads use);
+//! * SQL `ORDER BY` / `LIMIT` for the dashboard's top-k query, evaluated
+//!   at the same flush boundary and published alongside.
 //!
 //! ```text
 //! cargo run --release --example concurrent_dashboard
 //! ```
 
-use aivm::engine::{restore, snapshot, MinStrategy, SharedView};
+use aivm::engine::{
+    parse_query, restore, rows_checksum, snapshot, Database, MaterializedView, MinStrategy,
+    ViewSnapshot, WRow,
+};
 use aivm::tpcr::{generate, TpcrConfig, UpdateGen, UpdateKind};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::thread;
+
+/// What the dashboard shows: the view as of one flush boundary, and
+/// the top-3 query over the database at that same boundary.
+struct Board {
+    view: Arc<ViewSnapshot>,
+    top: Vec<WRow>,
+}
+
+/// Top-3 cheapest PartSupp offers, via SQL.
+fn top3(db: &Database) -> Vec<WRow> {
+    parse_query(
+        db,
+        "SELECT pskey, supplycost FROM partsupp ORDER BY supplycost ASC LIMIT 3",
+    )
+    .and_then(|p| p.execute(db))
+    .expect("dashboard query runs")
+}
 
 fn main() {
     // --- checkpoint / restore -------------------------------------------
@@ -28,45 +52,44 @@ fn main() {
         data.db.table_count(),
         bytes.len() / 1024
     );
-    let db = restore(bytes).expect("snapshot restores");
+    let mut db = restore(bytes).expect("snapshot restores");
     assert_eq!(
         db.table_by_name("partsupp").unwrap().len(),
         data.db.table_by_name("partsupp").unwrap().len()
     );
 
-    // --- a maintained view behind the concurrent wrapper ----------------
+    // --- a maintained view publishing flush-boundary snapshots ----------
     let def = aivm::engine::parse_view(&db, "min_cost", aivm::tpcr::paper_view_sql())
         .expect("view parses");
-    let view = aivm::engine::MaterializedView::new(&db, def, MinStrategy::Multiset)
-        .expect("view initializes");
-    let partsupp = db.table_id("partsupp").unwrap();
-    let supplier = db.table_id("supplier").unwrap();
-    let shared = SharedView::new(db, view);
-
+    let mut view =
+        MaterializedView::new(&db, def, MinStrategy::Multiset).expect("view initializes");
+    view.set_snapshot_publishing(true);
+    let partsupp = view.table_position("partsupp").unwrap();
+    let supplier = view.table_position("supplier").unwrap();
+    // Readers and the writer exchange an `Arc`, never data: the lock is
+    // held only for the pointer swap.
+    let board = Arc::new(RwLock::new(Arc::new(Board {
+        view: view.snapshot(),
+        top: top3(&db),
+    })));
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Readers: dashboard panels polling the view and running ad-hoc
-    // ordered queries against the same consistent snapshot.
+    // Readers: dashboard panels polling the latest published board.
     let readers: Vec<_> = (0..3)
         .map(|panel| {
-            let shared = shared.clone();
+            let board = board.clone();
             let stop = stop.clone();
             thread::spawn(move || {
-                let mut reads = 0u64;
+                let (mut reads, mut seen_seq) = (0u64, 0u64);
                 while !stop.load(Ordering::Relaxed) {
-                    let _ = shared.scalar();
+                    let b = Arc::clone(&board.read().unwrap());
+                    // A snapshot is a whole flush boundary: its rows
+                    // match its checksum, and boundaries only advance.
+                    assert_eq!(rows_checksum(&b.view.rows), b.view.checksum);
+                    assert!(b.view.seq >= seen_seq, "snapshot went back in time");
+                    seen_seq = b.view.seq;
                     if panel == 0 {
-                        // Top-3 cheapest PartSupp offers, via SQL.
-                        let top = shared.with_db(|db| {
-                            aivm::engine::parse_query(
-                                db,
-                                "SELECT pskey, supplycost FROM partsupp \
-                                 ORDER BY supplycost ASC LIMIT 3",
-                            )
-                            .and_then(|p| p.execute(db))
-                            .expect("dashboard query runs")
-                        });
-                        assert_eq!(top.len(), 3);
+                        assert_eq!(b.top.len(), 3);
                     }
                     reads += 1;
                 }
@@ -77,33 +100,45 @@ fn main() {
 
     // Writer: the paper's update stream with periodic maintenance.
     let mut gen = UpdateGen::new(&data, 7);
+    let publish = |db: &Database, view: &MaterializedView| {
+        let next = Arc::new(Board {
+            view: view.snapshot(),
+            top: top3(db),
+        });
+        *board.write().unwrap() = next;
+    };
     for step in 0..600usize {
-        let (kind, m) = shared.with_db(|db| gen.random_update(db));
-        let (table, name) = match kind {
-            UpdateKind::PartSuppCost => (partsupp, "partsupp"),
-            UpdateKind::SupplierNation => (supplier, "supplier"),
+        let (kind, m) = gen.random_update(&db);
+        let table = match kind {
+            UpdateKind::PartSuppCost => partsupp,
+            UpdateKind::SupplierNation => supplier,
         };
-        shared.modify(table, name, m).expect("update applies");
+        view.apply_and_enqueue(&mut db, table, m)
+            .expect("update applies");
         if step % 50 == 49 {
-            shared.refresh().expect("refresh succeeds");
+            view.refresh(&db).expect("refresh succeeds");
+            publish(&db, &view);
         }
     }
-    shared.refresh().expect("final refresh");
+    view.refresh(&db).expect("final refresh");
+    publish(&db, &view);
     stop.store(true, Ordering::Relaxed);
 
     let total_reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
     println!(
         "dashboard served {total_reads} reads concurrently; final MIN = {}",
-        shared.scalar().unwrap()
+        view.scalar().unwrap()
     );
 
-    // Consistency: view equals a from-scratch evaluation.
-    let direct = shared.with_db(|db| {
-        aivm::engine::parse_query(db, aivm::tpcr::paper_view_sql())
-            .unwrap()
-            .execute(db)
-            .unwrap()
-    });
-    assert_eq!(shared.result(), direct);
+    // Consistency: the view equals a from-scratch evaluation, and the
+    // last published snapshot is that final state.
+    let direct = parse_query(&db, aivm::tpcr::paper_view_sql())
+        .unwrap()
+        .execute(&db)
+        .unwrap();
+    assert_eq!(view.result(), direct);
+    let last = Arc::clone(&board.read().unwrap());
+    assert_eq!(last.view.checksum, rows_checksum(&direct));
+    assert_eq!(last.view.seq, view.stats.flushes);
     println!("consistency check: OK");
 }
