@@ -11,6 +11,10 @@ cd "$(dirname "$0")"
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# Whatever the run builds or writes must be ignored or cleaned up: the
+# tree is compared with this snapshot at the end.
+tree_before=$(git status --porcelain)
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -79,30 +83,16 @@ echo "==> degradation smoke (injected policy panic must demote, zero violations)
 echo "==> chaos gate (crash/recover equivalence at sampled kill indices)"
 ./target/release/repro chaos --seeds 8 --events 2000 >/dev/null
 
-echo "==> net gate (wire codec, conformance + client tests, then a 5s loadgen smoke over TCP)"
-# Includes tests/conformance.rs: one request script against bind,
-# bind_registry and bind_sharded (1 and 2 shards), identical responses
-# up to the declared differences (shards, views, hub on one shard).
+echo "==> net gate (wire codec, conformance, connections, client, end to end over TCP)"
+# tests/conformance.rs: one request script against bind, bind_registry
+# and bind_sharded (1, 2 and 4 shards), identical responses up to the
+# declared differences (shards, views, hub on one shard). tests/server.rs:
+# 1000 connections held open at once, each submitting and reading, none
+# rejected, final view == direct evaluation; a stale Update rejected
+# while the scheduler keeps serving. net_e2e: concurrent clients over
+# TCP land on direct evaluation with every event submitted once.
 cargo test -q --release -p aivm-net -p aivm-client
-# Exits nonzero on any budget violation, protocol error, or a sustained
-# throughput below the 50k events/s floor; appends BENCH_net.json.
-AIVM_BENCH_LABEL=ci ./target/release/repro loadgen --quick --duration 5s \
-  --min-throughput 50000 >/dev/null
-
-echo "==> snapshot read gate (read-heavy Stale mix served wait-free from snapshots)"
-# Fails on any Fresh budget violation, a reads/s rate below the floor, or
-# a stale-read p99 above the ceiling; appends BENCH_net.json with the
-# read mix, read latencies, and flush thread count.
-AIVM_BENCH_LABEL=ci ./target/release/repro loadgen --quick --duration 5s \
-  --mix read-heavy --read-mode stale --min-reads 5000 --max-stale-p99-ms 20 >/dev/null
-
-echo "==> high-concurrency gate (1000 closed-loop clients over the event loop)"
-# The event-loop server multiplexes 1000 connections over its fixed
-# worker pool; the floor is well above the ~130k/s thread-per-connection
-# plateau's *headroom* at this client count (typical: 105-145k ev/s).
-# Any Fresh budget violation or protocol error also fails the run.
-AIVM_BENCH_LABEL=ci ./target/release/repro loadgen --quick --duration 5s \
-  --events 100000 --clients 1000 --min-throughput 80000 >/dev/null
+cargo test -q --release --test net_e2e
 
 echo "==> snapshot consistency + columnar/flush equivalence (release)"
 # Property tests: concurrent snapshot reads only ever observe processed-
@@ -113,17 +103,15 @@ cargo test -q --release --test snapshot_consistency
 cargo test -q --release --test columnar_delta
 cargo test -q --release -p aivm-net --test zero_alloc
 
-echo "==> shard gate (equivalence at widths 1/2/4/8, sharded loadgen, kill-one-shard)"
+echo "==> shard gate (equivalence at widths 1/2/4/8, budget coordinator, kill-one-shard)"
 # Property tests: N key-partitioned runtimes, routed and merged as the
 # router does, are bit-identical to a single runtime at widths 1/2/4/8
 # under randomized partial flushes, and mis-keyed partitioners fail
-# co-location validation.
+# co-location validation. aivm-shard's own tests: uniform and
+# cost-proportional budget splits sum to C, and the running coordinator
+# moves budget toward the loaded shard.
 cargo test -q --release -p aivm-bench --test shard_equivalence
-# 4-shard serving over TCP: hashed submits, scatter-gather reads,
-# per-shard budgets C/4, cost-proportional rebalancing. Fails on any
-# budget violation, protocol error, or throughput under the floor.
-AIVM_BENCH_LABEL=ci ./target/release/repro loadgen --quick --duration 5s \
-  --shards 4 --min-throughput 40000 >/dev/null
+cargo test -q --release -p aivm-shard
 # Kill one of three shards mid-stream over the wire: typed
 # ShardUnavailable rejections, degraded reads, WAL recovery + rejoin,
 # merged checksum equal to direct evaluation.
@@ -137,26 +125,23 @@ echo "==> failover gate (kill-the-leader, WAL tail-streamed follower promotion)"
 # promotion fails the gate instead of wedging CI.
 timeout 120 ./target/release/repro chaos --seeds 2 --events 1000 \
   --shards 2 --replicas --kill-leader >/dev/null
-# Failover under live closed-loop load: --kill-leader murders a leader
-# mid-run; the gate requires >= 1 promotion and every shard live at exit.
-AIVM_BENCH_LABEL=ci timeout 120 ./target/release/repro loadgen --quick \
-  --duration 5s --shards 2 --replicas --kill-leader >/dev/null
+# Failover under live load: a leader dies while a writer per table and
+# a reader keep going; a submit whose ack was lost is resolved against
+# the shard's log, never skipped. Followers healthy at epoch 1 before,
+# >= 1 promotion and every shard live after, every stream applied
+# exactly once, no acked write lost, merged == direct evaluation.
+timeout 120 cargo test -q --release -p aivm-bench --test failover_under_load
 
 echo "==> multi-view registry gate (shared propagation + push subscriptions)"
 # Property tests over real sockets: the registry is bit-identical to N
 # independent single-view servers on the same stream; a subscriber
 # killed and resumed at every seq folds each batch exactly once with no
 # gap or duplicate; off-ring and never-draining subscribers degrade to
-# snapshot resync without stalling the flush path.
-cargo test -q --release -p aivm-net --test multiview_equivalence --test subscription_resume
-# Engine-level head-to-head: one registry serving 32 views must beat 32
-# independent runtimes, bit-identical checksums, zero violations.
-AIVM_BENCH_LABEL=ci ./target/release/repro --quick multiview --views 32 >/dev/null
-# One base-delta stream fanning to 32 registered views and 64 live push
-# subscribers over TCP: every folded delta checksum-verified, zero
-# per-view staleness violations, events/s floor enforced. Timeboxed.
-AIVM_BENCH_LABEL=ci timeout 120 ./target/release/repro loadgen --quick \
-  --duration 5s --views 32 --subscribers 64 --min-throughput 20000 >/dev/null
+# snapshot resync without stalling the flush path; 32 views with 64
+# subscribers folding while writers run all land on direct evaluation,
+# every pushed delta's post-fold checksum verified. Timeboxed.
+timeout 120 cargo test -q --release -p aivm-net --test multiview_equivalence \
+  --test subscription_resume
 
 echo "==> skew gate (heavy-light equivalence + zipfian skewsweep smoke)"
 # Property tests: heavy-light partitioned maintenance is bit-identical
@@ -170,7 +155,7 @@ cargo test -q --release -p aivm-bench --test heavy_light_equivalence
 # heavy p99 within a fixed factor of the uniform baseline and of the
 # plain engine. Timeboxed so a wedged classifier fails the gate instead
 # of hanging CI.
-AIVM_BENCH_LABEL=ci timeout 180 ./target/release/repro --quick skewsweep >/dev/null
+timeout 180 ./target/release/repro --quick skewsweep >/dev/null
 
 echo "==> live-column propagation gate (random views x schedules x widths x heavy-light x registry)"
 # Property test over a fixed seed list: pruned, once-consolidated
@@ -186,7 +171,11 @@ timeout 600 cargo test -q --release --offline --manifest-path perf/Cargo.toml
 timeout 600 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
   run --smoke >/dev/null
 
-echo "==> serve throughput baseline (BENCH_serve.json)"
-AIVM_BENCH_FAST=1 AIVM_BENCH_LABEL=ci cargo bench -p aivm-bench --bench serve >/dev/null
+echo "==> the run left the tree as it found it"
+if [[ "$(git status --porcelain)" != "$tree_before" ]]; then
+  git status --porcelain >&2
+  echo "ci.sh changed the working tree (ignore build outputs in .gitignore)" >&2
+  exit 1
+fi
 
 echo "CI gate passed."

@@ -1,7 +1,5 @@
 //! Engine operator microbenches: the scan-vs-probe join asymmetry that
 //! generates the paper's cost shapes, plus supporting kernels.
-//!
-//! Emits `BENCH_engine.json` at the repo root.
 
 use aivm_bench::harness::Suite;
 use aivm_engine::exec::{consolidate, join_index, join_scan, ExecStats, JoinShape};
@@ -85,5 +83,4 @@ fn main() {
     bench_consolidate(&mut s);
     bench_sql_parse(&mut s);
     bench_table_mutations(&mut s);
-    s.finish();
 }

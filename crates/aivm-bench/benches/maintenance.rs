@@ -1,8 +1,6 @@
 //! Maintenance-flush benches on the paper's TPC-R view: per-table batch
 //! costs (the Fig. 1 / Fig. 4 asymmetry as a benchmark) and the MIN
 //! strategy ablation.
-//!
-//! Emits `BENCH_maintenance.json` at the repo root.
 
 use aivm_bench::harness::Suite;
 use aivm_engine::{Database, MaterializedView, MinStrategy};
@@ -94,5 +92,4 @@ fn main() {
     bench_flush_batches(&mut s);
     bench_min_strategies(&mut s);
     bench_view_initialization(&mut s);
-    s.finish();
 }

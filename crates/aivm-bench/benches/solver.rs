@@ -1,8 +1,5 @@
 //! Solver kernels: A\* under each heuristic, the ONLINE policy loop,
 //! and the action-enumeration primitive it is built on.
-//!
-//! Emits `BENCH_solver.json` at the repo root (label via
-//! `AIVM_BENCH_LABEL`).
 
 use aivm_bench::harness::Suite;
 use aivm_bench::{standard_instance, wide_instance};
@@ -64,5 +61,4 @@ fn main() {
     bench_online(&mut s);
     bench_action_enumeration(&mut s);
     bench_exhaustive_vs_astar(&mut s);
-    s.finish();
 }

@@ -1,8 +1,7 @@
 //! Whole-sweep benches: the figure-6/7 refresh-time sweeps at explicit
 //! worker widths, measuring the parallel fan-out speedup end to end.
 //!
-//! Emits `BENCH_sweep.json` at the repo root (label via
-//! `AIVM_BENCH_LABEL`). Thread widths are forced per measurement with
+//! Thread widths are forced per measurement with
 //! [`aivm_sim::set_thread_override`], so `AIVM_THREADS` in the
 //! environment does not skew the series.
 
@@ -11,23 +10,9 @@ use aivm_sim::experiments::{fig6, fig7};
 use aivm_sim::set_thread_override;
 use std::hint::black_box;
 
-fn fig6_config() -> fig6::Fig6Config {
-    if std::env::var("AIVM_BENCH_FAST")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
-    {
-        fig6::Fig6Config {
-            refresh_times: (1..=4).map(|i| i * 100).collect(),
-            ..fig6::Fig6Config::default()
-        }
-    } else {
-        fig6::Fig6Config::default()
-    }
-}
-
 fn main() {
     let mut s = Suite::new("sweep");
-    let cfg6 = fig6_config();
+    let cfg6 = fig6::Fig6Config::default();
     let cfg7 = fig7::Fig7Config::default();
     for threads in [1usize, 2, 4] {
         set_thread_override(Some(threads));
@@ -42,5 +27,4 @@ fn main() {
         });
     }
     set_thread_override(None);
-    s.finish();
 }

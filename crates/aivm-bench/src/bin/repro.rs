@@ -17,13 +17,8 @@
 //!   ablation   heuristic & candidate-set ablations (extension)
 //!   serve      live serving runtime over the TPC-R update stream
 //!   chaos      crash/recover + degradation chaos suite (robustness)
-//!   loadgen    closed-loop TCP load generator over aivm-net (emits
-//!              BENCH_net.json)
-//!   multiview  shared-propagation head-to-head: one registry serving N
-//!              views vs N independent runtimes (emits BENCH_serve.json)
 //!   skewsweep  heavy-light partitioned maintenance vs the plain engine
-//!              under zipfian streams, s ∈ {0, 0.6, 1.0, 1.4} (emits
-//!              BENCH_serve.json)
+//!              under zipfian streams, s ∈ {0, 0.6, 1.0, 1.4}
 //!   all        every figure target above, in paper order (not serve)
 //! ```
 //!
@@ -48,56 +43,6 @@
 //!                                       results are bit-identical)
 //! ```
 //!
-//! `loadgen` spawns the whole networked stack in one process — the
-//! serve scheduler, the `aivm-net` TCP server on a loopback port, and N
-//! closed-loop `aivm-client` threads — and drives a seeded submit/read
-//! mix through real sockets. Its flags (besides `--events`, `--budget`,
-//! `--duration`, `--policy` and `--wal-sync`, shared with `serve`):
-//!
-//! ```text
-//!   --clients N            closed-loop client threads (default 4)
-//!   --max-conns N          server connection cap (default clients + 8)
-//!   --mix S:R              submit:read weight mix (default 4:1), or a
-//!                          preset: read-heavy (1:32), write-heavy (8:1),
-//!                          balanced (1:1)
-//!   --batch N              modifications per submit frame (default 64)
-//!   --read-mode M          stale | fresh | mixed (default mixed);
-//!                          stale reads are served wait-free from the
-//!                          published view snapshot
-//!   --fresh-every N        in mixed mode, every Nth read is Fresh,
-//!                          rest Stale (default 8)
-//!   --min-throughput X     exit nonzero below X events/s (CI gate)
-//!   --min-reads X          exit nonzero below X reads/s (CI gate)
-//!   --max-stale-p99-ms X   exit nonzero if the stale-read p99 exceeds
-//!                          X milliseconds (CI gate)
-//!   --shards N             key-partitioned shards behind the server
-//!                          (default: one per hardware thread, shown
-//!                          as "(auto)")
-//!   --replicas             attach a live follower to every shard (WAL
-//!                          tail-streaming over the wire, durable acks,
-//!                          failover monitor); needs --shards >= 2
-//!   --kill-leader          kill shard 0's leader mid-run and ride out
-//!                          the automatic failover (needs --replicas)
-//!   --views N              register N paper-view variants in one view
-//!                          registry (shared delta propagation) instead
-//!                          of the single-view stack; single-sharded
-//!   --subscribers M        attach M live push subscribers that fold
-//!                          every delta batch and verify its post-fold
-//!                          checksum while the workers run
-//!   --skew S               zipf exponent of the generated update keys
-//!                          (default uniform); recorded in the summary
-//!                          and in every BENCH_net.json row
-//!   --heavy-light          enable heavy-light partitioned maintenance
-//!                          on the served view(s); results stay
-//!                          bit-identical, the summary gains the heavy
-//!                          key/hit counters
-//! ```
-//!
-//! `multiview` runs the engine-level shared-propagation head-to-head
-//! (one registry serving `--views N` vs N independent runtimes on the
-//! identical stream) and exits nonzero unless every view's final
-//! checksum is bit-identical across stacks and sharing wins wall-clock.
-//!
 //! `skewsweep` replays zipfian update streams through paired runtimes —
 //! heavy-light partitioning on vs off, everything else identical — and
 //! exits nonzero if checksums diverge, any run violates validity or
@@ -105,11 +50,6 @@
 //! plain one, or heavy-light misses its fresh-read p99 gates (see
 //! `aivm_bench::skew`). `--skew S` narrows the sweep to {0, S};
 //! `--events`, `--batch` and `--budget` carry over.
-//!
-//! `loadgen` appends its measured throughput, Stale/Fresh read latency
-//! quantiles and shed/retry counters to `BENCH_net.json` and exits
-//! nonzero on any budget violation, protocol error, or a throughput
-//! floor miss.
 //!
 //! `serve` exits nonzero if any run breaks the paper's validity
 //! invariant (a fresh read costing more than `C`) or if the `planned`
@@ -132,6 +72,10 @@
 //! asserts zero acknowledged-write loss, epoch fencing, and merged ==
 //! direct checksums after the follower's promotion. Exits nonzero on
 //! any divergence.
+//!
+//! Throughput and latency of the networked stack (single view, shards,
+//! replicas, registries, push subscribers) are measured by the `perf`
+//! package (`perf run`); their correctness is covered by the test suite.
 //!
 //! `--quick` shrinks scales so the whole suite finishes in well under a
 //! minute; default scales match the paper's shapes (minutes).
@@ -373,7 +317,7 @@ fn run_ablation(csv: bool, quick: bool) {
     print_table(&t2, csv);
 }
 
-/// Flags of the `serve`, `chaos` and `loadgen` targets.
+/// Flags of the `serve`, `chaos` and `skewsweep` targets.
 #[derive(Default)]
 struct ServeArgs {
     policy: Option<String>,
@@ -384,21 +328,10 @@ struct ServeArgs {
     seeds: Option<u64>,
     inject_policy_panic: Option<usize>,
     wal_sync: Option<aivm_serve::WalSyncPolicy>,
-    clients: Option<usize>,
-    max_conns: Option<usize>,
-    mix: Option<(u32, u32)>,
     batch: Option<usize>,
-    fresh_every: Option<u64>,
-    read_mode: Option<aivm_bench::loadgen::LoadgenReadMode>,
     flush_threads: Option<usize>,
-    min_throughput: Option<f64>,
-    min_reads: Option<f64>,
-    max_stale_p99_ms: Option<f64>,
     shards: Option<usize>,
-    views: Option<usize>,
-    subscribers: Option<usize>,
     skew: Option<f64>,
-    rebalance: Option<aivm_shard::RebalancePolicy>,
     replicas: bool,
     kill_leader: bool,
     heavy_light: bool,
@@ -553,8 +486,8 @@ fn run_serve(csv: bool, quick: bool, sargs: &ServeArgs) {
 }
 
 /// The heavy-light skew sweep: paired plain/heavy runs of the
-/// PartSupp ⋈ Supplier view per zipf exponent (see `aivm_bench::skew`),
-/// recorded into BENCH_serve.json. Exits nonzero if any pair's final
+/// PartSupp ⋈ Supplier view per zipf exponent (see `aivm_bench::skew`).
+/// Exits nonzero if any pair's final
 /// checksums diverge, any run reports a validity violation or a join
 /// scan fallback, the heavy path emits more join rows than the plain
 /// one, or the heavy-light runtime misses its latency gates: its
@@ -606,7 +539,6 @@ fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
         opts.events_each, opts.batch
     ));
     let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut suite = aivm_bench::harness::Suite::new("serve");
     let mut failed = false;
     let mut heavy_uniform_p99 = None;
     let top_skew = skews.iter().cloned().fold(0.0f64, f64::max);
@@ -700,770 +632,9 @@ fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
             format!("{}/{}", heavy.heavy_hits, heavy.light_hits),
             (plain.violations + heavy.violations).to_string(),
         ]);
-        let key = |m: &str| format!("skewsweep/s{s}/{m}");
-        suite.record_value(&key("skew"), s);
-        suite.record_value(&key("plain_p99_ns"), plain.fresh_p99_ns as f64);
-        suite.record_value(&key("heavy_p99_ns"), heavy.fresh_p99_ns as f64);
-        suite.record_value(&key("p99_gain"), gain);
-        suite.record_value(&key("heavy_keys"), heavy.heavy_keys as f64);
-        suite.record_value(&key("reclassifications"), heavy.reclassifications as f64);
-        suite.record_value(&key("heavy_hits"), heavy.heavy_hits as f64);
-        suite.record_value(&key("light_hits"), heavy.light_hits as f64);
-        suite.record_value(&key("plain_rows_emitted"), plain.rows_emitted as f64);
-        suite.record_value(&key("heavy_rows_emitted"), heavy.rows_emitted as f64);
-        suite.record_value(
-            &key("violations"),
-            (plain.violations + heavy.violations) as f64,
-        );
     }
     print_table(&t, csv);
-    suite.finish();
     if failed {
-        std::process::exit(1);
-    }
-}
-
-fn run_loadgen(csv: bool, quick: bool, sargs: &ServeArgs) {
-    use aivm_bench::loadgen::{auto_shards, run_loadgen, LoadgenOptions};
-    use aivm_bench::serve::{ServeExperiment, ServeOptions, SERVE_POLICIES};
-    if let Some(p) = &sargs.policy {
-        if !SERVE_POLICIES.contains(&p.as_str()) {
-            eprintln!("unknown policy: {p} (expected naive, online or planned)");
-            std::process::exit(2);
-        }
-    }
-    let views = sargs.views.unwrap_or(1);
-    let subscribers = sargs.subscribers.unwrap_or(0);
-    let registry = views > 1 || subscribers > 0;
-    // Omitted --shards auto-picks one scheduler per hardware thread; a
-    // replicated run needs at least two shards to have a router; the
-    // multi-view registry stack is single-sharded.
-    let (shards, shards_auto) = match sargs.shards {
-        Some(n) => (n, false),
-        None if registry => (1, false),
-        None if sargs.replicas => (auto_shards().max(2), true),
-        None => (auto_shards(), true),
-    };
-    if registry && (shards > 1 || sargs.replicas) {
-        eprintln!("--views/--subscribers run the single-sharded registry stack (drop --shards/--replicas)");
-        std::process::exit(2);
-    }
-    if sargs.replicas && shards < 2 {
-        eprintln!("--replicas needs --shards >= 2");
-        std::process::exit(2);
-    }
-    if sargs.kill_leader && !sargs.replicas {
-        eprintln!("--kill-leader needs --replicas");
-        std::process::exit(2);
-    }
-    let events_each = sargs.events.unwrap_or(if quick { 5_000 } else { 20_000 });
-    let exp = match ServeExperiment::build(ServeOptions {
-        events_each,
-        budget: sargs.budget,
-        quick,
-        flush_threads: sargs.flush_threads.unwrap_or(1),
-        skew: sargs.skew,
-        heavy_light: sargs.heavy_light,
-        ..Default::default()
-    }) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("loadgen setup failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let defaults = LoadgenOptions::default();
-    let (submit_weight, read_weight) = sargs
-        .mix
-        .unwrap_or((defaults.submit_weight, defaults.read_weight));
-    let opts = LoadgenOptions {
-        clients: sargs.clients.unwrap_or(defaults.clients),
-        submit_weight,
-        read_weight,
-        read_mode: sargs.read_mode.unwrap_or(defaults.read_mode),
-        fresh_every: sargs.fresh_every.unwrap_or(defaults.fresh_every),
-        batch: sargs.batch.unwrap_or(defaults.batch),
-        duration: sargs.duration.unwrap_or(defaults.duration),
-        events_each,
-        policy: sargs.policy.clone().unwrap_or(defaults.policy),
-        budget: sargs.budget,
-        quick,
-        wal_sync: sargs.wal_sync,
-        max_conns: sargs.max_conns,
-        shards,
-        views,
-        subscribers,
-        rebalance: sargs.rebalance.unwrap_or(defaults.rebalance),
-        replicas: sargs.replicas,
-        kill_leader: sargs.kill_leader,
-        ..Default::default()
-    };
-    let r = match run_loadgen(&exp, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("loadgen run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let (sub, stale, fresh) = (
-        r.submit_lat.snapshot(),
-        r.stale_lat.snapshot(),
-        r.fresh_lat.snapshot(),
-    );
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut t = ExpTable::new(
-        "Closed-loop network load generator (aivm-net over loopback TCP)",
-        &["metric", "value"],
-    );
-    t.note(format!(
-        "{} clients, mix {}:{}, batch {}, policy {}, read mode {:?}, \
-         flush threads {}, budget C = {:.1}{}{}{}",
-        opts.clients,
-        opts.submit_weight,
-        opts.read_weight,
-        opts.batch,
-        opts.policy,
-        opts.read_mode,
-        sargs.flush_threads.unwrap_or(1),
-        exp.budget,
-        match &opts.wal_sync {
-            Some(p) => format!(", WAL fsync {p}"),
-            None => String::new(),
-        },
-        if registry {
-            format!(
-                ", registry: {} views, {} push subscribers",
-                opts.views, opts.subscribers
-            )
-        } else if opts.shards > 1 {
-            format!(
-                ", {} shards{} (rebalance {}){}",
-                opts.shards,
-                if shards_auto { " (auto)" } else { "" },
-                opts.rebalance.name(),
-                match (opts.replicas, opts.kill_leader) {
-                    (true, true) => ", replicated, kill-leader",
-                    (true, false) => ", replicated",
-                    _ => "",
-                }
-            )
-        } else if shards_auto {
-            ", 1 shard (auto)".to_string()
-        } else {
-            String::new()
-        },
-        match sargs.skew {
-            Some(s) => format!(", zipf skew {s}"),
-            None => String::new(),
-        }
-    ));
-    let rows: Vec<(&str, String)> = vec![
-        ("events submitted", r.events_submitted.to_string()),
-        ("events ingested", r.runtime.events_ingested.to_string()),
-        (
-            "submit window (s)",
-            format!("{:.3}", r.submit_window.as_secs_f64()),
-        ),
-        (
-            "throughput (events/s)",
-            format!("{:.0}", r.events_per_sec()),
-        ),
-        (
-            "submit p50/p99 (ms)",
-            format!("{}/{}", ms(sub.p50), ms(sub.p99)),
-        ),
-        ("reads/s", format!("{:.0}", r.reads_per_sec())),
-        ("stale reads", r.reads_stale.to_string()),
-        (
-            "snapshot-served stale reads",
-            r.net.snapshot_reads.to_string(),
-        ),
-        (
-            "stale read p50/p99 (ms)",
-            format!("{}/{}", ms(stale.p50), ms(stale.p99)),
-        ),
-        ("fresh reads", r.reads_fresh.to_string()),
-        (
-            "fresh read p50/p99 (ms)",
-            format!("{}/{}", ms(fresh.p50), ms(fresh.p99)),
-        ),
-        (
-            "budget violations",
-            (r.client_violations + r.runtime.constraint_violations).to_string(),
-        ),
-        ("overload retries", r.retries.overload_retries.to_string()),
-        ("transport retries", r.retries.transport_retries.to_string()),
-        ("overload give-ups", r.overload_failures.to_string()),
-        (
-            "server overload rejections",
-            r.net.overload_rejections.to_string(),
-        ),
-        ("server shed events", r.net.shed_events.to_string()),
-        ("max queue depth", r.net.max_queue_depth.to_string()),
-        (
-            "connections (total/rejected)",
-            format!("{}/{}", r.net.connections_total, r.net.connections_rejected),
-        ),
-        ("degraded", r.net.degraded.to_string()),
-        ("protocol errors", r.protocol_errors.to_string()),
-        ("engine scan fallbacks", r.scan_fallbacks.to_string()),
-    ];
-    for (k, v) in rows {
-        t.row(vec![k.to_string(), v]);
-    }
-    if let Some(s) = sargs.skew {
-        t.row(vec!["zipf skew".to_string(), format!("{s}")]);
-    }
-    if sargs.heavy_light {
-        t.row(vec![
-            "heavy keys / reclassifications".to_string(),
-            format!("{} / {}", r.net.heavy_keys, r.net.heavy_reclassifications),
-        ]);
-        t.row(vec![
-            "heavy/light delta hits".to_string(),
-            format!("{} / {}", r.net.heavy_hits, r.net.light_hits),
-        ]);
-    }
-    if r.shards > 1 {
-        t.row(vec![
-            "shards (live)".to_string(),
-            format!("{} ({})", r.net.shards, r.net.shards_live),
-        ]);
-        t.row(vec![
-            "budget rebalances".to_string(),
-            r.rebalances.to_string(),
-        ]);
-        t.row(vec![
-            "staleness max (events)".to_string(),
-            r.net.staleness_max.to_string(),
-        ]);
-        if opts.replicas {
-            t.row(vec![
-                "failovers / cluster epoch".to_string(),
-                format!("{} / {}", r.net.failovers, r.net.cluster_epoch),
-            ]);
-            t.row(vec![
-                "replica lag max (records)".to_string(),
-                r.net.replica_lag_max.to_string(),
-            ]);
-        }
-        if opts.kill_leader {
-            t.row(vec![
-                "ambiguous events (ack died with leader)".to_string(),
-                r.ambiguous_events.to_string(),
-            ]);
-        }
-        if let Some(rows) = &r.net.per_shard {
-            for s in rows {
-                let health = match s.health {
-                    0 => "dead",
-                    1 => "live",
-                    _ => "live+replica",
-                };
-                t.row(vec![
-                    format!("shard {} epoch/health/lag", s.shard),
-                    format!("{} / {} / {}", s.epoch, health, s.replica_lag),
-                ]);
-            }
-        }
-    }
-    if registry {
-        t.row(vec![
-            "views / push subscribers".to_string(),
-            format!("{} / {}", r.net.views, r.net.subscribers),
-        ]);
-        t.row(vec![
-            "delta batches pushed / max subscriber lag".to_string(),
-            format!("{} / {}", r.net.deltas_pushed, r.net.sub_lag_max),
-        ]);
-        t.row(vec![
-            "subscriber folds (snapshots/deltas/checksum errors)".to_string(),
-            format!(
-                "{}/{}/{}",
-                r.sub_snapshots, r.sub_deltas, r.sub_checksum_errors
-            ),
-        ]);
-        t.row(vec![
-            "staleness max (events)".to_string(),
-            r.net.staleness_max.to_string(),
-        ]);
-        if let Some(rows) = &r.net.per_view {
-            for v in rows {
-                t.row(vec![
-                    format!("view {} (group {})", v.view, v.group),
-                    format!(
-                        "flushes {}, pending {}, pushed {}, subs {}, lag {}, violations {}",
-                        v.flushes,
-                        v.pending,
-                        v.deltas_pushed,
-                        v.subscribers,
-                        v.sub_lag_max,
-                        v.violations
-                    ),
-                ]);
-            }
-        }
-    }
-    print_table(&t, csv);
-
-    // Tracked baseline: BENCH_net.json at the repo root. Sharded runs
-    // record under their own key prefix so the single-runtime baseline
-    // stays comparable across PRs.
-    let prefix = if registry {
-        format!("loadgen/views{views}/")
-    } else if opts.replicas {
-        format!(
-            "loadgen/replicated{}{}/",
-            r.shards,
-            if opts.kill_leader { "-kill" } else { "" }
-        )
-    } else if r.shards > 1 {
-        format!("loadgen/shards{}/", r.shards)
-    } else {
-        "loadgen/".to_string()
-    };
-    let mut suite = aivm_bench::harness::Suite::new("net");
-    let mut rec = |name: &str, v: f64| suite.record_value(&format!("{prefix}{name}"), v);
-    rec("shards", r.shards as f64);
-    rec("shards_auto", if shards_auto { 1.0 } else { 0.0 });
-    rec("events_per_sec", r.events_per_sec());
-    rec("reads_per_sec", r.reads_per_sec());
-    rec("flush_threads", sargs.flush_threads.unwrap_or(1) as f64);
-    rec("snapshot_reads", r.net.snapshot_reads as f64);
-    rec("submit_p99_ns", sub.p99 as f64);
-    rec("read_stale_p50_ns", stale.p50 as f64);
-    rec("read_stale_p99_ns", stale.p99 as f64);
-    rec("read_fresh_p50_ns", fresh.p50 as f64);
-    rec("read_fresh_p99_ns", fresh.p99 as f64);
-    rec("overload_retries", r.retries.overload_retries as f64);
-    rec(
-        "server_overload_rejections",
-        r.net.overload_rejections as f64,
-    );
-    rec("shed_events", r.net.shed_events as f64);
-    rec(
-        "budget_violations",
-        (r.client_violations + r.runtime.constraint_violations) as f64,
-    );
-    rec("skew", sargs.skew.unwrap_or(0.0));
-    if sargs.heavy_light {
-        rec("heavy_keys", r.net.heavy_keys as f64);
-        rec(
-            "heavy_reclassifications",
-            r.net.heavy_reclassifications as f64,
-        );
-        rec("heavy_hits", r.net.heavy_hits as f64);
-        rec("light_hits", r.net.light_hits as f64);
-    }
-    if r.shards > 1 {
-        rec("budget_rebalances", r.rebalances as f64);
-    }
-    if opts.replicas {
-        rec("failovers", r.net.failovers as f64);
-        rec("replica_lag_max", r.net.replica_lag_max as f64);
-    }
-    if registry {
-        rec("views", r.views as f64);
-        rec("subscribers", r.subscribers as f64);
-        rec("deltas_pushed", r.net.deltas_pushed as f64);
-        rec("sub_lag_max", r.net.sub_lag_max as f64);
-        rec("sub_deltas_folded", r.sub_deltas as f64);
-        rec("sub_checksum_errors", r.sub_checksum_errors as f64);
-        rec("staleness_max", r.net.staleness_max as f64);
-    }
-    suite.finish();
-
-    let mut failed = false;
-    if opts.kill_leader && r.net.failovers == 0 {
-        eprintln!("loadgen FAILED: --kill-leader ran but no failover was executed");
-        failed = true;
-    }
-    if opts.kill_leader && r.net.shards_live < r.net.shards {
-        eprintln!(
-            "loadgen FAILED: {} of {} shards live after failover",
-            r.net.shards_live, r.net.shards
-        );
-        failed = true;
-    }
-    if !r.ok() {
-        let per_view_violations: u64 = r
-            .net
-            .per_view
-            .as_ref()
-            .map(|rows| rows.iter().map(|v| v.violations).sum())
-            .unwrap_or(0);
-        eprintln!(
-            "loadgen FAILED: {} budget violation(s) ({} per-view), {} protocol error(s), \
-             {} subscriber checksum error(s), {} engine scan fallback(s){}",
-            r.client_violations + r.runtime.constraint_violations,
-            per_view_violations,
-            r.protocol_errors,
-            r.sub_checksum_errors,
-            r.scan_fallbacks,
-            match (&r.last_error, &r.net.last_error) {
-                (Some(e), _) | (None, Some(e)) => format!(" — {e}"),
-                _ => String::new(),
-            }
-        );
-        failed = true;
-    }
-    if let Some(floor) = sargs.min_throughput {
-        if r.events_per_sec() < floor {
-            eprintln!(
-                "loadgen FAILED: throughput {:.0} events/s below the {floor:.0} floor",
-                r.events_per_sec()
-            );
-            failed = true;
-        }
-    }
-    if let Some(floor) = sargs.min_reads {
-        if r.reads_per_sec() < floor {
-            eprintln!(
-                "loadgen FAILED: {:.0} reads/s below the {floor:.0} floor",
-                r.reads_per_sec()
-            );
-            failed = true;
-        }
-    }
-    if let Some(ceiling_ms) = sargs.max_stale_p99_ms {
-        let p99_ms = stale.p99 as f64 / 1e6;
-        if p99_ms > ceiling_ms {
-            eprintln!(
-                "loadgen FAILED: stale read p99 {p99_ms:.3} ms above the \
-                 {ceiling_ms:.3} ms ceiling"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The shards=1/2/4/8 scaling sweep plus the skewed-stream rebalance
-/// comparison, recorded into BENCH_net.json. Finite streams: each run
-/// submits the same `events_each`-per-table workload to completion, so
-/// events/s measures sustained wire throughput at that width.
-fn run_shardsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
-    use aivm_bench::loadgen::{run_loadgen, LoadgenOptions};
-    use aivm_bench::serve::{ServeExperiment, ServeOptions};
-    use aivm_shard::RebalancePolicy;
-    let events_each = sargs.events.unwrap_or(if quick { 4_000 } else { 20_000 });
-    let duration = sargs.duration.unwrap_or(std::time::Duration::from_secs(60));
-    let policy = sargs.policy.clone().unwrap_or_else(|| "online".into());
-    let build = |skew: Option<f64>| {
-        ServeExperiment::build(ServeOptions {
-            events_each,
-            budget: sargs.budget,
-            quick,
-            flush_threads: sargs.flush_threads.unwrap_or(1),
-            skew,
-            ..Default::default()
-        })
-    };
-    let exp = match build(None) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("shardsweep setup failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mk_opts = |shards: usize, rebalance: RebalancePolicy| LoadgenOptions {
-        clients: sargs.clients.unwrap_or(4),
-        batch: sargs.batch.unwrap_or(64),
-        duration,
-        events_each,
-        policy: policy.clone(),
-        budget: sargs.budget,
-        quick,
-        shards,
-        rebalance,
-        max_conns: sargs.max_conns,
-        ..LoadgenOptions::default()
-    };
-    let mut suite = aivm_bench::harness::Suite::new("net");
-    let mut failed = false;
-    let ms = |ns: u64| format!("{:.2}", ns as f64 / 1e6);
-
-    let mut t = ExpTable::new(
-        "Shard scaling sweep (loopback TCP, finite uniform streams)",
-        &[
-            "shards",
-            "events/s",
-            "speedup",
-            "reads/s",
-            "fresh_p99_ms",
-            "viol",
-            "rebalances",
-        ],
-    );
-    t.note(format!(
-        "{events_each} events/table, policy {policy}, budget C = {:.1} split C/N across shards, \
-         {} hardware threads",
-        exp.budget,
-        aivm_bench::loadgen::auto_shards(),
-    ));
-    // `--shards N` caps the sweep at N; omitted, the hardware width
-    // joins the classic 1/2/4/8 ladder (marked "(auto)" in its row).
-    let auto = aivm_bench::loadgen::auto_shards();
-    let (widths, auto_width): (Vec<usize>, Option<usize>) = match sargs.shards {
-        Some(n) => {
-            let mut w: Vec<usize> = [1usize, 2, 4, 8].into_iter().filter(|&x| x < n).collect();
-            w.push(n);
-            (w, None)
-        }
-        None => {
-            let mut w = vec![1usize, 2, 4, 8];
-            if !w.contains(&auto) {
-                w.push(auto);
-                w.sort_unstable();
-            }
-            (w, Some(auto))
-        }
-    };
-    let mut base_tput = None;
-    for shards in widths {
-        let r = match run_loadgen(&exp, &mk_opts(shards, RebalancePolicy::CostProportional)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("shardsweep shards={shards} failed: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        let viol = r.client_violations + r.runtime.constraint_violations;
-        if !r.ok() || viol > 0 {
-            eprintln!(
-                "shardsweep shards={shards} FAILED: {viol} budget violation(s), \
-                 {} protocol error(s){}",
-                r.protocol_errors,
-                r.last_error
-                    .as_deref()
-                    .map(|e| format!(" — {e}"))
-                    .unwrap_or_default()
-            );
-            failed = true;
-        }
-        let tput = r.events_per_sec();
-        if shards == 1 {
-            base_tput = Some(tput);
-        }
-        let speedup = base_tput.map_or(1.0, |b| tput / b);
-        let fresh = r.fresh_lat.snapshot();
-        t.row(vec![
-            if auto_width == Some(shards) {
-                format!("{shards} (auto)")
-            } else {
-                shards.to_string()
-            },
-            format!("{tput:.0}"),
-            format!("{speedup:.2}x"),
-            format!("{:.0}", r.reads_per_sec()),
-            ms(fresh.p99),
-            viol.to_string(),
-            r.rebalances.to_string(),
-        ]);
-        suite.record_value(&format!("shardsweep/{shards}/events_per_sec"), tput);
-        suite.record_value(
-            &format!("shardsweep/{shards}/budget_violations"),
-            viol as f64,
-        );
-        suite.record_value(
-            &format!("shardsweep/{shards}/read_fresh_p99_ns"),
-            fresh.p99 as f64,
-        );
-    }
-    print_table(&t, csv);
-
-    // Skewed-stream half: the same sweep harness with zipfian key skew,
-    // 4 shards, uniform vs cost-proportional budget split — the
-    // rebalancer's whole reason to exist.
-    let skew = sargs.skew.unwrap_or(1.1);
-    let mut t2 = ExpTable::new(
-        "Skewed stream (zipf keys, 4 shards): budget rebalance policies",
-        &[
-            "rebalance",
-            "events/s",
-            "fresh_p99_ms",
-            "stale_p99_ms",
-            "q_max",
-            "viol",
-            "rebalances",
-        ],
-    );
-    t2.note(format!(
-        "zipf exponent {skew}: hot keys pile onto the shards owning them; \
-         cost-proportional moves budget to those shards each epoch"
-    ));
-    match build(Some(skew)) {
-        Ok(skew_exp) => {
-            for rebalance in [RebalancePolicy::Uniform, RebalancePolicy::CostProportional] {
-                let r = match run_loadgen(&skew_exp, &mk_opts(4, rebalance)) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("shardsweep skew {} failed: {e}", rebalance.name());
-                        failed = true;
-                        continue;
-                    }
-                };
-                let viol = r.client_violations + r.runtime.constraint_violations;
-                if !r.ok() || viol > 0 {
-                    eprintln!(
-                        "shardsweep skew {} FAILED: {viol} violation(s), {} protocol error(s)",
-                        rebalance.name(),
-                        r.protocol_errors
-                    );
-                    failed = true;
-                }
-                let fresh = r.fresh_lat.snapshot();
-                let stale = r.stale_lat.snapshot();
-                t2.row(vec![
-                    rebalance.name().to_string(),
-                    format!("{:.0}", r.events_per_sec()),
-                    ms(fresh.p99),
-                    ms(stale.p99),
-                    r.runtime.max_queue_depth.to_string(),
-                    viol.to_string(),
-                    r.rebalances.to_string(),
-                ]);
-                let key = |m: &str| format!("shardsweep/skew/{}/{m}", rebalance.name());
-                suite.record_value(&key("events_per_sec"), r.events_per_sec());
-                suite.record_value(&key("read_fresh_p99_ns"), fresh.p99 as f64);
-                suite.record_value(&key("max_queue_depth"), r.runtime.max_queue_depth as f64);
-                suite.record_value(&key("budget_violations"), viol as f64);
-            }
-        }
-        Err(e) => {
-            eprintln!("shardsweep skew setup failed: {e}");
-            failed = true;
-        }
-    }
-    print_table(&t2, csv);
-    suite.finish();
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The shared-propagation head-to-head: one registry serving N views
-/// vs N independent single-view runtimes fed the identical stream.
-/// Appends to `BENCH_serve.json` and exits nonzero unless every view's
-/// final checksum is bit-identical across stacks, both stacks are
-/// violation-free, and sharing actually wins wall-clock.
-fn run_multiview_target(csv: bool, quick: bool, sargs: &ServeArgs) {
-    use aivm_bench::multiview::{run_multiview, MultiviewOptions};
-    use aivm_bench::serve::{ServeExperiment, ServeOptions, SERVE_POLICIES};
-    let defaults = MultiviewOptions::default();
-    let policy = sargs.policy.clone().unwrap_or(defaults.policy);
-    if !SERVE_POLICIES.contains(&policy.as_str()) {
-        eprintln!("unknown policy: {policy} (expected naive, online or planned)");
-        std::process::exit(2);
-    }
-    let views = sargs
-        .views
-        .unwrap_or(if quick { 8 } else { defaults.views });
-    let events_each = sargs.events.unwrap_or(if quick { 600 } else { 3_000 });
-    let exp = match ServeExperiment::build(ServeOptions {
-        events_each,
-        budget: sargs.budget,
-        quick,
-        ..Default::default()
-    }) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("multiview setup failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let opts = MultiviewOptions {
-        views,
-        batch: sargs.batch.unwrap_or(defaults.batch),
-        policy,
-    };
-    let r = match run_multiview(&exp, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("multiview run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut t = ExpTable::new(
-        "Multi-view registry vs independent runtimes (shared propagation)",
-        &["metric", "shared registry", "independent"],
-    );
-    t.note(format!(
-        "{} views over one SPJ-sharing group, {} stream events, batch {}, \
-         policy {}, registry budget {:.1} (view-count-scaled from C = {:.1})",
-        r.views,
-        r.events,
-        opts.batch,
-        opts.policy,
-        exp.registry_budget(r.views),
-        exp.budget,
-    ));
-    t.row(vec![
-        "events/s".to_string(),
-        format!("{:.0}", r.shared_events_per_sec()),
-        format!("{:.0}", r.independent_events_per_sec()),
-    ]);
-    t.row(vec![
-        "elapsed (s)".to_string(),
-        format!("{:.3}", r.shared_elapsed.as_secs_f64()),
-        format!("{:.3}", r.independent_elapsed.as_secs_f64()),
-    ]);
-    t.row(vec![
-        "join propagations".to_string(),
-        format!("{} (+{} shared)", r.propagations, r.shared_propagations),
-        format!("~{}", r.propagations + r.shared_propagations),
-    ]);
-    t.row(vec![
-        "violations".to_string(),
-        r.violations.to_string(),
-        r.independent_violations.to_string(),
-    ]);
-    t.row(vec![
-        "checksum mismatches".to_string(),
-        r.checksum_mismatches.to_string(),
-        "-".to_string(),
-    ]);
-    t.row(vec![
-        "delta batches published".to_string(),
-        r.deltas_pushed.to_string(),
-        "-".to_string(),
-    ]);
-    t.row(vec![
-        "speedup".to_string(),
-        format!("{:.2}x", r.speedup()),
-        "1.00x".to_string(),
-    ]);
-    print_table(&t, csv);
-
-    let mut suite = aivm_bench::harness::Suite::new("serve");
-    let key = |m: &str| format!("multiview/views{}/{m}", r.views);
-    suite.record_value(&key("shared_events_per_sec"), r.shared_events_per_sec());
-    suite.record_value(
-        &key("independent_events_per_sec"),
-        r.independent_events_per_sec(),
-    );
-    suite.record_value(&key("speedup"), r.speedup());
-    suite.record_value(&key("shared_propagations"), r.shared_propagations as f64);
-    suite.record_value(&key("violations"), r.violations as f64);
-    suite.record_value(&key("checksum_mismatches"), r.checksum_mismatches as f64);
-    suite.finish();
-
-    if !r.ok() {
-        eprintln!(
-            "multiview FAILED: {} checksum mismatch(es), {} registry violation(s), \
-             {} independent violation(s)",
-            r.checksum_mismatches, r.violations, r.independent_violations
-        );
-        std::process::exit(1);
-    }
-    if r.speedup() <= 1.0 {
-        eprintln!(
-            "multiview FAILED: shared propagation did not win ({:.2}x <= 1.00x)",
-            r.speedup()
-        );
         std::process::exit(1);
     }
 }
@@ -1743,61 +914,6 @@ fn main() {
                     }
                 }
             }
-            "--clients" => {
-                let v = take("--clients");
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => sargs.clients = Some(n),
-                    _ => {
-                        eprintln!("--clients needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--max-conns" => {
-                let v = take("--max-conns");
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => sargs.max_conns = Some(n),
-                    _ => {
-                        eprintln!("--max-conns needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--mix" => {
-                let v = take("--mix");
-                // Named presets next to the raw S:R form; `read-heavy`
-                // is the snapshot-read showcase (1 submit : 32 reads —
-                // read-dominated enough that read-path latency, not
-                // submission pacing, bounds the measured reads/s).
-                let parsed = match v.as_str() {
-                    "read-heavy" => Some((1u32, 32u32)),
-                    "write-heavy" => Some((8, 1)),
-                    "balanced" => Some((1, 1)),
-                    _ => v.split_once(':').and_then(|(s, r)| {
-                        Some((s.trim().parse::<u32>().ok()?, r.trim().parse::<u32>().ok()?))
-                    }),
-                };
-                match parsed {
-                    Some((s, r)) if s + r > 0 => sargs.mix = Some((s, r)),
-                    _ => {
-                        eprintln!(
-                            "--mix needs submit:read weights like 4:1, or a preset \
-                             (read-heavy, write-heavy, balanced)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--read-mode" => {
-                let v = take("--read-mode");
-                match v.parse() {
-                    Ok(m) => sargs.read_mode = Some(m),
-                    Err(e) => {
-                        eprintln!("--read-mode: {e}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--flush-threads" => {
                 let v = take("--flush-threads");
                 match v.parse::<usize>() {
@@ -1818,46 +934,6 @@ fn main() {
                     }
                 }
             }
-            "--fresh-every" => {
-                let v = take("--fresh-every");
-                match v.parse::<u64>() {
-                    Ok(n) => sargs.fresh_every = Some(n),
-                    _ => {
-                        eprintln!("--fresh-every needs an integer (0 = never fresh)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--min-throughput" => {
-                let v = take("--min-throughput");
-                match v.parse::<f64>() {
-                    Ok(x) if x > 0.0 => sargs.min_throughput = Some(x),
-                    _ => {
-                        eprintln!("--min-throughput needs a positive events/s floor");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--min-reads" => {
-                let v = take("--min-reads");
-                match v.parse::<f64>() {
-                    Ok(x) if x > 0.0 => sargs.min_reads = Some(x),
-                    _ => {
-                        eprintln!("--min-reads needs a positive reads/s floor");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--max-stale-p99-ms" => {
-                let v = take("--max-stale-p99-ms");
-                match v.parse::<f64>() {
-                    Ok(x) if x > 0.0 => sargs.max_stale_p99_ms = Some(x),
-                    _ => {
-                        eprintln!("--max-stale-p99-ms needs a positive latency ceiling in ms");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--shards" => {
                 let v = take("--shards");
                 match v.parse::<usize>() {
@@ -1868,42 +944,12 @@ fn main() {
                     }
                 }
             }
-            "--views" => {
-                let v = take("--views");
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => sargs.views = Some(n),
-                    _ => {
-                        eprintln!("--views needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--subscribers" => {
-                let v = take("--subscribers");
-                match v.parse::<usize>() {
-                    Ok(n) => sargs.subscribers = Some(n),
-                    _ => {
-                        eprintln!("--subscribers needs an integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--skew" => {
                 let v = take("--skew");
                 match v.parse::<f64>() {
                     Ok(s) if s >= 0.0 => sargs.skew = Some(s),
                     _ => {
                         eprintln!("--skew needs a nonnegative zipf exponent (e.g. 1.1)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--rebalance" => {
-                let v = take("--rebalance");
-                match aivm_shard::RebalancePolicy::parse(&v) {
-                    Some(p) => sargs.rebalance = Some(p),
-                    None => {
-                        eprintln!("--rebalance needs uniform or cost");
                         std::process::exit(2);
                     }
                 }
@@ -1939,14 +985,11 @@ fn main() {
             "ablation" => run_ablation(csv, quick),
             "serve" => run_serve(csv, quick, &sargs),
             "chaos" => run_chaos(csv, &sargs),
-            "loadgen" => run_loadgen(csv, quick, &sargs),
-            "shardsweep" => run_shardsweep(csv, quick, &sargs),
-            "multiview" => run_multiview_target(csv, quick, &sargs),
             "skewsweep" => run_skewsweep(csv, quick, &sargs),
             other => {
                 eprintln!("unknown target: {other}");
                 eprintln!(
-                    "targets: intro fig1 fig4 fig5 fig6 fig7 bounds adapt concave refresh ablation serve chaos loadgen shardsweep multiview skewsweep all"
+                    "targets: intro fig1 fig4 fig5 fig6 fig7 bounds adapt concave refresh ablation serve chaos skewsweep all"
                 );
                 std::process::exit(2);
             }

@@ -35,18 +35,19 @@ use crate::proxy::{FaultPlanNet, FaultProxy};
 use crate::serve::{ServeExperiment, ServeOptions};
 use aivm_client::{Client, ClientConfig};
 use aivm_core::{CostFn, Counts};
-use aivm_engine::{EngineError, Modification, WRow};
-use aivm_net::{NetServer, NetServerConfig, Replica, ReplicaConfig};
+use aivm_engine::{Database, EngineError, Modification, WRow};
+use aivm_net::{NetServer, NetServerConfig, Replica, ReplicaConfig, Request, Response};
 use aivm_serve::{
-    read_wal, Checkpoint, FaultPlan, MaintenanceRuntime, MemWal, MetricsSnapshot, ReadMode,
-    ServeServer, ServerConfig, Trace, WalRecord, WalStorage, WalTail, WalWriter,
+    decode_segment, read_wal, Checkpoint, FaultPlan, MaintenanceRuntime, MemWal, MetricsSnapshot,
+    ReadMode, ServeServer, ServerConfig, Trace, WalRecord, WalStorage, WalTail, WalWriter,
 };
 use aivm_shard::{
-    FailoverConfig, FailoverMonitor, MergeSpec, Promoter, ReplicaStatus, ShardRouter,
+    FailoverConfig, FailoverMonitor, MergeSpec, Partitioner, Promoter, ReplicaStatus, ShardRouter,
 };
 use aivm_sim::replay::{verify_recovery_prefix, ReplayStep};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -667,6 +668,31 @@ impl ShardKillReport {
     }
 }
 
+/// Per-shard batch queues: both update streams cut into `chunk`-sized
+/// batches and split by the partitioner, so every queued batch targets
+/// exactly one shard and each shard's queue is in stream order.
+type ShardQueues = Vec<Vec<(usize, Vec<Modification>)>>;
+
+/// Splits the experiment's update streams into [`ShardQueues`].
+fn shard_queues(
+    exp: &ServeExperiment,
+    part: &Partitioner,
+    chunk: usize,
+) -> Result<ShardQueues, EngineError> {
+    let mut queues: ShardQueues = vec![Vec::new(); part.shards()];
+    for (pos, stream) in [
+        (exp.ps_pos, &exp.ps_stream),
+        (exp.supp_pos, &exp.supp_stream),
+    ] {
+        for batch in stream.chunks(chunk) {
+            for (s, sub) in part.split_batch(pos, batch.to_vec())? {
+                queues[s].push((pos, sub));
+            }
+        }
+    }
+    Ok(queues)
+}
+
 /// Pops the next pre-split batch owned by shard `s`, if any.
 fn take_batch(
     queues: &[Vec<(usize, Vec<Modification>)>],
@@ -699,17 +725,7 @@ pub fn run_shard_kill(
     // Pre-split both update streams into per-shard batches so every
     // submit targets exactly one shard — phase accounting (who must
     // reject, who must accept) is then deterministic.
-    let mut queues: Vec<Vec<(usize, Vec<Modification>)>> = vec![Vec::new(); shards];
-    for (pos, stream) in [
-        (exp.ps_pos, &exp.ps_stream),
-        (exp.supp_pos, &exp.supp_stream),
-    ] {
-        for chunk in stream.chunks(8) {
-            for (s, sub) in part.split_batch(pos, chunk.to_vec())? {
-                queues[s].push((pos, sub));
-            }
-        }
-    }
+    let queues = shard_queues(exp, &part, 8)?;
     let victim_mods: usize = queues[victim].iter().map(|(_, b)| b.len()).sum();
     let warmup_mods: usize = queues[victim].iter().take(2).map(|(_, b)| b.len()).sum();
     if victim_mods < warmup_mods + 16 {
@@ -1039,9 +1055,8 @@ fn sample_replication(
 
 /// Checks that `acked` (table position + modification, in ack order) is
 /// a subsequence of the `Dml` records in `log` — i.e. every
-/// acknowledged write survived, in order. Extra log entries (unacked
-/// but applied, or transport-retry duplicates) are permitted.
-fn acked_writes_survive(acked: &[(usize, Modification)], log: &[WalRecord]) -> bool {
+/// acknowledged write survived, in order.
+pub fn acked_writes_survive(acked: &[(usize, Modification)], log: &[WalRecord]) -> bool {
     let mut dml = log.iter().filter_map(|r| match r {
         WalRecord::Dml { table, m } => Some((*table, m)),
         _ => None,
@@ -1057,59 +1072,220 @@ fn acked_writes_survive(acked: &[(usize, Modification)], log: &[WalRecord]) -> b
     true
 }
 
-/// The victim shard's failover state as seen over the wire: `Some(new
-/// epoch)` once the cluster reports a completed promotion.
-fn observed_failover(client: &Client, victim: usize) -> Option<u64> {
+/// `Dml` records for table position `table` (every table when `None`)
+/// in a log.
+pub fn dml_records(log: &[WalRecord], table: Option<usize>) -> u64 {
+    let ours = |r: &&WalRecord| match r {
+        WalRecord::Dml { table: t, .. } => table.is_none_or(|x| x == *t),
+        _ => false,
+    };
+    log.iter().filter(ours).count() as u64
+}
+
+/// Shard `shard`'s failover state as seen over the wire: `Some(new
+/// epoch)` once the cluster reports a completed promotion of it.
+fn observed_failover(client: &Client, shard: usize) -> Option<u64> {
     let m = client.metrics_detailed(true).ok()?;
     if m.failovers == 0 {
         return None;
     }
     let rows = m.per_shard?;
-    let row = rows.iter().find(|r| r.shard == victim as u32)?;
+    let row = rows.iter().find(|r| r.shard == shard as u32)?;
     (row.epoch > 1).then_some(row.epoch)
 }
 
-/// Submits one pre-split batch until it is acknowledged (durable acks:
-/// an `Ok` means applied *and* WAL-logged), tolerating transport faults
-/// from the proxy and refreshing the fencing epoch on `StaleEpoch`.
-/// Records acknowledged modifications into `acked`. Returns `false` if
-/// the batch could not be acknowledged before `deadline` (the caller
-/// decides whether that is a failure — while the victim is dying it is
-/// the expected signal).
-#[allow(clippy::too_many_arguments)]
-fn submit_until_acked(
-    client: &Client,
-    epochs: &mut [u64],
-    shard: usize,
-    pos: usize,
-    batch: &[Modification],
-    acked: &mut Vec<(usize, Modification)>,
-    report: &mut LeaderKillReport,
-    deadline: Duration,
-) -> bool {
-    let due = Instant::now() + deadline;
-    while Instant::now() < due {
-        match client.submit_fenced(epochs[shard], pos as u32, batch.to_vec()) {
-            Ok(_) => {
-                acked.extend(batch.iter().map(|m| (pos, m.clone())));
-                report.acked_mods += batch.len() as u64;
-                return true;
-            }
-            Err(e) if e.is_stale_epoch() => {
-                report.stale_epoch_rejections += 1;
-                if let Some(epoch) = observed_failover(client, shard) {
-                    epochs[shard] = epoch;
+/// `Dml` records for `table` (every table when `None`) in shard
+/// `shard`'s authoritative log, read over the wire with
+/// `ReplicaSubscribe` exactly as a follower reads it: the leader's own
+/// log (sealed, if the leader died), or the promoted follower's once
+/// the router has swapped it in.
+fn logged_dml(client: &Client, shard: usize, table: Option<usize>) -> Result<u64, String> {
+    let (mut from, mut dml) = (0u64, 0u64);
+    loop {
+        let request = Request::ReplicaSubscribe {
+            shard: shard as u32,
+            from_record: from,
+        };
+        match client.request(request).map_err(|e| e.to_string())? {
+            Response::WalSegment {
+                bytes,
+                leader_records,
+                ..
+            } => {
+                let records = decode_segment(&bytes).map_err(|e| e.to_string())?;
+                dml += dml_records(&records, table);
+                from += records.len() as u64;
+                if records.is_empty() || from >= leader_records {
+                    return Ok(dml);
                 }
             }
-            // Overload / transport damage / a dying shard: back off and
-            // retry. A retry can double-apply a batch whose ack was
-            // lost in flight — harmless here, because the loss check
-            // only requires acked writes to be a subsequence of the
-            // log, and merged-vs-direct compares the same final state.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            other => return Err(format!("expected a WAL segment, got {other:?}")),
         }
     }
-    false
+}
+
+/// The highest shard epoch the cluster reports over the wire. Stamping
+/// it on a submit passes every target shard's fence: a shard rejects
+/// only epochs older than its own.
+fn max_epoch(client: &Client) -> Option<u64> {
+    let rows = client.metrics_detailed(true).ok()?.per_shard?;
+    rows.iter().map(|r| r.epoch).max()
+}
+
+/// A batch split by owning shard: `(shard, that shard's part)`.
+type ShardParts = Vec<(usize, Vec<Modification>)>;
+
+/// The one writer of an update stream over a sharded deployment — one
+/// table's stream (`table = Some(pos)`), or everything (`None`) — that
+/// submits under durable acks (`SubmitOk` = applied and WAL-logged on
+/// every target shard) stamped with the newest epoch it has seen.
+///
+/// Being the stream's only writer, what of it a shard applied is
+/// exactly the stream's `Dml` records in that shard's log, in order.
+/// That resolves an ambiguous submit — an ack lost with a dying leader
+/// or in transit, with any prefix of each shard's part possibly
+/// logged: the writer counts each target shard's log over the wire and
+/// resubmits only the suffix that is not there, never skipping a batch
+/// and never blindly resending one. (A resent modification that had
+/// landed after all is rejected as stale by the engine and changes
+/// nothing, so a resolution that races a still-queued original
+/// converges on the next round.) Tables must be partitioned: a
+/// replicated table's broadcast modifications have no single owning
+/// shard to resolve against.
+pub struct StreamWriter {
+    part: Partitioner,
+    table: Option<usize>,
+    /// The fencing epoch stamped on submits.
+    pub epoch: u64,
+    /// Per shard: modifications of the stream in that shard's log.
+    pub applied: Vec<u64>,
+    /// Per shard: those modifications in log order — acknowledged, or
+    /// found in the log when an ambiguous submit was resolved.
+    pub landed: Vec<Vec<(usize, Modification)>>,
+    /// `StaleEpoch` rejections observed.
+    pub stale_epochs: u64,
+    /// Ambiguous submits resolved against the shards' logs.
+    pub resolved: u64,
+    /// The batch in flight: table position and, per target shard, the
+    /// part not yet in that shard's log.
+    pending: Option<(usize, ShardParts)>,
+    /// Whether the pending batch's last submit was ambiguous.
+    unresolved: bool,
+}
+
+impl StreamWriter {
+    /// A writer at epoch 1 with nothing applied, routing with `part`.
+    pub fn new(part: &Partitioner, table: Option<usize>) -> Self {
+        StreamWriter {
+            part: part.clone(),
+            table,
+            epoch: 1,
+            applied: vec![0; part.shards()],
+            landed: vec![Vec::new(); part.shards()],
+            stale_epochs: 0,
+            resolved: 0,
+            pending: None,
+            unresolved: false,
+        }
+    }
+
+    /// Queues `batch` (for table position `pos`) behind any unfinished
+    /// one and drives both into the logs; see [`StreamWriter::drive`].
+    pub fn submit(
+        &mut self,
+        client: &Client,
+        pos: usize,
+        batch: Vec<Modification>,
+        deadline: Duration,
+    ) -> bool {
+        if !self.drive(client, deadline) {
+            return false;
+        }
+        let parts = self
+            .part
+            .split_batch(pos, batch)
+            .expect("partitioned tables");
+        self.pending = Some((pos, parts));
+        self.drive(client, deadline)
+    }
+
+    /// Drives the pending batch until all of it is in its shards' logs.
+    /// Returns false if `deadline` passed first; the rest stays pending
+    /// for the next call (while a leader is dying that is the expected
+    /// signal, and the batch must still land after the failover).
+    pub fn drive(&mut self, client: &Client, deadline: Duration) -> bool {
+        let due = Instant::now() + deadline;
+        while let Some((pos, mut parts)) = self.pending.take() {
+            parts.retain(|(_, mods)| !mods.is_empty());
+            if parts.is_empty() {
+                self.unresolved = false;
+                continue;
+            }
+            if Instant::now() >= due {
+                self.pending = Some((pos, parts));
+                return false;
+            }
+            if self.unresolved {
+                parts = self.resolve(client, pos, parts);
+                self.pending = Some((pos, parts));
+                continue;
+            }
+            let mods = parts.iter().flat_map(|(_, m)| m.iter().cloned()).collect();
+            match client.submit_fenced(self.epoch, pos as u32, mods) {
+                Ok(_) => {
+                    for (s, mods) in parts {
+                        self.land(s, pos, mods);
+                    }
+                    continue;
+                }
+                Err(e) if e.is_stale_epoch() => {
+                    self.stale_epochs += 1;
+                    self.epoch = self.epoch.max(max_epoch(client).unwrap_or(0));
+                }
+                // Rejected before any side effect: resend as is.
+                Err(e) if e.is_overload() || e.is_shard_unavailable() => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(_) => {
+                    self.unresolved = true;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+            self.pending = Some((pos, parts));
+        }
+        true
+    }
+
+    /// Lands what each target shard's log already holds of `parts` and
+    /// returns the rest. If any log cannot be read, nothing is resolved
+    /// (and nothing will be resent) until the next round.
+    fn resolve(&mut self, client: &Client, pos: usize, parts: ShardParts) -> ShardParts {
+        let logged: Result<Vec<u64>, String> = parts
+            .iter()
+            .map(|(s, _)| logged_dml(client, *s, self.table))
+            .collect();
+        let Ok(logged) = logged else {
+            std::thread::sleep(Duration::from_millis(10));
+            return parts;
+        };
+        self.resolved += 1;
+        self.unresolved = false;
+        parts
+            .into_iter()
+            .zip(logged)
+            .map(|((s, mut mods), n)| {
+                let here = (n.saturating_sub(self.applied[s]) as usize).min(mods.len());
+                let rest = mods.split_off(here);
+                self.land(s, pos, mods);
+                (s, rest)
+            })
+            .collect()
+    }
+
+    fn land(&mut self, shard: usize, pos: usize, mods: Vec<Modification>) {
+        self.applied[shard] += mods.len() as u64;
+        self.landed[shard].extend(mods.into_iter().map(|m| (pos, m)));
+    }
 }
 
 /// A fresh merged read with transport-fault tolerance.
@@ -1133,6 +1309,284 @@ fn read_fresh_tolerant(
     Err(last)
 }
 
+/// A replicated N-shard deployment of the paper view, served over the
+/// wire with durable acks: one leader per shard logging to an
+/// in-memory WAL the router tails, and — once
+/// [`ReplicatedCluster::attach_followers`] runs — one follower per
+/// shard tailing its leader, with a failover monitor whose promoters
+/// seal a dead leader's log, drain its tail into the follower and swap
+/// it in.
+pub struct ReplicatedCluster {
+    router: ShardRouter,
+    net: NetServer,
+    leaders: Vec<Option<ServeServer>>,
+    leader_wals: Vec<MemWal>,
+    genesis: Vec<Database>,
+    followers: Option<Followers>,
+}
+
+/// The follower half of a [`ReplicatedCluster`].
+struct Followers {
+    /// One tailing replica per shard, in a slot its promoter takes.
+    holders: Vec<Arc<Mutex<Option<Replica>>>>,
+    wals: Vec<MemWal>,
+    statuses: Vec<ReplicaStatus>,
+    /// Where a promotion parks the shard's new leader.
+    promoted: Vec<Arc<Mutex<Option<ServeServer>>>>,
+    failures: Arc<Mutex<Vec<String>>>,
+    last_epoch: Arc<AtomicU64>,
+    monitor: FailoverMonitor,
+}
+
+/// One shard at the end of a [`ReplicatedCluster`]'s life.
+pub struct FinalShard {
+    /// The shard's authoritative log: its promoted follower's after a
+    /// failover, its leader's otherwise.
+    pub log: Vec<WalRecord>,
+    /// The runtime serving the shard at the end.
+    pub runtime: MaintenanceRuntime,
+}
+
+impl ReplicatedCluster {
+    /// Stands up the leaders, the router and the durable-ack server.
+    /// Shard `victim`'s scheduler dies once it has logged `kill_after`
+    /// WAL records; its idle-tick interval is pushed out so idle ticks
+    /// (which are logged) cannot race the count.
+    pub fn start(
+        exp: &ServeExperiment,
+        shards: usize,
+        victim: usize,
+        kill_after: u64,
+    ) -> Result<Self, EngineError> {
+        let (runtimes, part) = exp.sharded_runtimes("online", shards)?;
+        let genesis = exp.partition_genesis(&part)?;
+        let mut leader_wals = Vec::with_capacity(shards);
+        let mut leaders = Vec::with_capacity(shards);
+        for (i, mut rt) in runtimes.into_iter().enumerate() {
+            let wal = MemWal::new();
+            rt.attach_wal(WalWriter::create(Box::new(wal.clone()), 4)?);
+            leader_wals.push(wal);
+            let cfg = if i == victim {
+                ServerConfig {
+                    faults: FaultPlan {
+                        kill_at_record: Some(kill_after),
+                        ..FaultPlan::none()
+                    },
+                    tick_interval: Duration::from_secs(3600),
+                    ..ServerConfig::default()
+                }
+            } else {
+                ServerConfig::default()
+            };
+            leaders.push(Some(ServeServer::spawn(rt, cfg)));
+        }
+        let handles = leaders
+            .iter()
+            .map(|s| s.as_ref().expect("just spawned").handle())
+            .collect();
+        let router = ShardRouter::new(handles, part, exp.view_def(), exp.budget)?;
+        for (i, wal) in leader_wals.iter().enumerate() {
+            router.attach_wal_tail(i, WalTail::new(Box::new(wal.clone())));
+        }
+        let net_cfg = NetServerConfig {
+            durable_acks: true,
+            ..NetServerConfig::default()
+        };
+        let net = NetServer::bind_sharded("127.0.0.1:0", router.clone(), net_cfg)
+            .map_err(|e| EngineError::io("replicated cluster bind", e))?;
+        Ok(ReplicatedCluster {
+            router,
+            net,
+            leaders,
+            leader_wals,
+            genesis,
+            followers: None,
+        })
+    }
+
+    /// The server's address.
+    pub fn addr(&self) -> SocketAddr {
+        self.net.local_addr()
+    }
+
+    /// Spawns one follower per shard — a standby runtime on the shard's
+    /// genesis partition, re-logging into its own WAL (so it can be
+    /// tailed in turn once promoted), tailing its leader through
+    /// `replica_addrs[i]` — and arms the failover monitor with one
+    /// promoter per shard.
+    pub fn attach_followers(
+        &mut self,
+        exp: &ServeExperiment,
+        replica_addrs: &[SocketAddr],
+        replica: ReplicaConfig,
+        failover: FailoverConfig,
+    ) -> Result<(), EngineError> {
+        let shards = self.router.shards();
+        let mut holders = Vec::with_capacity(shards);
+        let mut wals = Vec::with_capacity(shards);
+        let mut statuses = Vec::with_capacity(shards);
+        for (i, db) in self.genesis.iter().enumerate() {
+            let view = exp.make_view(db)?;
+            let policy = exp.policy("online").expect("known policy");
+            let mut standby =
+                MaintenanceRuntime::engine(exp.shard_config(shards), policy, db.clone(), view)?;
+            let wal = MemWal::new();
+            standby.attach_wal(WalWriter::create(Box::new(wal.clone()), 4)?);
+            let status = ReplicaStatus::new();
+            let rep = Replica::spawn(
+                replica_addrs[i],
+                i as u32,
+                standby,
+                status.clone(),
+                replica.clone(),
+            )
+            .map_err(|e| EngineError::io("follower setup", e))?;
+            self.router.attach_replica(i, status.clone());
+            holders.push(Arc::new(Mutex::new(Some(rep))));
+            wals.push(wal);
+            statuses.push(status);
+        }
+        let promoted: Vec<Arc<Mutex<Option<ServeServer>>>> =
+            (0..shards).map(|_| Arc::new(Mutex::new(None))).collect();
+        let failures = Arc::new(Mutex::new(Vec::new()));
+        let last_epoch = Arc::new(AtomicU64::new(0));
+        let promoters = (0..shards)
+            .map(|i| {
+                let holder = Arc::clone(&holders[i]);
+                let leader_wal = self.leader_wals[i].clone();
+                let wal = wals[i].clone();
+                let slot = Arc::clone(&promoted[i]);
+                let fails = Arc::clone(&failures);
+                let last_epoch = Arc::clone(&last_epoch);
+                let promoter: Promoter = Box::new(move |router: &ShardRouter, idx: usize| {
+                    let fail =
+                        |what: String| fails.lock().unwrap().push(format!("shard {idx}: {what}"));
+                    let Some(replica) = holder.lock().unwrap().take() else {
+                        return fail("no replica to promote".into());
+                    };
+                    let status = replica.status();
+                    let mut rt = replica.stop();
+                    // The dead leader's log is sealed (nothing appends
+                    // to a dead or fenced scheduler's WAL); its durable,
+                    // checksum-valid prefix is the authoritative record
+                    // of every acknowledged write. Drain what the
+                    // follower has not applied yet.
+                    match read_wal(&leader_wal.bytes()) {
+                        Ok(o) => {
+                            for rec in o.records.iter().skip(status.applied() as usize) {
+                                if let Err(e) = rt.apply_record(rec) {
+                                    fail(format!("drain apply failed: {e}"));
+                                    break;
+                                }
+                            }
+                        }
+                        Err(e) => fail(format!("sealed log unreadable: {e}")),
+                    }
+                    let server = ServeServer::spawn(rt, ServerConfig::default());
+                    let tail = WalTail::new(Box::new(wal.clone()));
+                    let epoch = router.promote(idx, server.handle(), Some(tail));
+                    last_epoch.store(epoch, Ordering::SeqCst);
+                    *slot.lock().unwrap() = Some(server);
+                });
+                Some(promoter)
+            })
+            .collect();
+        let monitor = FailoverMonitor::spawn(self.router.clone(), failover, promoters);
+        self.followers = Some(Followers {
+            holders,
+            wals,
+            statuses,
+            promoted,
+            failures,
+            last_epoch,
+            monitor,
+        });
+        Ok(())
+    }
+
+    /// The followers' replication status, by shard (empty before
+    /// [`ReplicatedCluster::attach_followers`]).
+    pub fn statuses(&self) -> &[ReplicaStatus] {
+        self.followers.as_ref().map_or(&[], |f| &f.statuses)
+    }
+
+    /// The epoch the latest promotion installed (0 before any).
+    pub fn promoted_epoch(&self) -> u64 {
+        self.followers
+            .as_ref()
+            .map_or(0, |f| f.last_epoch.load(Ordering::SeqCst))
+    }
+
+    /// Stops the monitor, every follower and the server, and returns
+    /// each shard's authoritative log and final runtime, plus every
+    /// promotion failure.
+    pub fn finish(self) -> Result<(Vec<FinalShard>, Vec<String>), EngineError> {
+        let ReplicatedCluster {
+            router,
+            net,
+            leaders,
+            leader_wals,
+            followers,
+            ..
+        } = self;
+        let mut failures = Vec::new();
+        let mut promoted = Vec::new();
+        let mut follower_wals = Vec::new();
+        if let Some(f) = followers {
+            f.monitor.stop();
+            for holder in &f.holders {
+                if let Some(rep) = holder.lock().unwrap().take() {
+                    let _ = rep.stop();
+                }
+            }
+            failures = std::mem::take(&mut *f.failures.lock().unwrap());
+            promoted = f.promoted;
+            follower_wals = f.wals;
+        }
+        net.shutdown();
+        drop(router);
+        let mut out = Vec::with_capacity(leaders.len());
+        for (i, leader) in leaders.into_iter().enumerate() {
+            let successor = promoted.get(i).and_then(|slot| slot.lock().unwrap().take());
+            let (server, wal) = match successor {
+                Some(server) => {
+                    // Reap the deposed leader's dead scheduler.
+                    if let Some(dead) = leader {
+                        dead.shutdown();
+                    }
+                    (server, &follower_wals[i])
+                }
+                None => (leader.expect("a leader per shard"), &leader_wals[i]),
+            };
+            out.push(FinalShard {
+                log: read_wal(&wal.bytes())?.records,
+                runtime: server.shutdown(),
+            });
+        }
+        Ok((out, failures))
+    }
+}
+
+/// Direct evaluation of the view definition over every final shard
+/// database, merged the way the router merges reads.
+pub fn direct_merged_checksum(
+    exp: &ServeExperiment,
+    shards: &[FinalShard],
+) -> Result<u64, EngineError> {
+    let merge = MergeSpec::from_def(exp.view_def())?;
+    let mut parts: Vec<Vec<WRow>> = Vec::with_capacity(shards.len());
+    for s in shards {
+        let db = s
+            .runtime
+            .database()
+            .ok_or_else(|| EngineError::Maintenance {
+                message: "replicated shards are engine-backed".into(),
+            })?;
+        parts.push(exp.make_view(db)?.result());
+    }
+    Ok(MergeSpec::checksum(&merge.merge(&parts)?))
+}
+
 /// Kills one shard's leader at a sampled WAL boundary in a fully
 /// replicated N-shard deployment and drives automatic failover, over
 /// the real wire protocol (optionally through deterministic fault
@@ -1143,27 +1597,13 @@ pub fn run_leader_kill(
     seed: u64,
     proxied: bool,
 ) -> Result<LeaderKillReport, EngineError> {
-    let net_err = |e: std::io::Error| EngineError::Maintenance {
-        message: format!("leader-kill net setup: {e}"),
-    };
-    let (runtimes, part) = exp.sharded_runtimes("online", shards)?;
-    let genesis = exp.partition_genesis(&part)?;
+    let net_err = |e: std::io::Error| EngineError::io("leader-kill net setup", e);
     let victim = (seed as usize) % shards;
     let c_mods = budget_in_mods(exp);
-
     // Pre-split the update streams per shard, as in `run_shard_kill`,
     // so routing (and therefore the kill boundary) is deterministic.
-    let mut queues: Vec<Vec<(usize, Vec<Modification>)>> = vec![Vec::new(); shards];
-    for (pos, stream) in [
-        (exp.ps_pos, &exp.ps_stream),
-        (exp.supp_pos, &exp.supp_stream),
-    ] {
-        for chunk in stream.chunks(8) {
-            for (s, sub) in part.split_batch(pos, chunk.to_vec())? {
-                queues[s].push((pos, sub));
-            }
-        }
-    }
+    let part = exp.partitioner(shards)?;
+    let queues = shard_queues(exp, &part, 8)?;
     let victim_mods: usize = queues[victim].iter().map(|(_, b)| b.len()).sum();
     let warmup_mods: usize = queues[victim].iter().take(2).map(|(_, b)| b.len()).sum();
     if victim_mods < warmup_mods + 16 {
@@ -1180,50 +1620,8 @@ pub fn run_leader_kill(
     let hi = (victim_mods - 4) as u64;
     let kill_after =
         lo + SmallRng::seed_from_u64(seed ^ 0xb01d).gen_range(0..hi.saturating_sub(lo).max(1));
-
-    // Leaders: every shard logs to an in-memory WAL; the victim's
-    // scheduler dies once it has durably logged `kill_after` records.
-    // Its tick interval is pushed out so idle ticks (which are logged)
-    // cannot race the record count.
-    let mut leader_wals = Vec::with_capacity(shards);
-    let mut servers: Vec<Option<ServeServer>> = Vec::with_capacity(shards);
-    for (i, mut rt) in runtimes.into_iter().enumerate() {
-        let wal = MemWal::new();
-        rt.attach_wal(WalWriter::create(Box::new(wal.clone()), 4)?);
-        leader_wals.push(wal);
-        let cfg = if i == victim {
-            ServerConfig {
-                faults: FaultPlan {
-                    kill_at_record: Some(kill_after),
-                    ..FaultPlan::none()
-                },
-                tick_interval: Duration::from_secs(3600),
-                ..ServerConfig::default()
-            }
-        } else {
-            ServerConfig::default()
-        };
-        servers.push(Some(ServeServer::spawn(rt, cfg)));
-    }
-    let handles = servers
-        .iter()
-        .map(|s| s.as_ref().expect("just spawned").handle())
-        .collect();
-    let router = ShardRouter::new(handles, part, exp.view_def(), exp.budget)?;
-    for (i, wal) in leader_wals.iter().enumerate() {
-        router.attach_wal_tail(i, WalTail::new(Box::new(wal.clone())));
-    }
-    // Durable acks: `SubmitOk` is only sent after apply + WAL append,
-    // which is what makes "zero acknowledged-write loss" assertable.
-    let net = NetServer::bind_sharded(
-        "127.0.0.1:0",
-        router.clone(),
-        NetServerConfig {
-            durable_acks: true,
-            ..NetServerConfig::default()
-        },
-    )
-    .map_err(net_err)?;
+    let mut cluster = ReplicatedCluster::start(exp, shards, victim, kill_after)?;
+    let addr = cluster.addr();
 
     // Fault proxies (proxied runs): the client hop gets the lively
     // drop/delay/duplicate/corrupt schedule; the victim's replica hop
@@ -1231,10 +1629,9 @@ pub fn run_leader_kill(
     // the follower through its resume path repeatedly.
     let proxies = if proxied {
         // Milder than `lively`: every fault kind still fires, but rare
-        // enough that retry loops (each re-submit can double-apply and
-        // grow the flush work) do not snowball on a 1-core box.
+        // enough that retry loops do not snowball on a 1-core box.
         let client_proxy = FaultProxy::spawn(
-            net.local_addr(),
+            addr,
             FaultPlanNet {
                 seed,
                 delay_ppm: 48,
@@ -1247,7 +1644,7 @@ pub fn run_leader_kill(
         )
         .map_err(net_err)?;
         let replica_proxy = FaultProxy::spawn(
-            net.local_addr(),
+            addr,
             FaultPlanNet {
                 seed: seed ^ 0x9d2c,
                 delay_ppm: 64,
@@ -1263,113 +1660,23 @@ pub fn run_leader_kill(
     } else {
         None
     };
-    let client_addr = proxies
-        .as_ref()
-        .map(|(c, _)| c.local_addr())
-        .unwrap_or_else(|| net.local_addr());
-    let victim_replica_addr = proxies
-        .as_ref()
-        .map(|(_, r)| r.local_addr())
-        .unwrap_or_else(|| net.local_addr());
-
-    // Followers: one standby per shard, each over its shard's genesis
-    // partition, re-logging into its own WAL (so it is replicable after
-    // promotion), tailing the leader server over the wire.
-    let mut replica_holders: Vec<Arc<Mutex<Option<Replica>>>> = Vec::with_capacity(shards);
-    let mut follower_wals = Vec::with_capacity(shards);
-    let mut statuses = Vec::with_capacity(shards);
-    for (i, db) in genesis.iter().enumerate() {
-        let db = db.clone();
-        let view = exp.make_view(&db)?;
-        let mut standby = MaintenanceRuntime::engine(
-            exp.shard_config(shards),
-            exp.policy("online").expect("known policy"),
-            db,
-            view,
-        )?;
-        let fwal = MemWal::new();
-        standby.attach_wal(WalWriter::create(Box::new(fwal.clone()), 4)?);
-        let status = ReplicaStatus::new();
-        let addr = if i == victim {
-            victim_replica_addr
-        } else {
-            net.local_addr()
-        };
-        let rep = Replica::spawn(
-            addr,
-            i as u32,
-            standby,
-            status.clone(),
-            ReplicaConfig {
-                // Snappy recovery from the proxy's one-way partition.
-                deadline: Duration::from_millis(250),
-                ..ReplicaConfig::default()
-            },
-        )
-        .map_err(net_err)?;
-        router.attach_replica(i, status.clone());
-        replica_holders.push(Arc::new(Mutex::new(Some(rep))));
-        follower_wals.push(fwal);
-        statuses.push(status);
-    }
-
-    // Promoters: when the monitor declares shard `i` dead, stop its
-    // follower, seal + drain the dead leader's durable log tail into
-    // it, and promote it — slot swap, epoch bump, new WAL tail.
-    let promoted_slots: Vec<Arc<Mutex<Option<ServeServer>>>> =
-        (0..shards).map(|_| Arc::new(Mutex::new(None))).collect();
-    let promo_failures: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let promoted_epoch = Arc::new(AtomicU64::new(0));
-    let promoters: Vec<Option<Promoter>> = (0..shards)
-        .map(|i| {
-            let holder = Arc::clone(&replica_holders[i]);
-            let lwal = leader_wals[i].clone();
-            let fwal = follower_wals[i].clone();
-            let slot = Arc::clone(&promoted_slots[i]);
-            let fails = Arc::clone(&promo_failures);
-            let ep = Arc::clone(&promoted_epoch);
-            let promoter: Promoter = Box::new(move |router: &ShardRouter, idx: usize| {
-                let Some(replica) = holder.lock().unwrap().take() else {
-                    fails
-                        .lock()
-                        .unwrap()
-                        .push(format!("shard {idx}: no replica to promote"));
-                    return;
-                };
-                let status = replica.status();
-                let mut rt = replica.stop();
-                // The dead leader's log is sealed (nothing appends to a
-                // dead scheduler's WAL); its durable, checksum-valid
-                // prefix is the authoritative record of every
-                // acknowledged write. Drain what the follower has not
-                // applied yet.
-                match read_wal(&lwal.bytes()) {
-                    Ok(o) => {
-                        for rec in o.records.iter().skip(status.applied() as usize) {
-                            if let Err(e) = rt.apply_record(rec) {
-                                fails
-                                    .lock()
-                                    .unwrap()
-                                    .push(format!("shard {idx}: drain apply failed: {e}"));
-                                break;
-                            }
-                        }
-                    }
-                    Err(e) => fails
-                        .lock()
-                        .unwrap()
-                        .push(format!("shard {idx}: sealed log unreadable: {e}")),
-                }
-                let server = ServeServer::spawn(rt, ServerConfig::default());
-                let tail = WalTail::new(Box::new(fwal.clone()));
-                let epoch = router.promote(idx, server.handle(), Some(tail));
-                ep.store(epoch, Ordering::SeqCst);
-                *slot.lock().unwrap() = Some(server);
-            });
-            Some(promoter)
+    let client_addr = proxies.as_ref().map_or(addr, |(c, _)| c.local_addr());
+    let replica_addrs: Vec<SocketAddr> = (0..shards)
+        .map(|i| match &proxies {
+            Some((_, r)) if i == victim => r.local_addr(),
+            _ => addr,
         })
         .collect();
-    let monitor = FailoverMonitor::spawn(router.clone(), FailoverConfig::default(), promoters);
+    cluster.attach_followers(
+        exp,
+        &replica_addrs,
+        ReplicaConfig {
+            // Snappy recovery from the proxy's one-way partition.
+            deadline: Duration::from_millis(250),
+            ..ReplicaConfig::default()
+        },
+        FailoverConfig::default(),
+    )?;
 
     let client = Client::new(
         client_addr,
@@ -1404,28 +1711,19 @@ pub fn run_leader_kill(
         direct_checksum: 0,
         failures: Vec::new(),
     };
-    let mut epochs = vec![1u64; shards];
-    let mut acked: Vec<Vec<(usize, Modification)>> = vec![Vec::new(); shards];
+    let mut writer = StreamWriter::new(&part, None);
     let mut next = vec![0usize; shards];
+    let long = Duration::from_secs(10);
 
     // Phase 1 — warmup: traffic everywhere, a clean fresh read, and
     // every follower healthy at least once.
     for _ in 0..2 {
-        for (s, acked_s) in acked.iter_mut().enumerate() {
+        for s in 0..shards {
             if let Some((pos, batch)) = take_batch(&queues, &mut next, s) {
-                if !submit_until_acked(
-                    &client,
-                    &mut epochs,
-                    s,
-                    pos,
-                    &batch,
-                    acked_s,
-                    &mut report,
-                    Duration::from_secs(10),
-                ) {
+                if !writer.submit(&client, pos, batch, long) {
                     report
                         .failures
-                        .push(format!("warmup submit to shard {s} never acked"));
+                        .push(format!("warmup submit to shard {s} never landed"));
                 }
             }
         }
@@ -1437,8 +1735,9 @@ pub fn run_leader_kill(
         Ok(_) => {}
         Err(e) => report.failures.push(format!("pre-kill fresh read: {e}")),
     }
+    let statuses = cluster.statuses().to_vec();
     {
-        let due = Instant::now() + Duration::from_secs(10);
+        let due = Instant::now() + long;
         while statuses.iter().any(|s| !s.healthy()) && Instant::now() < due {
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1453,23 +1752,15 @@ pub fn run_leader_kill(
     sample_replication(&statuses, victim, c_mods, &mut report);
 
     // Phase 2 — pump the victim toward its kill boundary. Death shows
-    // up either as a batch that cannot be acknowledged within the short
-    // deadline, or — when the monitor promotes faster than the retry
-    // loop gives up — as a StaleEpoch fence that bumped our epoch.
+    // up either as a batch that cannot land within the short deadline
+    // (it stays pending in the writer and lands after the failover), or
+    // — when the monitor promotes faster — as a StaleEpoch fence that
+    // bumped the writer's epoch.
     let mut died = false;
     while let Some((pos, batch)) = take_batch(&queues, &mut next, victim) {
-        let landed = submit_until_acked(
-            &client,
-            &mut epochs,
-            victim,
-            pos,
-            &batch,
-            &mut acked[victim],
-            &mut report,
-            Duration::from_millis(400),
-        );
+        let landed = writer.submit(&client, pos, batch, Duration::from_millis(400));
         sample_replication(&statuses, victim, c_mods, &mut report);
-        if !landed || epochs[victim] > 1 {
+        if !landed || writer.epoch > 1 {
             died = true;
             break;
         }
@@ -1500,22 +1791,29 @@ pub fn run_leader_kill(
             .push("failover never observed in wire metrics".into());
     } else {
         report.promoted_epoch = new_epoch;
-        if promoted_epoch.load(Ordering::SeqCst) != new_epoch {
+        if cluster.promoted_epoch() != new_epoch {
             report.failures.push(format!(
                 "wire epoch {new_epoch} != promoter epoch {}",
-                promoted_epoch.load(Ordering::SeqCst)
+                cluster.promoted_epoch()
             ));
         }
+    }
+    // The batch the kill interrupted lands on the promoted leader
+    // before anything after it in the stream.
+    if !writer.drive(&client, long) {
+        report
+            .failures
+            .push("the interrupted batch never landed after the failover".into());
     }
 
     // Phase 4 — fencing: a submit stamped with the pre-failover epoch
     // must be rejected with StaleEpoch before any side effect; the same
     // batch under the refreshed epoch must land.
     if let Some((pos, batch)) = take_batch(&queues, &mut next, victim) {
-        let due = Instant::now() + Duration::from_secs(10);
+        let due = Instant::now() + long;
         let mut fenced = false;
         while Instant::now() < due {
-            match client.submit_fenced(1, pos as u32, batch.to_vec()) {
+            match client.submit_fenced(1, pos as u32, batch.clone()) {
                 Err(e) if e.is_stale_epoch() => {
                     report.stale_epoch_rejections += 1;
                     fenced = true;
@@ -1536,40 +1834,22 @@ pub fn run_leader_kill(
                 .failures
                 .push("stale-epoch submit never drew a StaleEpoch rejection".into());
         }
-        epochs[victim] = new_epoch.max(2);
-        if !submit_until_acked(
-            &client,
-            &mut epochs,
-            victim,
-            pos,
-            &batch,
-            &mut acked[victim],
-            &mut report,
-            Duration::from_secs(10),
-        ) {
+        writer.epoch = writer.epoch.max(new_epoch).max(2);
+        if !writer.submit(&client, pos, batch, long) {
             report
                 .failures
-                .push("refreshed-epoch submit to promoted leader never acked".into());
+                .push("refreshed-epoch submit to promoted leader never landed".into());
         }
     }
 
     // Phase 5 — the failed-over deployment serves everywhere again.
     for _ in 0..2 {
-        for (s, acked_s) in acked.iter_mut().enumerate() {
+        for s in 0..shards {
             if let Some((pos, batch)) = take_batch(&queues, &mut next, s) {
-                if !submit_until_acked(
-                    &client,
-                    &mut epochs,
-                    s,
-                    pos,
-                    &batch,
-                    acked_s,
-                    &mut report,
-                    Duration::from_secs(10),
-                ) {
+                if !writer.submit(&client, pos, batch, long) {
                     report
                         .failures
-                        .push(format!("post-failover submit to shard {s} never acked"));
+                        .push(format!("post-failover submit to shard {s} never landed"));
                 }
             }
         }
@@ -1600,7 +1880,7 @@ pub fn run_leader_kill(
     // near zero, so only staleness is required to hit exactly 0).
     {
         let survivors: Vec<usize> = (0..shards).filter(|&i| i != victim).collect();
-        let due = Instant::now() + Duration::from_secs(10);
+        let due = Instant::now() + long;
         let mut drained = vec![false; shards];
         while Instant::now() < due && survivors.iter().any(|&i| !drained[i]) {
             for &i in &survivors {
@@ -1622,87 +1902,46 @@ pub fn run_leader_kill(
     }
 
     report.breaker_trips = client.retry_stats().breaker_trips;
-    report
-        .failures
-        .extend(promo_failures.lock().unwrap().drain(..));
-
-    // Teardown, then the offline assertions.
-    monitor.stop();
     drop(client);
-    for holder in &replica_holders {
-        if let Some(rep) = holder.lock().unwrap().take() {
-            let _ = rep.stop();
-        }
-    }
     if let Some((cp, rp)) = proxies {
         cp.shutdown();
         rp.shutdown();
     }
-    net.shutdown();
-    drop(router);
+    let (finals, promotion_failures) = cluster.finish()?;
+    report.failures.extend(promotion_failures);
 
-    // Zero acked-write loss: every acknowledged modification must be a
-    // durable Dml record of its shard's final authoritative log — the
-    // promoted follower's re-log for the victim, the leader's own log
-    // elsewhere.
-    for s in 0..shards {
-        let log_bytes = if s == victim {
-            follower_wals[s].bytes()
-        } else {
-            leader_wals[s].bytes()
-        };
-        match read_wal(&log_bytes) {
-            Ok(o) => {
-                if !acked_writes_survive(&acked[s], &o.records) {
-                    report.failures.push(format!(
-                        "shard {s}: acked writes missing from the authoritative log \
-                         ({} acked, {} records)",
-                        acked[s].len(),
-                        o.records.len()
-                    ));
-                }
-            }
-            Err(e) => report
-                .failures
-                .push(format!("shard {s}: authoritative log unreadable: {e}")),
+    // Zero acked-write loss, exactly once: every landed modification is
+    // a durable Dml record of its shard's final authoritative log, in
+    // order, and nothing else is.
+    report.stale_epoch_rejections += writer.stale_epochs;
+    for (s, shard) in finals.iter().enumerate() {
+        let landed = &writer.landed[s];
+        report.acked_mods += landed.len() as u64;
+        if !acked_writes_survive(landed, &shard.log) {
+            report.failures.push(format!(
+                "shard {s}: acked writes missing from the authoritative log \
+                 ({} acked, {} records)",
+                landed.len(),
+                shard.log.len()
+            ));
+        }
+        let logged = dml_records(&shard.log, None);
+        if logged != writer.applied[s] {
+            report.failures.push(format!(
+                "shard {s}: {logged} Dml records logged for {} modifications submitted",
+                writer.applied[s]
+            ));
         }
     }
 
     // Merged == direct: evaluate the view definition from scratch over
     // every final shard database and compare checksums.
-    let merge = MergeSpec::from_def(exp.view_def())?;
-    let mut direct_parts: Vec<Vec<WRow>> = Vec::with_capacity(shards);
-    for (i, server) in servers.iter_mut().enumerate() {
-        let final_server = if i == victim {
-            // The original victim server object is a dead scheduler;
-            // reap it and use the promoted follower instead.
-            if let Some(dead) = server.take() {
-                let _ = dead.shutdown();
-            }
-            promoted_slots[i].lock().unwrap().take()
-        } else {
-            server.take()
-        };
-        let Some(final_server) = final_server else {
-            report
-                .failures
-                .push(format!("shard {i}: no final runtime to evaluate"));
-            continue;
-        };
-        let rt = final_server.shutdown();
-        let db = rt.database().ok_or_else(|| EngineError::Maintenance {
-            message: "leader-kill needs engine-backed shards".into(),
-        })?;
-        direct_parts.push(exp.make_view(db)?.result());
-    }
-    if direct_parts.len() == shards {
-        report.direct_checksum = MergeSpec::checksum(&merge.merge(&direct_parts)?);
-        if report.merged_checksum != report.direct_checksum {
-            report.failures.push(format!(
-                "merged checksum {} != direct evaluation {}",
-                report.merged_checksum, report.direct_checksum
-            ));
-        }
+    report.direct_checksum = direct_merged_checksum(exp, &finals)?;
+    if report.merged_checksum != report.direct_checksum {
+        report.failures.push(format!(
+            "merged checksum {} != direct evaluation {}",
+            report.merged_checksum, report.direct_checksum
+        ));
     }
     Ok(report)
 }

@@ -1,20 +1,12 @@
-//! Minimal benchmark harness with a tracked-JSON emitter.
+//! Minimal benchmark harness.
 //!
 //! The offline build environment has no `criterion`, so the bench
-//! targets use this hand-rolled harness instead. Beyond timing, it is
-//! the repository's bench *tracker*: every suite run appends a labelled
-//! entry to `BENCH_<suite>.json` at the repo root, so before/after
-//! numbers for an optimization live in version control next to the code
-//! they measure.
-//!
-//! Environment knobs:
-//!
-//! * `AIVM_BENCH_LABEL` — label recorded with the run (for example
-//!   `before` / `after`); defaults to `run`.
-//! * `AIVM_BENCH_FAST=1` — shrink per-bench measuring time (smoke mode
-//!   for CI).
+//! targets use this hand-rolled harness instead. It times and prints;
+//! nothing is written to disk. Numbers that a change is judged by come
+//! from the `perf` package (`perf run`), which records the commit,
+//! machine and noise band alongside them.
 
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// One measured benchmark.
 #[derive(Clone, Debug)]
@@ -42,40 +34,26 @@ impl Measurement {
     }
 }
 
-/// A named suite of benchmarks; writes `BENCH_<name>.json` on
-/// [`Suite::finish`].
+/// A named suite of benchmarks; each measurement is printed as it
+/// completes.
 pub struct Suite {
-    name: String,
     target: Duration,
     samples: usize,
-    results: Vec<Measurement>,
-}
-
-fn fast_mode() -> bool {
-    std::env::var("AIVM_BENCH_FAST")
-        .map(|v| v != "0" && !v.is_empty())
-        .unwrap_or(false)
 }
 
 impl Suite {
-    /// Creates a suite. `name` becomes the `BENCH_<name>.json` file stem.
+    /// Creates a suite and prints its name as a header.
     pub fn new(name: &str) -> Self {
-        let fast = fast_mode();
+        println!("== {name}");
         Suite {
-            name: name.to_string(),
-            target: if fast {
-                Duration::from_millis(20)
-            } else {
-                Duration::from_millis(250)
-            },
-            samples: if fast { 2 } else { 5 },
-            results: Vec::new(),
+            target: Duration::from_millis(250),
+            samples: 5,
         }
     }
 
     /// Benchmarks `f`, auto-calibrating the iteration count so one
     /// sample takes roughly the target time.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
+    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Measurement {
         // Warm up and estimate a single-iteration cost.
         let t0 = Instant::now();
         std::hint::black_box(f());
@@ -89,7 +67,7 @@ impl Suite {
             }
             sample_ns.push(start.elapsed().as_nanos() as f64 / iters as f64);
         }
-        self.record(name, iters, sample_ns);
+        record(name, iters, sample_ns)
     }
 
     /// Benchmarks `routine` on a fresh `setup()` value per iteration;
@@ -99,7 +77,7 @@ impl Suite {
         name: &str,
         mut setup: impl FnMut() -> T,
         mut routine: impl FnMut(T) -> R,
-    ) {
+    ) -> Measurement {
         let input = setup();
         let t0 = Instant::now();
         std::hint::black_box(routine(input));
@@ -116,143 +94,39 @@ impl Suite {
             }
             sample_ns.push(total.as_nanos() as f64 / iters as f64);
         }
-        self.record(name, iters, sample_ns);
+        record(name, iters, sample_ns)
     }
 
-    /// Benchmarks a long-running `f` with a fixed sample count and one
-    /// iteration per sample (for whole-sweep timings where calibration
-    /// would be wasteful).
-    pub fn bench_once<R>(&mut self, name: &str, mut f: impl FnMut() -> R) {
-        let samples = if fast_mode() { 1 } else { 3 };
-        let mut sample_ns: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            sample_ns.push(start.elapsed().as_nanos() as f64);
-        }
-        self.record(name, 1, sample_ns);
-    }
-
-    /// Records an externally measured value (for example a throughput in
-    /// events/sec or a latency quantile pulled from a metrics snapshot)
-    /// under the suite's tracked results. The value lands in the
-    /// `ns_per_iter` field — the tracker stores one number per name and
-    /// does not care about its unit, so name the entry accordingly
-    /// (`serve/online/events_per_sec`).
-    pub fn record_value(&mut self, name: &str, value: f64) {
-        self.record(name, 1, vec![value]);
-    }
-
-    fn record(&mut self, name: &str, iters: u64, mut sample_ns: Vec<f64>) {
-        sample_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let median = sample_ns[sample_ns.len() / 2];
-        let m = Measurement {
-            name: name.to_string(),
-            iters,
-            ns_per_iter: median,
-        };
-        println!(
-            "{:<44} {:>14}  ({} iters/sample)",
-            m.name,
-            m.human(),
-            m.iters
-        );
-        self.results.push(m);
-    }
-
-    /// Measurements recorded so far.
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
-    }
-
-    /// Prints the summary and appends a labelled run entry to
-    /// `BENCH_<suite>.json` at the workspace root.
-    pub fn finish(self) {
-        let path = format!(
-            "{}/../../BENCH_{}.json",
-            env!("CARGO_MANIFEST_DIR"),
-            self.name
-        );
-        let label = std::env::var("AIVM_BENCH_LABEL").unwrap_or_else(|_| "run".to_string());
-        let unix = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let mut results_json = String::new();
-        for (i, m) in self.results.iter().enumerate() {
-            if i > 0 {
-                results_json.push_str(",\n");
-            }
-            results_json.push_str(&format!(
-                "      {{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}",
-                escape(&m.name),
-                m.ns_per_iter,
-                m.iters
-            ));
-        }
-        let entry = format!(
-            "    {{\n      \"label\": \"{}\",\n      \"unix_time\": {},\n      \"results\": [\n{}\n    ]}}",
-            escape(&label),
-            unix,
-            results_json
-        );
-        let mut runs: Vec<String> = existing_runs(&path);
-        runs.push(entry);
-        let doc = format!(
-            "{{\n  \"suite\": \"{}\",\n  \"runs\": [\n{}\n  ]\n}}\n",
-            escape(&self.name),
-            runs.join(",\n")
-        );
-        match std::fs::write(&path, doc) {
-            Ok(()) => println!("\nwrote {path} ({} run(s), label \"{label}\")", runs.len()),
-            Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-        }
+    /// Benchmarks a long-running `f` with three samples of one
+    /// iteration each (for whole-sweep timings where calibration would
+    /// be wasteful).
+    pub fn bench_once<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> Measurement {
+        let sample_ns = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(f());
+                start.elapsed().as_nanos() as f64
+            })
+            .collect();
+        record(name, 1, sample_ns)
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Extracts the raw entries of the top-level `"runs": [...]` array from
-/// an existing bench file, so new runs append rather than overwrite.
-/// Entry names and labels never contain brackets, so bracket counting
-/// suffices.
-fn existing_runs(path: &str) -> Vec<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+/// Takes the median of `sample_ns` and prints it.
+fn record(name: &str, iters: u64, mut sample_ns: Vec<f64>) -> Measurement {
+    sample_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let m = Measurement {
+        name: name.to_string(),
+        iters,
+        ns_per_iter: sample_ns[sample_ns.len() / 2],
     };
-    let Some(start) = text.find("\"runs\":").map(|i| i + "\"runs\":".len()) else {
-        return Vec::new();
-    };
-    let Some(open) = text[start..].find('[').map(|i| start + i + 1) else {
-        return Vec::new();
-    };
-    let mut depth = 0i32;
-    let mut entries = Vec::new();
-    let mut entry_start = None;
-    for (off, ch) in text[open..].char_indices() {
-        let pos = open + off;
-        match ch {
-            '{' => {
-                if depth == 0 {
-                    entry_start = Some(pos);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = entry_start.take() {
-                        entries.push(format!("    {}", text[s..=pos].trim()));
-                    }
-                }
-            }
-            ']' if depth == 0 => break,
-            _ => {}
-        }
-    }
-    entries
+    println!(
+        "{:<44} {:>14}  ({} iters/sample)",
+        m.name,
+        m.human(),
+        m.iters
+    );
+    m
 }
 
 #[cfg(test)]
@@ -260,31 +134,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_records_measurements() {
-        std::env::set_var("AIVM_BENCH_FAST", "1");
-        let mut s = Suite::new("harness_selftest");
-        s.bench("noop", || 1 + 1);
-        assert_eq!(s.results().len(), 1);
-        assert!(s.results()[0].ns_per_iter >= 0.0);
-    }
-
-    #[test]
-    fn existing_runs_extraction() {
-        let dir = std::env::temp_dir().join("aivm_bench_harness_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_x.json");
-        std::fs::write(
-            &path,
-            "{\n  \"suite\": \"x\",\n  \"runs\": [\n    {\"label\": \"a\", \"results\": [{\"name\": \"n\", \"ns_per_iter\": 1.0, \"iters\": 2}]}\n  ]\n}\n",
-        )
-        .unwrap();
-        let runs = existing_runs(path.to_str().unwrap());
-        assert_eq!(runs.len(), 1);
-        assert!(runs[0].contains("\"label\": \"a\""));
-    }
-
-    #[test]
-    fn existing_runs_missing_file_is_empty() {
-        assert!(existing_runs("/nonexistent/BENCH_y.json").is_empty());
+    fn bench_reports_the_median_sample() {
+        let mut s = Suite {
+            target: Duration::from_millis(2),
+            samples: 3,
+        };
+        let m = s.bench("noop", || 1 + 1);
+        assert_eq!(m.name, "noop");
+        assert!(m.iters >= 1 && m.ns_per_iter >= 0.0);
+        let once = s.bench_once("sleep", || std::thread::sleep(Duration::from_millis(1)));
+        assert_eq!(once.iters, 1);
+        assert!(once.ns_per_iter >= 1e6);
     }
 }

@@ -6,10 +6,12 @@
 //!   which regenerates every paper figure as a text table, and
 //! * the benches (`cargo bench -p aivm-bench`): `solver` (A\*/ONLINE
 //!   kernels), `engine` (operator microbenches), `maintenance` (flush
-//!   batches on the TPC-R view), `sweep` (serial-vs-parallel figure
-//!   sweeps) and `serve` (scheduler ticks + threaded end-to-end serving
-//!   throughput). Each run appends a labelled entry to
-//!   `BENCH_<suite>.json` at the repo root (see [`harness`]).
+//!   batches on the TPC-R view) and `sweep` (serial-vs-parallel figure
+//!   sweeps), each printing its timings (see [`harness`]).
+//!
+//! The serving stack's performance — throughput, latencies and the
+//! per-layer cost ladder — is measured by the separate `perf` package
+//! (`perf run`), not here.
 //!
 //! This library crate hosts the shared instance builders and the
 //! hand-rolled [`harness`] those targets run on.
@@ -19,8 +21,6 @@
 
 pub mod chaos;
 pub mod harness;
-pub mod loadgen;
-pub mod multiview;
 pub mod proxy;
 pub mod serve;
 pub mod skew;

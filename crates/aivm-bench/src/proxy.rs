@@ -24,7 +24,9 @@
 //! - **Partition (one-way)** blackholes a direction from a configured
 //!   chunk index on: bytes are read and discarded while the other
 //!   direction still flows — the asymmetric failure TCP itself never
-//!   surfaces cleanly.
+//!   surfaces cleanly. [`FaultProxy::blackhole_replies`] throws the
+//!   same switch by hand, for every connection at once (a reply lost
+//!   at a moment the test picks).
 //!
 //! The proxy is transparent to the protocol: with an all-`Forward`
 //! schedule it is byte-exact, so it can sit under any existing client
@@ -140,6 +142,7 @@ pub struct FaultStats {
 pub struct FaultProxy {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    blackhole: Arc<AtomicBool>,
     stats: Arc<FaultStats>,
     accept_join: Option<JoinHandle<()>>,
 }
@@ -152,15 +155,21 @@ impl FaultProxy {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        let blackhole = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(FaultStats::default());
+        let relays = Relays {
+            plan,
+            blackhole: Arc::clone(&blackhole),
+            stats: Arc::clone(&stats),
+        };
         let accept_stop = Arc::clone(&stop);
-        let accept_stats = Arc::clone(&stats);
         let accept_join = std::thread::Builder::new()
             .name("aivm-fault-proxy".into())
-            .spawn(move || accept_loop(listener, target, plan, accept_stop, accept_stats))?;
+            .spawn(move || accept_loop(listener, target, relays, accept_stop))?;
         Ok(FaultProxy {
             addr,
             stop,
+            blackhole,
             stats,
             accept_join: Some(accept_join),
         })
@@ -174,6 +183,13 @@ impl FaultProxy {
     /// Injected-fault counters so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
+    }
+
+    /// While on, every server→client byte on every connection is read
+    /// and discarded: requests still arrive and are served, replies are
+    /// lost.
+    pub fn blackhole_replies(&self, on: bool) {
+        self.blackhole.store(on, Ordering::SeqCst);
     }
 
     /// Stops accepting and severs the accept thread. Live relays end
@@ -196,13 +212,15 @@ impl Drop for FaultProxy {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    target: SocketAddr,
+/// What every relay thread of one proxy shares.
+#[derive(Clone)]
+struct Relays {
     plan: FaultPlanNet,
-    stop: Arc<AtomicBool>,
+    blackhole: Arc<AtomicBool>,
     stats: Arc<FaultStats>,
-) {
+}
+
+fn accept_loop(listener: TcpListener, target: SocketAddr, relays: Relays, stop: Arc<AtomicBool>) {
     let mut conn_id = 0u64;
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -214,8 +232,8 @@ fn accept_loop(
                 };
                 let _ = client.set_nodelay(true);
                 let _ = server.set_nodelay(true);
-                spawn_relay(id, 0, &client, &server, plan, &stats);
-                spawn_relay(id, 1, &server, &client, plan, &stats);
+                spawn_relay(id, 0, &client, &server, &relays);
+                spawn_relay(id, 1, &server, &client, &relays);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -227,18 +245,15 @@ fn accept_loop(
 
 /// Spawns one relay direction. Threads are detached: they end when
 /// either side of the connection closes (or the schedule drops it).
-fn spawn_relay(
-    conn: u64,
-    direction: u8,
-    from: &TcpStream,
-    to: &TcpStream,
-    plan: FaultPlanNet,
-    stats: &Arc<FaultStats>,
-) {
+fn spawn_relay(conn: u64, direction: u8, from: &TcpStream, to: &TcpStream, relays: &Relays) {
     let (Ok(mut from), Ok(mut to)) = (from.try_clone(), to.try_clone()) else {
         return;
     };
-    let stats = Arc::clone(stats);
+    let Relays {
+        plan,
+        blackhole,
+        stats,
+    } = relays.clone();
     let _ = std::thread::Builder::new()
         .name(format!("aivm-fault-relay-{conn}-{direction}"))
         .spawn(move || {
@@ -251,14 +266,11 @@ fn spawn_relay(
                 };
                 // The partition applies to the server→client direction
                 // only: an asymmetric blackhole.
-                if direction == 1 {
-                    if let Some(after) = plan.partition_s2c_after {
-                        if chunk >= after {
-                            stats.partitioned.fetch_add(1, Ordering::Relaxed);
-                            chunk += 1;
-                            continue; // read and discard
-                        }
-                    }
+                let partitioned = plan.partition_s2c_after.is_some_and(|after| chunk >= after);
+                if direction == 1 && (partitioned || blackhole.load(Ordering::SeqCst)) {
+                    stats.partitioned.fetch_add(1, Ordering::Relaxed);
+                    chunk += 1;
+                    continue; // read and discard
                 }
                 match plan.action(conn, direction, chunk) {
                     FaultAction::Forward => {

@@ -1,7 +1,7 @@
 //! Shared driver for the live serving experiments.
 //!
-//! Both the `repro serve` subcommand and the `serve` bench need the same
-//! setup: a TPC-R database with the paper's view installed, measured
+//! `repro serve`, `repro chaos` and the serving tests share one setup:
+//! a TPC-R database with the paper's view installed, measured
 //! cost functions for its base tables, a pre-generated deterministic
 //! update stream per updated table, and a precomputed LGM schedule for
 //! the `planned` policy. [`ServeExperiment`] builds all of that once and
@@ -10,13 +10,13 @@
 
 use aivm_core::{CostFn, CostModel, Instance};
 use aivm_engine::{
-    estimate_cost_functions, AggFunc, CostConstants, Database, EngineError, HeavyLightConfig,
-    MaterializedView, MinStrategy, Modification, TableId, ViewDef, ViewRegistry,
+    estimate_cost_functions, CostConstants, Database, EngineError, HeavyLightConfig,
+    MaterializedView, MinStrategy, Modification, TableId, ViewDef,
 };
 use aivm_serve::{
     AsSolverPolicy, FaultPlan, FileWal, FlushPolicy, MaintenanceRuntime, MetricsSnapshot,
-    MultiConfig, NaiveFlush, OnlineFlush, PlannedFlush, ReadMode, RegistryRuntime, ServeConfig,
-    ServeServer, ServerConfig, Trace, WalSyncPolicy, WalWriter, APPLY_SHARE,
+    NaiveFlush, OnlineFlush, PlannedFlush, ReadMode, ServeConfig, ServeServer, ServerConfig, Trace,
+    WalSyncPolicy, WalWriter,
 };
 use aivm_shard::{partition_database, Partitioner};
 use aivm_sim::replay::{replay_policy, ReplayStep};
@@ -317,76 +317,6 @@ impl ServeExperiment {
         Ok((runtimes, part))
     }
 
-    /// `views` view definitions sharing the paper view's SPJ core:
-    /// view 0 is the paper's MIN, the rest cycle through the other
-    /// aggregate functions over the same joined schema. Same tables,
-    /// join predicates and filters everywhere, so a [`ViewRegistry`]
-    /// puts every variant into one sharing group and propagates each
-    /// base-table delta batch exactly once for all of them.
-    pub fn variant_view_defs(&self, views: usize) -> Vec<ViewDef> {
-        (0..views.max(1))
-            .map(|i| {
-                let mut def = self.view_def.clone();
-                def.name = format!("v{i}");
-                if i > 0 {
-                    let agg = def.aggregate.as_mut().expect("paper view aggregates");
-                    for (func, _, out) in &mut agg.aggs {
-                        *func = match i % 4 {
-                            1 => AggFunc::Max,
-                            2 => AggFunc::Sum,
-                            3 => AggFunc::Avg,
-                            _ => AggFunc::Min,
-                        };
-                        *out = format!("{}_{i}", func.name());
-                    }
-                }
-                def
-            })
-            .collect()
-    }
-
-    /// A multi-view registry over a fresh genesis clone, holding
-    /// `views` paper-view variants (one sharing group).
-    pub fn registry(&self, views: usize) -> Result<ViewRegistry, EngineError> {
-        let mut reg = ViewRegistry::new(self.genesis_db());
-        for def in self.variant_view_defs(views) {
-            reg.register_view(def, MinStrategy::Multiset)?;
-        }
-        Ok(reg)
-    }
-
-    /// The shared budget of a `views`-way registry: the single-view
-    /// budget scaled by the fan-out share each cell flush pays on top
-    /// of the leader's propagation. The shared stack thus keeps the
-    /// single-view stack's relative headroom while spending
-    /// `(1 + 0.1 (n-1)) C` in total — against `n C` for `n`
-    /// independent runtimes with the same guarantee.
-    pub fn registry_budget(&self, views: usize) -> f64 {
-        self.budget * (1.0 + APPLY_SHARE * (views.max(1) as f64 - 1.0))
-    }
-
-    /// Registry runtime configuration: the same measured per-table
-    /// costs on the global table axis, with the fan-out-scaled budget.
-    pub fn registry_config(&self, views: usize) -> MultiConfig {
-        MultiConfig {
-            budget: self.registry_budget(views),
-            ..self.config()
-        }
-    }
-
-    /// A registry runtime maintaining `views` paper-view variants
-    /// under one asymmetric budget.
-    pub fn registry_runtime(
-        &self,
-        policy_name: &str,
-        views: usize,
-    ) -> Result<RegistryRuntime, EngineError> {
-        let policy = self
-            .policy(policy_name)
-            .unwrap_or_else(|| panic!("unknown policy {policy_name:?}"));
-        RegistryRuntime::new(self.registry_config(views), policy, self.registry(views)?)
-    }
-
     /// Runs the full threaded experiment for one policy: a scheduler
     /// thread, one producer per updated table feeding its pre-generated
     /// stream, and a reader thread alternating fresh and stale reads
@@ -614,24 +544,6 @@ mod tests {
         assert!(exp.budget >= exp.costs[exp.supp_pos].eval(1));
         assert_eq!(exp.ps_stream.len(), 120);
         assert_eq!(exp.supp_stream.len(), 120);
-    }
-
-    #[test]
-    fn registry_variants_share_one_group() {
-        let exp = ServeExperiment::build(quick_opts()).expect("build");
-        let rt = exp.registry_runtime("online", 6).expect("registry runtime");
-        assert_eq!(rt.views(), 6);
-        assert_eq!(
-            rt.registry().group_count(),
-            1,
-            "paper-view variants share one SPJ core"
-        );
-        assert_eq!(
-            rt.table_names().len(),
-            exp.costs.len(),
-            "global table axis matches the cost axis"
-        );
-        assert!(exp.registry_budget(6) > exp.budget);
     }
 
     #[test]

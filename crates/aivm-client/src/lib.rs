@@ -135,7 +135,7 @@ impl std::error::Error for ClientError {}
 
 impl ClientError {
     /// True when the failure is the server saying "not now" — the
-    /// overload signals loadgen counts separately from hard errors.
+    /// overload signals a load generator counts apart from hard errors.
     pub fn is_overload(&self) -> bool {
         matches!(
             self,
@@ -174,7 +174,7 @@ impl ClientError {
     }
 }
 
-/// Retry counters, for loadgen summaries.
+/// Retry counters, for load-run summaries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Retries triggered by `Overloaded` rejections (frame or

@@ -107,8 +107,10 @@ impl Database {
 
     /// Applies a modification to its base table and returns the affected
     /// row id. Deletes and updates locate the victim row via the table's
-    /// key column when one is declared (falling back to full-row /
-    /// key-value scans otherwise).
+    /// key column when one is declared (a full-row scan otherwise), and
+    /// the located row must equal the modification's old row: anything
+    /// else is rejected with [`EngineError::StaleRow`] before the table
+    /// is touched.
     pub fn apply(&mut self, table: TableId, m: &Modification) -> Result<RowId, EngineError> {
         match m {
             Modification::Insert(row) => self.table_mut(table).insert(row.clone()),
@@ -151,20 +153,22 @@ impl Database {
         acc
     }
 
-    /// Finds the live row matching `row`, preferring the declared key
-    /// column.
+    /// Finds the live row equal to `row`, looked up by the declared key
+    /// column. The key only finds the candidate: a replayed or
+    /// reordered modification names an old row the key now maps to
+    /// something else, and acting on it would hand every dependent view
+    /// a delta the table never saw.
     fn locate(&self, table: TableId, row: &Row) -> Result<RowId, EngineError> {
         let t = &self.tables[table];
-        if let Some(&key_col) = self.keys.get(&table) {
-            let key = row.get(key_col);
-            if let Some(id) = t.find_by(key_col, key) {
-                return Ok(id);
-            }
-        } else if let Some((id, _)) = t.iter().find(|(_, r)| *r == row) {
-            return Ok(id);
-        }
-        Err(EngineError::Maintenance {
-            message: format!("no row matching {row:?} in table {}", t.name()),
+        let found = match self.keys.get(&table) {
+            Some(&key_col) => t
+                .find_by(key_col, row.get(key_col))
+                .filter(|&id| t.get(id) == Some(row)),
+            None => t.iter().find(|(_, r)| *r == row).map(|(id, _)| id),
+        };
+        found.ok_or_else(|| EngineError::StaleRow {
+            table: t.name().to_string(),
+            row: format!("{row:?}"),
         })
     }
 }
@@ -236,7 +240,7 @@ mod tests {
         let err = db
             .apply(t, &Modification::Delete(row![9i64, 1.0f64]))
             .unwrap_err();
-        assert!(matches!(err, EngineError::Maintenance { .. }));
+        assert!(matches!(err, EngineError::StaleRow { .. }));
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum EngineError {
         /// The dangling row id.
         id: usize,
     },
+    /// A `Delete` or `Update` names an old row its table does not hold:
+    /// no live row has its key, or the live row under that key differs
+    /// (a replayed, reordered or stale modification). Rejected before
+    /// anything is mutated.
+    StaleRow {
+        /// The modification's table.
+        table: String,
+        /// The old row it named.
+        row: String,
+    },
     /// A row does not match its table's schema.
     SchemaMismatch {
         /// The table whose schema was violated.
@@ -93,6 +103,9 @@ impl PartialEq for EngineError {
                 },
             ) => t1 == t2 && c1 == c2,
             (NoSuchRow { id: a }, NoSuchRow { id: b }) => a == b,
+            (StaleRow { table: t1, row: r1 }, StaleRow { table: t2, row: r2 }) => {
+                t1 == t2 && r1 == r2
+            }
             (SchemaMismatch { table: a }, SchemaMismatch { table: b }) => a == b,
             (Parse { message: a }, Parse { message: b }) => a == b,
             (Unsupported { message: a }, Unsupported { message: b }) => a == b,
@@ -132,6 +145,9 @@ impl fmt::Display for EngineError {
                 write!(f, "no such column: {table}.{column}")
             }
             EngineError::NoSuchRow { id } => write!(f, "no live row with id {id}"),
+            EngineError::StaleRow { table, row } => {
+                write!(f, "stale modification: no live row {row} in table {table}")
+            }
             EngineError::SchemaMismatch { table } => {
                 write!(f, "row does not match schema of table {table}")
             }

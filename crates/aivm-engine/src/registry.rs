@@ -797,6 +797,42 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_modification_is_rejected_before_anything_moves() {
+        let mut db = base();
+        let r = db.table_id("r").unwrap();
+        db.set_key_column(r, 0);
+        let mut reg = ViewRegistry::new(db);
+        let v = reg
+            .register_view(min_def("m"), MinStrategy::Multiset)
+            .unwrap();
+        for (t, m) in [
+            ("r", row![1i64, 4.0f64]),
+            ("r", row![2i64, 8.0f64]),
+            ("s", row![1i64, 1i64]),
+            ("s", row![2i64, 2i64]),
+        ] {
+            reg.ingest_by_name(t, Modification::Insert(m)).unwrap();
+        }
+        let update = Modification::Update {
+            old: row![1i64, 4.0f64],
+            new: row![1i64, 6.0f64],
+        };
+        reg.ingest_by_name("r", update.clone()).unwrap();
+        // Replayed, the update names an old row key 1 no longer holds;
+        // a delete naming the wrong non-key value is just as stale.
+        let (db_before, pending_before) = (reg.db().content_checksum(), reg.cell_counts());
+        for stale in [update, Modification::Delete(row![2i64, 9.0f64])] {
+            let err = reg.ingest_by_name("r", stale).unwrap_err();
+            assert!(matches!(err, EngineError::StaleRow { .. }), "{err}");
+        }
+        assert_eq!(reg.db().content_checksum(), db_before);
+        assert_eq!(reg.cell_counts(), pending_before, "nothing enqueued");
+        reg.refresh_all().unwrap();
+        let direct = MaterializedView::new(reg.db(), min_def("m"), MinStrategy::Multiset).unwrap();
+        assert_eq!(reg.result_checksum(v), direct.result_checksum());
+    }
+
+    #[test]
     fn duplicate_view_names_rejected() {
         let mut reg = ViewRegistry::new(base());
         reg.register_view(join_def("v"), MinStrategy::Multiset)

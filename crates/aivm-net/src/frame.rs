@@ -343,8 +343,8 @@ pub enum Request {
         /// Fresh (flush-then-read, ≤ C) or stale (free).
         fresh: bool,
         /// Return the materialized rows, not just the checksum. Row
-        /// payloads dominate read latency for large views; loadgen
-        /// leaves this off.
+        /// payloads dominate read latency for large views; load
+        /// generators leave this off.
         want_rows: bool,
     },
     /// Fetch a [`NetMetrics`] snapshot.

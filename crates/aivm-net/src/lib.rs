@@ -25,8 +25,8 @@
 //!
 //! The paper's refresh constraint `C` becomes a client-visible latency
 //! SLO here: a `Fresh` read over the wire is still tick + forced flush,
-//! so its flush cost is provably ≤ `C` — now measured end to end by the
-//! `repro loadgen` harness in `aivm-bench`.
+//! so its flush cost is provably ≤ `C` — measured end to end by the
+//! `perf` benchmark's wire workloads.
 
 #![deny(unsafe_code)] // relaxed from forbid: `poller` needs raw epoll FFI
 #![warn(missing_docs)]

@@ -3,22 +3,23 @@
 //! `NetServer::bind`, `bind_registry` and `bind_sharded` all route
 //! against a `ShardRouter`; the first two wrap their one scheduler in
 //! `ShardRouter::single`. This test runs the same scripts against all
-//! of them (`bind_sharded` at one and two shards) and asserts the
+//! of them (`bind_sharded` at one, two and four shards) and asserts the
 //! responses are identical — except where what the router *reports*
 //! differs, which is the declared list:
 //!
-//! * **shards** (1, 1, 1, 2): `shards`/`shards_live`/per-shard rows in
-//!   metrics; a stale read serves one published snapshot per shard, so
-//!   `snapshot_reads` grows by `shards` per read; only a multi-shard
-//!   router can admit a batch *partially*.
-//! * **views** (1, 2, 1, 1): `views` in metrics, the out-of-range bound
+//! * **shards** (1, 1, 1, 2, 4): `shards`/`shards_live`/per-shard rows
+//!   in metrics; a stale read serves one published snapshot per shard,
+//!   so `snapshot_reads` grows by `shards` per read; only a multi-shard
+//!   router can admit a batch *partially*. The merged `ingested` count
+//!   is the script's total at every width.
+//! * **views** (1, 2, 1, 1, 1): `views` in metrics, the out-of-range bound
 //!   and the number of per-view metrics rows (every runtime has a view
 //!   axis — a single view is a registry of one — and rows fold across
 //!   shards).
 //! * **hub** (every single-shard router: `bind`, `bind_registry`,
 //!   `bind_sharded` at one shard): every runtime publishes deltas to a
 //!   hub, so `Subscribe`/`Unsubscribe` are served wherever one
-//!   scheduler stands behind the router, and are `BadRequest` on two
+//!   scheduler stands behind the router, and are `BadRequest` on more
 //!   shards (a multi-shard router has no hub).
 //! * **failover** (only `bind_sharded`, whose caller keeps the router):
 //!   a fencing epoch can only advance — and a stamped epoch go stale —
@@ -52,21 +53,23 @@ enum Kind {
     BindRegistry,
     Sharded1,
     Sharded2,
+    Sharded4,
 }
 
-const KINDS: [Kind; 4] = [
+const KINDS: [Kind; 5] = [
     Kind::Bind,
     Kind::BindRegistry,
     Kind::Sharded1,
     Kind::Sharded2,
+    Kind::Sharded4,
 ];
 
 impl Kind {
     fn shards(self) -> usize {
-        if self == Kind::Sharded2 {
-            2
-        } else {
-            1
+        match self {
+            Kind::Sharded2 => 2,
+            Kind::Sharded4 => 4,
+            _ => 1,
         }
     }
 
@@ -85,7 +88,7 @@ impl Kind {
     /// Whether the test (like any `bind_sharded` caller) holds the
     /// router and can therefore fail a shard over.
     fn can_fail_over(self) -> bool {
-        matches!(self, Kind::Sharded1 | Kind::Sharded2)
+        matches!(self, Kind::Sharded1 | Kind::Sharded2 | Kind::Sharded4)
     }
 }
 
@@ -305,7 +308,7 @@ impl Rig {
                 rig.registry = Some(server);
                 net
             }
-            Kind::Sharded1 | Kind::Sharded2 => {
+            Kind::Sharded1 | Kind::Sharded2 | Kind::Sharded4 => {
                 for _ in 0..kind.shards() {
                     rig.singles.push(spawn_single(opts, policy(), wal()));
                 }
@@ -698,7 +701,7 @@ fn a_stamped_epoch_goes_stale_only_where_the_router_can_fail_over() {
         let naive = Box::new(NaiveFlush::new());
         let promoted = spawn_single(&RigOpts::default(), naive, None);
         assert_eq!(router.promote(0, promoted.handle(), None), 2);
-        // Sixteen rows reach every shard of either router, so shard 0's
+        // Sixteen rows reach every shard of every router, so shard 0's
         // fence rejects the batch — before anything is enqueued
         // anywhere, which is what makes the rejection retry-safe.
         assert_eq!(
@@ -748,7 +751,7 @@ fn parking_opts() -> RigOpts {
 
 /// Stalls every scheduler and fills every ingest queue: a batch larger
 /// than the queue is admitted into an empty one and then occupies all
-/// of it, and 32 keys reach both shards of the two-shard router.
+/// of it, and 32 keys fill every shard of the multi-shard routers.
 fn fill_queues(rig: &Rig, s: &mut TcpStream) {
     rig.wait_stalled(1);
     assert_eq!(

@@ -3,12 +3,14 @@
 //! exactly once in seq order (no gap, no duplicate) and its folded
 //! state checksum-matches a direct fresh read; a subscriber that fell
 //! off the delta ring — or never drained at all — is resynced from the
-//! snapshot instead of stalling the flush path.
+//! snapshot instead of stalling the flush path; and many subscribers
+//! across many views, folding while writers run, all land on direct
+//! evaluation.
 
 use aivm_core::CostModel;
 use aivm_engine::{
-    row, rows_checksum, AggFunc, AggSpec, DataType, Database, Expr, JoinPred, MinStrategy,
-    Modification, Schema, ViewDef, ViewRegistry, WRow,
+    row, rows_checksum, AggFunc, AggSpec, DataType, Database, Expr, JoinPred, MaterializedView,
+    MinStrategy, Modification, Schema, ViewDef, ViewRegistry, WRow,
 };
 use aivm_net::{
     read_hello_reply, recv_response, send_request, write_hello, HandshakeStatus, NetServer,
@@ -17,8 +19,9 @@ use aivm_net::{
 use aivm_serve::{
     fold_delta, DeltaBatch, MultiConfig, NaiveFlush, RegistryRuntime, RegistryServer, ServerConfig,
 };
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 fn base() -> Database {
     let mut db = Database::new();
@@ -51,21 +54,34 @@ fn join_def(name: &str) -> ViewDef {
     }
 }
 
+/// View `i`: the join itself, a per-key SUM or a global MIN over it —
+/// one shared SPJ core.
+fn variant(i: usize) -> ViewDef {
+    let agg = |func, group_by, col, out: &str| AggSpec {
+        group_by,
+        aggs: vec![(func, Expr::col(col), out.into())],
+    };
+    let aggregate = match i % 3 {
+        0 => None,
+        1 => Some(agg(AggFunc::Sum, vec![0], 3, "s")),
+        _ => Some(agg(AggFunc::Min, vec![], 1, "m")),
+    };
+    ViewDef {
+        aggregate,
+        ..join_def(&format!("v{i}"))
+    }
+}
+
 fn rig() -> (RegistryServer, NetServer) {
+    rig_of(2)
+}
+
+fn rig_of(views: usize) -> (RegistryServer, NetServer) {
     let mut reg = ViewRegistry::new(base());
-    reg.register_view(join_def("v0"), MinStrategy::Multiset)
-        .unwrap();
-    reg.register_view(
-        ViewDef {
-            aggregate: Some(AggSpec {
-                group_by: vec![0],
-                aggs: vec![(AggFunc::Sum, Expr::col(3), "s".into())],
-            }),
-            ..join_def("v1")
-        },
-        MinStrategy::Multiset,
-    )
-    .unwrap();
+    for i in 0..views {
+        reg.register_view(variant(i), MinStrategy::Multiset)
+            .unwrap();
+    }
     let rt = RegistryRuntime::new(
         MultiConfig::new(
             vec![CostModel::linear(0.5, 0.1), CostModel::linear(0.7, 0.2)],
@@ -82,7 +98,14 @@ fn rig() -> (RegistryServer, NetServer) {
 }
 
 fn connect(net: &NetServer) -> TcpStream {
-    let mut s = TcpStream::connect(net.local_addr()).unwrap();
+    connect_to(net.local_addr())
+}
+
+fn connect_to(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    // Frames go out as header + payload writes; without this, Nagle
+    // holds each payload for the peer's delayed ACK.
+    s.set_nodelay(true).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     write_hello(&mut s).unwrap();
     assert_eq!(read_hello_reply(&mut s).unwrap(), HandshakeStatus::Ok);
@@ -158,10 +181,26 @@ impl Sub {
         }
     }
 
-    /// Receives one pushed frame and folds it. Deltas must arrive in
-    /// strictly consecutive seq order; a pushed resync may jump ahead.
+    /// Receives one pushed frame and folds it.
     fn recv_fold(&mut self) {
-        match recv_response(&mut self.stream).expect("push frame") {
+        let frame = recv_response(&mut self.stream).expect("push frame");
+        self.fold(frame);
+    }
+
+    /// Folds the next pushed frame if one arrives within the socket's
+    /// read timeout.
+    fn poll_fold(&mut self) {
+        match recv_response(&mut self.stream) {
+            Ok(frame) => self.fold(frame),
+            Err(e) if e.is_timeout() => {}
+            Err(e) => panic!("push frame: {e}"),
+        }
+    }
+
+    /// Folds one pushed frame. Deltas must arrive in strictly
+    /// consecutive seq order; a pushed resync may jump ahead.
+    fn fold(&mut self, frame: Response) {
+        match frame {
             Response::ViewDelta {
                 view,
                 seq,
@@ -337,6 +376,107 @@ fn unread_subscriber_never_stalls_flushes() {
         target,
         "fresh head subscribe after the stalled run is not current"
     );
+
+    net.shutdown();
+    server.shutdown();
+}
+
+/// Thirty-two views, two live subscribers on each, and one writer per
+/// base table submitting inserts and deletes concurrently: every
+/// subscriber folds the pushes as they come (each post-fold checksum
+/// verified in `Sub::fold`), and once the writers stop, every folded
+/// state equals its view's direct evaluation over the final tables.
+#[test]
+fn many_subscribers_fold_concurrent_writes_to_direct_evaluation() {
+    const VIEWS: usize = 32;
+    const SUBSCRIBERS: usize = 64;
+    const ROUNDS: i64 = 150;
+    let (server, net) = rig_of(VIEWS);
+    let targets: Arc<OnceLock<Vec<u64>>> = Arc::new(OnceLock::new());
+    let subscribers: Vec<_> = (0..SUBSCRIBERS)
+        .map(|i| {
+            let view = i % VIEWS;
+            let mut sub = Sub::open(&net, view as u32, u64::MAX, None);
+            let poll = Some(Duration::from_millis(20));
+            sub.stream.set_read_timeout(poll).unwrap();
+            let targets = Arc::clone(&targets);
+            std::thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(60);
+                while targets
+                    .get()
+                    .is_none_or(|t| rows_checksum(&sub.state) != t[view])
+                {
+                    assert!(Instant::now() < deadline, "subscriber {i} never converged");
+                    sub.poll_fold();
+                }
+                sub.deltas
+            })
+        })
+        .collect();
+
+    // Table 1's writer deletes its own earlier rows, so each table's
+    // stream must stay in order: one writer per table.
+    let stream = |table: u32| -> Vec<Modification> {
+        (0..ROUNDS)
+            .flat_map(|i| match table {
+                0 => vec![Modification::Insert(row![i % 5, (i as f64) * 0.25])],
+                _ if i % 4 == 3 => vec![
+                    Modification::Insert(row![i % 5, i]),
+                    Modification::Delete(row![(i - 2) % 5, i - 2]),
+                ],
+                _ => vec![Modification::Insert(row![i % 5, i])],
+            })
+            .collect()
+    };
+    let addr = net.local_addr();
+    let writers: Vec<_> = [0u32, 1]
+        .into_iter()
+        .map(|table| {
+            let mods = stream(table);
+            std::thread::spawn(move || {
+                let mut s = connect_to(addr);
+                for chunk in mods.chunks(3) {
+                    let request = Request::Submit {
+                        epoch: 0,
+                        table,
+                        mods: chunk.to_vec(),
+                    };
+                    let got = roundtrip(&mut s, request);
+                    let want = Response::SubmitOk {
+                        accepted: chunk.len() as u64,
+                    };
+                    assert_eq!(got, want);
+                }
+            })
+        })
+        .collect();
+    for w in writers {
+        w.join().unwrap();
+    }
+
+    let mut db = base();
+    for (name, table) in [("r", 0u32), ("s", 1)] {
+        let t = db.table_id(name).unwrap();
+        for m in stream(table) {
+            db.apply(t, &m).unwrap();
+        }
+    }
+    let direct: Vec<u64> = (0..VIEWS)
+        .map(|v| {
+            let view = MaterializedView::new(&db, variant(v), MinStrategy::Multiset).unwrap();
+            view.result_checksum()
+        })
+        .collect();
+    // A fresh read per view flushes whatever is still pending, so the
+    // last deltas are pushed, and must itself agree.
+    let mut ctl = connect(&net);
+    for (v, &want) in direct.iter().enumerate() {
+        assert_eq!(fresh_checksum(&mut ctl, v as u32), want, "view {v}");
+    }
+    targets.set(direct).unwrap();
+    for s in subscribers {
+        assert!(s.join().unwrap() > 0, "a subscriber folded no delta");
+    }
 
     net.shutdown();
     server.shutdown();

@@ -779,8 +779,8 @@ impl MaintenanceRuntime {
     /// of any member pays — exceeds C. A valid policy never lets any cell
     /// subset exceed the budget the whole state fits in, so these stay 0
     /// exactly when global violations do — but they are *attributed* to
-    /// views, which is what the loadgen's per-view staleness gate
-    /// asserts on.
+    /// views, which is what the per-view metrics rows report and the
+    /// registry tests assert on.
     fn note_view_violations(&mut self) {
         for g in 0..self.axis.groups.len() {
             if !fits(

@@ -606,39 +606,19 @@ fn epoch_loop(
         if samples.is_empty() {
             continue;
         }
-        let live = samples.len();
-        let targets: Vec<(usize, f64)> = match cfg.policy {
-            RebalancePolicy::Uniform => {
-                // Redistribute only on membership change (shard death).
-                samples.iter().map(|(i, _)| (*i, c / live as f64)).collect()
-            }
-            RebalancePolicy::CostProportional => {
-                let eps = 1e-9;
-                let weights: Vec<(usize, f64)> = samples
-                    .iter()
-                    .map(|(i, m)| {
-                        let (lc, le) = last[*i];
-                        let dcost = (m.total_flush_cost - lc).max(0.0);
-                        let devents = m.events_ingested.saturating_sub(le);
-                        let per_event = dcost / (devents.max(1) as f64);
-                        let backlog = m.queue_depth as f64 * per_event;
-                        (*i, dcost + backlog + eps)
-                    })
-                    .collect();
-                let total: f64 = weights.iter().map(|(_, w)| w).sum();
-                let floor = cfg.min_share * c / n as f64;
-                // Proportional split, clamped below, re-normalised to C.
-                let mut t: Vec<(usize, f64)> = weights
-                    .iter()
-                    .map(|(i, w)| (*i, (c * w / total).max(floor)))
-                    .collect();
-                let sum: f64 = t.iter().map(|(_, b)| b).sum();
-                for (_, b) in t.iter_mut() {
-                    *b *= c / sum;
-                }
-                t
-            }
-        };
+        // Pressure: flush cost since the last epoch, plus the queued
+        // backlog priced at this epoch's per-event cost.
+        let pressure: Vec<(usize, f64)> = samples
+            .iter()
+            .map(|(i, m)| {
+                let (lc, le) = last[*i];
+                let dcost = (m.total_flush_cost - lc).max(0.0);
+                let devents = m.events_ingested.saturating_sub(le);
+                let per_event = dcost / (devents.max(1) as f64);
+                (*i, dcost + m.queue_depth as f64 * per_event)
+            })
+            .collect();
+        let targets = split_budget(&cfg, c, n, &pressure);
         for (i, m) in &samples {
             last[*i] = (m.total_flush_cost, m.events_ingested);
         }
@@ -662,6 +642,38 @@ fn epoch_loop(
         st.epochs += 1;
         st.rebalances += pushed;
         st.last_budgets = current.clone();
+    }
+}
+
+/// One epoch's division of the global budget `c` over the live shards
+/// in `pressure` (`n` slots in all). Uniform gives every live shard
+/// `c / live`; cost-proportional splits `c` by pressure, floors each
+/// share at `min_share · c / n`, and re-normalises so the shares sum to
+/// `c`.
+fn split_budget(
+    cfg: &CoordinatorConfig,
+    c: f64,
+    n: usize,
+    pressure: &[(usize, f64)],
+) -> Vec<(usize, f64)> {
+    let live = pressure.len() as f64;
+    match cfg.policy {
+        // Redistributes only on membership change (shard death).
+        RebalancePolicy::Uniform => pressure.iter().map(|(i, _)| (*i, c / live)).collect(),
+        RebalancePolicy::CostProportional => {
+            let weight = |p: f64| p + 1e-9;
+            let total: f64 = pressure.iter().map(|(_, p)| weight(*p)).sum();
+            let floor = cfg.min_share * c / n as f64;
+            let mut t: Vec<(usize, f64)> = pressure
+                .iter()
+                .map(|(i, p)| (*i, (c * weight(*p) / total).max(floor)))
+                .collect();
+            let sum: f64 = t.iter().map(|(_, b)| b).sum();
+            for (_, b) in t.iter_mut() {
+                *b *= c / sum;
+            }
+            t
+        }
     }
 }
 
@@ -851,6 +863,89 @@ fn probe_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aivm_core::CostModel;
+    use aivm_serve::{MaintenanceRuntime, NaiveFlush, ServeConfig, ServeServer, ServerConfig};
+
+    #[test]
+    fn budget_splits_sum_to_c_and_follow_pressure() {
+        let c = 12.0;
+        let pressure = [(0, 30.0), (1, 10.0), (2, 0.0)];
+        let split = |policy, live: &[(usize, f64)]| {
+            let cfg = CoordinatorConfig {
+                policy,
+                ..CoordinatorConfig::default()
+            };
+            let shares = split_budget(&cfg, c, 3, live);
+            let sum: f64 = shares.iter().map(|(_, b)| b).sum();
+            assert!((sum - c).abs() < 1e-9, "{policy:?} {shares:?}");
+            shares.into_iter().map(|(_, b)| b).collect::<Vec<f64>>()
+        };
+        assert_eq!(split(RebalancePolicy::Uniform, &pressure), vec![4.0; 3]);
+        // A dead shard's share goes to the live ones.
+        assert_eq!(
+            split(RebalancePolicy::Uniform, &pressure[..2]),
+            vec![6.0; 2]
+        );
+        let cost = split(RebalancePolicy::CostProportional, &pressure);
+        assert!(cost[0] > cost[1] && cost[1] > cost[2], "{cost:?}");
+        assert!(cost[0] > c / 3.0, "the costliest shard gains: {cost:?}");
+        assert!(cost[2] > 0.0, "an idle shard keeps its floor: {cost:?}");
+    }
+
+    /// The deployed loop: two counts-only shards, all traffic on shard 0.
+    /// The pushed budgets move toward shard 0 and keep summing to `C` (up
+    /// to the loop's skipped sub-0.1% moves).
+    #[test]
+    fn coordinator_pushes_budget_toward_the_loaded_shard() {
+        let c = 40.0;
+        let servers: Vec<ServeServer> = (0..2)
+            .map(|_| {
+                let cfg = ServeConfig::new(vec![CostModel::linear(0.5, 1.0)], c / 2.0);
+                let rt = MaintenanceRuntime::model(cfg, Box::new(NaiveFlush::new()));
+                ServeServer::spawn(rt, ServerConfig::default())
+            })
+            .collect();
+        let def = ViewDef {
+            name: "v".into(),
+            tables: vec!["t".into()],
+            join_preds: vec![],
+            filters: vec![None],
+            residual: None,
+            projection: None,
+            aggregate: None,
+            distinct: false,
+        };
+        let handles = servers.iter().map(ServeServer::handle).collect();
+        let part = Partitioner::new(2, vec![Some(0)]).unwrap();
+        let router = ShardRouter::new(handles, part, &def, c).unwrap();
+        let cfg = CoordinatorConfig {
+            epoch: Duration::from_millis(5),
+            ..CoordinatorConfig::default()
+        };
+        let coordinator = Coordinator::spawn(router.clone(), cfg);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert!(servers[0].handle().ingest_count(0, 8));
+            let budgets: Vec<f64> = router
+                .sample_metrics()
+                .iter()
+                .map(|(_, m)| m.budget)
+                .collect();
+            if budgets[0] > budgets[1] {
+                break;
+            }
+            assert!(Instant::now() < deadline, "budget never moved: {budgets:?}");
+            thread::sleep(Duration::from_millis(1));
+        }
+        let stats = coordinator.stop();
+        assert!(stats.rebalances > 0);
+        let sum: f64 = stats.last_budgets.iter().sum();
+        assert!((sum - c).abs() <= 1e-3 * c, "{:?}", stats.last_budgets);
+        drop(router);
+        for s in servers {
+            s.shutdown();
+        }
+    }
 
     #[test]
     fn rebalance_policy_parses() {
