@@ -132,7 +132,11 @@ timeout 120 ./target/release/repro chaos --seeds 2 --events 1000 \
 # exactly once, no acked write lost, merged == direct evaluation.
 timeout 120 cargo test -q --release -p aivm-bench --test failover_under_load
 
-echo "==> multi-view registry gate (shared propagation + push subscriptions)"
+echo "==> multi-view registry gate (shared SPJ cores + push subscriptions)"
+# aivm-engine's unit tests (tier-1 covers only the root package, and
+# --fast skips the workspace pass): a sharing group's one core and its
+# leaves match independent views, a late view joins its group with
+# modifications pending, routing and DML reach only dependent groups.
 # Property tests over real sockets: the registry is bit-identical to N
 # independent single-view servers on the same stream; a subscriber
 # killed and resumed at every seq folds each batch exactly once with no
@@ -140,6 +144,7 @@ echo "==> multi-view registry gate (shared propagation + push subscriptions)"
 # snapshot resync without stalling the flush path; 32 views with 64
 # subscribers folding while writers run all land on direct evaluation,
 # every pushed delta's post-fold checksum verified. Timeboxed.
+cargo test -q --release -p aivm-engine
 timeout 120 cargo test -q --release -p aivm-net --test multiview_equivalence \
   --test subscription_resume
 

@@ -201,23 +201,6 @@ impl DeltaTable {
         out
     }
 
-    /// Removes the earliest `k` modifications (fewer if less are
-    /// pending) without materializing their entries, returning how many
-    /// were dropped. This is the shared-propagation path: a view whose
-    /// group leader already took and propagated the identical prefix
-    /// only needs its cursor advanced.
-    pub fn drop_prefix(&mut self, k: usize) -> usize {
-        let k = k.min(self.len());
-        let n_entries: usize = self.tags[self.head_mod..self.head_mod + k]
-            .iter()
-            .map(|t| t.entries())
-            .sum();
-        self.head_mod += k;
-        self.head_entry += n_entries;
-        self.maybe_compact();
-        k
-    }
-
     /// Clones the pending modifications in arrival order (checkpointing
     /// snapshots delta tables this way — the on-disk format is
     /// unchanged by the columnar layout).

@@ -4,7 +4,7 @@
 //! database state* — the currency of the deferred-maintenance machinery
 //! — so a caller can apply them to base tables and route them into view
 //! delta tables in one motion ([`execute_dml`], or
-//! [`crate::catalog::ViewCatalog::execute_sql`] for multi-view setups).
+//! [`crate::registry::ViewRegistry::execute_sql`] for multi-view setups).
 //!
 //! Grammar:
 //!

@@ -75,7 +75,7 @@ pub fn consolidate(rows: Vec<WRow>) -> Vec<WRow> {
 /// Order-independent content checksum of a weighted row set: each
 /// `(row, weight)` pair is hashed with the seedless [`fxhash`] and
 /// combined by wrapping addition. Equal to
-/// [`MaterializedView::result_checksum`](crate::ivm::MaterializedView::result_checksum)
+/// [`ViewLeaf::result_checksum`](crate::ivm::ViewLeaf::result_checksum)
 /// over the same rows, and stable across runs and processes — the
 /// push-subscription protocol uses it so a client folding delta batches
 /// can verify its folded state against the server's published checksum.

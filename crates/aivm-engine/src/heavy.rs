@@ -36,13 +36,11 @@
 //! *where* work happens, never *what* the view contains. The sketch
 //! decays geometrically so drifting streams demote yesterday's hot keys.
 //!
-//! **Registry interaction:** the multi-view [`crate::registry`] drives
-//! propagation through `take_start_delta`/`propagate_chunked`
-//! directly, so only a sharing group's leader uses its state; the
-//! registry's flush reclassifies the leader at the same boundary, and
-//! through the same helper, as `flush` does — which is what keeps a
-//! heavy-light view served as a registry of one classifying exactly as
-//! it does standalone.
+//! **Registry interaction:** the state belongs to a view's SPJ core, so
+//! a [`crate::registry`] sharing group has one set of sketches and
+//! partials, reclassified at the start of the same flush walk a lone
+//! view runs — which is what keeps a heavy-light view served as a
+//! registry of one classifying exactly as it does standalone.
 
 use crate::costmodel::{self, CostConstants};
 use crate::db::{Database, TableId};

@@ -1,9 +1,11 @@
 //! Incremental view maintenance with state-bug-safe compensation.
 //!
-//! A [`MaterializedView`] owns one FIFO delta table per base table (§2 of
-//! the paper) and an incrementally maintained result state. Flushing a
-//! batch of `k` pending modifications of table `R_i` propagates their
-//! join delta into the state:
+//! A [`MaterializedView`] is an SPJ core — one FIFO delta table per base
+//! table (§2 of the paper), the compiled join plans — finished by a
+//! [`ViewLeaf`] holding the incrementally maintained result state. A
+//! [`registry`](crate::registry) sharing group is one core finished by
+//! many leaves. Flushing a batch of `k` pending modifications of table
+//! `R_i` propagates their join delta into every leaf's state:
 //!
 //! ```text
 //! ΔV = δ_i ⋈ ⨝_{j≠i} (physical(R_j) − pending(ΔR_j))
@@ -185,7 +187,7 @@ impl ViewDef {
     }
 
     /// The full logical plan including aggregate/projection, matching
-    /// what [`MaterializedView::result`] materializes.
+    /// what [`ViewLeaf::result`] materializes.
     pub fn full_plan(&self, db: &Database) -> Result<LogicalPlan, EngineError> {
         let spj = self.spj_plan(db)?;
         let plan = if let Some(agg) = &self.aggregate {
@@ -313,7 +315,7 @@ enum Finisher {
 
 /// How far a propagated join delta is prepared before views fold it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Prep {
+enum Prep {
     /// As propagated: a bag merges by key and checks multiplicities
     /// after the whole delta.
     Raw,
@@ -326,7 +328,7 @@ pub(crate) enum Prep {
 
 impl Prep {
     /// Prepares `dj` once for every view that will fold it.
-    pub(crate) fn apply(self, mut dj: Vec<WRow>) -> Vec<WRow> {
+    fn apply(self, mut dj: Vec<WRow>) -> Vec<WRow> {
         if self > Prep::Raw {
             dj = exec::consolidate(dj);
         }
@@ -354,13 +356,13 @@ enum ViewState {
 /// stays valid — equal to the query over each table's processed prefix —
 /// until the next flush replaces it. Readers holding the `Arc` never
 /// block maintenance and can never observe a torn view.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ViewSnapshot {
     /// The view contents as consolidated weighted rows (aggregate views:
     /// weight 1 per group row).
     pub rows: Vec<WRow>,
     /// Order-independent content checksum, equal to
-    /// [`MaterializedView::result_checksum`] at publication time.
+    /// [`ViewLeaf::result_checksum`] at publication time.
     pub checksum: u64,
     /// Pending modification counts per base table at publication — the
     /// staleness vector: how many arrivals the snapshot does *not*
@@ -378,41 +380,67 @@ impl ViewSnapshot {
     }
 }
 
-/// A materialized view with per-table delta tables and incremental
-/// maintenance.
+/// The select-project-join core views share when their tables, join
+/// predicates, filters and residual agree: pending delta tables, join
+/// plans and heavy-light state, held once however many leaves finish it.
 #[derive(Clone, Debug)]
-pub struct MaterializedView {
-    def: ViewDef,
-    table_ids: Vec<TableId>,
+pub(crate) struct SpjCore {
+    /// The founding view's definition; the core reads only its SPJ part.
+    pub(crate) def: ViewDef,
+    pub(crate) table_ids: Vec<TableId>,
     /// Per-table column offsets in the canonical joined schema.
     offsets: Vec<usize>,
     /// The live canonical columns, ascending — what a propagated delta
-    /// row holds: [`ViewDef::live_columns`], or the union over the view's
-    /// sharing group under a [`registry`](crate::registry).
+    /// row holds: the union of the leaves' [`ViewDef::live_columns`].
     live: Vec<usize>,
     /// One plan per start table, and the residual, compiled for `live`.
     plans: Vec<StartPlan>,
     residual: Option<Expr>,
-    finisher: Finisher,
     pending: Vec<DeltaTable>,
-    state: ViewState,
-    min_strategy: MinStrategy,
-    dirty: bool,
-    /// Propagation width for [`MaterializedView::flush`]; 1 = serial.
-    flush_threads: usize,
-    /// Whether every flush republishes the snapshot. On for serving
-    /// stacks ([`MaterializedView::register`] and the serve runtime),
-    /// off for raw [`MaterializedView::new`] views: republication costs
-    /// O(|view|) per flush, which would distort the per-modification
-    /// cost measurements the simulation experiments are built on.
-    snapshot_publishing: bool,
-    /// The snapshot published at the last flush boundary.
-    snapshot: Arc<ViewSnapshot>,
     /// Heavy-light key partitioning state; `None` keeps the classic
     /// unpartitioned propagation (see [`MaterializedView::set_heavy_light`]).
     heavy: Option<HeavyLightState>,
+    /// Propagation width of a flush; 1 = serial.
+    flush_threads: usize,
+}
+
+/// One view's finisher leaf over an SPJ core: its definition, maintained
+/// result state (projection, aggregate, distinct), published snapshot and
+/// counters. [`ViewRegistry::view`](crate::ViewRegistry::view) hands
+/// these out; a [`MaterializedView`] dereferences to its own.
+#[derive(Clone, Debug)]
+pub struct ViewLeaf {
+    def: ViewDef,
+    finisher: Finisher,
+    state: ViewState,
+    min_strategy: MinStrategy,
+    dirty: bool,
+    /// Whether every flush republishes the snapshot. On for serving
+    /// stacks ([`MaterializedView::register`] and the registry), off for
+    /// raw [`MaterializedView::new`] views: republication costs O(|view|)
+    /// per flush, which would distort the per-modification cost
+    /// measurements the simulation experiments are built on.
+    pub(crate) snapshot_publishing: bool,
+    /// The snapshot published at the last flush boundary.
+    snapshot: Arc<ViewSnapshot>,
     /// Cumulative maintenance counters.
     pub stats: MaintenanceStats,
+}
+
+/// A materialized view with per-table delta tables and incremental
+/// maintenance: one SPJ core finished by one [`ViewLeaf`].
+#[derive(Clone, Debug)]
+pub struct MaterializedView {
+    pub(crate) core: SpjCore,
+    pub(crate) leaf: ViewLeaf,
+}
+
+impl std::ops::Deref for MaterializedView {
+    type Target = ViewLeaf;
+
+    fn deref(&self) -> &ViewLeaf {
+        &self.leaf
+    }
 }
 
 /// Report of one flush invocation.
@@ -426,80 +454,22 @@ pub struct FlushReport {
     pub recomputed: bool,
 }
 
-impl MaterializedView {
-    /// Creates the view and initializes its state from the current
-    /// database contents (all delta tables start empty).
-    pub fn new(
-        db: &Database,
-        def: ViewDef,
-        min_strategy: MinStrategy,
-    ) -> Result<Self, EngineError> {
-        let n = def.tables.len();
-        if def.filters.len() != n {
-            return Err(EngineError::Unsupported {
-                message: "one (optional) filter per base table required".into(),
-            });
-        }
-        let table_ids = def
-            .tables
-            .iter()
-            .map(|t| db.table_id(t))
-            .collect::<Result<Vec<_>, _>>()?;
-        let live = def.live_columns(db)?;
-        let mut view = MaterializedView {
-            offsets: def.offsets(db)?,
-            def,
-            table_ids,
-            live: Vec::new(),
-            plans: Vec::new(),
-            residual: None,
-            finisher: Finisher::Whole,
-            pending: (0..n).map(|_| DeltaTable::new()).collect(),
-            state: ViewState::Bag(FxHashMap::default()),
-            min_strategy,
-            dirty: false,
-            flush_threads: default_flush_threads(),
-            snapshot_publishing: false,
-            snapshot: Arc::new(ViewSnapshot {
-                rows: Vec::new(),
-                checksum: 0,
-                staleness: vec![0; n],
-                seq: 0,
-            }),
-            heavy: None,
-            stats: MaintenanceStats::default(),
-        };
-        view.set_live(db, live);
-        view.recompute(db)?;
-        view.stats.recomputes = 0; // initialization is not a recompute
-        view.publish_snapshot();
-        Ok(view)
-    }
-
-    /// The live canonical columns propagated deltas carry.
-    pub(crate) fn live(&self) -> &[usize] {
-        &self.live
-    }
-
-    /// Compiles plans and finisher for a live set covering the view's own
-    /// [`ViewDef::live_columns`]: at construction, and by the registry
-    /// whenever the view's sharing group (hence the union) changes.
-    pub(crate) fn set_live(&mut self, db: &Database, live: Vec<usize>) {
-        self.live = live;
-        let live = &self.live;
+impl Finisher {
+    /// Compiles `def`'s finishing step for the live layout `live`, which
+    /// must cover the view's own [`ViewDef::live_columns`].
+    fn compile(def: &ViewDef, strategy: MinStrategy, live: &[usize]) -> Finisher {
         let pos = |c: usize| live.binary_search(&c).expect("own columns are live");
         let plain = |e: &Expr| match e {
             Expr::Col(c) => Some(pos(*c)),
             _ => None,
         };
-        self.residual = self.def.residual.as_ref().map(|e| e.remap_cols(&pos));
-        self.finisher = match (&self.def.aggregate, &self.def.projection) {
+        match (&def.aggregate, &def.projection) {
             (Some(spec), _) => {
                 let group_by: Vec<usize> = spec.group_by.iter().map(|&c| pos(c)).collect();
                 let ordered = spec.aggs.iter().any(|(func, _, _)| match func {
                     AggFunc::Count => false,
                     AggFunc::Sum | AggFunc::Avg => true,
-                    AggFunc::Min | AggFunc::Max => self.min_strategy == MinStrategy::Recompute,
+                    AggFunc::Min | AggFunc::Max => strategy == MinStrategy::Recompute,
                 });
                 let args = spec.aggs.iter().map(|(_, arg, _)| plain(arg));
                 let canonical =
@@ -522,10 +492,82 @@ impl MaterializedView {
                 Some(cols) => Finisher::Cols(cols),
                 None => Finisher::Exprs(proj.iter().map(|(e, _)| e.remap_cols(&pos)).collect()),
             },
+        }
+    }
+}
+
+impl SpjCore {
+    /// The core of `def`, compiled for `def`'s own live columns, with
+    /// nothing pending.
+    pub(crate) fn new(db: &Database, def: &ViewDef) -> Result<Self, EngineError> {
+        let n = def.tables.len();
+        if def.filters.len() != n {
+            return Err(EngineError::Unsupported {
+                message: "one (optional) filter per base table required".into(),
+            });
+        }
+        let table_ids = (def.tables.iter())
+            .map(|t| db.table_id(t))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut core = SpjCore {
+            def: def.clone(),
+            table_ids,
+            offsets: def.offsets(db)?,
+            live: Vec::new(),
+            plans: Vec::new(),
+            residual: None,
+            pending: (0..n).map(|_| DeltaTable::new()).collect(),
+            heavy: None,
+            flush_threads: 1,
         };
+        core.widen(db, def.live_columns(db)?, &mut []);
+        Ok(core)
+    }
+
+    /// Number of base tables.
+    pub(crate) fn n(&self) -> usize {
+        self.def.tables.len()
+    }
+
+    /// Widens the live set by `cols` — a joining view's own live columns —
+    /// recompiles the residual and one plan per start table for the
+    /// union, and rebases `leaves` onto it.
+    pub(crate) fn widen(&mut self, db: &Database, cols: Vec<usize>, leaves: &mut [ViewLeaf]) {
+        self.live.extend(cols);
+        self.live.sort_unstable();
+        self.live.dedup();
+        let pos = |c: usize| self.live.binary_search(&c).expect("own columns are live");
+        self.residual = self.def.residual.as_ref().map(|e| e.remap_cols(&pos));
         self.plans = (0..self.n())
             .map(|start| self.compile_plan(start, self.join_order(db, start)))
             .collect();
+        for leaf in leaves {
+            leaf.finisher = Finisher::compile(&leaf.def, leaf.min_strategy, &self.live);
+        }
+    }
+
+    /// A leaf finishing this core for `def` (same SPJ core, live columns
+    /// covered by the core's), its state initialised from the processed
+    /// prefix and its first snapshot published.
+    pub(crate) fn new_leaf(
+        &self,
+        db: &Database,
+        def: ViewDef,
+        min_strategy: MinStrategy,
+    ) -> Result<ViewLeaf, EngineError> {
+        let mut leaf = ViewLeaf {
+            finisher: Finisher::compile(&def, min_strategy, &self.live),
+            def,
+            state: ViewState::Bag(FxHashMap::default()),
+            min_strategy,
+            dirty: false,
+            snapshot_publishing: false,
+            snapshot: Arc::default(),
+            stats: MaintenanceStats::default(),
+        };
+        self.recompute(db, &mut leaf)?;
+        leaf.publish(self.pending_counts());
+        Ok(leaf)
     }
 
     /// The join order propagation from `start` prefers right now. Among
@@ -622,237 +664,38 @@ impl MaterializedView {
         }
     }
 
-    /// Registers the view against a mutable database: auto-creates a
-    /// hash index on every join column that lacks one (both sides of
-    /// every equi-join predicate), then initializes the view as
-    /// [`MaterializedView::new`] does.
-    ///
-    /// The created indexes are ordinary table indexes — the table keeps
-    /// them incrementally maintained on every insert/delete/update — so
-    /// `propagate` always has the `join_index` probe path available and
-    /// never degrades to a per-batch `join_scan` (the asymmetric
-    /// per-modification cost shape of §3 depends on it). Registration
-    /// also turns on per-flush snapshot publication (see
-    /// [`MaterializedView::set_snapshot_publishing`]). This is the
-    /// canonical constructor for serving stacks; `new` is for callers
-    /// that manage physical design themselves.
-    pub fn register(
-        db: &mut Database,
-        def: ViewDef,
-        min_strategy: MinStrategy,
-    ) -> Result<Self, EngineError> {
-        Self::ensure_join_indexes(db, &def)?;
-        let mut view = Self::new(db, def, min_strategy)?;
-        view.set_snapshot_publishing(true);
-        Ok(view)
-    }
-
-    /// Creates a hash index on every join column of `def` that does not
-    /// already have one, backfilling existing rows. Idempotent.
-    pub fn ensure_join_indexes(db: &mut Database, def: &ViewDef) -> Result<(), EngineError> {
-        for p in &def.join_preds {
-            for (t, col) in [p.left, p.right] {
-                let name = def.tables.get(t).ok_or_else(|| EngineError::Maintenance {
-                    message: format!("join predicate references table {t} out of range"),
-                })?;
-                let id = db.table_id(name)?;
-                if db.table(id).index_on(col).is_none() {
-                    db.table_mut(id).create_index(IndexKind::Hash, col)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The view definition.
-    pub fn def(&self) -> &ViewDef {
-        &self.def
-    }
-
-    /// Number of base tables.
-    pub fn n(&self) -> usize {
-        self.def.tables.len()
-    }
-
-    /// Position of a base table within the view, by name.
-    pub fn table_position(&self, name: &str) -> Option<usize> {
-        self.def.tables.iter().position(|t| t == name)
-    }
-
-    /// Enables heavy-light partitioned join maintenance (see
-    /// [`crate::heavy`]): per-key frequency tracking on every join
-    /// column, materialized partials for heavy keys, and dynamic
-    /// reclassification at flush boundaries. Results are bit-identical
-    /// to the unpartitioned engine for any configuration — only the
-    /// propagation strategy per key changes.
-    ///
-    /// Call after construction and before ingesting; re-enabling
-    /// mid-life is allowed (state rebuilds from an empty sketch, which
-    /// only resets classification, never results). Under a
-    /// [`crate::registry`] only a sharing group's leader propagates, so
-    /// only the leader's state is live; the registry reclassifies it at
-    /// the same flush boundary [`MaterializedView::flush`] does.
-    pub fn set_heavy_light(
-        &mut self,
-        db: &Database,
-        config: HeavyLightConfig,
-    ) -> Result<(), EngineError> {
-        let mut state = HeavyLightState::build(db, &self.def, config)?;
-        if let Some(old) = &self.heavy {
-            state.stats.promotions = old.stats.promotions;
-            state.stats.demotions = old.stats.demotions;
-        }
-        self.heavy = Some(state);
-        Ok(())
-    }
-
-    /// Disables heavy-light partitioning, dropping all sketches and
-    /// partials. The next flush propagates every key through the light
-    /// path; results are unchanged.
-    pub fn clear_heavy_light(&mut self) {
-        self.heavy = None;
-    }
-
-    /// Whether heavy-light partitioning is enabled.
-    pub fn heavy_light_enabled(&self) -> bool {
-        self.heavy.is_some()
-    }
-
-    /// Per-tracker heavy-light diagnostics (`None` when disabled).
-    pub fn heavy_light_trackers(&self) -> Option<Vec<HeavyTrackerSnapshot>> {
-        self.heavy.as_ref().map(|h| h.tracker_snapshots(&self.def))
-    }
-
     /// Appends a newly arrived modification of the `i`-th base table to
-    /// its delta table. The caller must have already applied it to the
-    /// base table (arrival-time semantics of §2).
-    pub fn enqueue(&mut self, i: usize, m: Modification) {
+    /// its delta table, observing its join keys for heavy-light.
+    pub(crate) fn enqueue(&mut self, i: usize, m: Modification) {
         if let Some(h) = &mut self.heavy {
             h.observe(i, &m);
         }
         self.pending[i].push(m);
-    }
-
-    /// The live-ingest path: applies a newly arrived modification of the
-    /// `i`-th base table to the database and appends it to the view's
-    /// delta table in one step, so callers cannot get the arrival-time
-    /// ordering of [`MaterializedView::enqueue`] wrong. Used by the
-    /// `aivm-serve` runtime's DML ingest.
-    pub fn apply_and_enqueue(
-        &mut self,
-        db: &mut Database,
-        i: usize,
-        m: Modification,
-    ) -> Result<(), EngineError> {
-        if i >= self.n() {
-            return Err(EngineError::Maintenance {
-                message: format!("table index {i} out of range for {}-table view", self.n()),
-            });
-        }
-        db.apply(self.table_ids[i], &m)?;
-        if let Some(h) = &mut self.heavy {
-            h.observe(i, &m);
-        }
-        self.pending[i].push(m);
-        Ok(())
     }
 
     /// Pending modification counts — the paper's state vector `s`.
-    pub fn pending_counts(&self) -> Vec<u64> {
+    pub(crate) fn pending_counts(&self) -> Vec<u64> {
         self.pending.iter().map(|d| d.len() as u64).collect()
     }
 
-    /// The snapshot published at the last flush boundary (construction,
-    /// [`MaterializedView::flush`], or [`MaterializedView::restore_pending`]).
-    ///
-    /// Cloning the `Arc` is O(1); the shared contents are immutable, so
-    /// readers never block maintenance and never see a torn view. The
-    /// snapshot's staleness vector is as of its publication — arrivals
-    /// enqueued since then are not counted in it.
-    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
-        Arc::clone(&self.snapshot)
-    }
-
-    /// Sets how many threads [`MaterializedView::flush`] may use to
-    /// propagate one start-table delta (clamped to ≥ 1). The result is
-    /// bit-identical to the serial path at any width; see
-    /// [`MaterializedView::flush`].
-    pub fn set_flush_threads(&mut self, threads: usize) {
-        self.flush_threads = threads.max(1);
-    }
-
-    /// The configured propagation width (1 = serial).
-    pub fn flush_threads(&self) -> usize {
-        self.flush_threads
-    }
-
-    /// Turns per-flush snapshot republication on or off.
-    ///
-    /// Publication rebuilds the consolidated row set and its checksum,
-    /// an O(|view|) cost per flush (O(1) for a scalar aggregate).
-    /// Serving stacks pay it deliberately so Stale reads are wait-free;
-    /// raw views default to off so flush cost keeps the paper's
-    /// per-modification shape. The construction-time snapshot is always
-    /// published; with publication off, [`MaterializedView::snapshot`]
-    /// keeps returning the last published one (its `seq` tells readers
-    /// how old it is).
-    pub fn set_snapshot_publishing(&mut self, on: bool) {
-        self.snapshot_publishing = on;
-        if on {
-            // Catch the snapshot up to the current state so a consumer
-            // enabling publication mid-life never serves a stale one.
-            self.publish_snapshot();
-        }
-    }
-
-    /// Whether every flush republishes the snapshot.
-    pub fn snapshot_publishing(&self) -> bool {
-        self.snapshot_publishing
-    }
-
-    /// Rebuilds and publishes the flush-boundary snapshot from the
-    /// current state.
-    fn publish_snapshot(&mut self) {
-        let rows = self.result();
-        let checksum = exec::rows_checksum(&rows);
-        self.snapshot = Arc::new(ViewSnapshot {
-            rows,
-            checksum,
-            staleness: self.pending_counts(),
-            seq: self.stats.flushes,
-        });
-    }
-
-    /// The `i`-th table's pending delta as signed-multiset entries
-    /// (diagnostics and test oracles).
-    pub fn pending_weighted(&self, i: usize) -> Vec<WRow> {
-        self.pending[i].weighted()
-    }
-
-    /// An order-independent checksum of the current view contents.
-    ///
-    /// Each `(row, weight)` output pair is hashed with the seedless
-    /// [`crate::fxhash`] and combined by wrapping addition, so the value
-    /// is independent of internal map iteration order and stable across
-    /// runs and processes. Crash-recovery tests use it to assert that a
-    /// recovered view is bit-for-bit equivalent to an uncrashed one.
-    pub fn result_checksum(&self) -> u64 {
-        exec::rows_checksum(&self.result())
-    }
-
-    /// Clones the pending delta tables in arrival order, for inclusion
-    /// in a durability checkpoint alongside a database snapshot.
-    pub fn pending_snapshot(&self) -> Vec<Vec<Modification>> {
+    /// The pending delta tables in arrival order.
+    pub(crate) fn pending_snapshot(&self) -> Vec<Vec<Modification>> {
         self.pending.iter().map(|d| d.to_vec()).collect()
     }
 
+    /// Sets the propagation width (clamped to ≥ 1).
+    pub(crate) fn set_flush_threads(&mut self, threads: usize) {
+        self.flush_threads = threads.max(1);
+    }
+
     /// Restores the pending delta tables from a checkpoint snapshot and
-    /// rebuilds the maintained state against `db` (which must already
-    /// contain every arrival-time application, including the pending
-    /// ones — the §2 arrival semantics the checkpoint was taken under).
-    pub fn restore_pending(
+    /// rebuilds every leaf against `db` (which must already contain every
+    /// arrival-time application, including the pending ones — the §2
+    /// arrival semantics the checkpoint was taken under).
+    pub(crate) fn restore(
         &mut self,
         db: &Database,
+        leaves: &mut [ViewLeaf],
         mods: Vec<Vec<Modification>>,
     ) -> Result<(), EngineError> {
         if mods.len() != self.n() {
@@ -868,185 +711,141 @@ impl MaterializedView {
         if let Some(h) = &mut self.heavy {
             h.reset();
         }
-        self.recompute(db)?;
-        // Like `new`, state (re)construction is not a maintenance-time
-        // recompute.
-        self.stats.recomputes = self.stats.recomputes.saturating_sub(1);
-        self.publish_snapshot();
+        for leaf in leaves {
+            self.recompute(db, leaf)?;
+            leaf.publish(self.pending_counts());
+        }
         Ok(())
     }
 
-    /// Flushes `counts[i]` pending modifications from each base table
-    /// (tables processed in ascending index order).
-    ///
-    /// With [`MaterializedView::set_flush_threads`] above 1, each
-    /// start-table delta is partitioned into fixed contiguous chunks and
-    /// propagated on a scoped thread per chunk, with chunk outputs
-    /// merged back in chunk order. Propagation is read-only over
-    /// `&self` and `db`, and each delta row's join expansion is
-    /// independent of the others, so the merged join delta is the same
-    /// signed multiset the serial path produces — applied to the same
-    /// order-independent state — and the resulting view contents,
-    /// checksum and (on the index-probe path) `FlushReport` are
-    /// bit-identical at any width. A panicking chunk propagates the
-    /// panic to the caller after the scope joins.
-    pub fn flush(&mut self, db: &Database, counts: &[u64]) -> Result<FlushReport, EngineError> {
+    /// The flush walk of a lone view and of a registry sharing group alike:
+    /// flushes `counts[i]` pending modifications of each base table
+    /// (ascending index order) through the core and folds each propagated
+    /// join delta into every leaf. Propagation counters are recorded under
+    /// `leaves[0]`, `mods_processed` under every leaf. Returns the report,
+    /// counted once, and how many start deltas propagated.
+    pub(crate) fn flush(
+        &mut self,
+        db: &Database,
+        leaves: &mut [ViewLeaf],
+        counts: &[u64],
+    ) -> Result<(FlushReport, u64), EngineError> {
         if counts.len() != self.n() {
             return Err(EngineError::Maintenance {
                 message: format!("flush counts arity {} != {}", counts.len(), self.n()),
             });
         }
-        let mut report = FlushReport::default();
-        self.reclassify_heavy(db);
-        for (i, &c) in counts.iter().enumerate() {
-            let k = c as usize;
+        for (i, (&k, pending)) in counts.iter().zip(&self.pending).enumerate() {
+            if k > pending.len() as u64 {
+                return Err(EngineError::Maintenance {
+                    message: format!(
+                        "flush of {k} from table {i} exceeds pending {}",
+                        pending.len()
+                    ),
+                });
+            }
+        }
+        let (mut report, mut propagations) = (FlushReport::default(), 0);
+        // Heavy-light reclassification, a flush-boundary event: keys whose
+        // observed frequency drifted across the threshold migrate between
+        // partitions *before* any prefix is consumed, so the migration
+        // sees the exact processed-prefix state and the flush result is
+        // bit-identical to the unpartitioned engine.
+        if let Some(h) = self.heavy.as_mut() {
+            h.reclassify(db, &self.table_ids, &self.pending, &self.def.filters);
+        }
+        for (i, &k) in counts.iter().enumerate() {
             if k == 0 {
                 continue;
             }
-            let delta = self.take_start_delta(db, i, k)?;
-            report.mods_processed += k as u64;
+            report.mods_processed += k;
+            let order = self.join_order(db, i);
+            if order != self.plans[i].order {
+                self.plans[i] = self.compile_plan(i, order);
+            }
+            // The delta table precomputed the weighted entries at
+            // arrival (columnar layout): the flush reads one contiguous
+            // slice instead of reassembling Modification values.
+            let mut delta: Vec<WRow> = self.pending[i].take_weighted_prefix(k as usize);
+            if let Some(f) = &self.def.filters[i] {
+                delta = exec::filter(delta, f);
+            }
+            // Keep the partials of trackers targeting table `i` equal to
+            // its processed-prefix rows: the prefix just left `pending`.
+            // Partials hold real (full-width) target rows, since other
+            // tables' deltas expand against them.
+            if let Some(h) = self.heavy.as_mut() {
+                h.fold_flushed(i, &delta);
+            }
+            let keep = &self.plans[i].start_keep;
+            if delta.first().is_some_and(|(r, _)| keep.len() < r.len()) {
+                for (r, _) in &mut delta {
+                    *r = r.project(keep);
+                }
+            }
+            // Cancel churn inside the batch before paying join fan-out
+            // for it: an update chain a→b→c contributes (−a,+b,−b,+c)
+            // and the ±b pair would otherwise be propagated through
+            // every join step just to annihilate in the view. On the live
+            // columns, so is an update of columns nothing downstream reads.
+            // The surviving multiset, seen through the live columns, is
+            // identical, so flush results are unchanged.
+            let delta = exec::consolidate(delta);
             if delta.is_empty() {
                 continue; // filtered out, or churn on dead columns only
             }
             let dj = self.propagate_chunked(db, i, delta, &mut report.exec)?;
-            self.apply_delta(&self.prep().apply(dj))?;
-        }
-        self.finish_flush(db, &mut report)?;
-        Ok(report)
-    }
-
-    /// Heavy-light reclassification, a flush-boundary event: keys whose
-    /// observed frequency drifted across the threshold migrate between
-    /// partitions *before* any prefix is consumed, so the migration sees
-    /// the exact processed-prefix state and the flush result is
-    /// bit-identical to the unpartitioned engine. Opens every
-    /// [`MaterializedView::flush`] and every registry flush of a group
-    /// this view leads.
-    pub(crate) fn reclassify_heavy(&mut self, db: &Database) {
-        if let Some(h) = self.heavy.as_mut() {
-            h.reclassify(db, &self.table_ids, &self.pending, &self.def.filters);
-        }
-    }
-
-    /// Consumes the next `k` pending modifications of table `i` and
-    /// returns the start-table delta propagation begins with: locally
-    /// filtered, projected onto the table's live columns, consolidated.
-    /// The first leg of a flush step, split out so the multi-view
-    /// [`registry`](crate::registry) can run it once per sharing group.
-    pub(crate) fn take_start_delta(
-        &mut self,
-        db: &Database,
-        i: usize,
-        k: usize,
-    ) -> Result<Vec<WRow>, EngineError> {
-        self.check_prefix(i, k)?;
-        let order = self.join_order(db, i);
-        if order != self.plans[i].order {
-            self.plans[i] = self.compile_plan(i, order);
-        }
-        // The delta table precomputed the weighted entries at
-        // arrival (columnar layout): the flush reads one contiguous
-        // slice instead of reassembling Modification values.
-        let mut delta: Vec<WRow> = self.pending[i].take_weighted_prefix(k);
-        if let Some(f) = &self.def.filters[i] {
-            delta = exec::filter(delta, f);
-        }
-        // Keep the partials of trackers targeting table `i` equal to
-        // its processed-prefix rows: the prefix just left `pending`.
-        // Partials hold real (full-width) target rows, since other
-        // tables' deltas expand against them.
-        if let Some(h) = self.heavy.as_mut() {
-            h.fold_flushed(i, &delta);
-        }
-        let keep = &self.plans[i].start_keep;
-        if delta.first().is_some_and(|(r, _)| keep.len() < r.len()) {
-            for (r, _) in &mut delta {
-                *r = r.project(keep);
+            propagations += 1;
+            // Prepared once, for the most demanding leaf, then folded by
+            // every leaf from the one slice.
+            let prep = leaves.iter().map(ViewLeaf::prep).max();
+            let dj = prep.expect("a core has leaves").apply(dj);
+            for leaf in leaves.iter_mut() {
+                leaf.apply_delta(&dj)?;
             }
         }
-        // Cancel churn inside the batch before paying join fan-out
-        // for it: an update chain a→b→c contributes (−a,+b,−b,+c)
-        // and the ±b pair would otherwise be propagated through
-        // every join step just to annihilate in the view. On the live
-        // columns, so is an update of columns nothing downstream reads.
-        // The surviving multiset, seen through the live columns, is
-        // identical, so flush results are unchanged.
-        Ok(exec::consolidate(delta))
-    }
-
-    /// Consumes the next `k` pending modifications of table `i` without
-    /// materializing them — the group-member leg of a shared flush step,
-    /// where the leader's identical prefix was already propagated.
-    pub(crate) fn discard_start_prefix(&mut self, i: usize, k: usize) -> Result<(), EngineError> {
-        self.check_prefix(i, k)?;
-        self.pending[i].drop_prefix(k);
-        Ok(())
-    }
-
-    fn check_prefix(&self, i: usize, k: usize) -> Result<(), EngineError> {
-        if k > self.pending[i].len() {
-            return Err(EngineError::Maintenance {
-                message: format!(
-                    "flush of {k} from table {i} exceeds pending {}",
-                    self.pending[i].len()
-                ),
-            });
+        for (j, leaf) in leaves.iter_mut().enumerate() {
+            if leaf.dirty {
+                self.recompute(db, leaf)?;
+                leaf.stats.recomputes += 1;
+                report.recomputed = true;
+            }
+            leaf.stats.flushes += 1;
+            leaf.stats.mods_processed += report.mods_processed;
+            if j == 0 {
+                leaf.stats.exec.merge(&report.exec);
+                if let Some(h) = &self.heavy {
+                    leaf.stats.heavy = h.stats;
+                }
+            }
+            if leaf.snapshot_publishing {
+                leaf.publish(self.pending_counts());
+            }
         }
-        Ok(())
-    }
-
-    /// The preparation [`Self::apply_delta`] needs of a join delta.
-    pub(crate) fn prep(&self) -> Prep {
-        match self.finisher {
-            Finisher::Agg { prep, .. } => prep,
-            _ => Prep::Raw,
-        }
-    }
-
-    /// Closes out one flush invocation: resolves a dirty extremum via
-    /// recompute, folds the report into the cumulative stats, advances
-    /// the flush sequence and republishes the snapshot.
-    pub(crate) fn finish_flush(
-        &mut self,
-        db: &Database,
-        report: &mut FlushReport,
-    ) -> Result<(), EngineError> {
-        if self.dirty {
-            self.recompute(db)?;
-            report.recomputed = true;
-        }
-        self.stats.flushes += 1;
-        self.stats.mods_processed += report.mods_processed;
-        self.stats.exec.merge(&report.exec);
-        if let Some(h) = &self.heavy {
-            self.stats.heavy = h.stats;
-        }
-        if self.snapshot_publishing {
-            self.publish_snapshot();
-        }
-        Ok(())
+        Ok((report, propagations))
     }
 
     /// Propagates a start-table delta of table `start` through the join
     /// with compensation, returning the join delta on the live layout
-    /// with the residual applied. Read-only; depends only on the SPJ
-    /// core, the live set and the pending compensation state, which is
-    /// what makes the output shareable across views with the same SPJ
-    /// signature and lockstep pending deltas.
+    /// with the residual applied, split across the flush threads when it
+    /// is large enough to pay for the spawns.
     ///
-    /// The delta is split across the configured flush threads when it is
-    /// large enough to pay for the spawns. Chunking is deterministic
-    /// (fixed contiguous ranges) and outputs merge in chunk order;
-    /// per-chunk [`ExecStats`] sum into `stats` (probes are per delta
-    /// row, so the counters match the serial path).
-    pub(crate) fn propagate_chunked(
+    /// Chunks are fixed contiguous ranges, each propagated on a scoped
+    /// thread, and outputs merge in chunk order. Propagation is read-only
+    /// and each delta row's join expansion is independent, so the merged
+    /// join delta is the signed multiset the serial path produces, folded
+    /// into order-independent state: contents, checksums and (on the
+    /// index-probe path, probes being per delta row) the per-chunk
+    /// [`ExecStats`] summed into `stats` are bit-identical at any width. A
+    /// panicking chunk resurfaces after the scope joins.
+    fn propagate_chunked(
         &self,
         db: &Database,
         start: usize,
         delta: Vec<WRow>,
         stats: &mut ExecStats,
     ) -> Result<Vec<WRow>, EngineError> {
-        let threads = self.flush_threads.max(1);
+        let threads = self.flush_threads;
         if threads == 1 || delta.len() < MIN_PARALLEL_DELTA.max(threads) {
             return self.propagate(db, start, delta, stats);
         }
@@ -1080,12 +879,6 @@ impl MaterializedView {
             out.extend(rows);
         }
         Ok(out)
-    }
-
-    /// Flushes everything pending (the refresh action at time `T`).
-    pub fn refresh(&mut self, db: &Database) -> Result<FlushReport, EngineError> {
-        let counts = self.pending_counts();
-        self.flush(db, &counts)
     }
 
     /// Propagates a start-table delta through the other tables, one
@@ -1163,11 +956,92 @@ impl MaterializedView {
         Ok(stream)
     }
 
+    /// Rebuilds a leaf's state from the processed-prefix table states
+    /// (`physical − pending`): the whole join, pruned to the live layout,
+    /// folded into an empty state.
+    fn recompute(&self, db: &Database, leaf: &mut ViewLeaf) -> Result<(), EngineError> {
+        let spj = self.def.spj_plan(db)?;
+        // Overlay: compensated contents per table. Filters already live
+        // in the Scan nodes, so the overlay provides raw rows.
+        let overlay = |name: &str| -> Option<Vec<WRow>> {
+            let i = self.def.tables.iter().rposition(|t| t == name)?;
+            let table = db.table(self.table_ids[i]);
+            let mut rows: Vec<WRow> = table.iter().map(|(_, r)| (r.clone(), 1)).collect();
+            rows.extend(self.pending[i].weighted().into_iter().map(|(r, w)| (r, -w)));
+            Some(rows)
+        };
+        let mut j = spj.execute_with(db, &overlay)?;
+        for (row, _) in &mut j {
+            *row = row.project(&self.live);
+        }
+        leaf.state = match leaf.finisher {
+            Finisher::Agg { .. } => ViewState::Agg(FxHashMap::default()),
+            _ => ViewState::Bag(FxHashMap::default()),
+        };
+        leaf.apply_delta(&leaf.prep().max(Prep::Consolidated).apply(j))?;
+        leaf.dirty = false;
+        Ok(())
+    }
+}
+
+impl ViewLeaf {
+    /// The view definition.
+    pub fn def(&self) -> &ViewDef {
+        &self.def
+    }
+
+    /// Number of base tables.
+    pub fn n(&self) -> usize {
+        self.def.tables.len()
+    }
+
+    /// Position of a base table within the view, by name.
+    pub fn table_position(&self, name: &str) -> Option<usize> {
+        self.def.tables.iter().position(|t| t == name)
+    }
+
+    /// The snapshot published at the last flush boundary (construction,
+    /// [`MaterializedView::flush`], or [`MaterializedView::restore_pending`]).
+    ///
+    /// Cloning the `Arc` is O(1); the shared contents are immutable, so
+    /// readers never block maintenance and never see a torn view. The
+    /// snapshot's staleness vector is as of its publication — arrivals
+    /// enqueued since then are not counted in it.
+    pub fn snapshot(&self) -> Arc<ViewSnapshot> {
+        Arc::clone(&self.snapshot)
+    }
+
+    /// Whether every flush republishes the snapshot.
+    pub fn snapshot_publishing(&self) -> bool {
+        self.snapshot_publishing
+    }
+
+    /// Rebuilds and publishes the flush-boundary snapshot from the
+    /// current state; `staleness` is the core's pending counts.
+    fn publish(&mut self, staleness: Vec<u64>) {
+        let rows = self.result();
+        let checksum = exec::rows_checksum(&rows);
+        self.snapshot = Arc::new(ViewSnapshot {
+            rows,
+            checksum,
+            staleness,
+            seq: self.stats.flushes,
+        });
+    }
+
+    /// The preparation [`Self::apply_delta`] needs of a join delta.
+    fn prep(&self) -> Prep {
+        match self.finisher {
+            Finisher::Agg { prep, .. } => prep,
+            _ => Prep::Raw,
+        }
+    }
+
     /// Applies a propagated join delta (on the live layout, prepared to
     /// at least [`Self::prep`]) to the view state; projection /
     /// aggregate / distinct are per-view and happen here, not in
     /// propagation.
-    pub(crate) fn apply_delta(&mut self, dj: &[WRow]) -> Result<(), EngineError> {
+    fn apply_delta(&mut self, dj: &[WRow]) -> Result<(), EngineError> {
         let strategy = self.min_strategy;
         match (&mut self.state, &self.finisher) {
             (
@@ -1254,32 +1128,15 @@ impl MaterializedView {
         }
     }
 
-    /// Rebuilds the state from the processed-prefix table states
-    /// (`physical − pending`): the whole join, pruned to the live layout,
-    /// folded into an empty state.
-    fn recompute(&mut self, db: &Database) -> Result<(), EngineError> {
-        let spj = self.def.spj_plan(db)?;
-        // Overlay: compensated contents per table. Filters already live
-        // in the Scan nodes, so the overlay provides raw rows.
-        let overlay = |name: &str| -> Option<Vec<WRow>> {
-            let i = self.def.tables.iter().rposition(|t| t == name)?;
-            let table = db.table(self.table_ids[i]);
-            let mut rows: Vec<WRow> = table.iter().map(|(_, r)| (r.clone(), 1)).collect();
-            rows.extend(self.pending[i].weighted().into_iter().map(|(r, w)| (r, -w)));
-            Some(rows)
-        };
-        let mut j = spj.execute_with(db, &overlay)?;
-        for (row, _) in &mut j {
-            *row = row.project(&self.live);
-        }
-        self.state = match self.finisher {
-            Finisher::Agg { .. } => ViewState::Agg(FxHashMap::default()),
-            _ => ViewState::Bag(FxHashMap::default()),
-        };
-        self.apply_delta(&self.prep().max(Prep::Consolidated).apply(j))?;
-        self.dirty = false;
-        self.stats.recomputes += 1;
-        Ok(())
+    /// An order-independent checksum of the current view contents.
+    ///
+    /// Each `(row, weight)` output pair is hashed with the seedless
+    /// [`crate::fxhash`] and combined by wrapping addition, so the value
+    /// is independent of internal map iteration order and stable across
+    /// runs and processes. Crash-recovery tests use it to assert that a
+    /// recovered view is bit-for-bit equivalent to an uncrashed one.
+    pub fn result_checksum(&self) -> u64 {
+        exec::rows_checksum(&self.result())
     }
 
     /// The current view contents as consolidated weighted rows.
@@ -1339,15 +1196,206 @@ impl MaterializedView {
     }
 }
 
-/// Initial propagation width for new views: `AIVM_FLUSH_THREADS` when
-/// set and parseable, else 1 (serial). Callers override per view with
-/// [`MaterializedView::set_flush_threads`].
-fn default_flush_threads() -> usize {
-    std::env::var("AIVM_FLUSH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(1)
-        .max(1)
+impl MaterializedView {
+    /// Creates the view and initializes its state from the current
+    /// database contents (all delta tables start empty).
+    pub fn new(
+        db: &Database,
+        def: ViewDef,
+        min_strategy: MinStrategy,
+    ) -> Result<Self, EngineError> {
+        let core = SpjCore::new(db, &def)?;
+        let leaf = core.new_leaf(db, def, min_strategy)?;
+        Ok(MaterializedView { core, leaf })
+    }
+
+    /// Registers the view against a mutable database: auto-creates a
+    /// hash index on every join column that lacks one (both sides of
+    /// every equi-join predicate), then initializes the view as
+    /// [`MaterializedView::new`] does.
+    ///
+    /// The created indexes are ordinary table indexes — the table keeps
+    /// them incrementally maintained on every insert/delete/update — so
+    /// `propagate` always has the `join_index` probe path available and
+    /// never degrades to a per-batch `join_scan` (the asymmetric
+    /// per-modification cost shape of §3 depends on it). Registration
+    /// also turns on per-flush snapshot publication (see
+    /// [`MaterializedView::set_snapshot_publishing`]). This is the
+    /// canonical constructor for serving stacks; `new` is for callers
+    /// that manage physical design themselves.
+    pub fn register(
+        db: &mut Database,
+        def: ViewDef,
+        min_strategy: MinStrategy,
+    ) -> Result<Self, EngineError> {
+        Self::ensure_join_indexes(db, &def)?;
+        let mut view = Self::new(db, def, min_strategy)?;
+        view.set_snapshot_publishing(true);
+        Ok(view)
+    }
+
+    /// Creates a hash index on every join column of `def` that does not
+    /// already have one, backfilling existing rows. Idempotent.
+    pub fn ensure_join_indexes(db: &mut Database, def: &ViewDef) -> Result<(), EngineError> {
+        for p in &def.join_preds {
+            for (t, col) in [p.left, p.right] {
+                let name = def.tables.get(t).ok_or_else(|| EngineError::Maintenance {
+                    message: format!("join predicate references table {t} out of range"),
+                })?;
+                let id = db.table_id(name)?;
+                if db.table(id).index_on(col).is_none() {
+                    db.table_mut(id).create_index(IndexKind::Hash, col)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Enables heavy-light partitioned join maintenance (see
+    /// [`crate::heavy`]): per-key frequency tracking on every join
+    /// column, materialized partials for heavy keys, and dynamic
+    /// reclassification at flush boundaries. Results are bit-identical
+    /// to the unpartitioned engine for any configuration — only the
+    /// propagation strategy per key changes.
+    ///
+    /// Call after construction and before ingesting; re-enabling
+    /// mid-life is allowed (state rebuilds from an empty sketch, which
+    /// only resets classification, never results). The state belongs to
+    /// the view's SPJ core, so under a [`crate::registry`] it serves the
+    /// whole sharing group.
+    pub fn set_heavy_light(
+        &mut self,
+        db: &Database,
+        config: HeavyLightConfig,
+    ) -> Result<(), EngineError> {
+        let mut state = HeavyLightState::build(db, &self.core.def, config)?;
+        if let Some(old) = &self.core.heavy {
+            state.stats.promotions = old.stats.promotions;
+            state.stats.demotions = old.stats.demotions;
+        }
+        self.core.heavy = Some(state);
+        Ok(())
+    }
+
+    /// Disables heavy-light partitioning, dropping all sketches and
+    /// partials. The next flush propagates every key through the light
+    /// path; results are unchanged.
+    pub fn clear_heavy_light(&mut self) {
+        self.core.heavy = None;
+    }
+
+    /// Whether heavy-light partitioning is enabled.
+    pub fn heavy_light_enabled(&self) -> bool {
+        self.core.heavy.is_some()
+    }
+
+    /// Per-tracker heavy-light diagnostics (`None` when disabled).
+    pub fn heavy_light_trackers(&self) -> Option<Vec<HeavyTrackerSnapshot>> {
+        (self.core.heavy.as_ref()).map(|h| h.tracker_snapshots(&self.core.def))
+    }
+
+    /// Appends a newly arrived modification of the `i`-th base table to
+    /// its delta table. The caller must have already applied it to the
+    /// base table (arrival-time semantics of §2).
+    pub fn enqueue(&mut self, i: usize, m: Modification) {
+        self.core.enqueue(i, m);
+    }
+
+    /// The live-ingest path: applies a newly arrived modification of the
+    /// `i`-th base table to the database and appends it to the view's
+    /// delta table in one step, so callers cannot get the arrival-time
+    /// ordering of [`MaterializedView::enqueue`] wrong.
+    pub fn apply_and_enqueue(
+        &mut self,
+        db: &mut Database,
+        i: usize,
+        m: Modification,
+    ) -> Result<(), EngineError> {
+        if i >= self.n() {
+            return Err(EngineError::Maintenance {
+                message: format!("table index {i} out of range for {}-table view", self.n()),
+            });
+        }
+        db.apply(self.core.table_ids[i], &m)?;
+        self.core.enqueue(i, m);
+        Ok(())
+    }
+
+    /// Pending modification counts — the paper's state vector `s`.
+    pub fn pending_counts(&self) -> Vec<u64> {
+        self.core.pending_counts()
+    }
+
+    /// Sets how many threads [`MaterializedView::flush`] may use to
+    /// propagate one start-table delta (clamped to ≥ 1). The result is
+    /// bit-identical to the serial path at any width; see
+    /// [`MaterializedView::flush`].
+    pub fn set_flush_threads(&mut self, threads: usize) {
+        self.core.set_flush_threads(threads);
+    }
+
+    /// The configured propagation width (1 = serial).
+    pub fn flush_threads(&self) -> usize {
+        self.core.flush_threads
+    }
+
+    /// Turns per-flush snapshot republication on or off.
+    ///
+    /// Publication rebuilds the consolidated row set and its checksum,
+    /// an O(|view|) cost per flush (O(1) for a scalar aggregate).
+    /// Serving stacks pay it deliberately so Stale reads are wait-free;
+    /// raw views default to off so flush cost keeps the paper's
+    /// per-modification shape. The construction-time snapshot is always
+    /// published; with publication off, [`ViewLeaf::snapshot`] keeps
+    /// returning the last published one (its `seq` tells readers how old
+    /// it is).
+    pub fn set_snapshot_publishing(&mut self, on: bool) {
+        self.leaf.snapshot_publishing = on;
+        if on {
+            // Catch the snapshot up to the current state so a consumer
+            // enabling publication mid-life never serves a stale one.
+            self.leaf.publish(self.core.pending_counts());
+        }
+    }
+
+    /// The `i`-th table's pending delta as signed-multiset entries
+    /// (diagnostics and test oracles).
+    pub fn pending_weighted(&self, i: usize) -> Vec<WRow> {
+        self.core.pending[i].weighted()
+    }
+
+    /// Clones the pending delta tables in arrival order, for inclusion
+    /// in a durability checkpoint alongside a database snapshot.
+    pub fn pending_snapshot(&self) -> Vec<Vec<Modification>> {
+        self.core.pending_snapshot()
+    }
+
+    /// Restores the pending delta tables from a checkpoint snapshot and
+    /// rebuilds the maintained state against `db` (which must already
+    /// contain every arrival-time application, including the pending
+    /// ones — the §2 arrival semantics the checkpoint was taken under).
+    pub fn restore_pending(
+        &mut self,
+        db: &Database,
+        mods: Vec<Vec<Modification>>,
+    ) -> Result<(), EngineError> {
+        self.core
+            .restore(db, std::slice::from_mut(&mut self.leaf), mods)
+    }
+
+    /// Flushes `counts[i]` pending modifications from each base table
+    /// (tables processed in ascending index order), bit-identically at
+    /// any [`MaterializedView::set_flush_threads`] width.
+    pub fn flush(&mut self, db: &Database, counts: &[u64]) -> Result<FlushReport, EngineError> {
+        let leaves = std::slice::from_mut(&mut self.leaf);
+        Ok(self.core.flush(db, leaves, counts)?.0)
+    }
+
+    /// Flushes everything pending (the refresh action at time `T`).
+    pub fn refresh(&mut self, db: &Database) -> Result<FlushReport, EngineError> {
+        let counts = self.pending_counts();
+        self.flush(db, &counts)
+    }
 }
 
 /// Folds delta rows into aggregate groups. `key_cols` locates a row's
@@ -1552,7 +1600,7 @@ mod tests {
             .tables
             .iter()
             .enumerate()
-            .map(|(i, name)| (name.clone(), view.pending[i].weighted()))
+            .map(|(i, name)| (name.clone(), view.pending_weighted(i)))
             .collect();
         let overlay = |name: &str| -> Option<Vec<WRow>> {
             let (_, pend) = pending.iter().find(|(n, _)| n == name)?;

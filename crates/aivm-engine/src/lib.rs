@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod catalog;
 pub mod codec;
 pub mod costmodel;
 pub mod db;
@@ -29,7 +28,6 @@ pub mod table;
 pub mod value;
 
 pub use aivm_core::fxhash;
-pub use catalog::{ViewCatalog, ViewId};
 pub use codec::{restore, snapshot};
 pub use costmodel::{
     estimate_cost_functions, explain_propagation, AccessPath, CostConstants, JoinStepExplain,
@@ -45,11 +43,11 @@ pub use heavy::{HeavyLightConfig, HeavyLightStats, HeavyTrackerSnapshot, SpaceSa
 pub use index::{Index, IndexKind, RowId};
 pub use ivm::{
     AggSpec, FlushReport, JoinPred, MaintenanceStats, MaterializedView, MinStrategy, ViewDef,
-    ViewSnapshot,
+    ViewLeaf, ViewSnapshot,
 };
 pub use logical::{AggFunc, LogicalPlan};
 pub use measure::{measure_cost_function, CostMeasurement, MeasureConfig};
-pub use registry::{Cell, RegistryFlushReport, RegistryStats, ViewRegistry};
+pub use registry::{Cell, RegistryFlushReport, RegistryStats, ViewId, ViewRegistry};
 pub use schema::{Column, Row, Schema};
 pub use sql::{parse_query, parse_view};
 pub use table::Table;

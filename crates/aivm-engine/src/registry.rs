@@ -5,43 +5,42 @@
 //! second axis. [`ViewRegistry`] owns the database plus any number of
 //! registered views and:
 //!
-//! * routes every base-table modification into the delta tables of
-//!   exactly the views that reference that table (arrival-time
-//!   application happens once, to the shared database);
 //! * groups views by their *SPJ signature* — identical `(tables,
-//!   join_preds, filters, residual)` — and propagates each start-table
-//!   delta batch **once per group**, carrying the union of the members'
-//!   live columns. The join delta is consolidated once and every member
-//!   folds its own projection / aggregate / distinct from that one
-//!   shared slice. Propagation (the join fan-out with compensation) is
-//!   the dominant maintenance cost, so a group of `m` views pays ~1/m
-//!   of the independent cost;
+//!   join_preds, filters, residual)` — into sharing groups. A group is
+//!   one SPJ core (pending delta tables, join plans compiled for the
+//!   union of the members' live columns, heavy-light state) finished by
+//!   one leaf per member (projection / aggregate / distinct, state,
+//!   snapshot). A group of `m` views holds each pending modification
+//!   once and propagates each start-table delta batch once; every leaf
+//!   folds the one prepared join delta. Propagation (the join fan-out
+//!   with compensation) is the dominant maintenance cost, so the group
+//!   pays ~1/m of the independent cost;
+//! * routes every base-table modification into the core of exactly the
+//!   groups that reference that table (arrival-time application happens
+//!   once, to the shared database);
 //! * exposes a flattened *(group × table)* cell axis so a scheduler can
 //!   run the paper's knapsack over "which view × which table to flush"
-//!   directly: each cell's pending count is the group's (lockstep)
-//!   per-table backlog, and flushing a cell advances every member.
+//!   directly: a cell's pending count is its core's per-table backlog,
+//!   and flushing a cell advances every member.
+//!
+//! A group is flushed by the same walk a lone [`MaterializedView`] runs,
+//! over its core and all its leaves. A view registered later joins its
+//! group whatever the group has pending: the core widens to the new live
+//! columns and the new leaf initialises from the processed prefix.
 //!
 //! The sharing rule is exact-SPJ-core equality, not proper join-tree
-//! prefixes: compensation state is per view, and splicing a shared
-//! prefix into differently-shaped suffixes would need per-view residual
-//! compensation mid-tree. Exact matching captures the production case —
-//! many dashboards/aggregations over one canonical join — and degrades
-//! to fully independent maintenance when every view is distinct.
-//!
-//! **Lockstep invariant.** Members of a group always hold identical
-//! pending delta tables: ingest fans out clones of the same
-//! modification, and flushes consume identical prefixes group-wide. A
-//! view can therefore only *join* an existing group while that group has
-//! nothing pending (in practice: register views before streaming); a
-//! signature match against a mid-stream group starts a new group
-//! instead, which is conservative but never wrong.
+//! prefixes: splicing a shared prefix into differently-shaped suffixes
+//! would need per-view residual compensation mid-tree. Exact matching
+//! captures the production case — many dashboards/aggregations over one
+//! canonical join — and degrades to fully independent maintenance when
+//! every view is distinct.
 
 use crate::db::{Database, TableId};
 use crate::delta::Modification;
+use crate::dml::compile_dml;
 use crate::error::EngineError;
 use crate::exec::{ExecStats, WRow};
-use crate::ivm::{FlushReport, MaterializedView, MinStrategy, ViewDef, ViewSnapshot};
-use std::collections::HashMap;
+use crate::ivm::{MaterializedView, MinStrategy, SpjCore, ViewDef, ViewLeaf, ViewSnapshot};
 use std::sync::Arc;
 
 /// Identifier of a view within a [`ViewRegistry`].
@@ -63,9 +62,9 @@ pub struct Cell {
 pub struct RegistryStats {
     /// Join propagations actually executed.
     pub propagations: u64,
-    /// Propagations *saved* by sharing — one per non-leader member each
-    /// time a group's delta is propagated (an independent runtime would
-    /// have paid each of these).
+    /// Propagations *saved* by sharing — one per member beyond the first
+    /// each time a group's delta is propagated (an independent runtime
+    /// would have paid each of these).
     pub shared_propagations: u64,
 }
 
@@ -76,21 +75,19 @@ pub struct RegistryFlushReport {
     /// accounting of independent per-view runtimes).
     pub mods_processed: u64,
     /// Executor counters for the propagations this flush ran (shared
-    /// propagations appear once, under the group leader).
+    /// propagations appear once, under the group's first member).
     pub exec: ExecStats,
     /// Views whose flush sequence advanced (any cell of their group had
     /// a non-zero count).
     pub touched: Vec<ViewId>,
-    /// Full recomputations triggered (dirty extremum resolution).
-    pub recomputes: u64,
 }
 
-/// A group of views sharing one SPJ core (and, by the lockstep
-/// invariant, identical pending delta tables).
+/// A group of views sharing one SPJ core.
 #[derive(Clone, Debug)]
 struct ShareGroup {
-    /// Member view ids; `members[0]` is the leader whose delta tables
-    /// and compensation state drive the shared propagation.
+    core: SpjCore,
+    /// One finisher leaf per member, parallel to `members`.
+    leaves: Vec<ViewLeaf>,
     members: Vec<ViewId>,
 }
 
@@ -99,15 +96,12 @@ struct ShareGroup {
 #[derive(Clone, Debug)]
 pub struct ViewRegistry {
     db: Database,
-    views: Vec<MaterializedView>,
-    names: HashMap<String, ViewId>,
-    /// `routes[table_id]` = views referencing that base table, with the
-    /// table's position inside each view.
-    routes: Vec<Vec<(ViewId, usize)>>,
     groups: Vec<ShareGroup>,
-    /// View id → its group's index.
-    group_of: Vec<usize>,
-    /// The flattened scheduling axis, one entry per (group, table).
+    /// View id → (its group, its position among the group's members).
+    slots: Vec<(usize, usize)>,
+    /// The flattened scheduling axis, one entry per (group, table). Group
+    /// cells are created together, so each group's cells form one
+    /// contiguous run in table order, and groups follow in index order.
     cells: Vec<Cell>,
     stats: RegistryStats,
 }
@@ -127,14 +121,10 @@ fn same_spj_core(a: &ViewDef, b: &ViewDef) -> bool {
 impl ViewRegistry {
     /// Wraps a database with no views yet.
     pub fn new(db: Database) -> Self {
-        let tables = db.table_count();
         ViewRegistry {
             db,
-            views: Vec::new(),
-            names: HashMap::new(),
-            routes: vec![Vec::new(); tables],
             groups: Vec::new(),
-            group_of: Vec::new(),
+            slots: Vec::new(),
             cells: Vec::new(),
             stats: RegistryStats::default(),
         }
@@ -147,7 +137,7 @@ impl ViewRegistry {
 
     /// Number of registered views.
     pub fn view_count(&self) -> usize {
-        self.views.len()
+        self.slots.len()
     }
 
     /// Number of sharing groups.
@@ -157,30 +147,46 @@ impl ViewRegistry {
 
     /// The sharing group a view belongs to.
     pub fn group_of(&self, id: ViewId) -> usize {
-        self.group_of[id]
+        self.slots[id].0
     }
 
-    /// Member views of a sharing group (the leader first).
+    /// Member views of a sharing group, in registration order.
     pub fn group_members(&self, group: usize) -> &[ViewId] {
         &self.groups[group].members
     }
 
     /// Registers a view (auto-creating join indexes and turning on
-    /// snapshot publication, like [`MaterializedView::register`]) and
-    /// assigns it to a sharing group: an existing group with the same
-    /// SPJ core and nothing pending, else a new one.
+    /// snapshot publication, like [`MaterializedView::register`]). A view
+    /// whose SPJ core matches an existing group joins it, pending
+    /// modifications and all: the core widens to the view's live columns
+    /// and its leaf initialises from the processed prefix. Otherwise the
+    /// view opens a new group.
     pub fn register_view(
         &mut self,
         def: ViewDef,
         strategy: MinStrategy,
     ) -> Result<ViewId, EngineError> {
-        if self.names.contains_key(&def.name) {
+        if self.view_id(&def.name).is_some() {
             return Err(EngineError::Unsupported {
                 message: format!("view {} already exists", def.name),
             });
         }
-        let view = MaterializedView::register(&mut self.db, def, strategy)?;
-        self.insert(view)
+        MaterializedView::ensure_join_indexes(&mut self.db, &def)?;
+        let same_core = |g: &ShareGroup| same_spj_core(&g.core.def, &def);
+        let (g, leaf) = match self.groups.iter().position(same_core) {
+            Some(g) => {
+                let group = &mut self.groups[g];
+                let cols = def.live_columns(&self.db)?;
+                group.core.widen(&self.db, cols, &mut group.leaves);
+                (g, group.core.new_leaf(&self.db, def, strategy)?)
+            }
+            None => {
+                let core = SpjCore::new(&self.db, &def)?;
+                let leaf = core.new_leaf(&self.db, def, strategy)?;
+                (self.open_group(core), leaf)
+            }
+        };
+        Ok(self.add_member(g, leaf))
     }
 
     /// A registry of one: wraps `db` and a view already built over it,
@@ -191,80 +197,56 @@ impl ViewRegistry {
     pub fn adopt(db: Database, mut view: MaterializedView) -> Result<Self, EngineError> {
         view.set_snapshot_publishing(true);
         let mut reg = ViewRegistry::new(db);
-        reg.insert(view)?;
+        let g = reg.open_group(view.core);
+        reg.add_member(g, view.leaf);
         Ok(reg)
     }
 
-    /// Routes a new view's tables, assigns its sharing group and
-    /// rebases the group onto the union of its members' live columns.
-    fn insert(&mut self, view: MaterializedView) -> Result<ViewId, EngineError> {
-        let id = self.views.len();
-        for (pos, table_name) in view.def().tables.iter().enumerate() {
-            let table_id = self.db.table_id(table_name)?;
-            if table_id >= self.routes.len() {
-                self.routes.resize(table_id + 1, Vec::new());
-            }
-            self.routes[table_id].push((id, pos));
-        }
-        let group = self.assign_group(id, view.def());
-        self.group_of.push(group);
-        self.names.insert(view.def().name.clone(), id);
-        self.views.push(view);
-        // A group's shared deltas carry the union of its members' live
-        // columns. Membership changed, so every member recompiles its
-        // plans and rebases its finisher onto the new union.
-        let members = &self.groups[group].members;
-        if members.len() > 1 {
-            let mut live = [self.views[members[0]].live(), self.views[id].live()].concat();
-            live.sort_unstable();
-            live.dedup();
-            for &v in members {
-                self.views[v].set_live(&self.db, live.clone());
-            }
-        }
-        Ok(id)
+    /// Opens a sharing group around `core`, with one cell per table.
+    fn open_group(&mut self, core: SpjCore) -> usize {
+        let g = self.groups.len();
+        let cells = (0..core.n()).map(|table| Cell { group: g, table });
+        self.cells.extend(cells);
+        self.groups.push(ShareGroup {
+            core,
+            leaves: Vec::new(),
+            members: Vec::new(),
+        });
+        g
     }
 
-    /// Finds (or creates) the sharing group for a new view. Joining an
-    /// existing group requires the lockstep invariant to hold from the
-    /// start: the group must have no pending modifications, because the
-    /// new view's (empty) delta tables must match its members'.
-    fn assign_group(&mut self, id: ViewId, def: &ViewDef) -> usize {
-        for (g, group) in self.groups.iter_mut().enumerate() {
-            let leader = &self.views[group.members[0]];
-            if same_spj_core(leader.def(), def) && leader.pending_counts().iter().all(|&c| c == 0) {
-                group.members.push(id);
-                return g;
-            }
-        }
-        let g = self.groups.len();
-        for table in 0..def.tables.len() {
-            self.cells.push(Cell { group: g, table });
-        }
-        self.groups.push(ShareGroup { members: vec![id] });
-        g
+    /// Appends a leaf to group `g` as a new publishing member view.
+    fn add_member(&mut self, g: usize, mut leaf: ViewLeaf) -> ViewId {
+        let id = self.slots.len();
+        leaf.snapshot_publishing = true;
+        let group = &mut self.groups[g];
+        self.slots.push((g, group.leaves.len()));
+        group.leaves.push(leaf);
+        group.members.push(id);
+        id
     }
 
     /// Resolves a view by name.
     pub fn view_id(&self, name: &str) -> Option<ViewId> {
-        self.names.get(name).copied()
+        (0..self.view_count()).find(|&v| self.view(v).def().name == name)
     }
 
-    /// Read access to a view.
-    pub fn view(&self, id: ViewId) -> &MaterializedView {
-        &self.views[id]
+    /// Read access to a view's finisher leaf: its definition, contents,
+    /// snapshot and counters.
+    pub fn view(&self, id: ViewId) -> &ViewLeaf {
+        let (g, j) = self.slots[id];
+        &self.groups[g].leaves[j]
     }
 
     /// A view's latest flush-boundary snapshot (O(1) `Arc` clone).
     pub fn snapshot(&self, id: ViewId) -> Arc<ViewSnapshot> {
-        self.views[id].snapshot()
+        self.view(id).snapshot()
     }
 
-    /// Sets the propagation width on every view (group leaders do the
-    /// propagating, but membership can change).
+    /// Sets the propagation width of every group.
     pub fn set_flush_threads(&mut self, threads: usize) {
-        for v in &mut self.views {
-            v.set_flush_threads(threads);
+        for group in &mut self.groups {
+            group.core.set_flush_threads(threads);
         }
     }
 
@@ -289,67 +271,63 @@ impl ViewRegistry {
     }
 
     /// Pending modification counts per cell — the paper's state vector
-    /// `s` over the flattened (group × table) axis. By the lockstep
-    /// invariant the group leader's counts stand for every member's.
+    /// `s` over the flattened (group × table) axis.
     pub fn cell_counts(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| self.views[self.groups[c.group].members[0]].pending_counts()[c.table])
+        (self.groups.iter())
+            .flat_map(|g| g.core.pending_counts())
             .collect()
     }
 
     /// The pending modifications per cell, in arrival order — a
-    /// durability checkpoint's delta payload. By lockstep the group
-    /// leader's delta tables stand for every member's, so a registry of
-    /// one yields exactly its view's per-table layout.
+    /// durability checkpoint's delta payload. A registry of one yields
+    /// exactly its view's per-table layout.
     pub fn pending_snapshot(&self) -> Vec<Vec<Modification>> {
         (self.groups.iter())
-            .flat_map(|g| self.views[g.members[0]].pending_snapshot())
+            .flat_map(|g| g.core.pending_snapshot())
             .collect()
     }
 
-    /// Restores every view from a checkpoint: pending deltas per cell
-    /// (as [`ViewRegistry::pending_snapshot`] took them, installed into
-    /// each member of the cell's group) and each view's flush sequence,
-    /// so republished snapshots carry the seqs the checkpointed run had
-    /// reached. The database must already hold every arrival, pending
-    /// ones included (§2 arrival semantics).
+    /// Restores every view from a checkpoint: pending deltas per cell (as
+    /// [`ViewRegistry::pending_snapshot`] took them, installed into the
+    /// cell's group core) and each view's flush sequence, so republished
+    /// snapshots carry the seqs the checkpointed run had reached. The
+    /// database must already hold every arrival, pending ones included
+    /// (§2 arrival semantics).
     pub fn restore_pending(
         &mut self,
         cells: Vec<Vec<Modification>>,
         seqs: &[u64],
     ) -> Result<(), EngineError> {
-        if cells.len() != self.cells.len() || seqs.len() != self.views.len() {
+        if cells.len() != self.cells.len() || seqs.len() != self.slots.len() {
             return Err(EngineError::Maintenance {
                 message: format!(
                     "checkpoint holds {} cells and {} seqs; registry has {} and {}",
                     cells.len(),
                     seqs.len(),
                     self.cells.len(),
-                    self.views.len()
+                    self.slots.len()
                 ),
             });
         }
         let mut cells = cells.into_iter();
-        for group in &self.groups {
-            let leader = &self.views[group.members[0]];
-            let mods: Vec<Vec<Modification>> = cells.by_ref().take(leader.n()).collect();
-            for &v in &group.members {
-                self.views[v].stats.flushes = seqs[v];
-                self.views[v].restore_pending(&self.db, mods.clone())?;
+        for group in &mut self.groups {
+            for (leaf, &v) in group.leaves.iter_mut().zip(&group.members) {
+                leaf.stats.flushes = seqs[v];
             }
+            let mods = cells.by_ref().take(group.core.n()).collect();
+            group.core.restore(&self.db, &mut group.leaves, mods)?;
         }
         Ok(())
     }
 
-    /// Pending counts of one view (its group's, by lockstep).
+    /// Pending counts of one view (its group core's).
     pub fn pending_counts(&self, id: ViewId) -> Vec<u64> {
-        self.views[id].pending_counts()
+        self.groups[self.group_of(id)].core.pending_counts()
     }
 
     /// The cell indices belonging to one view's group, in table order.
     pub fn cells_of_view(&self, id: ViewId) -> Vec<usize> {
-        let g = self.group_of[id];
+        let g = self.group_of(id);
         self.cells
             .iter()
             .enumerate()
@@ -359,24 +337,20 @@ impl ViewRegistry {
     }
 
     /// Applies a modification to the base table once and defers it into
-    /// every dependent view's delta table. Returns the fan-out (number
-    /// of dependent views).
+    /// the core of every group referencing that table. Returns the
+    /// fan-out (number of dependent views).
     pub fn ingest(&mut self, table: TableId, m: Modification) -> Result<usize, EngineError> {
         self.db.apply(table, &m)?;
-        let routes = &self.routes[table];
-        match routes.len() {
-            0 => {}
-            1 => {
-                let (vid, pos) = routes[0];
-                self.views[vid].enqueue(pos, m);
-            }
-            _ => {
-                for &(vid, pos) in routes {
-                    self.views[vid].enqueue(pos, m.clone());
+        let mut fanout = 0;
+        for group in &mut self.groups {
+            for pos in 0..group.core.n() {
+                if group.core.table_ids[pos] == table {
+                    group.core.enqueue(pos, m.clone());
+                    fanout += group.members.len();
                 }
             }
         }
-        Ok(self.routes[table].len())
+        Ok(fanout)
     }
 
     /// [`ViewRegistry::ingest`] by table name.
@@ -385,16 +359,25 @@ impl ViewRegistry {
         self.ingest(id, m)
     }
 
+    /// Executes a DML statement (`INSERT` / `UPDATE` / `DELETE`),
+    /// applying it to the base table and routing every implied
+    /// modification into the dependent groups' delta tables. Returns the
+    /// number of modifications.
+    pub fn execute_sql(&mut self, sql: &str) -> Result<usize, EngineError> {
+        let stmt = compile_dml(&self.db, sql)?;
+        let count = stmt.modifications.len();
+        for m in stmt.modifications {
+            self.ingest(stmt.table, m)?;
+        }
+        Ok(count)
+    }
+
     /// Flushes `counts[c]` pending modifications for each cell `c` of
-    /// the flattened axis (cells processed in ascending index order).
-    ///
-    /// One cell flush runs the leader's propagation once and folds the
-    /// resulting join delta into every member; each member's own delta
-    /// cursor advances by the same prefix, preserving lockstep. Views
-    /// touched by at least one non-zero cell then close out exactly one
-    /// flush (sequence bump + snapshot publication), mirroring a
-    /// single-view [`MaterializedView::flush`] over its per-table
-    /// counts.
+    /// the flattened axis: every group with a non-zero cell runs the
+    /// flush walk of [`MaterializedView::flush`] once over its core and
+    /// all its leaves, with its own run of counts. Every member of a
+    /// touched group closes out exactly one flush (sequence bump +
+    /// snapshot publication).
     pub fn flush_cells(&mut self, counts: &[u64]) -> Result<RegistryFlushReport, EngineError> {
         if counts.len() != self.cells.len() {
             return Err(EngineError::Maintenance {
@@ -406,104 +389,32 @@ impl ViewRegistry {
             });
         }
         let mut report = RegistryFlushReport::default();
-        let mut per_view: HashMap<ViewId, FlushReport> = HashMap::new();
-        // Every touched group's leader (the member whose heavy-light
-        // state drives the shared propagation) reclassifies first, at
-        // the flush boundary — exactly where `MaterializedView::flush`
-        // does.
-        let mut touched_groups: Vec<usize> = (self.cells.iter().zip(counts))
-            .filter(|&(_, &k)| k > 0)
-            .map(|(cell, _)| cell.group)
-            .collect();
-        touched_groups.dedup();
-        for g in touched_groups {
-            let leader = self.groups[g].members[0];
-            self.views[leader].reclassify_heavy(&self.db);
-        }
-        for (c, &count) in counts.iter().enumerate() {
-            let k = count as usize;
-            if k == 0 {
+        let mut rest = counts;
+        for group in &mut self.groups {
+            let (own, tail) = rest.split_at(group.core.n());
+            rest = tail;
+            if own.iter().all(|&k| k == 0) {
                 continue;
             }
-            let Cell { group, table } = self.cells[c];
-            self.flush_cell(group, table, k, &mut per_view)?;
+            let (own, propagations) = group.core.flush(&self.db, &mut group.leaves, own)?;
+            let members = group.members.len() as u64;
+            self.stats.propagations += propagations;
+            self.stats.shared_propagations += propagations * (members - 1);
+            report.mods_processed += own.mods_processed * members;
+            report.exec.merge(&own.exec);
+            report.touched.extend(&group.members);
         }
-        // Close out each touched view once, in id order (deterministic
-        // snapshot sequence across members).
-        let mut touched: Vec<ViewId> = per_view.keys().copied().collect();
-        touched.sort_unstable();
-        for &v in &touched {
-            let mut r = per_view.remove(&v).expect("touched view has a report");
-            self.views[v].finish_flush(&self.db, &mut r)?;
-            report.mods_processed += r.mods_processed;
-            report.exec.merge(&r.exec);
-            if r.recomputed {
-                report.recomputes += 1;
-            }
-        }
-        report.touched = touched;
+        report.touched.sort_unstable();
         Ok(report)
     }
 
-    /// One cell's shared flush step: the leader takes and propagates the
-    /// prefix; members discard the identical prefix and apply the shared
-    /// join delta through their own projection/aggregate.
-    fn flush_cell(
-        &mut self,
-        group: usize,
-        table: usize,
-        k: usize,
-        per_view: &mut HashMap<ViewId, FlushReport>,
-    ) -> Result<(), EngineError> {
-        let members = self.groups[group].members.clone();
-        let leader = members[0];
-        debug_assert!(
-            members
-                .iter()
-                .all(|&v| self.views[v].pending_counts() == self.views[leader].pending_counts()),
-            "sharing group {group} lost lockstep"
-        );
-        let delta = self.views[leader].take_start_delta(&self.db, table, k)?;
-        for &v in &members[1..] {
-            self.views[v].discard_start_prefix(table, k)?;
-        }
-        for &v in &members {
-            per_view.entry(v).or_default().mods_processed += k as u64;
-        }
-        if delta.is_empty() {
-            return Ok(());
-        }
-        let mut stats = ExecStats::default();
-        let dj = self.views[leader].propagate_chunked(&self.db, table, delta, &mut stats)?;
-        self.stats.propagations += 1;
-        self.stats.shared_propagations += (members.len() - 1) as u64;
-        per_view
-            .get_mut(&leader)
-            .expect("leader report exists")
-            .exec
-            .merge(&stats);
-        // Prepared once, for the group's most demanding member, then
-        // folded by every member from the one shared slice.
-        let prep = members.iter().map(|&v| self.views[v].prep()).max();
-        let dj = prep.expect("groups are non-empty").apply(dj);
-        for &v in &members {
-            self.views[v].apply_delta(&dj)?;
-        }
-        Ok(())
-    }
-
     /// Fully flushes one view's group (the refresh action at time `T`
-    /// for that view — by lockstep every member comes fresh too).
+    /// for that view — every member of the group comes fresh too).
     pub fn refresh_view(&mut self, id: ViewId) -> Result<RegistryFlushReport, EngineError> {
-        let mut counts = vec![0u64; self.cells.len()];
-        let g = self.group_of[id];
-        let leader = self.groups[g].members[0];
-        let pending = self.views[leader].pending_counts();
-        for (c, cell) in self.cells.iter().enumerate() {
-            if cell.group == g {
-                counts[c] = pending[cell.table];
-            }
-        }
+        let g = self.group_of(id);
+        let counts: Vec<u64> = (self.cells.iter().zip(self.cell_counts()))
+            .map(|(cell, k)| if cell.group == g { k } else { 0 })
+            .collect();
         self.flush_cells(&counts)
     }
 
@@ -515,12 +426,12 @@ impl ViewRegistry {
 
     /// A view's current result.
     pub fn result(&self, id: ViewId) -> Vec<WRow> {
-        self.views[id].result()
+        self.view(id).result()
     }
 
     /// A view's order-independent content checksum.
     pub fn result_checksum(&self, id: ViewId) -> u64 {
-        self.views[id].result_checksum()
+        self.view(id).result_checksum()
     }
 }
 
@@ -532,7 +443,7 @@ mod tests {
     use crate::logical::AggFunc;
     use crate::row;
     use crate::schema::Schema;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn base() -> Database {
         let mut db = Database::new();
@@ -702,22 +613,32 @@ mod tests {
     }
 
     #[test]
-    fn mid_stream_registration_starts_a_new_group() {
+    fn mid_stream_registration_joins_its_group() {
         let mut reg = ViewRegistry::new(base());
-        reg.register_view(join_def("a"), MinStrategy::Multiset)
+        let a = reg
+            .register_view(join_def("a"), MinStrategy::Multiset)
             .unwrap();
         reg.ingest_by_name("r", Modification::Insert(row![1i64, 1.0f64]))
             .unwrap();
-        // "a" has pending deltas the newcomer never saw: no lockstep.
-        reg.register_view(min_def("late"), MinStrategy::Multiset)
+        reg.ingest_by_name("s", Modification::Insert(row![1i64, 2i64]))
             .unwrap();
-        assert_eq!(reg.group_count(), 2);
-        // Once both groups are drained, a third registrant may join
-        // either; it matches the first group with the same core.
+        reg.flush_cells(&[1, 0]).unwrap();
+        // The newcomer joins with the s insert still pending and starts
+        // at the processed prefix, where r's row has no partner yet.
+        let late = reg
+            .register_view(min_def("late"), MinStrategy::Multiset)
+            .unwrap();
+        assert_eq!(reg.group_count(), 1);
+        assert_eq!(reg.pending_counts(late), vec![0, 1]);
+        assert_eq!(reg.view(late).scalar(), Some(Value::Null));
+        reg.ingest_by_name("r", Modification::Insert(row![1i64, 0.5f64]))
+            .unwrap();
         reg.refresh_all().unwrap();
-        reg.register_view(sum_def("later"), MinStrategy::Multiset)
-            .unwrap();
-        assert_eq!(reg.group_count(), 2);
+        for (id, def) in [(a, join_def("a")), (late, min_def("late"))] {
+            let direct = MaterializedView::new(reg.db(), def, MinStrategy::Multiset).unwrap();
+            assert_eq!(reg.result_checksum(id), direct.result_checksum());
+        }
+        assert_eq!(reg.view(late).scalar(), Some(Value::Float(0.5)));
     }
 
     #[test]
@@ -770,7 +691,11 @@ mod tests {
         reg.ingest_by_name("s", Modification::Insert(row![1i64, 3i64]))
             .unwrap();
         let rep = reg.refresh_view(a).unwrap();
-        assert_eq!(rep.touched, vec![a, b], "lockstep member comes along");
+        assert_eq!(
+            rep.touched,
+            vec![a, b],
+            "the group's other member comes along"
+        );
         assert_eq!(reg.pending_counts(a), vec![0, 0]);
         assert_eq!(reg.pending_counts(b), vec![0, 0]);
         assert_eq!(reg.pending_counts(c), vec![1, 1], "other group untouched");
@@ -842,5 +767,56 @@ mod tests {
             .is_err());
         assert_eq!(reg.view_id("v"), Some(0));
         assert_eq!(reg.view_id("zz"), None);
+    }
+
+    #[test]
+    fn modifications_route_to_dependent_views_only() {
+        let mut reg = ViewRegistry::new(base());
+        let join = reg
+            .register_view(join_def("join"), MinStrategy::Multiset)
+            .unwrap();
+        let solo_def = ViewDef {
+            tables: vec!["r".into()],
+            join_preds: vec![],
+            filters: vec![None],
+            projection: Some(vec![(Expr::col(1), "x".into())]),
+            ..join_def("solo")
+        };
+        let solo = reg.register_view(solo_def, MinStrategy::Multiset).unwrap();
+        let r = Modification::Insert(row![1i64, 10.0f64]);
+        assert_eq!(reg.ingest_by_name("r", r).unwrap(), 2);
+        let s = Modification::Insert(row![1i64, 5i64]);
+        assert_eq!(reg.ingest_by_name("s", s).unwrap(), 1);
+        assert_eq!(reg.pending_counts(join), vec![1, 1]);
+        assert_eq!(reg.pending_counts(solo), vec![1]);
+        reg.refresh_view(solo).unwrap();
+        assert_eq!(reg.result(solo), vec![(row![10.0f64], 1)]);
+        assert_eq!(reg.pending_counts(join), vec![1, 1], "flushed apart");
+        reg.refresh_all().unwrap();
+        assert_eq!(reg.result(join).len(), 1);
+    }
+
+    #[test]
+    fn sql_dml_routes_through_views() {
+        let mut reg = ViewRegistry::new(base());
+        let v = reg
+            .register_view(min_def("m"), MinStrategy::Multiset)
+            .unwrap();
+        let n1 = reg
+            .execute_sql("INSERT INTO r VALUES (1, 5.0), (1, 3.0)")
+            .unwrap();
+        let n2 = reg.execute_sql("INSERT INTO s VALUES (1, 7)").unwrap();
+        assert_eq!((n1, n2), (2, 1));
+        for (dml, min) in [
+            ("", Value::Float(3.0)),
+            ("UPDATE r SET x = 10.0 WHERE x < 4", Value::Float(5.0)),
+            ("DELETE FROM s", Value::Null),
+        ] {
+            if !dml.is_empty() {
+                reg.execute_sql(dml).unwrap();
+            }
+            reg.refresh_view(v).unwrap();
+            assert_eq!(reg.view(v).scalar(), Some(min), "after {dml:?}");
+        }
     }
 }

@@ -512,7 +512,7 @@ mod tests {
 
     #[test]
     fn checkpointed_recovery_reproduces_every_view() {
-        // Two views sharing a group (members restore in lockstep), and
+        // Two views sharing a group (one core, restored once), and
         // two views in groups of their own (a checkpoint cell per group
         // × table).
         for defs in [

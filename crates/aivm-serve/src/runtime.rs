@@ -280,8 +280,8 @@ impl MaintenanceRuntime {
         let fanout = registry.cell_fanout();
         let mut costs = Vec::with_capacity(fanout.len());
         for (c, cell) in registry.cells().iter().enumerate() {
-            let leader = registry.group_members(cell.group)[0];
-            let name = &registry.view(leader).def().tables[cell.table];
+            let first = registry.group_members(cell.group)[0];
+            let name = &registry.view(first).def().tables[cell.table];
             let table = (table_names.iter().position(|t| t == name))
                 .expect("cell table is on the ingest axis");
             axis.routes[table].push(c);

@@ -376,13 +376,13 @@ fn sorted(rows: Vec<WRow>) -> Vec<WRow> {
 
 /// The view's query evaluated directly over each table's processed
 /// prefix (`physical − pending`).
-fn oracle(db: &Database, view: &MaterializedView) -> Vec<WRow> {
-    let def = view.def();
+fn oracle(db: &Database, def: &ViewDef, pending: &[Vec<Modification>]) -> Vec<WRow> {
     let overlay = |name: &str| -> Option<Vec<WRow>> {
         let i = def.tables.iter().position(|t| t == name)?;
         let table = db.table_by_name(name).ok()?;
         let mut rows: Vec<WRow> = table.iter().map(|(_, r)| (r.clone(), 1)).collect();
-        rows.extend(view.pending_weighted(i).into_iter().map(|(r, w)| (r, -w)));
+        let undo = pending[i].iter().flat_map(Modification::weighted);
+        rows.extend(undo.map(|(r, w)| (r, -w)));
         Some(rows)
     };
     sorted(
@@ -396,13 +396,19 @@ fn oracle(db: &Database, view: &MaterializedView) -> Vec<WRow> {
 /// Maintained == oracle: bit-identical, except that a float the
 /// maintained state *accumulated* (SUM/AVG) may differ from the oracle's
 /// one-shot sum in the last bits.
-fn assert_matches_oracle(db: &Database, view: &MaterializedView, got: &[WRow], ctx: &str) {
-    let want = oracle(db, view);
-    let accumulates = view.def().aggregate.as_ref().is_some_and(|spec| {
+fn assert_matches_oracle(
+    db: &Database,
+    view: (&ViewDef, &[Vec<Modification>]),
+    got: &[WRow],
+    ctx: &str,
+) {
+    let (def, pending) = view;
+    let want = oracle(db, def, pending);
+    let accumulates = def.aggregate.as_ref().is_some_and(|spec| {
         (spec.aggs.iter()).any(|(f, _, _)| matches!(f, AggFunc::Sum | AggFunc::Avg))
     });
     if !accumulates {
-        assert_eq!(got, &want[..], "{ctx}: {} diverged", view.def().name);
+        assert_eq!(got, &want[..], "{ctx}: {} diverged", def.name);
         return;
     }
     assert_eq!(got.len(), want.len(), "{ctx}: {got:?} vs {want:?}");
@@ -415,7 +421,7 @@ fn assert_matches_oracle(db: &Database, view: &MaterializedView, got: &[WRow], c
                 }
                 _ => a == b,
             };
-            assert!(close, "{ctx}: {} diverged: {g:?} vs {w:?}", view.def().name);
+            assert!(close, "{ctx}: {} diverged: {g:?} vs {w:?}", def.name);
         }
     }
 }
@@ -460,7 +466,8 @@ fn run_independent(case: &Case, width: usize, heavy: bool) -> (Trace, ExecStats)
                 .collect();
             v.flush(&db, &counts).unwrap();
             let got = sorted(v.result());
-            assert_matches_oracle(&db, v, &got, &format!("{ctx} step {s}"));
+            let view = (v.def(), &v.pending_snapshot()[..]);
+            assert_matches_oracle(&db, view, &got, &format!("{ctx} step {s}"));
             row.push(got);
         }
         trace.push(row);
@@ -470,8 +477,8 @@ fn run_independent(case: &Case, width: usize, heavy: bool) -> (Trace, ExecStats)
     (trace, exec)
 }
 
-fn run_registry(case: &Case, width: usize) -> Trace {
-    let ctx = format!("registry width {width}");
+fn run_registry(case: &Case, width: usize, drain: bool) -> Trace {
+    let ctx = format!("registry width {width} drain {drain}");
     let mut reg = ViewRegistry::new(loaded_db(case));
     let (late, early) = case.defs.split_last().unwrap();
     for def in early {
@@ -481,7 +488,11 @@ fn run_registry(case: &Case, width: usize) -> Trace {
     let mut trace = Trace::new();
     for (s, step) in case.steps.iter().enumerate() {
         if s == case.late_at {
-            reg.refresh_all().unwrap();
+            // Undrained, the late view joins with the group's pending
+            // modifications and starts at its processed prefix.
+            if drain {
+                reg.refresh_all().unwrap();
+            }
             reg.register_view(late.clone(), case.strategy).unwrap();
             reg.set_flush_threads(width);
             assert_eq!(reg.group_count(), 1, "{ctx}: the late view joins the group");
@@ -493,10 +504,15 @@ fn run_registry(case: &Case, width: usize) -> Trace {
             .map(|(cell, pending)| pending.min(step.flush[cell.table]))
             .collect();
         reg.flush_cells(&counts).unwrap();
+        let pending = reg.pending_snapshot();
         let row = (0..reg.view_count())
             .map(|id| {
                 let got = sorted(reg.result(id));
-                assert_matches_oracle(reg.db(), reg.view(id), &got, &format!("{ctx} step {s}"));
+                let mine: Vec<_> = (reg.cells_of_view(id).iter())
+                    .map(|&c| pending[c].clone())
+                    .collect();
+                let view = (reg.view(id).def(), &mine[..]);
+                assert_matches_oracle(reg.db(), view, &got, &format!("{ctx} step {s}"));
                 got
             })
             .collect();
@@ -536,9 +552,10 @@ fn pruned_propagation_matches_direct_evaluation_in_every_configuration() {
                 }
             }
             assert!(
-                run_registry(&case, width) == base,
+                run_registry(&case, width, true) == base,
                 "seed {seed}: registry at width {width} diverged from independent views"
             );
+            run_registry(&case, width, false);
         }
     }
 }
@@ -675,12 +692,16 @@ fn updates_of_dead_columns_emit_no_join_rows() {
                 "{}",
                 v.def().name
             );
-            assert_matches_oracle(&solo_db, v, &sorted(v.result()), "independent");
+            let view = (v.def(), &v.pending_snapshot()[..]);
+            assert_matches_oracle(&solo_db, view, &sorted(v.result()), "independent");
         }
         // Every column of a `SELECT *` bag is live: the same updates
         // reach its state.
         wide_emitted += wide.refresh(&db).unwrap().exec.rows_emitted;
-        assert_eq!(sorted(wide.result()), oracle(&db, &wide));
+        assert_eq!(
+            sorted(wide.result()),
+            oracle(&db, wide.def(), &wide.pending_snapshot())
+        );
     }
     assert!(wide_emitted > 0, "SELECT * must see the updates");
 }

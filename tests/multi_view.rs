@@ -3,17 +3,18 @@
 //! response-time budget — the paper's pub/sub system in miniature.
 
 use aivm::core::{total_cost, CostModel, Counts};
-use aivm::engine::{MinStrategy, ViewCatalog};
+use aivm::engine::{MinStrategy, ViewRegistry};
 use aivm::solver::{OnlinePolicy, Policy, PolicyContext};
 use aivm::tpcr::{generate, TpcrConfig, UpdateGen, UpdateKind};
 
 /// Three subscriptions with different shapes and budgets, all fed by the
 /// same update stream; each must stay within its own budget and end
-/// consistent with direct evaluation.
+/// consistent with direct evaluation. Their SPJ cores differ, so each is
+/// a sharing group of its own and flushes independently of the others.
 #[test]
 fn independent_policies_maintain_independent_views() {
     let data = generate(&TpcrConfig::small(), 88);
-    let mut cat = ViewCatalog::new(data.db.clone());
+    let mut cat = ViewRegistry::new(data.db.clone());
 
     let sqls = [
         // The paper's view.
@@ -30,8 +31,9 @@ fn independent_policies_maintain_independent_views() {
     let mut views = Vec::new();
     for (i, sql) in sqls.iter().enumerate() {
         let def = aivm::engine::parse_view(cat.db(), &format!("v{i}"), sql).unwrap();
-        views.push(cat.create_view(def, MinStrategy::Multiset).unwrap());
+        views.push(cat.register_view(def, MinStrategy::Multiset).unwrap());
     }
+    assert_eq!(cat.group_count(), 3);
 
     // Per-view scheduling contexts: synthetic linear costs over the two
     // updated tables (partsupp, supplier), different budgets per view.
@@ -54,7 +56,7 @@ fn independent_policies_maintain_independent_views() {
     for step in 0..300usize {
         let (kind, m) = {
             let db = cat.db();
-            // Generate against the catalog's live db state.
+            // Generate against the registry's live db state.
             let mut g = gen.clone();
             let out = g.random_update(db);
             gen = g;
@@ -64,32 +66,32 @@ fn independent_policies_maintain_independent_views() {
             UpdateKind::PartSuppCost => data.partsupp,
             UpdateKind::SupplierNation => data.supplier,
         };
-        cat.modify(table, m).unwrap();
+        cat.ingest(table, m).unwrap();
 
         // Each view's policy watches its own (partsupp, supplier) counts.
         for (vi, &view_id) in views.iter().enumerate() {
             let view = cat.view(view_id);
             let ps = view.table_position("partsupp");
             let s = view.table_position("supplier");
-            let pending = view.pending_counts();
+            let pending = cat.pending_counts(view_id);
             let state = Counts::from_slice(&[
                 ps.map(|p| pending[p]).unwrap_or(0),
                 s.map(|p| pending[p]).unwrap_or(0),
             ]);
             let action = policies[vi].act(step, &state);
             if !action.is_zero() {
-                let mut counts = vec![0u64; view.n()];
+                let mut counts = vec![0u64; cat.cells().len()];
+                let cells = cat.cells_of_view(view_id);
                 if let Some(p) = ps {
-                    counts[p] = action[0];
+                    counts[cells[p]] = action[0];
                 }
                 if let Some(p) = s {
-                    counts[p] = action[1];
+                    counts[cells[p]] = action[1];
                 }
-                cat.flush(view_id, &counts).unwrap();
+                cat.flush_cells(&counts).unwrap();
             }
             // The budget invariant holds for every view at every step.
-            let view = cat.view(view_id);
-            let pending = view.pending_counts();
+            let pending = cat.pending_counts(view_id);
             let state = Counts::from_slice(&[
                 ps.map(|p| pending[p]).unwrap_or(0),
                 s.map(|p| pending[p]).unwrap_or(0),
@@ -116,14 +118,14 @@ fn independent_policies_maintain_independent_views() {
     }
 }
 
-/// DML statements drive multiple views at once through the catalog.
+/// DML statements drive multiple views at once through the registry.
 #[test]
 fn dml_drives_all_registered_views() {
     let data = generate(&TpcrConfig::small(), 90);
-    let mut cat = ViewCatalog::new(data.db);
+    let mut cat = ViewRegistry::new(data.db);
     let min_view = {
         let def = aivm::engine::parse_view(cat.db(), "m", aivm::tpcr::paper_view_sql()).unwrap();
-        cat.create_view(def, MinStrategy::Multiset).unwrap()
+        cat.register_view(def, MinStrategy::Multiset).unwrap()
     };
     let count_view = {
         let def = aivm::engine::parse_view(
@@ -132,7 +134,7 @@ fn dml_drives_all_registered_views() {
             "SELECT COUNT(*) FROM partsupp AS ps WHERE ps.supplycost < 500.0",
         )
         .unwrap();
-        cat.create_view(def, MinStrategy::Multiset).unwrap()
+        cat.register_view(def, MinStrategy::Multiset).unwrap()
     };
     let before = cat.view(count_view).scalar().unwrap();
     // Push every qualifying supplycost above the count view's threshold
