@@ -29,8 +29,11 @@ echo "==> perf/ still builds against this tree (frozen package, API check)"
 # perf/ is a package of its own that compiles against the product
 # crates' public API and may not be edited alongside them; a rename or
 # signature change that breaks it should fail here, in the first
-# minutes, not in the last gate.
-cargo build --release --offline --manifest-path perf/Cargo.toml
+# minutes, not in the last gate. --locked for the same reason: a
+# product-manifest change that would rewrite the frozen perf/Cargo.lock
+# (a dependency edge added or dropped) fails here with cargo's "cannot
+# update the lock file", not only in the dirty-tree check at the end.
+cargo build --release --offline --locked --manifest-path perf/Cargo.toml
 
 echo "==> perf contract (the benchmark's own invocation, all five workloads)"
 # The benchmark driver runs `perf --workload W ...` and reads only the

@@ -1,29 +1,34 @@
-//! Binary snapshot serialization of databases, rows and modifications.
+//! The byte codec: values, rows, modifications, database snapshots, and
+//! the checksummed frame that cuts the write-ahead log and every
+//! connection into payloads.
 //!
-//! A compact, versioned binary format for checkpointing a [`Database`]
-//! (schemas, rows, indexes, key columns) to a byte buffer and restoring
-//! it exactly. Used to snapshot generated benchmark databases so
-//! repeated experiment runs skip regeneration, as a plain import/export
-//! facility, and — through the public [`put_modification`] /
-//! [`get_modification`] codecs — as the payload format of `aivm-serve`'s
-//! write-ahead log and checkpoints.
+//! One format serves every artifact. A database snapshot checkpoints a
+//! [`Database`] (schemas, rows, indexes, key columns) so repeated
+//! experiment runs skip regeneration; `aivm-serve`'s write-ahead log and
+//! checkpoints and `aivm-net`'s wire protocol write their rows and
+//! modifications with [`put_row`] / [`put_modification`] and cut their
+//! streams with [`put_frame`] / [`split_frame`].
 //!
 //! Format (little-endian):
 //!
 //! ```text
-//! magic "AIVM" | version u16 | table_count u32
-//! per table: name | schema | key_column (u32::MAX = none)
+//! snapshot: magic "AIVM" | version u16 | table_count u32
+//! per table: name | arity u32 | per column: name, type u8
+//!            key_column u32 (u32::MAX = none)
 //!            index_count u32 | per index: kind u8, column u32
 //!            row_count u64 | rows...
 //! row: values in schema order (standalone rows prefix a u32 arity)
 //! value: tag u8 (0 null, 1 int, 2 float, 3 str) | payload
+//! str: len u32 | UTF-8 bytes
 //! modification: tag u8 (0 insert, 1 delete, 2 update) | row(s)
+//! frame: payload_len u32 | checksum(payload) u64 | payload
 //! ```
 //!
-//! Decoding failures yield [`EngineError::Corrupt`] carrying the
-//! caller-supplied artifact context and the byte offset at which the
-//! decoder gave up, so WAL and checkpoint diagnostics can name the exact
-//! torn or flipped byte.
+//! Encoders append to a `Vec<u8>`. Every decoder reads through one
+//! bounds-checked [`Reader`]: a read past the end, a bad tag or a count
+//! the remaining bytes cannot hold is an [`EngineError::Corrupt`] naming
+//! the artifact and the byte offset at which decoding gave up — never a
+//! panic, and never an allocation sized by an unchecked count.
 
 use crate::db::Database;
 use crate::delta::Modification;
@@ -31,43 +36,306 @@ use crate::error::EngineError;
 use crate::index::IndexKind;
 use crate::schema::{Column, Row, Schema};
 use crate::value::{DataType, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use aivm_core::fxhash::FxHasher;
+use bytes::BufMut;
+use std::hash::Hasher;
+use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"AIVM";
 const VERSION: u16 = 1;
 
-/// Builds the [`EngineError::Corrupt`] for a decode failure at the
-/// buffer's current cursor.
-fn corrupt(context: &str, what: &str, buf: &Bytes) -> EngineError {
-    EngineError::Corrupt {
-        context: context.to_string(),
-        offset: buf.consumed() as u64,
-        message: what.to_string(),
+/// Bytes of framing before each payload (length + checksum).
+pub const FRAME_HEADER_LEN: usize = 12;
+
+/// Seedless content hash of a byte slice, stable across processes: the
+/// checksum of every frame and checkpoint.
+#[inline]
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Appends one frame to `out`. `payload` writes the payload in place,
+/// after the reserved header, which is then filled in — so a record is
+/// encoded once, straight into its final buffer.
+pub fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    payload(out);
+    let body = start + FRAME_HEADER_LEN;
+    let len = (out.len() - body) as u32;
+    let sum = checksum(&out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..body].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// What [`split_frame`] found at the front of a byte slice.
+#[derive(Debug)]
+pub enum Split<'a> {
+    /// A whole frame whose checksum matches: its payload. The frame
+    /// spans `FRAME_HEADER_LEN + payload.len()` bytes.
+    Frame(&'a [u8]),
+    /// The frame is incomplete and spans at least this many bytes: the
+    /// header until it has arrived, then the header plus the payload
+    /// length it declares.
+    NeedMore(usize),
+    /// The whole frame arrived but its payload fails the checksum.
+    ChecksumMismatch,
+}
+
+/// Splits the frame at the front of `bytes`: the one parser of the frame
+/// header. Callers map the verdict to their own taxonomy — the log reads
+/// an incomplete or mismatching frame as its torn tail, a connection as
+/// a torn or corrupt stream.
+#[inline]
+pub fn split_frame(bytes: &[u8]) -> Split<'_> {
+    let Some(header) = bytes.get(..FRAME_HEADER_LEN) else {
+        return Split::NeedMore(FRAME_HEADER_LEN);
+    };
+    let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+    let sum = u64::from_le_bytes(header[4..].try_into().expect("8 bytes"));
+    match bytes.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN + len) {
+        None => Split::NeedMore(FRAME_HEADER_LEN + len),
+        Some(payload) if checksum(payload) == sum => Split::Frame(payload),
+        Some(_) => Split::ChecksumMismatch,
+    }
+}
+
+/// A bounds-checked cursor over borrowed bytes: the one way any artifact
+/// is read back. Every getter returns [`EngineError::Corrupt`] — the
+/// reader's context, the offset of the failed read and what was expected
+/// there — instead of panicking; borrowed results point into the input,
+/// so decoding allocates only what it materializes.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+    context: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `data`; `context` names the artifact in errors.
+    pub fn new(data: &'a [u8], context: &'static str) -> Self {
+        Reader {
+            data,
+            pos: 0,
+            context,
+        }
+    }
+
+    /// A reader over `data[range]` whose error offsets count from the
+    /// start of `data` (a record inside a log).
+    pub fn within(data: &'a [u8], range: Range<usize>, context: &'static str) -> Self {
+        Reader {
+            data: &data[..range.end],
+            pos: range.start,
+            context,
+        }
+    }
+
+    /// Offset of the next unread byte.
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// The error for a decode failure at the current offset.
+    pub fn corrupt(&self, what: impl Into<String>) -> EngineError {
+        EngineError::Corrupt {
+            context: self.context.to_string(),
+            offset: self.pos as u64,
+            message: what.into(),
+        }
+    }
+
+    /// Fails unless every byte was read.
+    pub fn finish(&self) -> Result<(), EngineError> {
+        match self.remaining() {
+            0 => Ok(()),
+            _ => Err(self.corrupt("trailing bytes")),
+        }
+    }
+
+    /// Reads `n` raw bytes, borrowed.
+    #[inline]
+    pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], EngineError> {
+        if self.remaining() < n {
+            return Err(self.corrupt(what));
+        }
+        let out = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], EngineError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N, what)?);
+        Ok(out)
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn u8(&mut self, what: &str) -> Result<u8, EngineError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// Reads one byte as a flag (non-zero = true).
+    #[inline]
+    pub fn flag(&mut self, what: &str) -> Result<bool, EngineError> {
+        Ok(self.u8(what)? != 0)
+    }
+
+    /// Reads a little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self, what: &str) -> Result<u16, EngineError> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self, what: &str) -> Result<u32, EngineError> {
+        self.array(what).map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self, what: &str) -> Result<u64, EngineError> {
+        self.array(what).map(u64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self, what: &str) -> Result<i64, EngineError> {
+        self.array(what).map(i64::from_le_bytes)
+    }
+
+    /// Reads a little-endian `f64`.
+    #[inline]
+    pub fn f64(&mut self, what: &str) -> Result<f64, EngineError> {
+        self.array(what).map(f64::from_le_bytes)
+    }
+
+    /// Reads a `u32` count of items that take at least `min_size` bytes
+    /// each, rejecting a count the unread bytes cannot hold before the
+    /// caller allocates or loops on it.
+    #[inline]
+    pub fn count(&mut self, min_size: usize, what: &str) -> Result<usize, EngineError> {
+        let n = self.u32(what)? as usize;
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(self.corrupt(format!("{what} {n}")));
+        }
+        Ok(n)
+    }
+
+    /// Consumes an artifact header, `magic | version u16`: a wrong magic
+    /// is corrupt, another version [`EngineError::Unsupported`].
+    pub fn header(&mut self, magic: &[u8; 4], version: u16) -> Result<(), EngineError> {
+        if !self.data[self.pos..].starts_with(magic) {
+            return Err(self.corrupt("magic"));
+        }
+        self.pos += magic.len();
+        match self.u16("version")? {
+            v if v == version => Ok(()),
+            v => Err(EngineError::Unsupported {
+                message: format!("{} version {v} (supported: {version})", self.context),
+            }),
+        }
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, EngineError> {
+        let len = self.u32("string length")? as usize;
+        let bytes = self.bytes(len, "string body")?;
+        std::str::from_utf8(bytes).map_err(|_| self.corrupt("utf8"))
+    }
+
+    /// Reads one tagged [`Value`].
+    #[inline]
+    pub fn value(&mut self) -> Result<Value, EngineError> {
+        match self.u8("value tag")? {
+            0 => Ok(Value::Null),
+            1 => Ok(Value::Int(self.i64("int")?)),
+            2 => Ok(Value::Float(self.f64("float")?)),
+            3 => Ok(Value::str(self.str()?)),
+            other => Err(self.corrupt(format!("value tag {other}"))),
+        }
+    }
+
+    /// Validates and skips one tagged value without allocating.
+    #[inline]
+    fn skip_value(&mut self) -> Result<(), EngineError> {
+        match self.u8("value tag")? {
+            0 => Ok(()),
+            1 | 2 => self.bytes(8, "number").map(drop),
+            3 => self.str().map(drop),
+            other => Err(self.corrupt(format!("value tag {other}"))),
+        }
+    }
+
+    /// Reads a row with a `u32` arity prefix.
+    #[inline]
+    pub fn row(&mut self) -> Result<Row, EngineError> {
+        let arity = self.count(1, "row arity")?;
+        let mut vals = Vec::with_capacity(arity);
+        for _ in 0..arity {
+            vals.push(self.value()?);
+        }
+        Ok(Row::new(vals))
+    }
+
+    #[inline]
+    fn skip_row(&mut self) -> Result<(), EngineError> {
+        for _ in 0..self.count(1, "row arity")? {
+            self.skip_value()?;
+        }
+        Ok(())
+    }
+
+    /// Reads one tagged [`Modification`].
+    #[inline]
+    pub fn modification(&mut self) -> Result<Modification, EngineError> {
+        match self.u8("modification tag")? {
+            0 => Ok(Modification::Insert(self.row()?)),
+            1 => Ok(Modification::Delete(self.row()?)),
+            2 => Ok(Modification::Update {
+                old: self.row()?,
+                new: self.row()?,
+            }),
+            other => Err(self.corrupt(format!("modification tag {other}"))),
+        }
+    }
+
+    /// Validates and skips one tagged [`Modification`] without
+    /// allocating: a batch checked this way materializes later without
+    /// error.
+    #[inline]
+    pub fn skip_modification(&mut self) -> Result<(), EngineError> {
+        match self.u8("modification tag")? {
+            0 | 1 => self.skip_row(),
+            2 => {
+                self.skip_row()?;
+                self.skip_row()
+            }
+            other => Err(self.corrupt(format!("modification tag {other}"))),
+        }
     }
 }
 
 /// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed UTF-8 string; `context` names the artifact
-/// being decoded for error messages.
-pub fn get_str(buf: &mut Bytes, context: &str) -> Result<String, EngineError> {
-    if buf.remaining() < 4 {
-        return Err(corrupt(context, "string length", buf));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(corrupt(context, "string body", buf));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| corrupt(context, "utf8", buf))
-}
-
 /// Appends one tagged [`Value`].
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
+pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => buf.put_u8(0),
         Value::Int(i) => {
@@ -85,59 +353,17 @@ pub fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-/// Reads one tagged [`Value`].
-pub fn get_value(buf: &mut Bytes, context: &str) -> Result<Value, EngineError> {
-    if buf.remaining() < 1 {
-        return Err(corrupt(context, "value tag", buf));
-    }
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt(context, "int", buf));
-            }
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt(context, "float", buf));
-            }
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        3 => Ok(Value::str(get_str(buf, context)?)),
-        other => Err(corrupt(context, &format!("value tag {other}"), buf)),
-    }
-}
-
 /// Appends a row with a `u32` arity prefix (standalone framing, used by
-/// WAL records and checkpoints where no schema is in scope).
-pub fn put_row(buf: &mut BytesMut, row: &Row) {
+/// WAL records, checkpoints and the wire, where no schema is in scope).
+pub fn put_row(buf: &mut Vec<u8>, row: &Row) {
     buf.put_u32_le(row.len() as u32);
     for v in row.values() {
         put_value(buf, v);
     }
 }
 
-/// Reads a row with a `u32` arity prefix.
-pub fn get_row(buf: &mut Bytes, context: &str) -> Result<Row, EngineError> {
-    if buf.remaining() < 4 {
-        return Err(corrupt(context, "row arity", buf));
-    }
-    let arity = buf.get_u32_le() as usize;
-    // An arity beyond the unread bytes cannot be satisfied (every value
-    // takes at least one tag byte) — reject before allocating.
-    if arity > buf.remaining() {
-        return Err(corrupt(context, &format!("row arity {arity}"), buf));
-    }
-    let mut vals = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        vals.push(get_value(buf, context)?);
-    }
-    Ok(Row::new(vals))
-}
-
 /// Appends one tagged [`Modification`].
-pub fn put_modification(buf: &mut BytesMut, m: &Modification) {
+pub fn put_modification(buf: &mut Vec<u8>, m: &Modification) {
     match m {
         Modification::Insert(r) => {
             buf.put_u8(0);
@@ -155,27 +381,11 @@ pub fn put_modification(buf: &mut BytesMut, m: &Modification) {
     }
 }
 
-/// Reads one tagged [`Modification`].
-pub fn get_modification(buf: &mut Bytes, context: &str) -> Result<Modification, EngineError> {
-    if buf.remaining() < 1 {
-        return Err(corrupt(context, "modification tag", buf));
-    }
-    match buf.get_u8() {
-        0 => Ok(Modification::Insert(get_row(buf, context)?)),
-        1 => Ok(Modification::Delete(get_row(buf, context)?)),
-        2 => Ok(Modification::Update {
-            old: get_row(buf, context)?,
-            new: get_row(buf, context)?,
-        }),
-        other => Err(corrupt(context, &format!("modification tag {other}"), buf)),
-    }
-}
-
 /// Serializes a database snapshot. Row ids are not preserved (rows are
 /// re-inserted densely); logical content, schemas, key columns and
 /// indexes are.
-pub fn snapshot(db: &Database) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4096);
+pub fn snapshot(db: &Database) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4096);
     buf.put_slice(MAGIC);
     buf.put_u16_le(VERSION);
     buf.put_u32_le(db.table_count() as u32);
@@ -186,7 +396,11 @@ pub fn snapshot(db: &Database) -> Bytes {
         buf.put_u32_le(schema.arity() as u32);
         for col in schema.columns() {
             put_str(&mut buf, &col.name);
-            buf.put_u8(datatype_tag(col.ty));
+            buf.put_u8(match col.ty {
+                DataType::Int => 1,
+                DataType::Float => 2,
+                DataType::Str => 3,
+            });
         }
         buf.put_u32_le(db.key_column(id).map(|c| c as u32).unwrap_or(u32::MAX));
         let indexes = table.indexes();
@@ -205,106 +419,88 @@ pub fn snapshot(db: &Database) -> Bytes {
             }
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Restores a database from a snapshot produced by [`snapshot`].
-pub fn restore(mut data: Bytes) -> Result<Database, EngineError> {
-    let ctx = "snapshot";
-    if data.remaining() < 6 {
-        return Err(corrupt(ctx, "header", &data));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(corrupt(ctx, "magic", &data));
-    }
-    let version = data.get_u16_le();
-    if version != VERSION {
-        return Err(EngineError::Unsupported {
-            message: format!("snapshot version {version} (supported: {VERSION})"),
-        });
-    }
-    let table_count = data.get_u32_le() as usize;
+///
+/// Counts are checked against the unread bytes before anything is
+/// allocated or looped on — every value takes at least its tag byte, so
+/// no genuine snapshot trips the checks — and a key column must name a
+/// column of its table.
+pub fn restore(data: &[u8]) -> Result<Database, EngineError> {
+    let mut r = Reader::new(data, "snapshot");
+    r.header(MAGIC, VERSION)?;
+    // A table takes at least its name length, arity, key column, index
+    // count and row count.
+    let table_count = r.count(4 + 4 + 4 + 4 + 8, "table count")?;
     let mut db = Database::new();
     for _ in 0..table_count {
-        let name = get_str(&mut data, ctx)?;
-        // From here on the artifact context names the table being
-        // decoded, so Corrupt errors can say where in the catalog the
-        // damage sits.
-        let tctx = format!("snapshot table {name}");
-        let tctx = tctx.as_str();
-        if data.remaining() < 4 {
-            return Err(corrupt(tctx, "arity", &data));
-        }
-        let arity = data.get_u32_le() as usize;
-        let mut cols = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let col_name = get_str(&mut data, tctx)?;
-            if data.remaining() < 1 {
-                return Err(corrupt(tctx, "column type", &data));
-            }
-            let ty = tag_datatype(data.get_u8(), tctx, &data)?;
-            cols.push(Column { name: col_name, ty });
-        }
-        let id = db.create_table(name, Schema::from_columns(cols))?;
-        if data.remaining() < 4 {
-            return Err(corrupt(tctx, "key column", &data));
-        }
-        let key = data.get_u32_le();
-        if key != u32::MAX {
-            db.set_key_column(id, key as usize);
-        }
-        if data.remaining() < 4 {
-            return Err(corrupt(tctx, "index count", &data));
-        }
-        let index_count = data.get_u32_le() as usize;
-        let mut indexes = Vec::with_capacity(index_count);
-        for _ in 0..index_count {
-            if data.remaining() < 5 {
-                return Err(corrupt(tctx, "index", &data));
-            }
-            let kind = match data.get_u8() {
-                0 => IndexKind::Hash,
-                1 => IndexKind::BTree,
-                other => return Err(corrupt(tctx, &format!("index kind {other}"), &data)),
-            };
-            indexes.push((kind, data.get_u32_le() as usize));
-        }
-        if data.remaining() < 8 {
-            return Err(corrupt(tctx, "row count", &data));
-        }
-        let row_count = data.get_u64_le();
-        // Insert rows first (bulk), then build indexes once.
-        for _ in 0..row_count {
-            let mut vals = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                vals.push(get_value(&mut data, tctx)?);
-            }
-            db.table_mut(id).insert(Row::new(vals))?;
-        }
-        for (kind, col) in indexes {
-            db.table_mut(id).create_index(kind, col)?;
-        }
+        let name = r.str()?;
+        // Errors name the table being decoded, so they say where in
+        // the catalog the damage sits.
+        restore_table(&mut r, &mut db, name).map_err(|e| match e {
+            EngineError::Corrupt {
+                offset, message, ..
+            } => EngineError::Corrupt {
+                context: format!("snapshot table {name}"),
+                offset,
+                message,
+            },
+            other => other,
+        })?;
     }
     Ok(db)
 }
 
-fn datatype_tag(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int => 1,
-        DataType::Float => 2,
-        DataType::Str => 3,
+/// Decodes one table of a snapshot, after its name.
+fn restore_table(r: &mut Reader<'_>, db: &mut Database, name: &str) -> Result<(), EngineError> {
+    // A column takes at least its name length and type tag.
+    let arity = r.count(4 + 1, "arity")?;
+    let mut cols = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        let name = r.str()?.to_string();
+        let ty = match r.u8("column type")? {
+            1 => DataType::Int,
+            2 => DataType::Float,
+            3 => DataType::Str,
+            other => return Err(r.corrupt(format!("type tag {other}"))),
+        };
+        cols.push(Column { name, ty });
     }
-}
-
-fn tag_datatype(tag: u8, context: &str, buf: &Bytes) -> Result<DataType, EngineError> {
-    match tag {
-        1 => Ok(DataType::Int),
-        2 => Ok(DataType::Float),
-        3 => Ok(DataType::Str),
-        other => Err(corrupt(context, &format!("type tag {other}"), buf)),
+    let id = db.create_table(name, Schema::from_columns(cols))?;
+    match r.u32("key column")? {
+        u32::MAX => {}
+        key if key as usize >= arity => {
+            return Err(r.corrupt(format!("key column {key} of {arity}")));
+        }
+        key => db.set_key_column(id, key as usize),
     }
+    let index_count = r.count(1 + 4, "index count")?;
+    let mut indexes = Vec::with_capacity(index_count);
+    for _ in 0..index_count {
+        let kind = match r.u8("index kind")? {
+            0 => IndexKind::Hash,
+            1 => IndexKind::BTree,
+            other => return Err(r.corrupt(format!("index kind {other}"))),
+        };
+        indexes.push((kind, r.u32("index column")? as usize));
+    }
+    // A row takes a tag byte per value; a row of a zero-column table is
+    // still held to one byte, so its count cannot outrun the input.
+    let row_count = r.u64("row count")?;
+    if row_count.saturating_mul(arity.max(1) as u64) > r.remaining() as u64 {
+        return Err(r.corrupt(format!("row count {row_count}")));
+    }
+    // Insert rows first (bulk), then build indexes once.
+    for _ in 0..row_count {
+        let vals = (0..arity).map(|_| r.value()).collect::<Result<_, _>>()?;
+        db.table_mut(id).insert(Row::new(vals))?;
+    }
+    for (kind, col) in indexes {
+        db.table_mut(id).create_index(kind, col)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -339,7 +535,7 @@ mod tests {
     fn roundtrip_preserves_content_and_physical_design() {
         let db = sample();
         let bytes = snapshot(&db);
-        let restored = restore(bytes).unwrap();
+        let restored = restore(&bytes).unwrap();
         assert_eq!(restored.table_count(), 1);
         let t0 = db.table_by_name("t").unwrap();
         let t1 = restored.table_by_name("t").unwrap();
@@ -371,19 +567,19 @@ mod tests {
         db.table_mut(t).delete(victim).unwrap();
         db.create_table("empty", Schema::new(vec![("z", DataType::Int)]))
             .unwrap();
-        let restored = restore(snapshot(&db)).unwrap();
+        let restored = restore(&snapshot(&db)).unwrap();
         assert_eq!(restored.table_by_name("t").unwrap().len(), 49);
         assert_eq!(restored.table_by_name("empty").unwrap().len(), 0);
     }
 
     #[test]
     fn bad_snapshots_are_rejected_with_offsets() {
-        assert!(restore(Bytes::from_static(b"")).is_err());
-        assert!(restore(Bytes::from_static(b"NOPE\x01\x00\x00\x00\x00\x00")).is_err());
+        assert!(restore(b"").is_err());
+        assert!(restore(b"NOPE\x01\x00\x00\x00\x00\x00").is_err());
         // Truncated valid prefix: the error reports where decoding died.
         let db = sample();
         let full = snapshot(&db);
-        let truncated = full.slice(0..full.len() / 2);
+        let truncated = &full[..full.len() / 2];
         match restore(truncated) {
             Err(EngineError::Corrupt {
                 context, offset, ..
@@ -394,12 +590,33 @@ mod tests {
             other => panic!("expected Corrupt, got {other:?}"),
         }
         // Wrong version.
-        let mut bad = BytesMut::from(&full[..]);
+        let mut bad = full.clone();
         bad[4] = 99;
         assert!(matches!(
-            restore(bad.freeze()),
+            restore(&bad),
             Err(EngineError::Unsupported { .. })
         ));
+        // Table "t" of `arity` Int columns (at most one written): impossible
+        // counts and key columns are corrupt before anything is allocated.
+        let craft = |arity: u32, key: u32, indexes: u32, rows: u64| {
+            let mut b = b"AIVM\x01\x00\x01\x00\x00\x00\x01\x00\x00\x00t".to_vec();
+            b.put_u32_le(arity);
+            b.put_slice(&b"\x01\x00\x00\x00c\x01"[..6 * arity.min(1) as usize]);
+            b.put_u32_le(key);
+            b.put_u32_le(indexes);
+            b.put_u64_le(rows);
+            b
+        };
+        assert!(restore(&craft(1, 0, 0, 0)).is_ok());
+        for bad in [
+            craft(1, 5, 0, 0),
+            craft(0, u32::MAX, 0, 50_000_000),
+            craft(u32::MAX, u32::MAX, 0, 0),
+            craft(1, u32::MAX, u32::MAX, 0),
+        ] {
+            let got = restore(&bad);
+            assert!(matches!(got, Err(EngineError::Corrupt { .. })), "{got:?}");
+        }
     }
 
     #[test]
@@ -409,7 +626,7 @@ mod tests {
             .create_table("n", Schema::new(vec![("v", DataType::Int)]))
             .unwrap();
         db.table_mut(t).insert(Row::new(vec![Value::Null])).unwrap();
-        let restored = restore(snapshot(&db)).unwrap();
+        let restored = restore(&snapshot(&db)).unwrap();
         let (_, row) = restored.table_by_name("n").unwrap().iter().next().unwrap();
         assert!(row.get(0).is_null());
     }
@@ -424,21 +641,17 @@ mod tests {
                 new: row![8i64],
             },
         ];
-        let mut buf = BytesMut::with_capacity(128);
+        let mut buf = Vec::new();
         for m in &mods {
             put_modification(&mut buf, m);
         }
-        let mut rd = buf.freeze();
+        let mut rd = Reader::new(&buf, "test");
         for m in &mods {
-            assert_eq!(&get_modification(&mut rd, "test").unwrap(), m);
+            assert_eq!(&rd.modification().unwrap(), m);
         }
-        assert!(rd.is_empty());
+        rd.finish().unwrap();
         // Truncated stream reports a wal-style context + offset.
-        let mut buf = BytesMut::with_capacity(16);
-        put_modification(&mut buf, &mods[0]);
-        let full = buf.freeze();
-        let mut torn = full.slice(0..full.len() - 3);
-        match get_modification(&mut torn, "wal record") {
+        match Reader::new(&buf[..8], "wal record").modification() {
             Err(EngineError::Corrupt { context, .. }) => assert_eq!(context, "wal record"),
             other => panic!("expected Corrupt, got {other:?}"),
         }

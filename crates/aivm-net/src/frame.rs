@@ -14,8 +14,9 @@
 //! rejection ([`HandshakeStatus`]), sent *before* any frame so a capped
 //! server never leaves a dangling half-frame behind.
 //!
-//! After the handshake both directions carry frames with exactly the
-//! write-ahead log's convention (`aivm-serve/src/wal.rs`):
+//! After the handshake both directions carry the write-ahead log's
+//! frames, written by `aivm_engine::codec::put_frame` and cut by
+//! `aivm_engine::codec::split_frame`:
 //!
 //! ```text
 //! frame: payload_len u32 | fxhash64(payload) u64 | payload
@@ -62,18 +63,20 @@
 //!                    | count u32 | (row, w i64)...
 //! ```
 //!
-//! Values, rows and modifications reuse `aivm-engine`'s snapshot codec
+//! Values, rows and modifications reuse `aivm-engine`'s codec
 //! (`aivm_engine::codec`), so a DML modification has exactly one binary
-//! form across the WAL, checkpoints and the wire. `deadline_ms` is the
+//! form across the WAL, checkpoints and the wire, and every payload is
+//! read through its bounds-checked `Reader`. `deadline_ms` is the
 //! client's *remaining* budget for the request (0 = no deadline); the
 //! server subtracts its own queue wait from it. The protocol is
 //! versioned at the handshake, so payloads carry no per-frame version.
 
-use aivm_engine::codec::{get_modification, get_row, get_str, put_modification, put_row, put_str};
-use aivm_engine::fxhash::FxHasher;
-use aivm_engine::{EngineError, Modification, Row, Value, WRow};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::hash::Hasher;
+pub use aivm_engine::codec::FRAME_HEADER_LEN;
+use aivm_engine::codec::{
+    put_frame, put_modification, put_row, put_str, split_frame, Reader, Split,
+};
+use aivm_engine::{EngineError, Modification, WRow};
+use bytes::BufMut;
 use std::io::{ErrorKind, Read, Write};
 
 /// Handshake magic, both directions.
@@ -93,20 +96,10 @@ pub const NET_MAGIC: &[u8; 4] = b"ANET";
 /// the metrics frame's `shards_auto` byte (an echo of a launcher flag
 /// the server never acted on).
 pub const NET_VERSION: u16 = 7;
-/// Bytes of framing before each payload (length + checksum).
-pub const FRAME_HEADER_LEN: usize = 12;
 /// Hard cap on a single frame's payload. A length prefix beyond this is
 /// rejected as corrupt *before* any allocation, so a hostile or garbled
 /// header cannot balloon memory.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
-
-/// Seedless content hash of a byte slice (stable across processes);
-/// identical to the WAL's record checksum.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -229,40 +222,53 @@ pub fn read_hello_reply<R: Read>(r: &mut R) -> Result<HandshakeStatus, FrameErro
 
 /// Writes one frame (header + payload) and flushes.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&checksum(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    send(w, |b| b.extend_from_slice(payload))
+}
+
+/// Frames the payload `encode` writes and sends it in one write.
+fn send<W: Write>(w: &mut W, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(64);
+    put_frame(&mut frame, encode);
+    debug_assert!(frame.len() <= FRAME_HEADER_LEN + MAX_FRAME_LEN);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// The frame splitter's verdict under the wire's rules: a checksum
+/// mismatch, or a header declaring more than [`MAX_FRAME_LEN`] (caught
+/// before the payload is buffered), is corrupt — a byte stream cannot
+/// be resynchronised past either.
+fn split_wire(bytes: &[u8]) -> Result<Split<'_>, FrameError> {
+    match split_frame(bytes) {
+        Split::NeedMore(n) if n > FRAME_HEADER_LEN + MAX_FRAME_LEN => Err(FrameError::corrupt(
+            "frame",
+            0,
+            format!(
+                "payload length {} exceeds cap {MAX_FRAME_LEN}",
+                n - FRAME_HEADER_LEN
+            ),
+        )),
+        Split::ChecksumMismatch => Err(FrameError::corrupt(
+            "frame",
+            FRAME_HEADER_LEN as u64,
+            "payload checksum mismatch",
+        )),
+        split => Ok(split),
+    }
 }
 
 /// Reads one frame, validating length and checksum. EOF before the
 /// first header byte is [`FrameError::Closed`]; EOF anywhere later is a
 /// torn frame ([`FrameError::Io`]).
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    read_exact_or_closed(r, &mut header, true)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let sum = u64::from_le_bytes(header[4..].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::corrupt(
-            "frame",
-            0,
-            format!("payload length {len} exceeds cap {MAX_FRAME_LEN}"),
-        ));
+    let mut frame = Vec::new();
+    while let Split::NeedMore(len) = split_wire(&frame)? {
+        let have = frame.len();
+        frame.resize(len, 0);
+        read_exact_or_closed(r, &mut frame[have..], have == 0)?;
     }
-    let mut payload = vec![0u8; len];
-    read_exact_or_closed(r, &mut payload, false)?;
-    if checksum(&payload) != sum {
-        return Err(FrameError::corrupt(
-            "frame",
-            FRAME_HEADER_LEN as u64,
-            "payload checksum mismatch",
-        ));
-    }
-    Ok(payload)
+    frame.drain(..FRAME_HEADER_LEN);
+    Ok(frame)
 }
 
 /// Consecutive mid-frame read timeouts tolerated before a stalled peer
@@ -416,7 +422,12 @@ pub struct RequestFrame {
 
 /// Encodes a request payload (framing is [`write_frame`]'s job).
 pub fn encode_request(f: &RequestFrame) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
+    put_request(&mut buf, f);
+    buf
+}
+
+fn put_request(buf: &mut Vec<u8>, f: &RequestFrame) {
     buf.put_u32_le(f.deadline_ms);
     match &f.request {
         Request::Ping => buf.put_u8(0),
@@ -426,7 +437,7 @@ pub fn encode_request(f: &RequestFrame) -> Vec<u8> {
             buf.put_u32_le(*table);
             buf.put_u32_le(mods.len() as u32);
             for m in mods {
-                put_modification(&mut buf, m);
+                put_modification(buf, m);
             }
         }
         Request::Read {
@@ -463,104 +474,6 @@ pub fn encode_request(f: &RequestFrame) -> Vec<u8> {
             buf.put_u32_le(*view);
         }
     }
-    buf.freeze().to_vec()
-}
-
-/// Builds the [`EngineError::Corrupt`] for a payload decode failure at
-/// the buffer's current cursor.
-fn corrupt(context: &str, what: &str, buf: &Bytes) -> EngineError {
-    EngineError::Corrupt {
-        context: context.to_string(),
-        offset: buf.consumed() as u64,
-        message: what.to_string(),
-    }
-}
-
-/// Decodes a request payload. Every failure is a typed
-/// [`EngineError::Corrupt`] naming the offset; never panics.
-pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, EngineError> {
-    let ctx = "request";
-    let mut buf = Bytes::from(payload);
-    if buf.remaining() < 5 {
-        return Err(corrupt(ctx, "header", &buf));
-    }
-    let deadline_ms = buf.get_u32_le();
-    let request = match buf.get_u8() {
-        0 => Request::Ping,
-        1 => {
-            if buf.remaining() < 16 {
-                return Err(corrupt(ctx, "submit header", &buf));
-            }
-            let epoch = buf.get_u64_le();
-            let table = buf.get_u32_le();
-            let count = buf.get_u32_le() as usize;
-            // Each modification takes at least 6 bytes (tag + arity +
-            // one value tag); an impossible count is rejected before
-            // allocating.
-            if count > buf.remaining() {
-                return Err(corrupt(ctx, &format!("submit count {count}"), &buf));
-            }
-            let mut mods = Vec::with_capacity(count);
-            for _ in 0..count {
-                mods.push(get_modification(&mut buf, ctx)?);
-            }
-            Request::Submit { epoch, table, mods }
-        }
-        2 => {
-            if buf.remaining() < 6 {
-                return Err(corrupt(ctx, "read flags", &buf));
-            }
-            Request::Read {
-                view: buf.get_u32_le(),
-                fresh: buf.get_u8() != 0,
-                want_rows: buf.get_u8() != 0,
-            }
-        }
-        3 => {
-            if buf.remaining() < 2 {
-                return Err(corrupt(ctx, "metrics flags", &buf));
-            }
-            Request::Metrics {
-                per_shard: buf.get_u8() != 0,
-                per_view: buf.get_u8() != 0,
-            }
-        }
-        4 => Request::Flush,
-        5 => {
-            if buf.remaining() < 12 {
-                return Err(corrupt(ctx, "replica-subscribe", &buf));
-            }
-            Request::ReplicaSubscribe {
-                shard: buf.get_u32_le(),
-                from_record: buf.get_u64_le(),
-            }
-        }
-        6 => {
-            if buf.remaining() < 12 {
-                return Err(corrupt(ctx, "subscribe", &buf));
-            }
-            Request::Subscribe {
-                view: buf.get_u32_le(),
-                from_seq: buf.get_u64_le(),
-            }
-        }
-        7 => {
-            if buf.remaining() < 4 {
-                return Err(corrupt(ctx, "unsubscribe", &buf));
-            }
-            Request::Unsubscribe {
-                view: buf.get_u32_le(),
-            }
-        }
-        other => return Err(corrupt(ctx, &format!("request kind {other}"), &buf)),
-    };
-    if !buf.is_empty() {
-        return Err(corrupt(ctx, "trailing bytes", &buf));
-    }
-    Ok(RequestFrame {
-        deadline_ms,
-        request,
-    })
 }
 
 /// Typed request-level failure taxonomy, carried in
@@ -918,7 +831,14 @@ pub enum Response {
 
 /// Encodes a response payload.
 pub fn encode_response(r: &Response) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64);
+    let mut buf = Vec::with_capacity(64);
+    put_response(&mut buf, r);
+    buf
+}
+
+/// Appends a response payload (the server encodes straight into its
+/// connection's write buffer).
+pub(crate) fn put_response(buf: &mut Vec<u8>, r: &Response) {
     match r {
         Response::Pong => buf.put_u8(0),
         Response::SubmitOk { accepted } => {
@@ -937,11 +857,7 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
                 None => buf.put_u8(0),
                 Some(rows) => {
                     buf.put_u8(1);
-                    buf.put_u32_le(rows.len() as u32);
-                    for (row, w) in rows {
-                        put_row(&mut buf, row);
-                        buf.put_i64_le(*w);
-                    }
+                    put_wrows(buf, rows);
                 }
             }
         }
@@ -992,7 +908,7 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
                 None => buf.put_u8(0),
                 Some(e) => {
                     buf.put_u8(1);
-                    put_str(&mut buf, e);
+                    put_str(buf, e);
                 }
             }
             match &m.per_shard {
@@ -1044,7 +960,7 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
         Response::Error { code, message } => {
             buf.put_u8(5);
             buf.put_u8(code.as_u8());
-            put_str(&mut buf, message);
+            put_str(buf, message);
         }
         Response::WalSegment {
             epoch,
@@ -1071,7 +987,7 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             buf.put_u64_le(*seq);
             buf.put_u8(u8::from(*resync));
             buf.put_u64_le(*checksum);
-            put_wrows(&mut buf, rows);
+            put_wrows(buf, rows);
         }
         Response::ViewDelta {
             view,
@@ -1085,15 +1001,14 @@ pub fn encode_response(r: &Response) -> Vec<u8> {
             buf.put_u64_le(*seq);
             buf.put_u64_le(*checksum);
             buf.put_u64_le(*staleness);
-            put_wrows(&mut buf, rows);
+            put_wrows(buf, rows);
         }
     }
-    buf.freeze().to_vec()
 }
 
 /// Encodes a count-prefixed weighted-row list (the `ReadOk` row layout
 /// without its presence flag).
-fn put_wrows(buf: &mut BytesMut, rows: &[WRow]) {
+fn put_wrows(buf: &mut Vec<u8>, rows: &[WRow]) {
     buf.put_u32_le(rows.len() as u32);
     for (row, w) in rows {
         put_row(buf, row);
@@ -1102,327 +1017,197 @@ fn put_wrows(buf: &mut BytesMut, rows: &[WRow]) {
 }
 
 /// Decodes a count-prefixed weighted-row list.
-fn get_wrows(buf: &mut Bytes, ctx: &str) -> Result<Vec<WRow>, EngineError> {
-    if buf.remaining() < 4 {
-        return Err(corrupt(ctx, "row count", buf));
-    }
-    let count = buf.get_u32_le() as usize;
-    if count > buf.remaining() {
-        return Err(corrupt(ctx, &format!("row count {count}"), buf));
-    }
-    let mut rows = Vec::with_capacity(count);
-    for _ in 0..count {
-        let row = get_row(buf, ctx)?;
-        if buf.remaining() < 8 {
-            return Err(corrupt(ctx, "row weight", buf));
-        }
-        rows.push((row, buf.get_i64_le()));
-    }
-    Ok(rows)
+fn get_wrows(r: &mut Reader<'_>) -> Result<Vec<WRow>, EngineError> {
+    // A weighted row takes at least its arity and weight.
+    (0..r.count(4 + 8, "row count")?)
+        .map(|_| Ok((r.row()?, r.i64("row weight")?)))
+        .collect()
 }
 
 /// Decodes a response payload. Every failure is a typed
 /// [`EngineError::Corrupt`]; never panics.
 pub fn decode_response(payload: &[u8]) -> Result<Response, EngineError> {
-    let ctx = "response";
-    let mut buf = Bytes::from(payload);
-    if buf.remaining() < 1 {
-        return Err(corrupt(ctx, "kind", &buf));
-    }
-    let resp = match buf.get_u8() {
+    let mut r = Reader::new(payload, "response");
+    let resp = match r.u8("kind")? {
         0 => Response::Pong,
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(corrupt(ctx, "submit-ok", &buf));
-            }
-            Response::SubmitOk {
-                accepted: buf.get_u64_le(),
-            }
-        }
-        2 => {
-            if buf.remaining() < 28 {
-                return Err(corrupt(ctx, "read-ok header", &buf));
-            }
-            let fresh = buf.get_u8() != 0;
-            let lag = buf.get_u64_le();
-            let flush_cost = buf.get_f64_le();
-            let violated = buf.get_u8() != 0;
-            let degraded = buf.get_u8() != 0;
-            let sum = buf.get_u64_le();
-            let rows = match buf.get_u8() {
+        1 => Response::SubmitOk {
+            accepted: r.u64("submit-ok")?,
+        },
+        2 => Response::ReadOk(WireReadResult {
+            fresh: r.flag("read-ok header")?,
+            lag: r.u64("read-ok header")?,
+            flush_cost: r.f64("read-ok header")?,
+            violated: r.flag("read-ok header")?,
+            degraded: r.flag("read-ok header")?,
+            checksum: r.u64("read-ok header")?,
+            rows: match r.u8("rows flag")? {
                 0 => None,
-                1 => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt(ctx, "row count", &buf));
-                    }
-                    let count = buf.get_u32_le() as usize;
-                    if count > buf.remaining() {
-                        return Err(corrupt(ctx, &format!("row count {count}"), &buf));
-                    }
-                    let mut rows = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let row = get_row(&mut buf, ctx)?;
-                        if buf.remaining() < 8 {
-                            return Err(corrupt(ctx, "row weight", &buf));
-                        }
-                        rows.push((row, buf.get_i64_le()));
-                    }
-                    Some(rows)
-                }
-                other => return Err(corrupt(ctx, &format!("rows flag {other}"), &buf)),
-            };
-            Response::ReadOk(WireReadResult {
-                fresh,
-                lag,
-                flush_cost,
-                violated,
-                degraded,
-                checksum: sum,
-                rows,
-            })
-        }
+                1 => Some(get_wrows(&mut r)?),
+                other => return Err(r.corrupt(format!("rows flag {other}"))),
+            },
+        }),
         3 => {
-            // All fixed-width fields (u64/f64 plus the degraded,
-            // shards-auto and error flags), checked as one block
-            // before the reads.
-            const FIXED: usize = 40 * 8 + 3;
-            if buf.remaining() < FIXED {
-                return Err(corrupt(ctx, "metrics", &buf));
-            }
             let mut m = NetMetrics {
-                events_ingested: buf.get_u64_le(),
-                ticks: buf.get_u64_le(),
-                flush_count: buf.get_u64_le(),
-                total_flush_cost: buf.get_f64_le(),
-                fresh_reads: buf.get_u64_le(),
-                stale_reads: buf.get_u64_le(),
-                snapshot_reads: buf.get_u64_le(),
-                constraint_violations: buf.get_u64_le(),
-                policy_demotions: buf.get_u64_le(),
-                recalibrations: buf.get_u64_le(),
-                degraded: buf.get_u8() != 0,
-                queue_depth: buf.get_u64_le(),
-                max_queue_depth: buf.get_u64_le(),
-                shed_events: buf.get_u64_le(),
-                ingest_errors: buf.get_u64_le(),
-                wal_records: buf.get_u64_le(),
-                wal_fsync_lag: buf.get_u64_le(),
-                wal_sync_every: buf.get_u64_le(),
-                connections_active: buf.get_u64_le(),
-                connections_total: buf.get_u64_le(),
-                connections_rejected: buf.get_u64_le(),
-                requests: buf.get_u64_le(),
-                submitted_events: buf.get_u64_le(),
-                overload_rejections: buf.get_u64_le(),
-                deadline_rejections: buf.get_u64_le(),
-                shards: buf.get_u64_le(),
-                shards_live: buf.get_u64_le(),
-                staleness_max: buf.get_u64_le(),
-                budget: buf.get_f64_le(),
-                budget_rebalances: buf.get_u64_le(),
-                failovers: buf.get_u64_le(),
-                cluster_epoch: buf.get_u64_le(),
-                replica_lag_max: buf.get_u64_le(),
-                views: buf.get_u64_le(),
-                subscribers: buf.get_u64_le(),
-                deltas_pushed: buf.get_u64_le(),
-                sub_lag_max: buf.get_u64_le(),
-                heavy_keys: buf.get_u64_le(),
-                heavy_reclassifications: buf.get_u64_le(),
-                heavy_hits: buf.get_u64_le(),
-                light_hits: buf.get_u64_le(),
+                events_ingested: r.u64("metrics")?,
+                ticks: r.u64("metrics")?,
+                flush_count: r.u64("metrics")?,
+                total_flush_cost: r.f64("metrics")?,
+                fresh_reads: r.u64("metrics")?,
+                stale_reads: r.u64("metrics")?,
+                snapshot_reads: r.u64("metrics")?,
+                constraint_violations: r.u64("metrics")?,
+                policy_demotions: r.u64("metrics")?,
+                recalibrations: r.u64("metrics")?,
+                degraded: r.flag("metrics")?,
+                queue_depth: r.u64("metrics")?,
+                max_queue_depth: r.u64("metrics")?,
+                shed_events: r.u64("metrics")?,
+                ingest_errors: r.u64("metrics")?,
+                wal_records: r.u64("metrics")?,
+                wal_fsync_lag: r.u64("metrics")?,
+                wal_sync_every: r.u64("metrics")?,
+                connections_active: r.u64("metrics")?,
+                connections_total: r.u64("metrics")?,
+                connections_rejected: r.u64("metrics")?,
+                requests: r.u64("metrics")?,
+                submitted_events: r.u64("metrics")?,
+                overload_rejections: r.u64("metrics")?,
+                deadline_rejections: r.u64("metrics")?,
+                shards: r.u64("metrics")?,
+                shards_live: r.u64("metrics")?,
+                staleness_max: r.u64("metrics")?,
+                budget: r.f64("metrics")?,
+                budget_rebalances: r.u64("metrics")?,
+                failovers: r.u64("metrics")?,
+                cluster_epoch: r.u64("metrics")?,
+                replica_lag_max: r.u64("metrics")?,
+                views: r.u64("metrics")?,
+                subscribers: r.u64("metrics")?,
+                deltas_pushed: r.u64("metrics")?,
+                sub_lag_max: r.u64("metrics")?,
+                heavy_keys: r.u64("metrics")?,
+                heavy_reclassifications: r.u64("metrics")?,
+                heavy_hits: r.u64("metrics")?,
+                light_hits: r.u64("metrics")?,
                 last_error: None,
                 per_shard: None,
                 per_view: None,
             };
-            if buf.remaining() < 1 {
-                return Err(corrupt(ctx, "metrics error flag", &buf));
-            }
-            m.last_error = match buf.get_u8() {
+            m.last_error = match r.u8("metrics error flag")? {
                 0 => None,
-                1 => Some(get_str(&mut buf, ctx)?),
-                other => return Err(corrupt(ctx, &format!("error flag {other}"), &buf)),
+                1 => Some(r.str()?.to_string()),
+                other => return Err(r.corrupt(format!("error flag {other}"))),
             };
-            if buf.remaining() < 1 {
-                return Err(corrupt(ctx, "metrics shard flag", &buf));
-            }
-            m.per_shard = match buf.get_u8() {
+            m.per_shard = match r.u8("metrics shard flag")? {
                 0 => None,
-                1 => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt(ctx, "shard row count", &buf));
-                    }
-                    let count = buf.get_u32_le() as usize;
-                    // Each row is 70 fixed bytes; reject impossible
-                    // counts before allocating.
-                    const ROW: usize = 4 + 2 + 8 * 8;
-                    if count * ROW > buf.remaining() {
-                        return Err(corrupt(ctx, &format!("shard row count {count}"), &buf));
-                    }
-                    let mut rows = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        rows.push(ShardMetricsRow {
-                            shard: buf.get_u32_le(),
-                            live: buf.get_u8() != 0,
-                            events_ingested: buf.get_u64_le(),
-                            queue_depth: buf.get_u64_le(),
-                            flush_count: buf.get_u64_le(),
-                            total_flush_cost: buf.get_f64_le(),
-                            budget: buf.get_f64_le(),
-                            staleness: buf.get_u64_le(),
-                            epoch: buf.get_u64_le(),
-                            replica_lag: buf.get_u64_le(),
-                            health: buf.get_u8(),
-                        });
-                    }
-                    Some(rows)
-                }
-                other => return Err(corrupt(ctx, &format!("shard flag {other}"), &buf)),
+                // Each row is 70 fixed bytes.
+                1 => Some(
+                    (0..r.count(4 + 2 + 8 * 8, "shard row count")?)
+                        .map(|_| {
+                            Ok(ShardMetricsRow {
+                                shard: r.u32("shard row")?,
+                                live: r.flag("shard row")?,
+                                events_ingested: r.u64("shard row")?,
+                                queue_depth: r.u64("shard row")?,
+                                flush_count: r.u64("shard row")?,
+                                total_flush_cost: r.f64("shard row")?,
+                                budget: r.f64("shard row")?,
+                                staleness: r.u64("shard row")?,
+                                epoch: r.u64("shard row")?,
+                                replica_lag: r.u64("shard row")?,
+                                health: r.u8("shard row")?,
+                            })
+                        })
+                        .collect::<Result<_, EngineError>>()?,
+                ),
+                other => return Err(r.corrupt(format!("shard flag {other}"))),
             };
-            if buf.remaining() < 1 {
-                return Err(corrupt(ctx, "metrics view flag", &buf));
-            }
-            m.per_view = match buf.get_u8() {
+            m.per_view = match r.u8("metrics view flag")? {
                 0 => None,
-                1 => {
-                    if buf.remaining() < 4 {
-                        return Err(corrupt(ctx, "view row count", &buf));
-                    }
-                    let count = buf.get_u32_le() as usize;
-                    // Each row is 56 fixed bytes; reject impossible
-                    // counts before allocating.
-                    const ROW: usize = 4 + 4 + 6 * 8;
-                    if count * ROW > buf.remaining() {
-                        return Err(corrupt(ctx, &format!("view row count {count}"), &buf));
-                    }
-                    let mut rows = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        rows.push(ViewMetricsRow {
-                            view: buf.get_u32_le(),
-                            group: buf.get_u32_le(),
-                            flushes: buf.get_u64_le(),
-                            pending: buf.get_u64_le(),
-                            violations: buf.get_u64_le(),
-                            deltas_pushed: buf.get_u64_le(),
-                            subscribers: buf.get_u64_le(),
-                            sub_lag_max: buf.get_u64_le(),
-                        });
-                    }
-                    Some(rows)
-                }
-                other => return Err(corrupt(ctx, &format!("view flag {other}"), &buf)),
+                // Each row is 56 fixed bytes.
+                1 => Some(
+                    (0..r.count(4 + 4 + 6 * 8, "view row count")?)
+                        .map(|_| {
+                            Ok(ViewMetricsRow {
+                                view: r.u32("view row")?,
+                                group: r.u32("view row")?,
+                                flushes: r.u64("view row")?,
+                                pending: r.u64("view row")?,
+                                violations: r.u64("view row")?,
+                                deltas_pushed: r.u64("view row")?,
+                                subscribers: r.u64("view row")?,
+                                sub_lag_max: r.u64("view row")?,
+                            })
+                        })
+                        .collect::<Result<_, EngineError>>()?,
+                ),
+                other => return Err(r.corrupt(format!("view flag {other}"))),
             };
             Response::MetricsOk(Box::new(m))
         }
-        4 => {
-            if buf.remaining() < 9 {
-                return Err(corrupt(ctx, "flush-ok", &buf));
-            }
-            Response::FlushOk {
-                flush_cost: buf.get_f64_le(),
-                violated: buf.get_u8() != 0,
-            }
-        }
+        4 => Response::FlushOk {
+            flush_cost: r.f64("flush-ok")?,
+            violated: r.flag("flush-ok")?,
+        },
         5 => {
-            if buf.remaining() < 1 {
-                return Err(corrupt(ctx, "error code", &buf));
-            }
-            let raw = buf.get_u8();
-            let code = ErrorCode::from_u8(raw)
-                .ok_or_else(|| corrupt(ctx, &format!("error code {raw}"), &buf))?;
+            let raw = r.u8("error code")?;
+            let code =
+                ErrorCode::from_u8(raw).ok_or_else(|| r.corrupt(format!("error code {raw}")))?;
             Response::Error {
                 code,
-                message: get_str(&mut buf, ctx)?,
+                message: r.str()?.to_string(),
             }
         }
-        6 => {
-            if buf.remaining() < 28 {
-                return Err(corrupt(ctx, "wal-segment header", &buf));
-            }
-            let epoch = buf.get_u64_le();
-            let from_record = buf.get_u64_le();
-            let leader_records = buf.get_u64_le();
-            let len = buf.get_u32_le() as usize;
-            if len > buf.remaining() {
-                return Err(corrupt(ctx, &format!("wal-segment length {len}"), &buf));
-            }
-            let bytes = buf.copy_to_bytes(len).to_vec();
-            Response::WalSegment {
-                epoch,
-                from_record,
-                leader_records,
-                bytes,
-            }
-        }
-        7 => {
-            if buf.remaining() < 21 {
-                return Err(corrupt(ctx, "subscribe-ok header", &buf));
-            }
-            let view = buf.get_u32_le();
-            let seq = buf.get_u64_le();
-            let resync = buf.get_u8() != 0;
-            let checksum = buf.get_u64_le();
-            Response::SubscribeOk {
-                view,
-                seq,
-                resync,
-                checksum,
-                rows: get_wrows(&mut buf, ctx)?,
-            }
-        }
-        8 => {
-            if buf.remaining() < 28 {
-                return Err(corrupt(ctx, "view-delta header", &buf));
-            }
-            let view = buf.get_u32_le();
-            let seq = buf.get_u64_le();
-            let checksum = buf.get_u64_le();
-            let staleness = buf.get_u64_le();
-            Response::ViewDelta {
-                view,
-                seq,
-                checksum,
-                staleness,
-                rows: get_wrows(&mut buf, ctx)?,
-            }
-        }
-        other => return Err(corrupt(ctx, &format!("response kind {other}"), &buf)),
+        6 => Response::WalSegment {
+            epoch: r.u64("wal-segment header")?,
+            from_record: r.u64("wal-segment header")?,
+            leader_records: r.u64("wal-segment header")?,
+            bytes: {
+                let len = r.u32("wal-segment header")? as usize;
+                r.bytes(len, "wal-segment bytes")?.to_vec()
+            },
+        },
+        7 => Response::SubscribeOk {
+            view: r.u32("subscribe-ok header")?,
+            seq: r.u64("subscribe-ok header")?,
+            resync: r.flag("subscribe-ok header")?,
+            checksum: r.u64("subscribe-ok header")?,
+            rows: get_wrows(&mut r)?,
+        },
+        8 => Response::ViewDelta {
+            view: r.u32("view-delta header")?,
+            seq: r.u64("view-delta header")?,
+            checksum: r.u64("view-delta header")?,
+            staleness: r.u64("view-delta header")?,
+            rows: get_wrows(&mut r)?,
+        },
+        other => return Err(r.corrupt(format!("response kind {other}"))),
     };
-    if !buf.is_empty() {
-        return Err(corrupt(ctx, "trailing bytes", &buf));
-    }
+    r.finish()?;
     Ok(resp)
 }
 
 /// Sends one request frame.
 pub fn send_request<W: Write>(w: &mut W, f: &RequestFrame) -> std::io::Result<()> {
-    write_frame(w, &encode_request(f))
+    send(w, |b| put_request(b, f))
 }
 
 /// Receives one request frame.
 pub fn recv_request<R: Read>(r: &mut R) -> Result<RequestFrame, FrameError> {
-    decode_request(&read_frame(r)?).map_err(FrameError::Corrupt)
+    let payload = read_frame(r)?;
+    decode_request_ref(&payload)
+        .and_then(|f| f.to_owned_frame())
+        .map_err(FrameError::Corrupt)
 }
 
 /// Sends one response frame.
 pub fn send_response<W: Write>(w: &mut W, resp: &Response) -> std::io::Result<()> {
-    write_frame(w, &encode_response(resp))
+    send(w, |b| put_response(b, resp))
 }
 
 /// Receives one response frame.
 pub fn recv_response<R: Read>(r: &mut R) -> Result<Response, FrameError> {
     decode_response(&read_frame(r)?).map_err(FrameError::Corrupt)
-}
-
-/// Appends one frame (header + payload) to an in-memory write buffer.
-/// The event-loop server accumulates responses here and flushes to the
-/// socket on write readiness, instead of calling blocking
-/// [`write_frame`].
-pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME_LEN);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&checksum(payload).to_le_bytes());
-    out.extend_from_slice(payload);
 }
 
 /// An incremental frame parser over a growable read buffer.
@@ -1520,177 +1305,17 @@ impl FrameBuffer {
     /// bytes are needed. Length and checksum validation matches
     /// [`read_frame`] exactly.
     pub fn next_frame(&mut self) -> Result<Option<std::ops::Range<usize>>, FrameError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < FRAME_HEADER_LEN {
+        let Split::Frame(payload) = split_wire(&self.buf[self.start..])? else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(FrameError::corrupt(
-                "frame",
-                0,
-                format!("payload length {len} exceeds cap {MAX_FRAME_LEN}"),
-            ));
-        }
-        let sum = u64::from_le_bytes(avail[4..FRAME_HEADER_LEN].try_into().unwrap());
-        if avail.len() < FRAME_HEADER_LEN + len {
-            return Ok(None);
-        }
-        let payload_start = self.start + FRAME_HEADER_LEN;
-        let range = payload_start..payload_start + len;
-        if checksum(&self.buf[range.clone()]) != sum {
-            return Err(FrameError::corrupt(
-                "frame",
-                FRAME_HEADER_LEN as u64,
-                "payload checksum mismatch",
-            ));
-        }
-        self.start = range.end;
-        Ok(Some(range))
+        };
+        let start = self.start + FRAME_HEADER_LEN;
+        self.start = start + payload.len();
+        Ok(Some(start..self.start))
     }
 
     /// Resolves a range returned by [`next_frame`](FrameBuffer::next_frame).
     pub fn payload(&self, range: std::ops::Range<usize>) -> &[u8] {
         &self.buf[range]
-    }
-}
-
-/// A bounds-checked cursor over a borrowed payload slice. The
-/// zero-copy twin of the `Bytes`-based decoder: same offsets in the
-/// same `Corrupt` errors, no allocation on the success path.
-struct SliceCursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SliceCursor<'a> {
-    fn new(data: &'a [u8]) -> SliceCursor<'a> {
-        SliceCursor { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn corrupt(&self, context: &str, what: &str) -> EngineError {
-        EngineError::Corrupt {
-            context: context.to_string(),
-            offset: self.pos as u64,
-            message: what.to_string(),
-        }
-    }
-
-    fn get<const N: usize>(&mut self, context: &str, what: &str) -> Result<[u8; N], EngineError> {
-        if self.remaining() < N {
-            return Err(self.corrupt(context, what));
-        }
-        let out = self.data[self.pos..self.pos + N].try_into().unwrap();
-        self.pos += N;
-        Ok(out)
-    }
-
-    fn get_u8(&mut self, context: &str, what: &str) -> Result<u8, EngineError> {
-        Ok(self.get::<1>(context, what)?[0])
-    }
-
-    fn get_u32_le(&mut self, context: &str, what: &str) -> Result<u32, EngineError> {
-        Ok(u32::from_le_bytes(self.get::<4>(context, what)?))
-    }
-
-    fn get_u64_le(&mut self, context: &str, what: &str) -> Result<u64, EngineError> {
-        Ok(u64::from_le_bytes(self.get::<8>(context, what)?))
-    }
-
-    fn get_i64_le(&mut self, context: &str, what: &str) -> Result<i64, EngineError> {
-        Ok(i64::from_le_bytes(self.get::<8>(context, what)?))
-    }
-
-    fn get_f64_le(&mut self, context: &str, what: &str) -> Result<f64, EngineError> {
-        Ok(f64::from_le_bytes(self.get::<8>(context, what)?))
-    }
-
-    /// Borrows a length-prefixed UTF-8 string without copying.
-    fn get_str(&mut self, context: &str) -> Result<&'a str, EngineError> {
-        let len = self.get_u32_le(context, "string length")? as usize;
-        if self.remaining() < len {
-            return Err(self.corrupt(context, "string body"));
-        }
-        let bytes = &self.data[self.pos..self.pos + len];
-        let s = std::str::from_utf8(bytes).map_err(|_| self.corrupt(context, "utf8"))?;
-        self.pos += len;
-        Ok(s)
-    }
-
-    /// Validates and skips one tagged value.
-    fn skip_value(&mut self, context: &str) -> Result<(), EngineError> {
-        match self.get_u8(context, "value tag")? {
-            0 => Ok(()),
-            1 => self.get_i64_le(context, "int").map(|_| ()),
-            2 => self.get_f64_le(context, "float").map(|_| ()),
-            3 => self.get_str(context).map(|_| ()),
-            other => Err(self.corrupt(context, &format!("value tag {other}"))),
-        }
-    }
-
-    /// Reads one tagged value, materializing it.
-    fn get_value(&mut self, context: &str) -> Result<Value, EngineError> {
-        match self.get_u8(context, "value tag")? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Int(self.get_i64_le(context, "int")?)),
-            2 => Ok(Value::Float(self.get_f64_le(context, "float")?)),
-            3 => Ok(Value::str(self.get_str(context)?)),
-            other => Err(self.corrupt(context, &format!("value tag {other}"))),
-        }
-    }
-
-    /// Validates and skips one arity-prefixed row.
-    fn skip_row(&mut self, context: &str) -> Result<(), EngineError> {
-        let arity = self.get_u32_le(context, "row arity")? as usize;
-        if arity > self.remaining() {
-            return Err(self.corrupt(context, &format!("row arity {arity}")));
-        }
-        for _ in 0..arity {
-            self.skip_value(context)?;
-        }
-        Ok(())
-    }
-
-    /// Reads one arity-prefixed row, materializing it.
-    fn get_row(&mut self, context: &str) -> Result<Row, EngineError> {
-        let arity = self.get_u32_le(context, "row arity")? as usize;
-        if arity > self.remaining() {
-            return Err(self.corrupt(context, &format!("row arity {arity}")));
-        }
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(self.get_value(context)?);
-        }
-        Ok(Row::new(vals))
-    }
-
-    /// Validates and skips one tagged modification.
-    fn skip_modification(&mut self, context: &str) -> Result<(), EngineError> {
-        match self.get_u8(context, "modification tag")? {
-            0 | 1 => self.skip_row(context),
-            2 => {
-                self.skip_row(context)?;
-                self.skip_row(context)
-            }
-            other => Err(self.corrupt(context, &format!("modification tag {other}"))),
-        }
-    }
-
-    /// Reads one tagged modification, materializing it.
-    fn get_modification(&mut self, context: &str) -> Result<Modification, EngineError> {
-        match self.get_u8(context, "modification tag")? {
-            0 => Ok(Modification::Insert(self.get_row(context)?)),
-            1 => Ok(Modification::Delete(self.get_row(context)?)),
-            2 => Ok(Modification::Update {
-                old: self.get_row(context)?,
-                new: self.get_row(context)?,
-            }),
-            other => Err(self.corrupt(context, &format!("modification tag {other}"))),
-        }
     }
 }
 
@@ -1721,11 +1346,10 @@ impl<'a> SubmitRef<'a> {
     /// `Modification` holds `Arc`ed rows, so this is where the payload's
     /// only per-row allocations happen — at ingest, not at decode.
     pub fn decode_mods_into(&self, out: &mut Vec<Modification>) -> Result<(), EngineError> {
-        let ctx = "request";
-        let mut cur = SliceCursor::new(self.mods);
+        let mut r = Reader::new(self.mods, "request");
         out.reserve(self.count as usize);
         for _ in 0..self.count {
-            out.push(cur.get_modification(ctx)?);
+            out.push(r.modification()?);
         }
         Ok(())
     }
@@ -1838,90 +1462,53 @@ impl RequestRefFrame<'_> {
 
 /// Decodes a request payload **without copying or allocating**: the
 /// Submit body stays a borrowed, structurally validated byte slice
-/// inside the returned [`RequestRefFrame`]. Validation is as strict as
-/// [`decode_request`] — same taxonomy, same offsets — so a frame this
-/// function accepts is exactly a frame the owned decoder accepts.
+/// inside the returned [`RequestRefFrame`]. Every failure is a typed
+/// [`EngineError::Corrupt`] naming the offset; never panics.
 pub fn decode_request_ref(payload: &[u8]) -> Result<RequestRefFrame<'_>, EngineError> {
-    let ctx = "request";
-    let mut cur = SliceCursor::new(payload);
-    if cur.remaining() < 5 {
-        return Err(cur.corrupt(ctx, "header"));
-    }
-    let deadline_ms = cur.get_u32_le(ctx, "header")?;
-    let request = match cur.get_u8(ctx, "header")? {
+    let mut r = Reader::new(payload, "request");
+    let deadline_ms = r.u32("header")?;
+    let request = match r.u8("header")? {
         0 => RequestRef::Ping,
         1 => {
-            if cur.remaining() < 16 {
-                return Err(cur.corrupt(ctx, "submit header"));
-            }
-            let epoch = cur.get_u64_le(ctx, "submit header")?;
-            let table = cur.get_u32_le(ctx, "submit header")?;
-            let count = cur.get_u32_le(ctx, "submit header")?;
-            if count as usize > cur.remaining() {
-                return Err(cur.corrupt(ctx, &format!("submit count {count}")));
-            }
-            let body_start = cur.pos;
+            let epoch = r.u64("submit header")?;
+            let table = r.u32("submit header")?;
+            // A modification takes at least its tag and row arity.
+            let count = r.count(1 + 4, "submit count")?;
+            let start = r.position();
             for _ in 0..count {
-                cur.skip_modification(ctx)?;
+                r.skip_modification()?;
             }
             RequestRef::Submit(SubmitRef {
                 epoch,
                 table,
-                count,
-                mods: &payload[body_start..cur.pos],
+                count: count as u32,
+                mods: &payload[start..r.position()],
             })
         }
-        2 => {
-            if cur.remaining() < 6 {
-                return Err(cur.corrupt(ctx, "read flags"));
-            }
-            RequestRef::Read {
-                view: cur.get_u32_le(ctx, "read flags")?,
-                fresh: cur.get_u8(ctx, "read flags")? != 0,
-                want_rows: cur.get_u8(ctx, "read flags")? != 0,
-            }
-        }
-        3 => {
-            if cur.remaining() < 2 {
-                return Err(cur.corrupt(ctx, "metrics flags"));
-            }
-            RequestRef::Metrics {
-                per_shard: cur.get_u8(ctx, "metrics flags")? != 0,
-                per_view: cur.get_u8(ctx, "metrics flags")? != 0,
-            }
-        }
+        2 => RequestRef::Read {
+            view: r.u32("read flags")?,
+            fresh: r.flag("read flags")?,
+            want_rows: r.flag("read flags")?,
+        },
+        3 => RequestRef::Metrics {
+            per_shard: r.flag("metrics flags")?,
+            per_view: r.flag("metrics flags")?,
+        },
         4 => RequestRef::Flush,
-        5 => {
-            if cur.remaining() < 12 {
-                return Err(cur.corrupt(ctx, "replica-subscribe"));
-            }
-            RequestRef::ReplicaSubscribe {
-                shard: cur.get_u32_le(ctx, "replica-subscribe")?,
-                from_record: cur.get_u64_le(ctx, "replica-subscribe")?,
-            }
-        }
-        6 => {
-            if cur.remaining() < 12 {
-                return Err(cur.corrupt(ctx, "subscribe"));
-            }
-            RequestRef::Subscribe {
-                view: cur.get_u32_le(ctx, "subscribe")?,
-                from_seq: cur.get_u64_le(ctx, "subscribe")?,
-            }
-        }
-        7 => {
-            if cur.remaining() < 4 {
-                return Err(cur.corrupt(ctx, "unsubscribe"));
-            }
-            RequestRef::Unsubscribe {
-                view: cur.get_u32_le(ctx, "unsubscribe")?,
-            }
-        }
-        other => return Err(cur.corrupt(ctx, &format!("request kind {other}"))),
+        5 => RequestRef::ReplicaSubscribe {
+            shard: r.u32("replica-subscribe")?,
+            from_record: r.u64("replica-subscribe")?,
+        },
+        6 => RequestRef::Subscribe {
+            view: r.u32("subscribe")?,
+            from_seq: r.u64("subscribe")?,
+        },
+        7 => RequestRef::Unsubscribe {
+            view: r.u32("unsubscribe")?,
+        },
+        other => return Err(r.corrupt(format!("request kind {other}"))),
     };
-    if cur.remaining() != 0 {
-        return Err(cur.corrupt(ctx, "trailing bytes"));
-    }
+    r.finish()?;
     Ok(RequestRefFrame {
         deadline_ms,
         request,
@@ -2153,7 +1740,8 @@ mod tests {
         for _ in 0..300 {
             let f = arb_request(&mut rng);
             let enc = encode_request(&f);
-            assert_eq!(decode_request(&enc).unwrap(), f);
+            let got = decode_request_ref(&enc).unwrap();
+            assert_eq!(got.to_owned_frame().unwrap(), f);
         }
     }
 
@@ -2176,7 +1764,7 @@ mod tests {
         for _ in 0..40 {
             let enc = encode_request(&arb_request(&mut rng));
             for cut in 0..enc.len() {
-                match decode_request(&enc[..cut]) {
+                match decode_request_ref(&enc[..cut]) {
                     Err(EngineError::Corrupt { offset, .. }) => {
                         assert!(offset <= cut as u64);
                     }
@@ -2207,7 +1795,7 @@ mod tests {
             for i in 0..enc.len() {
                 let orig = enc[i];
                 enc[i] = orig.wrapping_add(rng.gen_range(1..255u8));
-                let _ = decode_request(&enc);
+                let _ = decode_request_ref(&enc).and_then(|f| f.to_owned_frame());
                 enc[i] = orig;
             }
             let mut enc = encode_response(&arb_response(&mut rng));
@@ -2344,9 +1932,7 @@ mod tests {
         // The event-loop server sees TCP bytes at arbitrary boundaries:
         // half a header, three frames coalesced, one byte at a time.
         // Property: however a valid multi-frame stream is sliced into
-        // chunks, the FrameBuffer yields exactly the frames a
-        // whole-stream blocking reader yields, and the zero-copy
-        // decoder agrees bit-for-bit with the owned decoder on each.
+        // chunks, the FrameBuffer yields exactly the frames sent.
         let mut rng = SmallRng::seed_from_u64(0xA1_60);
         for _ in 0..40 {
             let reqs: Vec<RequestFrame> = (0..rng.gen_range(1..10usize))
@@ -2366,11 +1952,8 @@ mod tests {
                 fb.extend_from_slice(&wire[pos..pos + n]);
                 pos += n;
                 while let Some(range) = fb.next_frame().unwrap() {
-                    let payload = fb.payload(range);
-                    let owned = decode_request(payload).unwrap();
-                    let zero_copy = decode_request_ref(payload).unwrap();
-                    assert_eq!(zero_copy.to_owned_frame().unwrap(), owned);
-                    decoded.push(owned);
+                    let f = decode_request_ref(fb.payload(range)).unwrap();
+                    decoded.push(f.to_owned_frame().unwrap());
                 }
             }
             assert_eq!(decoded, reqs);
@@ -2458,41 +2041,13 @@ mod tests {
         for _ in 0..total {
             assert_eq!(fb.fill_from(&mut r).unwrap(), 1);
             if let Some(range) = fb.next_frame().unwrap() {
-                seen = Some(decode_request(fb.payload(range)).unwrap());
+                let f = decode_request_ref(fb.payload(range)).unwrap();
+                seen = Some(f.to_owned_frame().unwrap());
             }
         }
         assert_eq!(seen, Some(f));
         assert_eq!(fb.fill_from(&mut r).unwrap(), 0); // clean EOF
         assert!(!fb.mid_frame());
-    }
-
-    #[test]
-    fn zero_copy_decoder_rejects_exactly_what_the_owned_decoder_rejects() {
-        // Same acceptance set: for valid payloads, every truncation and
-        // every byte flip must classify identically (both Ok-and-equal
-        // or both Err).
-        let mut rng = SmallRng::seed_from_u64(0xA1_61);
-        for _ in 0..40 {
-            let enc = encode_request(&arb_request(&mut rng));
-            for cut in 0..enc.len() {
-                let owned = decode_request(&enc[..cut]);
-                let zc = decode_request_ref(&enc[..cut]);
-                assert_eq!(owned.is_err(), zc.is_err(), "prefix {cut}/{}", enc.len());
-            }
-            let mut mutated = enc.clone();
-            for i in 0..mutated.len() {
-                let orig = mutated[i];
-                mutated[i] = orig.wrapping_add(rng.gen_range(1..255u8));
-                let owned = decode_request(&mutated);
-                let zc = decode_request_ref(&mutated);
-                match (owned, zc) {
-                    (Ok(o), Ok(z)) => assert_eq!(z.to_owned_frame().unwrap(), o),
-                    (Err(_), Err(_)) => {}
-                    (o, z) => panic!("flip at {i}: owned={o:?} zero-copy={z:?}"),
-                }
-                mutated[i] = orig;
-            }
-        }
     }
 
     #[test]

@@ -37,12 +37,11 @@ pub mod replica;
 pub mod server;
 
 pub use frame::{
-    decode_request, decode_request_ref, decode_response, encode_request, encode_response,
-    read_frame, read_hello, read_hello_reply, recv_request, recv_response, send_request,
-    send_response, write_frame, write_hello, write_hello_reply, ErrorCode, FrameBuffer, FrameError,
-    HandshakeStatus, NetMetrics, Request, RequestFrame, RequestRef, RequestRefFrame, Response,
-    ShardMetricsRow, SubmitRef, WireReadResult, FRAME_HEADER_LEN, MAX_FRAME_LEN, NET_MAGIC,
-    NET_VERSION,
+    decode_request_ref, decode_response, encode_request, encode_response, read_frame, read_hello,
+    read_hello_reply, recv_request, recv_response, send_request, send_response, write_frame,
+    write_hello, write_hello_reply, ErrorCode, FrameBuffer, FrameError, HandshakeStatus,
+    NetMetrics, Request, RequestFrame, RequestRef, RequestRefFrame, Response, ShardMetricsRow,
+    SubmitRef, WireReadResult, FRAME_HEADER_LEN, MAX_FRAME_LEN, NET_MAGIC, NET_VERSION,
 };
 pub use replica::{Replica, ReplicaConfig};
 pub use server::{NetServer, NetServerConfig};

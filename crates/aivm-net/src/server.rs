@@ -84,11 +84,12 @@
 //!    `ServeServer::shutdown` cannot hang on this server's handles).
 
 use crate::frame::{
-    append_frame, decode_request_ref, encode_response, ErrorCode, FrameBuffer, FrameError,
-    HandshakeStatus, NetMetrics, RequestRef, Response, ShardMetricsRow, SubmitRef, ViewMetricsRow,
-    WireReadResult, NET_MAGIC, NET_VERSION,
+    decode_request_ref, put_response, ErrorCode, FrameBuffer, FrameError, HandshakeStatus,
+    NetMetrics, RequestRef, Response, ShardMetricsRow, SubmitRef, ViewMetricsRow, WireReadResult,
+    NET_MAGIC, NET_VERSION,
 };
 use crate::poller::{Event, Interest, Poller};
+use aivm_engine::codec::put_frame;
 use aivm_engine::{rows_checksum, Modification};
 use aivm_serve::{
     ApplyTicket, FetchOutcome, MetricsTicket, MultiMetricsSnapshot, ReadMode, ReadResult,
@@ -1851,7 +1852,7 @@ fn deadline_check(shared: &Shared, started: Instant, deadline: Duration) -> Opti
 }
 
 fn queue_response(conn: &mut Conn, resp: &Response) {
-    append_frame(&mut conn.wbuf, &encode_response(resp));
+    put_frame(&mut conn.wbuf, |b| put_response(b, resp));
 }
 
 /// Writes buffered response bytes until the socket would block.

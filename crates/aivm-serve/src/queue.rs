@@ -340,7 +340,13 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut st = self.inner.lock();
         st.receiver_alive = false;
+        // Undelivered messages die with the consumer, so a reply slot one
+        // carries disconnects now — its requester learns the scheduler is
+        // gone — instead of when the last sender is dropped.
+        let undelivered = std::mem::take(&mut st.buf);
+        st.weight = 0;
         drop(st);
+        drop(undelivered);
         // Wake every sender blocked on a full queue: the consumer is
         // gone and they must error out instead of hanging.
         self.inner.not_full.notify_all();

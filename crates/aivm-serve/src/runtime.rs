@@ -416,7 +416,7 @@ impl MaintenanceRuntime {
             .map(|e| e.ok_or_else(|| corrupt("checkpoint has no engine payload".into())))
             .transpose()?;
         let db = match payload {
-            Some(e) => aivm_engine::restore(bytes::Bytes::from(e.db.as_slice()))?,
+            Some(e) => aivm_engine::restore(&e.db)?,
             None => genesis_db,
         };
         let mut rt = Self::new(cfg, policy, make_registry(db)?)?;
@@ -530,7 +530,7 @@ impl MaintenanceRuntime {
             t: self.t as u64,
             pending: self.pending.iter().collect(),
             engine: self.engine.as_ref().map(|e| EngineCheckpoint {
-                db: aivm_engine::snapshot(e.registry.db()).to_vec(),
+                db: aivm_engine::snapshot(e.registry.db()),
                 pending_mods: e.registry.pending_snapshot(),
             }),
         }

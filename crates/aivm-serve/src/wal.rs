@@ -29,11 +29,10 @@
 //! Structural damage *inside* a checksummed record is a hard
 //! [`EngineError::Corrupt`] instead — the disk lied, not the crash.
 
-use aivm_engine::codec::{get_modification, put_modification};
-use aivm_engine::fxhash::FxHasher;
+use aivm_engine::codec::FRAME_HEADER_LEN as FRAME_LEN;
+use aivm_engine::codec::{checksum, put_frame, put_modification, split_frame, Reader, Split};
 use aivm_engine::{EngineError, Modification};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::hash::Hasher;
+use bytes::BufMut;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -41,18 +40,9 @@ use std::sync::{Arc, Mutex};
 const WAL_MAGIC: &[u8; 4] = b"AWAL";
 const WAL_VERSION: u16 = 1;
 const WAL_HEADER_LEN: usize = 6;
-/// Bytes of framing before each record payload (length + checksum).
-const FRAME_LEN: usize = 12;
 
 const CKPT_MAGIC: &[u8; 4] = b"ACKP";
 const CKPT_VERSION: u16 = 1;
-
-/// Seedless content hash of a byte slice (stable across processes).
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(bytes);
-    h.finish()
-}
 
 /// One durable event in the command log.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,13 +83,18 @@ pub enum WalRecord {
 
 impl WalRecord {
     /// Encodes the record payload (framing is added by [`WalWriter`]).
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(32);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(32);
+        self.put(&mut b);
+        b
+    }
+
+    fn put(&self, b: &mut Vec<u8>) {
         match self {
             WalRecord::Dml { table, m } => {
                 b.put_u8(0);
                 b.put_u32_le(*table as u32);
-                put_modification(&mut b, m);
+                put_modification(b, m);
             }
             WalRecord::Tick => b.put_u8(1),
             WalRecord::Count { table, k } => {
@@ -116,59 +111,34 @@ impl WalRecord {
                 b.put_u32_le(*view);
             }
         }
-        b.freeze()
     }
 
     /// Decodes one record payload.
-    pub fn decode(mut buf: Bytes) -> Result<WalRecord, EngineError> {
-        let ctx = "wal record";
-        let corrupt = |what: &str, buf: &Bytes| EngineError::Corrupt {
-            context: ctx.to_string(),
-            offset: buf.consumed() as u64,
-            message: what.to_string(),
-        };
-        if buf.remaining() < 1 {
-            return Err(corrupt("kind", &buf));
-        }
-        let rec = match buf.get_u8() {
-            0 => {
-                if buf.remaining() < 4 {
-                    return Err(corrupt("dml table", &buf));
-                }
-                let table = buf.get_u32_le() as usize;
-                let m = get_modification(&mut buf, ctx)?;
-                WalRecord::Dml { table, m }
-            }
+    pub fn decode(payload: &[u8]) -> Result<WalRecord, EngineError> {
+        Self::read(&mut Reader::new(payload, "wal record"))
+    }
+
+    /// Decodes the record that runs to the end of `r`.
+    fn read(r: &mut Reader<'_>) -> Result<WalRecord, EngineError> {
+        let rec = match r.u8("kind")? {
+            0 => WalRecord::Dml {
+                table: r.u32("dml table")? as usize,
+                m: r.modification()?,
+            },
             1 => WalRecord::Tick,
-            3 => {
-                if buf.remaining() < 12 {
-                    return Err(corrupt("count fields", &buf));
-                }
-                let table = buf.get_u32_le() as usize;
-                let k = buf.get_u64_le();
-                WalRecord::Count { table, k }
-            }
-            4 => {
-                if buf.remaining() < 8 {
-                    return Err(corrupt("budget", &buf));
-                }
-                WalRecord::SetBudget {
-                    budget: buf.get_f64_le(),
-                }
-            }
-            5 => {
-                if buf.remaining() < 4 {
-                    return Err(corrupt("view", &buf));
-                }
-                WalRecord::ForcedView {
-                    view: buf.get_u32_le(),
-                }
-            }
-            other => return Err(corrupt(&format!("record kind {other}"), &buf)),
+            3 => WalRecord::Count {
+                table: r.u32("count fields")? as usize,
+                k: r.u64("count fields")?,
+            },
+            4 => WalRecord::SetBudget {
+                budget: r.f64("budget")?,
+            },
+            5 => WalRecord::ForcedView {
+                view: r.u32("view")?,
+            },
+            other => return Err(r.corrupt(format!("record kind {other}"))),
         };
-        if !buf.is_empty() {
-            return Err(corrupt("trailing bytes", &buf));
-        }
+        r.finish()?;
         Ok(rec)
     }
 }
@@ -340,6 +310,8 @@ pub struct WalWriter {
     sync_every: u64,
     unsynced: u64,
     records: u64,
+    /// The frame being appended, reused across records.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
@@ -348,17 +320,11 @@ impl WalWriter {
     /// larger values trade a bounded fsync lag (visible as
     /// `wal_fsync_lag` in metrics) for throughput.
     pub fn create(mut storage: Box<dyn WalStorage>, sync_every: u64) -> Result<Self, EngineError> {
-        let mut header = [0u8; WAL_HEADER_LEN];
-        header[..4].copy_from_slice(WAL_MAGIC);
-        header[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
+        let mut header = WAL_MAGIC.to_vec();
+        header.put_u16_le(WAL_VERSION);
         storage.append(&header)?;
         storage.sync()?;
-        Ok(WalWriter {
-            storage,
-            sync_every: sync_every.max(1),
-            unsynced: 0,
-            records: 0,
-        })
+        Ok(Self::resume(storage, 0, sync_every))
     }
 
     /// Resumes appending to a log that already holds `records` valid
@@ -369,17 +335,15 @@ impl WalWriter {
             sync_every: sync_every.max(1),
             unsynced: 0,
             records,
+            frame: Vec::new(),
         }
     }
 
     /// Appends one record, syncing when the configured interval is hit.
     pub fn append(&mut self, rec: &WalRecord) -> Result<(), EngineError> {
-        let payload = rec.encode();
-        let mut frame = BytesMut::with_capacity(FRAME_LEN + payload.len());
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u64_le(checksum(&payload));
-        frame.put_slice(&payload);
-        self.storage.append(&frame)?;
+        self.frame.clear();
+        put_frame(&mut self.frame, |b| rec.put(b));
+        self.storage.append(&self.frame)?;
         self.records += 1;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
@@ -430,63 +394,20 @@ pub struct WalReadOutcome {
 /// record that passes its checksum but fails to decode is a hard
 /// [`EngineError::Corrupt`] carrying the absolute byte offset.
 pub fn read_wal(bytes: &[u8]) -> Result<WalReadOutcome, EngineError> {
-    let corrupt = |offset: usize, what: &str| EngineError::Corrupt {
-        context: "wal".to_string(),
-        offset: offset as u64,
-        message: what.to_string(),
-    };
-    if bytes.len() < WAL_HEADER_LEN {
-        return Err(corrupt(0, "header"));
-    }
-    if &bytes[..4] != WAL_MAGIC {
-        return Err(corrupt(0, "magic"));
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != WAL_VERSION {
-        return Err(EngineError::Unsupported {
-            message: format!("wal version {version} (supported: {WAL_VERSION})"),
-        });
-    }
+    Reader::new(bytes, "wal").header(WAL_MAGIC, WAL_VERSION)?;
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN;
-    let mut truncated = false;
-    while bytes.len() - pos >= FRAME_LEN {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let payload_start = pos + FRAME_LEN;
-        if payload_start + len > bytes.len() {
-            truncated = true;
-            break;
-        }
-        let payload = &bytes[payload_start..payload_start + len];
-        if checksum(payload) != sum {
-            truncated = true;
-            break;
-        }
-        let rec = WalRecord::decode(Bytes::from(payload)).map_err(|e| match e {
-            // Payload-relative offsets become absolute log offsets.
-            EngineError::Corrupt {
-                context,
-                offset,
-                message,
-            } => EngineError::Corrupt {
-                context,
-                offset: offset + payload_start as u64,
-                message,
-            },
-            other => other,
-        })?;
-        records.push(rec);
-        pos = payload_start + len;
-    }
-    if pos < bytes.len() && !truncated {
-        // A partial frame header at the very end.
-        truncated = true;
+    while let Split::Frame(payload) = split_frame(&bytes[pos..]) {
+        let start = pos + FRAME_LEN;
+        pos = start + payload.len();
+        // Error offsets count from the start of the log.
+        let mut r = Reader::within(bytes, start..pos, "wal record");
+        records.push(WalRecord::read(&mut r)?);
     }
     Ok(WalReadOutcome {
         records,
         consumed: pos,
-        truncated,
+        truncated: pos < bytes.len(),
     })
 }
 
@@ -508,26 +429,6 @@ pub struct WalSegment {
     pub leader_records: u64,
     /// The raw record frames (no log header).
     pub bytes: Vec<u8>,
-}
-
-/// Walks record frames in `bytes[pos..]`, returning the byte range of
-/// each complete, checksum-valid frame. Stops (without error) at the
-/// first torn or checksum-failing frame — the crash-semantics tail.
-fn scan_frames(bytes: &[u8], mut pos: usize) -> Vec<(usize, usize)> {
-    let mut ranges = Vec::new();
-    while bytes.len() - pos >= FRAME_LEN {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let payload_start = pos + FRAME_LEN;
-        if payload_start + len > bytes.len()
-            || checksum(&bytes[payload_start..payload_start + len]) != sum
-        {
-            break;
-        }
-        ranges.push((pos, payload_start + len));
-        pos = payload_start + len;
-    }
-    ranges
 }
 
 /// A shared read handle over a leader's WAL, serving byte segments of
@@ -562,37 +463,32 @@ impl WalTail {
             .lock()
             .expect("wal tail storage poisoned")
             .read_all()?;
-        let corrupt = |what: &str| EngineError::Corrupt {
-            context: "wal tail".to_string(),
-            offset: 0,
-            message: what.to_string(),
-        };
-        if bytes.len() < WAL_HEADER_LEN || &bytes[..4] != WAL_MAGIC {
-            return Err(corrupt("log header"));
+        Reader::new(&bytes, "wal tail").header(WAL_MAGIC, WAL_VERSION)?;
+        // Where each whole, checksum-valid record ends, up to the first
+        // torn or damaged one.
+        let mut ends = Vec::new();
+        let mut pos = WAL_HEADER_LEN;
+        while let Split::Frame(payload) = split_frame(&bytes[pos..]) {
+            pos += FRAME_LEN + payload.len();
+            ends.push(pos);
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != WAL_VERSION {
-            return Err(EngineError::Unsupported {
-                message: format!("wal version {version} (supported: {WAL_VERSION})"),
-            });
-        }
-        let ranges = scan_frames(&bytes, WAL_HEADER_LEN);
-        let leader_records = ranges.len() as u64;
-        let skip = (from_record.min(leader_records)) as usize;
-        let mut out = Vec::new();
+        let leader_records = ends.len() as u64;
+        let skip = from_record.min(leader_records) as usize;
+        let first = skip.checked_sub(1).map_or(WAL_HEADER_LEN, |i| ends[i]);
+        let mut last = first;
         let mut count = 0u64;
-        for &(start, end) in &ranges[skip..] {
-            if count > 0 && out.len() + (end - start) > max_bytes {
+        for &end in &ends[skip..] {
+            if count > 0 && end - first > max_bytes {
                 break;
             }
-            out.extend_from_slice(&bytes[start..end]);
+            last = end;
             count += 1;
         }
         Ok(WalSegment {
             from_record: skip as u64,
             count,
             leader_records,
-            bytes: out,
+            bytes: bytes[first..last].to_vec(),
         })
     }
 }
@@ -605,29 +501,23 @@ impl WalTail {
 /// (transport damage; the follower should drop the connection and
 /// re-subscribe from its applied count).
 pub fn decode_segment(bytes: &[u8]) -> Result<Vec<WalRecord>, EngineError> {
-    let corrupt = |offset: usize, what: &str| EngineError::Corrupt {
-        context: "wal segment".to_string(),
-        offset: offset as u64,
-        message: what.to_string(),
-    };
     let mut records = Vec::new();
-    let mut pos = 0usize;
+    let mut pos = 0;
     while pos < bytes.len() {
-        if bytes.len() - pos < FRAME_LEN {
-            return Err(corrupt(pos, "torn frame header"));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
-        let payload_start = pos + FRAME_LEN;
-        if payload_start + len > bytes.len() {
-            return Err(corrupt(pos, "torn record payload"));
-        }
-        let payload = &bytes[payload_start..payload_start + len];
-        if checksum(payload) != sum {
-            return Err(corrupt(pos, "record checksum mismatch"));
-        }
-        records.push(WalRecord::decode(Bytes::from(payload))?);
-        pos = payload_start + len;
+        let fault = match split_frame(&bytes[pos..]) {
+            Split::Frame(payload) => {
+                records.push(WalRecord::decode(payload)?);
+                pos += FRAME_LEN + payload.len();
+                continue;
+            }
+            Split::NeedMore(_) => "torn frame",
+            Split::ChecksumMismatch => "record checksum mismatch",
+        };
+        return Err(EngineError::Corrupt {
+            context: "wal segment".to_string(),
+            offset: pos as u64,
+            message: fault.to_string(),
+        });
     }
     Ok(records)
 }
@@ -667,8 +557,8 @@ pub struct EngineCheckpoint {
 
 impl Checkpoint {
     /// Serializes the checkpoint with a trailing content checksum.
-    pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(256);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::with_capacity(256);
         b.put_slice(CKPT_MAGIC);
         b.put_u16_le(CKPT_VERSION);
         b.put_u64_le(self.wal_records);
@@ -694,84 +584,42 @@ impl Checkpoint {
         }
         let sum = checksum(&b);
         b.put_u64_le(sum);
-        b.freeze()
+        b
     }
 
     /// Deserializes and verifies a checkpoint image.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, EngineError> {
-        let ctx = "checkpoint";
-        let fail = |offset: usize, what: &str| EngineError::Corrupt {
-            context: ctx.to_string(),
-            offset: offset as u64,
-            message: what.to_string(),
-        };
-        if bytes.len() < 14 + 8 {
-            return Err(fail(0, "header"));
+        let body = bytes.len().saturating_sub(8);
+        let mut r = Reader::new(bytes, "checkpoint");
+        let body = r.bytes(body, "body")?;
+        if r.u64("content checksum")? != checksum(body) {
+            return Err(r.corrupt("content checksum"));
         }
-        let body_len = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
-        if checksum(&bytes[..body_len]) != stored {
-            return Err(fail(body_len, "content checksum"));
-        }
-        let mut buf = Bytes::from(&bytes[..body_len]);
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != CKPT_MAGIC {
-            return Err(fail(0, "magic"));
-        }
-        let version = buf.get_u16_le();
-        if version != CKPT_VERSION {
-            return Err(EngineError::Unsupported {
-                message: format!("checkpoint version {version} (supported: {CKPT_VERSION})"),
-            });
-        }
-        let wal_records = buf.get_u64_le();
-        let t = buf.get_u64_le();
-        if buf.remaining() < 4 {
-            return Err(fail(buf.consumed(), "pending arity"));
-        }
-        let n = buf.get_u32_le() as usize;
-        if buf.remaining() < n * 8 {
-            return Err(fail(buf.consumed(), "pending counts"));
-        }
-        let pending = (0..n).map(|_| buf.get_u64_le()).collect();
-        if buf.remaining() < 1 {
-            return Err(fail(buf.consumed(), "backend tag"));
-        }
-        let engine = match buf.get_u8() {
+        let mut r = Reader::new(body, "checkpoint");
+        r.header(CKPT_MAGIC, CKPT_VERSION)?;
+        let wal_records = r.u64("wal records")?;
+        let t = r.u64("step")?;
+        let pending = (0..r.count(8, "pending arity")?)
+            .map(|_| r.u64("pending counts"))
+            .collect::<Result<_, _>>()?;
+        let engine = match r.u8("backend tag")? {
             0 => None,
             1 => {
-                if buf.remaining() < 4 {
-                    return Err(fail(buf.consumed(), "db snapshot length"));
-                }
-                let db_len = buf.get_u32_le() as usize;
-                if buf.remaining() < db_len {
-                    return Err(fail(buf.consumed(), "db snapshot body"));
-                }
-                let db = buf.copy_to_bytes(db_len).to_vec();
-                if buf.remaining() < 4 {
-                    return Err(fail(buf.consumed(), "pending table count"));
-                }
-                let tables = buf.get_u32_le() as usize;
-                let mut pending_mods = Vec::with_capacity(tables);
-                for _ in 0..tables {
-                    if buf.remaining() < 4 {
-                        return Err(fail(buf.consumed(), "pending mod count"));
-                    }
-                    let count = buf.get_u32_le() as usize;
-                    let mut mods = Vec::with_capacity(count.min(1024));
-                    for _ in 0..count {
-                        mods.push(get_modification(&mut buf, ctx)?);
-                    }
-                    pending_mods.push(mods);
-                }
+                let db_len = r.u32("db snapshot length")? as usize;
+                let db = r.bytes(db_len, "db snapshot body")?.to_vec();
+                // A modification takes at least its tag and row arity.
+                let pending_mods = (0..r.count(4, "pending table count")?)
+                    .map(|_| {
+                        (0..r.count(1 + 4, "pending mod count")?)
+                            .map(|_| r.modification())
+                            .collect()
+                    })
+                    .collect::<Result<_, _>>()?;
                 Some(EngineCheckpoint { db, pending_mods })
             }
-            other => return Err(fail(buf.consumed(), &format!("backend tag {other}"))),
+            other => return Err(r.corrupt(format!("backend tag {other}"))),
         };
-        if !buf.is_empty() {
-            return Err(fail(buf.consumed(), "trailing bytes"));
-        }
+        r.finish()?;
         Ok(Checkpoint {
             wal_records,
             t,
@@ -909,10 +757,10 @@ mod tests {
         // Kind 2 was the view-less forced flush; a forced flush is now
         // always `ForcedView` (kind 5), view 0 on a single-view runtime.
         assert_eq!(
-            WalRecord::ForcedView { view: 0 }.encode().as_ref(),
+            WalRecord::ForcedView { view: 0 }.encode().as_slice(),
             &[5, 0, 0, 0, 0]
         );
-        let err = WalRecord::decode(Bytes::from(&[2u8][..])).unwrap_err();
+        let err = WalRecord::decode(&[2u8]).unwrap_err();
         assert!(
             matches!(&err, EngineError::Corrupt { message, .. } if message == "record kind 2"),
             "got {err:?}"
@@ -976,6 +824,13 @@ mod tests {
             let mut bad = bytes.to_vec();
             bad[i] ^= 1;
             assert!(Checkpoint::decode(&bad).is_err(), "flip at {i}");
+        }
+        // Every truncated body under a recomputed checksum is corrupt.
+        for cut in 0..bytes.len() - 8 {
+            let mut short = bytes[..cut].to_vec();
+            short.extend_from_slice(&checksum(&short).to_le_bytes());
+            let got = Checkpoint::decode(&short);
+            assert!(matches!(got, Err(EngineError::Corrupt { .. })), "{got:?}");
         }
         // Counts-only checkpoints omit the engine payload.
         let model = Checkpoint {

@@ -52,7 +52,7 @@ fn main() {
         data.db.table_count(),
         bytes.len() / 1024
     );
-    let mut db = restore(bytes).expect("snapshot restores");
+    let mut db = restore(&bytes).expect("snapshot restores");
     assert_eq!(
         db.table_by_name("partsupp").unwrap().len(),
         data.db.table_by_name("partsupp").unwrap().len()

@@ -1,279 +1,50 @@
 //! Offline stand-in for the `bytes` crate.
 //!
-//! Provides [`Bytes`], [`BytesMut`] and the [`Buf`]/[`BufMut`] trait
-//! subset the snapshot codec uses, backed by a plain `Vec<u8>` with a
-//! read cursor instead of reference-counted slices. Semantics match the
-//! real crate for every operation exercised here; cheap zero-copy
-//! sharing is not reproduced (snapshots are cloned on `slice`).
+//! Provides only [`BufMut`] for `Vec<u8>` (an impl the real crate also
+//! has): the little-endian writers `aivm_engine::codec`'s encoders use.
+//! Reading goes through `aivm_engine::codec::Reader`, whose getters
+//! return typed errors instead of panicking on underflow.
 
-use std::ops::{Deref, DerefMut, Range};
-
-/// An immutable byte buffer with a consuming read cursor.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Bytes {
-    data: Vec<u8>,
-    pos: usize,
-}
-
-/// A growable byte buffer for writing.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-/// Read access with a consuming cursor.
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-    /// Reads `n` raw bytes.
-    fn take_bytes(&mut self, n: usize) -> &[u8];
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        self.take_bytes(1)[0]
-    }
-    /// Reads a little-endian `u16`.
-    fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take_bytes(2).try_into().unwrap())
-    }
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take_bytes(4).try_into().unwrap())
-    }
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-    /// Reads a little-endian `i64`.
-    fn get_i64_le(&mut self) -> i64 {
-        i64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take_bytes(8).try_into().unwrap())
-    }
-    /// Copies exactly `dst.len()` bytes out.
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        dst.copy_from_slice(self.take_bytes(dst.len()));
-    }
-}
-
-/// Write access.
+/// Little-endian appends to a growable buffer.
 pub trait BufMut {
     /// Appends raw bytes.
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
     /// Appends a little-endian `u16`.
+    #[inline]
     fn put_u16_le(&mut self, v: u16) {
         self.put_slice(&v.to_le_bytes());
     }
     /// Appends a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
     /// Appends a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
     /// Appends a little-endian `i64`.
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.put_slice(&v.to_le_bytes());
     }
     /// Appends a little-endian `f64`.
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
-impl Bytes {
-    /// Wraps a static byte slice.
-    pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes {
-            data: data.to_vec(),
-            pos: 0,
-        }
-    }
-
-    /// Unread length.
-    pub fn len(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    /// Bytes already consumed from the front — the read cursor's
-    /// absolute position within the buffer this `Bytes` was created
-    /// over. Decoders use it to report the byte offset of corruption.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// True when nothing is left to read.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A new buffer over the given sub-range of the unread bytes.
-    pub fn slice(&self, range: Range<usize>) -> Bytes {
-        Bytes {
-            data: self.data[self.pos..][range].to_vec(),
-            pos: 0,
-        }
-    }
-
-    /// Copies the unread bytes into a `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.data[self.pos..].to_vec()
-    }
-
-    /// Reads the next `n` bytes as a new `Bytes`.
-    pub fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        Bytes {
-            data: self.take_bytes(n).to_vec(),
-            pos: 0,
-        }
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-    fn take_bytes(&mut self, n: usize) -> &[u8] {
-        assert!(n <= self.remaining(), "buffer underflow");
-        let start = self.pos;
-        self.pos += n;
-        &self.data[start..self.pos]
-    }
-}
-
-impl Deref for Bytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data[self.pos..]
-    }
-}
-
-impl From<Vec<u8>> for Bytes {
-    fn from(data: Vec<u8>) -> Bytes {
-        Bytes { data, pos: 0 }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(data: &[u8]) -> Bytes {
-        Bytes {
-            data: data.to_vec(),
-            pos: 0,
-        }
-    }
-}
-
-impl BytesMut {
-    /// An empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Written length.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts into an immutable buffer.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            data: self.data,
-            pos: 0,
-        }
-    }
-}
-
-impl BufMut for BytesMut {
+impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-impl From<&[u8]> for BytesMut {
-    fn from(data: &[u8]) -> BytesMut {
-        BytesMut {
-            data: data.to_vec(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_all_widths() {
-        let mut w = BytesMut::with_capacity(64);
-        w.put_u8(7);
-        w.put_u16_le(300);
-        w.put_u32_le(70_000);
-        w.put_u64_le(1 << 40);
-        w.put_i64_le(-5);
-        w.put_f64_le(2.5);
-        w.put_slice(b"abc");
-        let mut r = w.freeze();
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u16_le(), 300);
-        assert_eq!(r.get_u32_le(), 70_000);
-        assert_eq!(r.get_u64_le(), 1 << 40);
-        assert_eq!(r.get_i64_le(), -5);
-        assert_eq!(r.get_f64_le(), 2.5);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"abc");
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn slice_and_copy_to_bytes() {
-        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let s = b.slice(1..4);
-        assert_eq!(&*s, &[2, 3, 4]);
-        let mut b2 = b.clone();
-        let head = b2.copy_to_bytes(2);
-        assert_eq!(&*head, &[1, 2]);
-        assert_eq!(b2.remaining(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "underflow")]
-    fn underflow_panics() {
-        let mut b = Bytes::from_static(b"x");
-        let _ = b.get_u32_le();
-    }
-
-    #[test]
-    fn bytesmut_is_indexable() {
-        let mut w = BytesMut::from(&b"hello"[..]);
-        w[0] = b'H';
-        assert_eq!(&*w, b"Hello");
+        self.extend_from_slice(src);
     }
 }

@@ -207,7 +207,7 @@ fn codec_roundtrip() {
             }
         }
         db.table_mut(t).create_index(IndexKind::BTree, 0).unwrap();
-        let restored = restore(snapshot(&db)).expect("roundtrip");
+        let restored = restore(&snapshot(&db)).expect("roundtrip");
         let mut got: Vec<Row> = restored
             .table_by_name("t")
             .unwrap()
@@ -236,6 +236,6 @@ fn restore_never_panics() {
     for _ in 0..CASES {
         let len = rng.gen_range(0..200usize);
         let raw: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
-        let _ = restore(bytes::Bytes::from(raw));
+        let _ = restore(&raw);
     }
 }
