@@ -151,21 +151,7 @@ cargo test -q --release -p aivm-engine
 timeout 120 cargo test -q --release -p aivm-net --test multiview_equivalence \
   --test subscription_resume
 
-echo "==> skew gate (heavy-light equivalence + zipfian skewsweep smoke)"
-# Property tests: heavy-light partitioned maintenance is bit-identical
-# to the unpartitioned engine across random promotion thresholds, flush
-# widths 1/2/4/8, mid-stream reclassification points, and WAL
-# recovery-replay.
-cargo test -q --release -p aivm-bench --test heavy_light_equivalence
-# Quick zipfian sweep over PartSupp ⋈ Supplier: paired plain/heavy runs
-# must agree bit-for-bit at every skew, with zero freshness violations,
-# zero scan fallbacks, no more join rows emitted heavy than plain, and
-# heavy p99 within a fixed factor of the uniform baseline and of the
-# plain engine. Timeboxed so a wedged classifier fails the gate instead
-# of hanging CI.
-timeout 180 ./target/release/repro --quick skewsweep >/dev/null
-
-echo "==> live-column propagation gate (random views x schedules x widths x heavy-light x registry)"
+echo "==> live-column propagation gate (random views x schedules x widths x registry)"
 # Property test over a fixed seed list: pruned, once-consolidated
 # propagation equals direct evaluation after every flush, bit-identical
 # across every configuration (SUM/AVG included). Timeboxed.

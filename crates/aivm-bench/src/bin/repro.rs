@@ -17,8 +17,6 @@
 //!   ablation   heuristic & candidate-set ablations (extension)
 //!   serve      live serving runtime over the TPC-R update stream
 //!   chaos      crash/recover + degradation chaos suite (robustness)
-//!   skewsweep  heavy-light partitioned maintenance vs the plain engine
-//!              under zipfian streams, s ∈ {0, 0.6, 1.0, 1.4}
 //!   all        every figure target above, in paper order (not serve)
 //! ```
 //!
@@ -41,15 +39,10 @@
 //!   --flush-threads N                   propagate flush deltas on N
 //!                                       threads (default 1 = serial;
 //!                                       results are bit-identical)
+//!   --skew S                            Zipf exponent of the update
+//!                                       streams' key choice (default:
+//!                                       uniform)
 //! ```
-//!
-//! `skewsweep` replays zipfian update streams through paired runtimes —
-//! heavy-light partitioning on vs off, everything else identical — and
-//! exits nonzero if checksums diverge, any run violates validity or
-//! falls back to a scan, the heavy path emits more join rows than the
-//! plain one, or heavy-light misses its fresh-read p99 gates (see
-//! `aivm_bench::skew`). `--skew S` narrows the sweep to {0, S};
-//! `--events`, `--batch` and `--budget` carry over.
 //!
 //! `serve` exits nonzero if any run breaks the paper's validity
 //! invariant (a fresh read costing more than `C`) or if the `planned`
@@ -317,7 +310,7 @@ fn run_ablation(csv: bool, quick: bool) {
     print_table(&t2, csv);
 }
 
-/// Flags of the `serve`, `chaos` and `skewsweep` targets.
+/// Flags of the `serve` and `chaos` targets.
 #[derive(Default)]
 struct ServeArgs {
     policy: Option<String>,
@@ -328,13 +321,11 @@ struct ServeArgs {
     seeds: Option<u64>,
     inject_policy_panic: Option<usize>,
     wal_sync: Option<aivm_serve::WalSyncPolicy>,
-    batch: Option<usize>,
     flush_threads: Option<usize>,
     shards: Option<usize>,
     skew: Option<f64>,
     replicas: bool,
     kill_leader: bool,
-    heavy_light: bool,
 }
 
 fn parse_duration(s: &str) -> Option<std::time::Duration> {
@@ -380,7 +371,6 @@ fn run_serve(csv: bool, quick: bool, sargs: &ServeArgs) {
         wal_sync: sargs.wal_sync,
         flush_threads: sargs.flush_threads.unwrap_or(1),
         skew: sargs.skew,
-        heavy_light: sargs.heavy_light,
         ..Default::default()
     };
     let exp = match ServeExperiment::build(opts) {
@@ -478,160 +468,6 @@ fn run_serve(csv: bool, quick: bool, sargs: &ServeArgs) {
                 failed = true;
             }
         }
-    }
-    print_table(&t, csv);
-    if failed {
-        std::process::exit(1);
-    }
-}
-
-/// The heavy-light skew sweep: paired plain/heavy runs of the
-/// PartSupp ⋈ Supplier view per zipf exponent (see `aivm_bench::skew`).
-/// Exits nonzero if any pair's final
-/// checksums diverge, any run reports a validity violation or a join
-/// scan fallback, the heavy path emits more join rows than the plain
-/// one, or the heavy-light runtime misses its latency gates: its
-/// fresh-read p99 under the heaviest skew must stay within a fixed factor
-/// of its own uniform baseline and of the plain runtime's p99. (Until
-/// live-column propagation the second gate was a required *gain*: the
-/// heavy path alone cancelled a hot key's dead-column churn before the
-/// fan-out. Every key gets that now, so the plain runtime is as flat and
-/// what is left to gate is that classification costs little.)
-fn run_skewsweep(csv: bool, quick: bool, sargs: &ServeArgs) {
-    use aivm_bench::skew::{run_skew_config, SkewOptions, SKEW_POINTS};
-    // The p99 gates need support: at the default batch the full sweep
-    // measures ~300 fresh reads per run, the quick smoke ~50.
-    let opts = SkewOptions {
-        events_each: sargs.events.unwrap_or(if quick { 4_000 } else { 20_000 }),
-        batch: sargs.batch.unwrap_or(64),
-        quick,
-        budget: sargs.budget,
-        ..SkewOptions::default()
-    };
-    // --skew S narrows the sweep to {uniform, S}; the uniform point
-    // always runs because it anchors the resilience gate.
-    let skews: Vec<f64> = match sargs.skew {
-        Some(s) if s > 0.0 => vec![0.0, s],
-        _ => SKEW_POINTS.to_vec(),
-    };
-    // Sub-millisecond p99s over ~50 reads (quick) are noisy; the bounds
-    // only have to catch a classifier that stopped paying its way.
-    let (headline_gain, resilience_factor) = (0.4, 2.5);
-    let mut t = ExpTable::new(
-        "Skew sweep: heavy-light vs plain propagation (PartSupp ⋈ Supplier MIN view)",
-        &[
-            "skew",
-            "plain_p50_ms",
-            "plain_p99_ms",
-            "heavy_p50_ms",
-            "heavy_p99_ms",
-            "p99_gain",
-            "heavy_keys",
-            "reclass",
-            "h/l_hits",
-            "viol",
-        ],
-    );
-    t.note(format!(
-        "{} events/table, fresh read every {} events, paired runs share \
-         database, streams, policy and budget — only the propagation \
-         strategy differs, so checksums must match bit-for-bit",
-        opts.events_each, opts.batch
-    ));
-    let ms = |ns: u64| format!("{:.3}", ns as f64 / 1e6);
-    let mut failed = false;
-    let mut heavy_uniform_p99 = None;
-    let top_skew = skews.iter().cloned().fold(0.0f64, f64::max);
-    for &s in &skews {
-        let (plain, heavy) = match (
-            run_skew_config(&opts, s, false),
-            run_skew_config(&opts, s, true),
-        ) {
-            (Ok(p), Ok(h)) => (p, h),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("skewsweep s={s} failed: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        if plain.checksum != heavy.checksum {
-            eprintln!(
-                "skewsweep s={s} FAILED: heavy-light diverged from the plain \
-                 engine (checksum {:#x} vs {:#x})",
-                heavy.checksum, plain.checksum
-            );
-            failed = true;
-        }
-        for r in [&plain, &heavy] {
-            if r.violations > 0 {
-                eprintln!(
-                    "skewsweep s={s} FAILED: {} freshness violation(s) \
-                     (heavy_light={})",
-                    r.violations, r.heavy_light
-                );
-                failed = true;
-            }
-            if r.scan_fallbacks > 0 {
-                eprintln!(
-                    "skewsweep s={s} FAILED: {} join scan fallback(s) \
-                     (heavy_light={}) — the view is auto-indexed",
-                    r.scan_fallbacks, r.heavy_light
-                );
-                failed = true;
-            }
-        }
-        if heavy.rows_emitted > plain.rows_emitted {
-            eprintln!(
-                "skewsweep s={s} FAILED: heavy-light emitted {} join rows, the \
-                 plain engine {}",
-                heavy.rows_emitted, plain.rows_emitted
-            );
-            failed = true;
-        }
-        if s >= 1.0 && (heavy.heavy_keys == 0 || heavy.heavy_hits == 0) {
-            eprintln!(
-                "skewsweep s={s} FAILED: zipf {s} promoted {} key(s) with {} \
-                 heavy hit(s) — the hot suppliers must go heavy",
-                heavy.heavy_keys, heavy.heavy_hits
-            );
-            failed = true;
-        }
-        let gain = plain.fresh_p99_ns as f64 / heavy.fresh_p99_ns.max(1) as f64;
-        if s == 0.0 {
-            heavy_uniform_p99 = Some(heavy.fresh_p99_ns);
-        } else if let Some(base) = heavy_uniform_p99 {
-            let factor = heavy.fresh_p99_ns as f64 / base.max(1) as f64;
-            if factor > resilience_factor {
-                eprintln!(
-                    "skewsweep s={s} FAILED: heavy-light fresh p99 {:.3} ms is \
-                     {factor:.2}x its uniform baseline {:.3} ms (max {resilience_factor})",
-                    heavy.fresh_p99_ns as f64 / 1e6,
-                    base as f64 / 1e6
-                );
-                failed = true;
-            }
-        }
-        if s == top_skew && s >= 1.0 && gain < headline_gain {
-            eprintln!(
-                "skewsweep s={s} FAILED: heavy-light p99 at {gain:.2}x of plain, \
-                 below the {headline_gain}x gate (plain {:.3} ms, heavy {:.3} ms)",
-                plain.fresh_p99_ns as f64 / 1e6,
-                heavy.fresh_p99_ns as f64 / 1e6
-            );
-            failed = true;
-        }
-        t.row(vec![
-            format!("{s}"),
-            ms(plain.fresh_p50_ns),
-            ms(plain.fresh_p99_ns),
-            ms(heavy.fresh_p50_ns),
-            ms(heavy.fresh_p99_ns),
-            format!("{gain:.2}x"),
-            heavy.heavy_keys.to_string(),
-            heavy.reclassifications.to_string(),
-            format!("{}/{}", heavy.heavy_hits, heavy.light_hits),
-            (plain.violations + heavy.violations).to_string(),
-        ]);
     }
     print_table(&t, csv);
     if failed {
@@ -924,16 +760,6 @@ fn main() {
                     }
                 }
             }
-            "--batch" => {
-                let v = take("--batch");
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => sargs.batch = Some(n),
-                    _ => {
-                        eprintln!("--batch needs a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--shards" => {
                 let v = take("--shards");
                 match v.parse::<usize>() {
@@ -956,7 +782,6 @@ fn main() {
             }
             "--replicas" => sargs.replicas = true,
             "--kill-leader" => sargs.kill_leader = true,
-            "--heavy-light" => sargs.heavy_light = true,
             _ if !a.starts_with("--") => targets.push(a.as_str()),
             _ => {}
         }
@@ -985,11 +810,10 @@ fn main() {
             "ablation" => run_ablation(csv, quick),
             "serve" => run_serve(csv, quick, &sargs),
             "chaos" => run_chaos(csv, &sargs),
-            "skewsweep" => run_skewsweep(csv, quick, &sargs),
             other => {
                 eprintln!("unknown target: {other}");
                 eprintln!(
-                    "targets: intro fig1 fig4 fig5 fig6 fig7 bounds adapt concave refresh ablation serve chaos skewsweep all"
+                    "targets: intro fig1 fig4 fig5 fig6 fig7 bounds adapt concave refresh ablation serve chaos all"
                 );
                 std::process::exit(2);
             }

@@ -23,7 +23,6 @@ pub mod chaos;
 pub mod harness;
 pub mod proxy;
 pub mod serve;
-pub mod skew;
 
 use aivm_core::{Arrivals, CostModel, Counts, Instance};
 

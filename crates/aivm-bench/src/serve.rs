@@ -10,8 +10,8 @@
 
 use aivm_core::{CostFn, CostModel, Instance};
 use aivm_engine::{
-    estimate_cost_functions, CostConstants, Database, EngineError, HeavyLightConfig,
-    MaterializedView, MinStrategy, Modification, TableId, ViewDef,
+    estimate_cost_functions, CostConstants, Database, EngineError, MaterializedView, MinStrategy,
+    Modification, TableId, ViewDef,
 };
 use aivm_serve::{
     AsSolverPolicy, FaultPlan, FileWal, FlushPolicy, MaintenanceRuntime, MetricsSnapshot,
@@ -57,11 +57,6 @@ pub struct ServeOptions {
     /// paper's uniform stream. Under hash sharding a skewed stream
     /// concentrates flush work on the shards owning the hot keys.
     pub skew: Option<f64>,
-    /// Enable heavy-light partitioned join maintenance on every view the
-    /// experiment creates (including views rebuilt during WAL recovery),
-    /// with the cost-model-derived promotion threshold. Results are
-    /// bit-identical either way; only skewed streams change the numbers.
-    pub heavy_light: bool,
 }
 
 impl Default for ServeOptions {
@@ -76,7 +71,6 @@ impl Default for ServeOptions {
             wal_sync: None,
             flush_threads: 1,
             skew: None,
-            heavy_light: false,
         }
     }
 }
@@ -235,11 +229,7 @@ impl ServeExperiment {
     /// pristine database, either of which already carries the join
     /// indexes `build` created.
     pub fn make_view(&self, db: &Database) -> Result<MaterializedView, EngineError> {
-        let mut view = aivm_tpcr::paper_view(db, MinStrategy::Multiset)?;
-        if self.opts.heavy_light {
-            view.set_heavy_light(db, HeavyLightConfig::from_cost_model())?;
-        }
-        Ok(view)
+        aivm_tpcr::paper_view(db, MinStrategy::Multiset)
     }
 
     /// The paper view's definition.
@@ -498,17 +488,12 @@ pub fn summary_row(s: &ServeRunSummary) -> Vec<String> {
         m.constraint_violations.to_string(),
         m.max_queue_depth.to_string(),
         s.scan_fallbacks.to_string(),
-        m.heavy_keys.to_string(),
-        format!("{}/{}", m.heavy_hits, m.light_hits),
         format!("{:.0}", s.events_per_sec()),
     ]
 }
 
-/// Column headers matching [`summary_row`]. `heavy` is the number of
-/// join keys classified heavy at the end of the run (0 unless
-/// `--heavy-light`); `h/l_hits` is delta rows routed through heavy
-/// partials vs. the compensated light index join.
-pub const SUMMARY_COLUMNS: [&str; 13] = [
+/// Column headers matching [`summary_row`].
+pub const SUMMARY_COLUMNS: [&str; 11] = [
     "policy",
     "events",
     "ticks",
@@ -519,8 +504,6 @@ pub const SUMMARY_COLUMNS: [&str; 13] = [
     "viol",
     "q_max",
     "scans",
-    "heavy",
-    "h/l_hits",
     "events/s",
 ];
 

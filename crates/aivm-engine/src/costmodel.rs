@@ -97,7 +97,6 @@ pub fn gather_stats(db: &Database, def: &ViewDef) -> Result<Vec<TableStats>, Eng
 
 /// Estimated fan-out of joining one delta row into `table` on `col`:
 /// `rows / distinct_keys`, via the index when present, else by a scan.
-/// Also feeds the heavy-light promotion threshold ([`crate::heavy`]).
 pub fn fanout(db: &Database, table_name: &str, col: usize) -> Result<f64, EngineError> {
     let table = db.table_by_name(table_name)?;
     if table.is_empty() {

@@ -42,11 +42,10 @@ pub struct ExecStats {
     /// (see `MaterializedView::register`) this must stay zero; the
     /// TPC-R repro asserts it.
     pub scan_fallbacks: u64,
-    /// Delta rows routed through a heavy key's materialized partial
-    /// (heavy-light partitioning; zero when disabled).
+    /// Inert: always 0 (heavy-light partitioning was removed; see
+    /// [`HeavyLightConfig`](crate::HeavyLightConfig)).
     pub heavy_hits: u64,
-    /// Delta rows routed through the classic compensated index join at
-    /// a join step where a heavy-light split was active.
+    /// Inert: always 0, like `heavy_hits`.
     pub light_hits: u64,
 }
 
@@ -58,8 +57,6 @@ impl ExecStats {
         self.rows_emitted += other.rows_emitted;
         self.cells_emitted += other.cells_emitted;
         self.scan_fallbacks += other.scan_fallbacks;
-        self.heavy_hits += other.heavy_hits;
-        self.light_hits += other.light_hits;
     }
 }
 

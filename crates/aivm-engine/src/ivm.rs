@@ -35,7 +35,6 @@ use crate::error::EngineError;
 use crate::exec::{self, ExecStats, JoinShape, WRow};
 use crate::expr::Expr;
 use crate::fxhash::FxHashMap;
-use crate::heavy::{HeavyLightConfig, HeavyLightState, HeavyLightStats, HeavyTrackerSnapshot};
 use crate::index::IndexKind;
 use crate::logical::{AggFunc, LogicalPlan};
 use crate::schema::Row;
@@ -236,8 +235,33 @@ pub struct MaintenanceStats {
     pub exec: ExecStats,
     /// Full recomputations triggered (Recompute strategy).
     pub recomputes: u64,
-    /// Heavy-light partitioning counters (all zero when disabled).
+    /// Inert: always zero (see [`HeavyLightStats`]).
     pub heavy: HeavyLightStats,
+}
+
+/// Inert: heavy-light key partitioning was removed (every key takes the
+/// one compensated index join). The name, [`HeavyLightStats`] and
+/// [`MaterializedView::set_heavy_light`] remain only so the frozen
+/// `perf/` package keeps compiling (ROADMAP 1(d)).
+#[derive(Clone, Copy, Debug)]
+pub struct HeavyLightConfig;
+
+impl HeavyLightConfig {
+    /// The one (inert) configuration.
+    pub fn from_cost_model() -> Self {
+        HeavyLightConfig
+    }
+}
+
+/// Inert heavy-light counters: nothing is ever reclassified.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HeavyLightStats;
+
+impl HeavyLightStats {
+    /// Always 0.
+    pub fn reclassifications(&self) -> u64 {
+        0
+    }
 }
 
 /// Per-aggregate incremental state within one group.
@@ -381,8 +405,8 @@ impl ViewSnapshot {
 }
 
 /// The select-project-join core views share when their tables, join
-/// predicates, filters and residual agree: pending delta tables, join
-/// plans and heavy-light state, held once however many leaves finish it.
+/// predicates, filters and residual agree: pending delta tables and join
+/// plans, held once however many leaves finish it.
 #[derive(Clone, Debug)]
 pub(crate) struct SpjCore {
     /// The founding view's definition; the core reads only its SPJ part.
@@ -397,9 +421,6 @@ pub(crate) struct SpjCore {
     plans: Vec<StartPlan>,
     residual: Option<Expr>,
     pending: Vec<DeltaTable>,
-    /// Heavy-light key partitioning state; `None` keeps the classic
-    /// unpartitioned propagation (see [`MaterializedView::set_heavy_light`]).
-    heavy: Option<HeavyLightState>,
     /// Propagation width of a flush; 1 = serial.
     flush_threads: usize,
 }
@@ -517,7 +538,6 @@ impl SpjCore {
             plans: Vec::new(),
             residual: None,
             pending: (0..n).map(|_| DeltaTable::new()).collect(),
-            heavy: None,
             flush_threads: 1,
         };
         core.widen(db, def.live_columns(db)?, &mut []);
@@ -665,11 +685,8 @@ impl SpjCore {
     }
 
     /// Appends a newly arrived modification of the `i`-th base table to
-    /// its delta table, observing its join keys for heavy-light.
+    /// its delta table.
     pub(crate) fn enqueue(&mut self, i: usize, m: Modification) {
-        if let Some(h) = &mut self.heavy {
-            h.observe(i, &m);
-        }
         self.pending[i].push(m);
     }
 
@@ -704,13 +721,6 @@ impl SpjCore {
             });
         }
         self.pending = mods.into_iter().map(DeltaTable::from).collect();
-        // Partials track `physical − pending`; a wholesale pending swap
-        // invalidates them. Classification restarts from an empty sketch
-        // (subsequent replayed enqueues re-observe), which never affects
-        // results — only where propagation work happens.
-        if let Some(h) = &mut self.heavy {
-            h.reset();
-        }
         for leaf in leaves {
             self.recompute(db, leaf)?;
             leaf.publish(self.pending_counts());
@@ -746,14 +756,6 @@ impl SpjCore {
             }
         }
         let (mut report, mut propagations) = (FlushReport::default(), 0);
-        // Heavy-light reclassification, a flush-boundary event: keys whose
-        // observed frequency drifted across the threshold migrate between
-        // partitions *before* any prefix is consumed, so the migration
-        // sees the exact processed-prefix state and the flush result is
-        // bit-identical to the unpartitioned engine.
-        if let Some(h) = self.heavy.as_mut() {
-            h.reclassify(db, &self.table_ids, &self.pending, &self.def.filters);
-        }
         for (i, &k) in counts.iter().enumerate() {
             if k == 0 {
                 continue;
@@ -769,13 +771,6 @@ impl SpjCore {
             let mut delta: Vec<WRow> = self.pending[i].take_weighted_prefix(k as usize);
             if let Some(f) = &self.def.filters[i] {
                 delta = exec::filter(delta, f);
-            }
-            // Keep the partials of trackers targeting table `i` equal to
-            // its processed-prefix rows: the prefix just left `pending`.
-            // Partials hold real (full-width) target rows, since other
-            // tables' deltas expand against them.
-            if let Some(h) = self.heavy.as_mut() {
-                h.fold_flushed(i, &delta);
             }
             let keep = &self.plans[i].start_keep;
             if delta.first().is_some_and(|(r, _)| keep.len() < r.len()) {
@@ -814,9 +809,6 @@ impl SpjCore {
             leaf.stats.mods_processed += report.mods_processed;
             if j == 0 {
                 leaf.stats.exec.merge(&report.exec);
-                if let Some(h) = &self.heavy {
-                    leaf.stats.heavy = h.stats;
-                }
             }
             if leaf.snapshot_publishing {
                 leaf.publish(self.pending_counts());
@@ -900,10 +892,6 @@ impl SpjCore {
             let table = db.table(self.table_ids[target]);
             let pending = self.pending[target].weighted();
             let filter = self.def.filters[target].as_ref();
-            let tracker = |col| {
-                let h = self.heavy.as_ref()?;
-                h.tracker(target, col).filter(|t| t.has_heavy())
-            };
             stream = match probe {
                 None => {
                     let rows = exec::compensated_rows(table, &pending, filter, stats);
@@ -922,32 +910,7 @@ impl SpjCore {
                     stats.scan_fallbacks += 1;
                     exec::join_scan(&stream, shape, table, &pending, filter, stats)
                 }
-                Some((_, col)) => match tracker(col) {
-                    None => exec::join_index(&stream, shape, table, &pending, filter, stats),
-                    // Heavy-light split: heavy keys expand against
-                    // their materialized partial (processed-prefix rows
-                    // — no pending compensation needed); light keys take
-                    // the classic compensated index join.
-                    Some(tr) => {
-                        let (heavy, light): (Vec<WRow>, Vec<WRow>) = (stream.into_iter())
-                            .partition(|(r, _)| tr.is_heavy(r.get(shape.key.0)));
-                        stats.heavy_hits += heavy.len() as u64;
-                        stats.light_hits += light.len() as u64;
-                        let mut out = if light.is_empty() {
-                            Vec::new()
-                        } else {
-                            exec::join_index(&light, shape, table, &pending, filter, stats)
-                        };
-                        for (d, w) in &heavy {
-                            stats.index_probes += 1;
-                            let key = d.get(shape.key.0);
-                            for (row, pw) in tr.partial(key).expect("heavy keys have partials") {
-                                shape.emit(&mut out, d, row, w * pw, stats);
-                            }
-                        }
-                        out
-                    }
-                },
+                Some(_) => exec::join_index(&stream, shape, table, &pending, filter, stats),
             };
         }
         if let Some(residual) = &self.residual {
@@ -1251,47 +1214,13 @@ impl MaterializedView {
         Ok(())
     }
 
-    /// Enables heavy-light partitioned join maintenance (see
-    /// [`crate::heavy`]): per-key frequency tracking on every join
-    /// column, materialized partials for heavy keys, and dynamic
-    /// reclassification at flush boundaries. Results are bit-identical
-    /// to the unpartitioned engine for any configuration — only the
-    /// propagation strategy per key changes.
-    ///
-    /// Call after construction and before ingesting; re-enabling
-    /// mid-life is allowed (state rebuilds from an empty sketch, which
-    /// only resets classification, never results). The state belongs to
-    /// the view's SPJ core, so under a [`crate::registry`] it serves the
-    /// whole sharing group.
+    /// Inert (see [`HeavyLightConfig`]): accepts the call, changes nothing.
     pub fn set_heavy_light(
         &mut self,
-        db: &Database,
-        config: HeavyLightConfig,
+        _: &Database,
+        _: HeavyLightConfig,
     ) -> Result<(), EngineError> {
-        let mut state = HeavyLightState::build(db, &self.core.def, config)?;
-        if let Some(old) = &self.core.heavy {
-            state.stats.promotions = old.stats.promotions;
-            state.stats.demotions = old.stats.demotions;
-        }
-        self.core.heavy = Some(state);
         Ok(())
-    }
-
-    /// Disables heavy-light partitioning, dropping all sketches and
-    /// partials. The next flush propagates every key through the light
-    /// path; results are unchanged.
-    pub fn clear_heavy_light(&mut self) {
-        self.core.heavy = None;
-    }
-
-    /// Whether heavy-light partitioning is enabled.
-    pub fn heavy_light_enabled(&self) -> bool {
-        self.core.heavy.is_some()
-    }
-
-    /// Per-tracker heavy-light diagnostics (`None` when disabled).
-    pub fn heavy_light_trackers(&self) -> Option<Vec<HeavyTrackerSnapshot>> {
-        (self.core.heavy.as_ref()).map(|h| h.tracker_snapshots(&self.core.def))
     }
 
     /// Appends a newly arrived modification of the `i`-th base table to
@@ -2198,42 +2127,25 @@ mod tests {
     }
 
     #[test]
-    fn heavy_light_matches_unpartitioned_and_cancels_hot_key_churn() {
+    fn hot_key_churn_on_a_dead_column_emits_no_join_rows() {
         let (mut db, _, _) = setup_rs();
-        let mut plain =
+        let mut view =
             MaterializedView::register(&mut db, min_view_def(), MinStrategy::Multiset).unwrap();
-        let mut heavy =
-            MaterializedView::register(&mut db, min_view_def(), MinStrategy::Multiset).unwrap();
-        let mut cfg = HeavyLightConfig::with_share(0.2);
-        cfg.min_observations = 16;
-        heavy.set_heavy_light(&db, cfg).unwrap();
-        assert!(heavy.heavy_light_enabled());
-
         // Base data: key 0 fans out into 40 R rows, cold keys into 2.
         for k in 0..5i64 {
             let copies = if k == 0 { 40 } else { 2 };
             for j in 0..copies {
                 let m = Modification::Insert(row![k, (k * 100 + j) as f64]);
-                let id = db.table_id("r").unwrap();
-                db.apply(id, &m).unwrap();
-                plain.enqueue(0, m.clone());
-                heavy.enqueue(0, m);
+                modify(&mut db, &mut view, "r", m);
             }
-            let m = Modification::Insert(row![k, "t0"]);
-            let id = db.table_id("s").unwrap();
-            db.apply(id, &m).unwrap();
-            plain.enqueue(1, m.clone());
-            heavy.enqueue(1, m);
+            modify(&mut db, &mut view, "s", Modification::Insert(row![k, "t0"]));
         }
-        plain.refresh(&db).unwrap();
-        heavy.refresh(&db).unwrap();
-        assert_eq!(plain.result_checksum(), heavy.result_checksum());
+        view.refresh(&db).unwrap();
 
         // Hot-key churn: the S row at key 0 cycles its tag, which the
         // MIN view never reads. On the live columns every update is a
-        // ±pair of equal rows, so it cancels before any join fan-out —
-        // on the heavy path and the plain one alike.
-        let emitted_before = (plain.stats.exec.rows_emitted, heavy.stats.exec.rows_emitted);
+        // ±pair of equal rows, so it cancels before any join fan-out.
+        let emitted_before = view.stats.exec.rows_emitted;
         let mut tag = String::from("t0");
         for round in 0..20 {
             for step in 0..8 {
@@ -2242,91 +2154,91 @@ mod tests {
                     old: row![0i64, tag.as_str()],
                     new: row![0i64, next.as_str()],
                 };
-                let id = db.table_id("s").unwrap();
-                db.apply(id, &m).unwrap();
-                plain.enqueue(1, m.clone());
-                heavy.enqueue(1, m);
+                modify(&mut db, &mut view, "s", m);
                 tag = next;
             }
-            plain.flush(&db, &[0, 8]).unwrap();
-            heavy.flush(&db, &[0, 8]).unwrap();
-            assert_eq!(
-                plain.result_checksum(),
-                heavy.result_checksum(),
-                "diverged at round {round}"
-            );
-            assert_consistent(&db, &heavy);
+            view.flush(&db, &[0, 8]).unwrap();
+            assert_consistent(&db, &view);
         }
-        assert!(heavy.stats.heavy.promotions > 0, "hot key must promote");
-        assert!(heavy.stats.heavy.heavy_keys > 0);
-        assert!(heavy.stats.exec.heavy_hits > 0, "heavy path must be taken");
-        assert_eq!(heavy.stats.exec.scan_fallbacks, 0);
+        assert_eq!(view.stats.exec.scan_fallbacks, 0);
         assert_eq!(
-            (plain.stats.exec.rows_emitted, heavy.stats.exec.rows_emitted),
-            emitted_before,
+            view.stats.exec.rows_emitted, emitted_before,
             "churn on a dead column must emit no join rows"
         );
-        // Partials hold full target rows, so they tracked the churn: a
-        // new R row at the hot key joins the *current* S row once.
-        for view in [&mut plain, &mut heavy] {
-            modify(
-                &mut db.clone(),
-                view,
-                "r",
-                Modification::Insert(row![0i64, -1.0f64]),
-            );
-        }
-        db.apply(
-            db.table_id("r").unwrap(),
-            &Modification::Insert(row![0i64, -1.0f64]),
-        )
-        .unwrap();
-        let (rp, rh) = (plain.refresh(&db).unwrap(), heavy.refresh(&db).unwrap());
-        assert_eq!((rp.exec.rows_emitted, rh.exec.rows_emitted), (1, 1));
-        assert_eq!(heavy.scalar(), Some(Value::Float(-1.0)));
-        assert_consistent(&db, &heavy);
-        let trackers = heavy.heavy_light_trackers().unwrap();
-        assert!(trackers.iter().any(|t| t.heavy_keys > 0), "{trackers:?}");
+        // A new R row at the hot key joins the *current* S row once.
+        modify(
+            &mut db,
+            &mut view,
+            "r",
+            Modification::Insert(row![0i64, -1.0f64]),
+        );
+        let report = view.refresh(&db).unwrap();
+        assert_eq!(report.exec.rows_emitted, 1);
+        assert_eq!(view.scalar(), Some(Value::Float(-1.0)));
+        assert_consistent(&db, &view);
     }
 
     #[test]
-    fn heavy_light_parallel_flush_matches_serial() {
-        // Heavy-light reduction and classification happen before
-        // chunking, so parallel flushes stay bit-identical — including
-        // the FlushReport counters.
-        for threads in [1usize, 2, 4, 8] {
-            let (mut db, _, _) = setup_rs();
-            let make = |db: &mut Database| {
-                let mut v =
-                    MaterializedView::register(db, min_view_def(), MinStrategy::Multiset).unwrap();
-                let mut cfg = HeavyLightConfig::with_share(0.1);
-                cfg.min_observations = 8;
-                v.set_heavy_light(db, cfg).unwrap();
-                v
-            };
-            let mut wide = make(&mut db);
-            let mut serial = make(&mut db);
-            wide.set_flush_threads(threads);
-            for i in 0..200i64 {
-                let m = Modification::Insert(row![i % 3, i as f64]);
-                let id = db.table_id("r").unwrap();
-                db.apply(id, &m).unwrap();
-                wide.enqueue(0, m.clone());
-                serial.enqueue(0, m);
+    fn set_heavy_light_is_inert_on_a_zipf_skewed_stream() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (mut db, r, s) = setup_rs();
+        // One S row and two R rows per key before the views exist, so the
+        // cost-model thresholds see 40 distinct keys on both sides.
+        for k in 0..40i64 {
+            db.table_mut(s).insert(row![k, "0"]).unwrap();
+            for j in 0..2 {
+                db.table_mut(r).insert(row![k, (k * 2 + j) as f64]).unwrap();
             }
-            for i in 0..80i64 {
-                let m = Modification::Insert(row![i % 3, "t"]);
-                let id = db.table_id("s").unwrap();
-                db.apply(id, &m).unwrap();
-                wide.enqueue(1, m.clone());
-                serial.enqueue(1, m);
-            }
-            let rw = wide.refresh(&db).unwrap();
-            let rs = serial.refresh(&db).unwrap();
-            assert_eq!(rw, rs, "FlushReport diverged at {threads} threads");
-            assert_eq!(wide.result_checksum(), serial.result_checksum());
-            assert_consistent(&db, &wide);
         }
+        let mut plain =
+            MaterializedView::register(&mut db, join_view_def(), MinStrategy::Multiset).unwrap();
+        let mut shim =
+            MaterializedView::register(&mut db, join_view_def(), MinStrategy::Multiset).unwrap();
+        shim.set_heavy_light(&db, HeavyLightConfig::from_cost_model())
+            .unwrap();
+        // Zipf(1.2) over 40 join keys: key 0 draws ~30% of the traffic.
+        let cdf: Vec<f64> = (1..=40)
+            .scan(0.0, |acc, k| {
+                *acc += (k as f64).powf(-1.2);
+                Some(*acc)
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut zipf = || {
+            let u = rng.gen_range(0.0..cdf[39]);
+            cdf.partition_point(|&c| c <= u) as i64
+        };
+        let mut tags: Vec<i64> = vec![0; 40];
+        for step in 0..2000i64 {
+            let k = zipf();
+            let (table, pos, m) = if step % 3 == 0 {
+                let (old, new) = (tags[k as usize], step);
+                tags[k as usize] = new;
+                let (old, new) = (old.to_string(), new.to_string());
+                let (old, new) = (row![k, old.as_str()], row![k, new.as_str()]);
+                ("s", 1, Modification::Update { old, new })
+            } else {
+                ("r", 0, Modification::Insert(row![k, step as f64]))
+            };
+            db.apply(db.table_id(table).unwrap(), &m).unwrap();
+            plain.enqueue(pos, m.clone());
+            shim.enqueue(pos, m);
+            if step % 64 == 63 {
+                let counts = [plain.pending_counts()[0], plain.pending_counts()[1] / 2];
+                let (rp, rs) = (plain.flush(&db, &counts), shim.flush(&db, &counts));
+                assert_eq!(rp.unwrap(), rs.unwrap(), "FlushReport diverged at {step}");
+                assert_eq!(plain.result_checksum(), shim.result_checksum());
+            }
+        }
+        assert_consistent(&db, &shim);
+        let (p, s) = (plain.stats.exec, shim.stats.exec);
+        assert_eq!(
+            (p.rows_emitted, p.index_probes, p.cells_emitted),
+            (s.rows_emitted, s.index_probes, s.cells_emitted)
+        );
+        assert_eq!((s.heavy_hits, s.light_hits), (0, 0));
+        assert_eq!(shim.stats.heavy.reclassifications(), 0);
     }
 
     #[test]
@@ -2438,7 +2350,7 @@ mod tests {
     }
 
     #[test]
-    fn composite_key_join_checks_heavy_partials_and_scans() {
+    fn composite_key_join_checks_index_probes_and_scans() {
         for indexed in [true, false] {
             let (mut db, def) = composite_setup();
             let mut view = if indexed {
@@ -2446,9 +2358,6 @@ mod tests {
             } else {
                 MaterializedView::new(&db, def, MinStrategy::Multiset).unwrap()
             };
-            let mut cfg = HeavyLightConfig::with_share(0.2);
-            (cfg.min_observations, cfg.batch_hint) = (8, 8);
-            view.set_heavy_light(&db, cfg).unwrap();
             // k1 = 7 is hot on both sides; k2 varies, so most k1 matches
             // fail the second predicate.
             for round in 0..6i64 {
@@ -2467,9 +2376,9 @@ mod tests {
             view.refresh(&db).unwrap();
             assert_consistent(&db, &view);
             assert_eq!(
-                view.stats.exec.heavy_hits > 0,
+                view.stats.exec.index_probes > 0,
                 indexed,
-                "heavy path needs the index"
+                "probes need the index"
             );
             assert_eq!(view.stats.exec.scan_fallbacks > 0, !indexed);
         }

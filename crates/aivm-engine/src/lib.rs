@@ -16,7 +16,6 @@ pub mod dml;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod heavy;
 pub mod index;
 pub mod ivm;
 pub mod logical;
@@ -39,11 +38,10 @@ pub use dml::{compile_dml, execute_dml, DmlStatement};
 pub use error::EngineError;
 pub use exec::{rows_checksum, ExecStats, WRow};
 pub use expr::{ArithOp, CmpOp, Expr};
-pub use heavy::{HeavyLightConfig, HeavyLightStats, HeavyTrackerSnapshot, SpaceSaving};
 pub use index::{Index, IndexKind, RowId};
 pub use ivm::{
-    AggSpec, FlushReport, JoinPred, MaintenanceStats, MaterializedView, MinStrategy, ViewDef,
-    ViewLeaf, ViewSnapshot,
+    AggSpec, FlushReport, HeavyLightConfig, HeavyLightStats, JoinPred, MaintenanceStats,
+    MaterializedView, MinStrategy, ViewDef, ViewLeaf, ViewSnapshot,
 };
 pub use logical::{AggFunc, LogicalPlan};
 pub use measure::{measure_cost_function, CostMeasurement, MeasureConfig};

@@ -7,8 +7,8 @@
 //!
 //! * groups views by their *SPJ signature* — identical `(tables,
 //!   join_preds, filters, residual)` — into sharing groups. A group is
-//!   one SPJ core (pending delta tables, join plans compiled for the
-//!   union of the members' live columns, heavy-light state) finished by
+//!   one SPJ core (pending delta tables and join plans compiled for the
+//!   union of the members' live columns) finished by
 //!   one leaf per member (projection / aggregate / distinct, state,
 //!   snapshot). A group of `m` views holds each pending modification
 //!   once and propagates each start-table delta batch once; every leaf
@@ -190,8 +190,8 @@ impl ViewRegistry {
     }
 
     /// A registry of one: wraps `db` and a view already built over it,
-    /// keeping whatever the caller configured on the view (heavy-light
-    /// sketches, MIN/MAX strategy, physical design) and turning on
+    /// keeping whatever the caller configured on the view (MIN/MAX
+    /// strategy, physical design) and turning on
     /// snapshot publication. This is how a single view becomes the N = 1
     /// of the multi-view serving runtime.
     pub fn adopt(db: Database, mut view: MaterializedView) -> Result<Self, EngineError> {

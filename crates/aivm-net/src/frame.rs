@@ -50,7 +50,9 @@
 //!   kind 2 ReadOk    fresh u8 | lag u64 | flush_cost f64 | violated u8
 //!                    | degraded u8 | checksum u64
 //!                    | has_rows u8 [| count u32 | (row, w i64)...]
-//!   kind 3 MetricsOk NetMetrics fields in declaration order
+//!   kind 3 MetricsOk NetMetrics fields in declaration order, with 32
+//!                    zero bytes (the retired v6 counters) after
+//!                    `sub_lag_max`
 //!                    [| per-shard rows when requested]
 //!                    [| per-view rows when requested]
 //!   kind 4 FlushOk   flush_cost f64 | violated u8
@@ -92,10 +94,15 @@ pub const NET_MAGIC: &[u8; 4] = b"ANET";
 /// via `Subscribe`/`SubscribeOk`/`ViewDelta`, the metrics `per_view`
 /// request flag plus view/subscriber aggregate and breakdown fields);
 /// v6 added heavy-light skew metrics (`heavy_keys`,
-/// `heavy_reclassifications`, `heavy_hits`, `light_hits`); v7 dropped
+/// `heavy_reclassifications`, `heavy_hits`, `light_hits`; since
+/// heavy-light partitioning was removed the encoder writes their 32
+/// bytes as zeros and the decoder reads and discards them); v7 dropped
 /// the metrics frame's `shards_auto` byte (an echo of a launcher flag
 /// the server never acted on).
 pub const NET_VERSION: u16 = 7;
+/// Bytes of the retired v6 heavy-light counters in a `MetricsOk` body
+/// (four `u64`s, always zero).
+const RETIRED_METRICS_LEN: usize = 32;
 /// Hard cap on a single frame's payload. A length prefix beyond this is
 /// rejected as corrupt *before* any allocation, so a hostile or garbled
 /// header cannot balloon memory.
@@ -672,15 +679,6 @@ pub struct NetMetrics {
     pub deltas_pushed: u64,
     /// Worst observed subscriber lag (delta seqs behind head).
     pub sub_lag_max: u64,
-    /// Join keys currently classified heavy by the engine's
-    /// heavy-light partitioner (0 when partitioning is off).
-    pub heavy_keys: u64,
-    /// Heavy-light reclassification events (promotions + demotions).
-    pub heavy_reclassifications: u64,
-    /// Delta rows routed through materialized heavy-key partials.
-    pub heavy_hits: u64,
-    /// Delta rows routed through the compensated light-key index join.
-    pub light_hits: u64,
     /// The scheduler's poisoning error, if any (first failing shard).
     pub last_error: Option<String>,
     /// Per-shard breakdown, present when the request set `per_shard`.
@@ -900,10 +898,7 @@ pub(crate) fn put_response(buf: &mut Vec<u8>, r: &Response) {
             buf.put_u64_le(m.subscribers);
             buf.put_u64_le(m.deltas_pushed);
             buf.put_u64_le(m.sub_lag_max);
-            buf.put_u64_le(m.heavy_keys);
-            buf.put_u64_le(m.heavy_reclassifications);
-            buf.put_u64_le(m.heavy_hits);
-            buf.put_u64_le(m.light_hits);
+            buf.put_slice(&[0; RETIRED_METRICS_LEN]);
             match &m.last_error {
                 None => buf.put_u8(0),
                 Some(e) => {
@@ -1085,14 +1080,11 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, EngineError> {
                 subscribers: r.u64("metrics")?,
                 deltas_pushed: r.u64("metrics")?,
                 sub_lag_max: r.u64("metrics")?,
-                heavy_keys: r.u64("metrics")?,
-                heavy_reclassifications: r.u64("metrics")?,
-                heavy_hits: r.u64("metrics")?,
-                light_hits: r.u64("metrics")?,
                 last_error: None,
                 per_shard: None,
                 per_view: None,
             };
+            r.bytes(RETIRED_METRICS_LEN, "metrics")?;
             m.last_error = match r.u8("metrics error flag")? {
                 0 => None,
                 1 => Some(r.str()?.to_string()),
@@ -1636,10 +1628,6 @@ mod tests {
             subscribers: rng.gen_range(0..1000u64),
             deltas_pushed: rng.gen_range(0..u64::MAX),
             sub_lag_max: rng.gen_range(0..10_000u64),
-            heavy_keys: rng.gen_range(0..1000u64),
-            heavy_reclassifications: rng.gen_range(0..u64::MAX),
-            heavy_hits: rng.gen_range(0..u64::MAX),
-            light_hits: rng.gen_range(0..u64::MAX),
             last_error: rng
                 .gen_bool(0.3)
                 .then(|| "scheduler tick failed: boom".to_string()),

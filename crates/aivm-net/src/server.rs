@@ -1959,10 +1959,6 @@ fn wire_metrics(
         subscribers: view_rows().map(|v| v.subscribers).sum(),
         deltas_pushed: view_rows().map(|v| v.deltas_pushed).sum(),
         sub_lag_max: view_rows().map(|v| v.sub_lag_max).max().unwrap_or(0),
-        heavy_keys: snap.heavy_keys,
-        heavy_reclassifications: snap.heavy_reclassifications,
-        heavy_hits: snap.heavy_hits,
-        light_hits: snap.light_hits,
         per_shard: None,
         per_view: None,
         last_error: snap.last_error.clone(),

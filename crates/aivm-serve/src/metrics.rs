@@ -196,17 +196,6 @@ pub struct MetricsSnapshot {
     /// Times the budget was changed mid-run by
     /// [`MaintenanceRuntime::set_budget`](crate::MaintenanceRuntime::set_budget).
     pub budget_rebalances: u64,
-    /// Currently heavy join keys across the view's trackers (gauge;
-    /// zero when heavy-light partitioning is disabled).
-    pub heavy_keys: u64,
-    /// Cumulative heavy-light reclassification events (promotions +
-    /// demotions).
-    pub heavy_reclassifications: u64,
-    /// Delta rows propagated through a heavy key's materialized partial.
-    pub heavy_hits: u64,
-    /// Delta rows propagated through the classic compensated index join
-    /// at join steps where a heavy-light split was active.
-    pub light_hits: u64,
 }
 
 /// Per-view counters in a [`MultiMetricsSnapshot`].

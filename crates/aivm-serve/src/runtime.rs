@@ -884,7 +884,7 @@ impl MaintenanceRuntime {
     }
 
     /// A snapshot of the runtime-global counters. Per-table vectors run
-    /// over the cell axis; heavy-light counters sum over views.
+    /// over the cell axis.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         if let Some(w) = &self.wal {
@@ -893,15 +893,6 @@ impl MaintenanceRuntime {
             snap.wal_sync_every = w.sync_every();
         }
         snap.budget = self.ctx.budget;
-        if let Some(reg) = self.registry() {
-            for v in 0..reg.view_count() {
-                let ms = &reg.view(v).stats;
-                snap.heavy_keys += ms.heavy.heavy_keys;
-                snap.heavy_reclassifications += ms.heavy.reclassifications();
-                snap.heavy_hits += ms.exec.heavy_hits;
-                snap.light_hits += ms.exec.light_hits;
-            }
-        }
         snap
     }
 

@@ -453,10 +453,6 @@ pub fn merge_metrics(shards: &[MetricsSnapshot]) -> MetricsSnapshot {
         }
         out.budget += m.budget;
         out.budget_rebalances += m.budget_rebalances;
-        out.heavy_keys += m.heavy_keys;
-        out.heavy_reclassifications += m.heavy_reclassifications;
-        out.heavy_hits += m.heavy_hits;
-        out.light_hits += m.light_hits;
 
         // Histogram summaries: keep the worst tail, count-weighted mean.
         for (acc, part) in [

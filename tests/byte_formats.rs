@@ -4,7 +4,9 @@
 use aivm::engine::DataType::{Float, Int, Str};
 use aivm::engine::{row, snapshot, Database, IndexKind, Modification, Schema, Value};
 use aivm::serve::{Checkpoint, EngineCheckpoint, MemWal, WalRecord, WalWriter};
-use aivm_net::{send_request, send_response, Request, RequestFrame, Response, WireReadResult};
+use aivm_net::frame::ViewMetricsRow;
+use aivm_net::{decode_response, send_request, send_response, NetMetrics, Request, RequestFrame};
+use aivm_net::{Response, ShardMetricsRow, WireReadResult, FRAME_HEADER_LEN};
 
 const SUBMIT: &str = "630000006a2edcdfc6f796fcfa00000001030000000000000001000000030000000003000000\
     0107000000000000000200000000000004400302000000616202020000000107000000000000000002000000010800\
@@ -21,6 +23,18 @@ const CHECKPOINT: &str = "41434b5001002a0000000000000011000000000000000200000003
 const SNAPSHOT: &str = "4149564d010001000000010000007403000000020000006964010100000077020100000073\
     0300000000010000000000000000020000000000000001010000000000000002000000000000e03f03030000006f6e\
     650102000000000000000000";
+
+const METRICS_OK: &str = "d30100009e945820c352063f03e803000000000000fa0000000000000025000000000000\
+    0000000000004a9340090000000000000000000000000000000b000000000000000000000000000000000000000000\
+    00000000000000000000010000000000000000400000000000000000000000000000000000000000000000e9030000\
+    00000000000000000000000000000000000000000000000000000000030000000000000000000000000000004d0000\
+    0000000000000000000000000000000000000000000000000000000000020000000000000000000000000000000000\
+    0000000000000000000000003440000000000000000000000000000000000000000000000000000000000000000008\
+    0000000000000000000000000000000000000000000000010000000000000000000000000000000000000000000000\
+    000000000000000000000000000000000104000000626f6f6d01010000000100000001280000000000000002000000\
+    0000000006000000000000000000000000001e40000000000000244003000000000000000200000000000000010000\
+    0000000000020101000000040000000100000006000000000000000300000000000000000000000000000005000000\
+    0000000002000000000000000100000000000000";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -89,4 +103,58 @@ fn wal_dml_record_checkpoint_and_snapshot() {
     table.insert(row![1i64, 0.5f64, "one"]).unwrap();
     table.insert(row![2i64, Value::Null, Value::Null]).unwrap();
     assert_eq!(hex(&snapshot(&db)), SNAPSHOT);
+}
+
+#[test]
+fn metrics_ok_frame() {
+    let shard = ShardMetricsRow {
+        shard: 1,
+        live: true,
+        events_ingested: 40,
+        queue_depth: 2,
+        flush_count: 6,
+        total_flush_cost: 7.5,
+        budget: 10.0,
+        staleness: 3,
+        epoch: 2,
+        replica_lag: 1,
+        health: 2,
+    };
+    let view = ViewMetricsRow {
+        view: 4,
+        group: 1,
+        flushes: 6,
+        pending: 3,
+        violations: 0,
+        deltas_pushed: 5,
+        subscribers: 2,
+        sub_lag_max: 1,
+    };
+    let metrics = NetMetrics {
+        events_ingested: 1000,
+        ticks: 250,
+        flush_count: 37,
+        total_flush_cost: 1234.5,
+        fresh_reads: 9,
+        snapshot_reads: 11,
+        degraded: true,
+        max_queue_depth: 64,
+        wal_records: 1001,
+        connections_total: 3,
+        requests: 77,
+        shards: 2,
+        budget: 20.0,
+        views: 8,
+        sub_lag_max: 1,
+        last_error: Some("boom".into()),
+        per_shard: Some(vec![shard]),
+        per_view: Some(vec![view]),
+        ..NetMetrics::default()
+    };
+    let metrics_ok = Response::MetricsOk(Box::new(metrics));
+    let mut wire = Vec::new();
+    send_response(&mut wire, &metrics_ok).unwrap();
+    assert_eq!(hex(&wire), METRICS_OK);
+    let decoded = decode_response(&wire[FRAME_HEADER_LEN..]).unwrap();
+    assert_eq!(decoded, metrics_ok);
 }

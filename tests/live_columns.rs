@@ -12,8 +12,7 @@
 //! drives the same modification script and partial-flush schedule
 //! through
 //!
-//! * N independent views at propagation widths 1/2/4/8, heavy-light off
-//!   and on, and
+//! * N independent views at propagation widths 1/2/4/8, and
 //! * one `ViewRegistry` of the N views at widths 1/2/4/8, the last view
 //!   registering mid-stream into the existing sharing group,
 //!
@@ -22,16 +21,15 @@
 //! that SUM/AVG cells are compared to the oracle within 1e-9 — and that
 //! every variant's results, SUM/AVG included, are bit-identical to every
 //! other's: the fold order is a function of the delta multiset, not of
-//! layout, width, key partitioning or sharing.
+//! layout, width or sharing.
 //!
 //! `LIVE_COLUMNS_SEEDS=1,2,3` overrides the built-in seed list (ci.sh
 //! runs a longer one in release under a time box).
 
 use aivm::engine::exec::{consolidate, WRow};
 use aivm::engine::{
-    AggFunc, AggSpec, ArithOp, CmpOp, DataType, Database, ExecStats, Expr, HeavyLightConfig,
-    JoinPred, MaterializedView, MinStrategy, Modification, Row, Schema, Value, ViewDef,
-    ViewRegistry,
+    AggFunc, AggSpec, ArithOp, CmpOp, DataType, Database, ExecStats, Expr, JoinPred,
+    MaterializedView, MinStrategy, Modification, Row, Schema, Value, ViewDef, ViewRegistry,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -429,17 +427,12 @@ fn assert_matches_oracle(
 /// Per step, per view: the sorted maintained contents.
 type Trace = Vec<Vec<Vec<WRow>>>;
 
-fn run_independent(case: &Case, width: usize, heavy: bool) -> (Trace, ExecStats) {
-    let ctx = format!("independent width {width} heavy {heavy}");
+fn run_independent(case: &Case, width: usize) -> (Trace, ExecStats) {
+    let ctx = format!("independent width {width}");
     let mut db = loaded_db(case);
     let make = |db: &mut Database, def: &ViewDef| {
         let mut v = MaterializedView::register(db, def.clone(), case.strategy).unwrap();
         v.set_flush_threads(width);
-        if heavy {
-            let mut cfg = HeavyLightConfig::with_share(0.15);
-            (cfg.min_observations, cfg.batch_hint, cfg.decay_every) = (8, 8, 64);
-            v.set_heavy_light(db, cfg).unwrap();
-        }
         v
     };
     let (late, early) = case.defs.split_last().unwrap();
@@ -535,21 +528,15 @@ fn seeds() -> Vec<u64> {
 fn pruned_propagation_matches_direct_evaluation_in_every_configuration() {
     for seed in seeds() {
         let case = any_case(seed);
-        let (base, plain_exec) = run_independent(&case, 1, false);
+        let (base, serial_exec) = run_independent(&case, 1);
         for width in [1usize, 2, 4, 8] {
-            for heavy in [false, true] {
-                if (width, heavy) == (1, false) {
-                    continue;
-                }
-                let (trace, exec) = run_independent(&case, width, heavy);
+            if width > 1 {
+                let (trace, exec) = run_independent(&case, width);
                 assert!(
                     trace == base,
-                    "seed {seed}: independent views at width {width}, heavy-light {heavy} \
-                     diverged from the serial plain run"
+                    "seed {seed}: independent views at width {width} diverged from the serial run"
                 );
-                if !heavy {
-                    assert_eq!(exec, plain_exec, "seed {seed}: counters at width {width}");
-                }
+                assert_eq!(exec, serial_exec, "seed {seed}: counters at width {width}");
             }
             assert!(
                 run_registry(&case, width, true) == base,
@@ -628,7 +615,7 @@ fn updates_of_dead_columns_emit_no_join_rows() {
     let defs = dead_column_defs();
     let (all, pruned) = defs.split_last().unwrap();
     // The pruned views: one sharing group in a registry, and again as
-    // independent views with heavy-light on. `SELECT *` alone.
+    // independent views. `SELECT *` alone.
     let mut reg = ViewRegistry::new(db.clone());
     for def in pruned {
         reg.register_view(def.clone(), MinStrategy::Multiset)
@@ -638,12 +625,7 @@ fn updates_of_dead_columns_emit_no_join_rows() {
     let mut solo_db = db.clone();
     let mut solos: Vec<MaterializedView> = (pruned.iter())
         .map(|d| {
-            let mut v =
-                MaterializedView::register(&mut solo_db, d.clone(), MinStrategy::Multiset).unwrap();
-            let mut cfg = HeavyLightConfig::with_share(0.1);
-            (cfg.min_observations, cfg.batch_hint) = (8, 8);
-            v.set_heavy_light(&solo_db, cfg).unwrap();
-            v
+            MaterializedView::register(&mut solo_db, d.clone(), MinStrategy::Multiset).unwrap()
         })
         .collect();
     let mut wide = MaterializedView::register(&mut db, all.clone(), MinStrategy::Multiset).unwrap();
