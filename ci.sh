@@ -25,6 +25,11 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q --release
 
+echo "==> the crates that own the paper's step (run_policy, the ledger, ADAPT, replay, figures)"
+# Their unit tests are not in tier-1 (the root package only), and --fast
+# skips the workspace pass below.
+cargo test -q --release -p aivm-core -p aivm-solver -p aivm-sim
+
 echo "==> perf/ still builds against this tree (frozen package, API check)"
 # perf/ is a package of its own that compiles against the product
 # crates' public API and may not be edited alongside them; a rename or
@@ -42,7 +47,9 @@ echo "==> perf contract (the benchmark's own invocation, all five workloads)"
 # at shutdown, say) would become that line, so the product crates stay
 # silent on stdout, and every workload's last line must be one JSON
 # object: correct, nothing failed, the four end-to-end metrics present.
-if grep -rn 'println!' crates/aivm-{serve,net,shard,client,engine}/src; then
+# aivm-core and aivm-solver count too: the runtime steps through their
+# ledger inside every workload.
+if grep -rn 'println!' crates/aivm-{serve,net,shard,client,engine,core,solver}/src; then
   echo "product crates must not print to stdout" >&2
   exit 1
 fi

@@ -34,7 +34,7 @@
 use crate::proxy::{FaultPlanNet, FaultProxy};
 use crate::serve::{ServeExperiment, ServeOptions};
 use aivm_client::{Client, ClientConfig};
-use aivm_core::{CostFn, Counts};
+use aivm_core::{CostFn, Plan};
 use aivm_engine::{Database, EngineError, Modification, WRow};
 use aivm_net::{NetServer, NetServerConfig, Replica, ReplicaConfig, Request, Response};
 use aivm_serve::{
@@ -44,7 +44,7 @@ use aivm_serve::{
 use aivm_shard::{
     FailoverConfig, FailoverMonitor, MergeSpec, Partitioner, Promoter, ReplicaStatus, ShardRouter,
 };
-use aivm_sim::replay::{verify_recovery_prefix, ReplayStep};
+use aivm_sim::replay::verify_recovery_prefix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -138,8 +138,6 @@ struct Reference {
     bytes: Vec<u8>,
     boundaries: Vec<Boundary>,
     checkpoints: Vec<Checkpoint>,
-    steps: Vec<ReplayStep>,
-    actions: Vec<Counts>,
     trace: Trace,
 }
 
@@ -193,18 +191,6 @@ fn boundary_of(rt: &MaintenanceRuntime, wal: &MemWal) -> Boundary {
     }
 }
 
-fn trace_as_replay(trace: &Trace) -> (Vec<ReplayStep>, Vec<Counts>) {
-    let steps = trace
-        .steps
-        .iter()
-        .map(|s| ReplayStep {
-            arrivals: s.arrivals.clone(),
-            forced: s.forced,
-        })
-        .collect();
-    (steps, trace.actions())
-}
-
 /// Runs the script once with a WAL attached, recording a [`Boundary`]
 /// after every op and a [`Checkpoint`] every `checkpoint_every` ops.
 fn reference_run(
@@ -225,15 +211,11 @@ fn reference_run(
         }
     }
     rt.sync_wal()?;
-    let trace = rt.into_trace().expect("tracing on");
-    let (steps, actions) = trace_as_replay(&trace);
     Ok(Reference {
         bytes: mem.bytes(),
         boundaries,
         checkpoints,
-        steps,
-        actions,
-        trace,
+        trace: rt.into_trace().expect("tracing on"),
     })
 }
 
@@ -277,16 +259,9 @@ fn check_recovered(
     label: &str,
 ) -> Result<(), String> {
     let trace = rt.trace().ok_or_else(|| format!("{label}: no trace"))?;
-    let (steps, actions) = trace_as_replay(trace);
-    let outcome = verify_recovery_prefix(
-        &exp.costs,
-        exp.budget,
-        &reference.steps,
-        &reference.actions,
-        &steps,
-        &actions,
-    )
-    .map_err(|e| format!("{label}: {e}"))?;
+    let outcome =
+        verify_recovery_prefix(&exp.costs, exp.budget, &reference.trace.steps, &trace.steps)
+            .map_err(|e| format!("{label}: {e}"))?;
     let m = rt.metrics();
     if (outcome.total_cost - m.total_flush_cost).abs() > 1e-6 {
         return Err(format!(
@@ -313,10 +288,10 @@ fn check_recovered(
     if pending != b.pending {
         mismatches.push(format!("pending {pending:?} != {:?}", b.pending));
     }
-    if steps.len() != b.steps {
+    if trace.steps.len() != b.steps {
         mismatches.push(format!(
             "trace has {} steps, expected {}",
-            steps.len(),
+            trace.steps.len(),
             b.steps
         ));
     }
@@ -593,12 +568,7 @@ pub fn run_chaos(exp: &ServeExperiment, opts: &ChaosOptions) -> Result<ChaosRepo
     if let Some(seed) = report.seeds.last() {
         let ops = script(exp, seed.seed, opts.events);
         let reference = reference_run(exp, &ops, opts.checkpoint_every)?;
-        match aivm_sim::replay::replay_schedule(
-            &exp.costs,
-            exp.budget,
-            &reference.steps,
-            &reference.actions,
-        ) {
+        match Plan::validate_recorded(&exp.costs, exp.budget, &reference.trace.steps) {
             Ok(outcome) => {
                 let live = reference.trace.total_cost();
                 if (outcome.total_cost - live).abs() > 1e-6 {

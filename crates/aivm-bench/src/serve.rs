@@ -14,13 +14,12 @@ use aivm_engine::{
     Modification, TableId, ViewDef,
 };
 use aivm_serve::{
-    AsSolverPolicy, FaultPlan, FileWal, FlushPolicy, MaintenanceRuntime, MetricsSnapshot,
-    NaiveFlush, OnlineFlush, PlannedFlush, ReadMode, ServeConfig, ServeServer, ServerConfig, Trace,
-    WalSyncPolicy, WalWriter,
+    FaultPlan, FileWal, FlushPolicy, MaintenanceRuntime, MetricsSnapshot, NaiveFlush, OnlineFlush,
+    ReadMode, ServeConfig, ServeServer, ServerConfig, Trace, WalSyncPolicy, WalWriter,
 };
 use aivm_shard::{partition_database, Partitioner};
-use aivm_sim::replay::{replay_policy, ReplayStep};
-use aivm_solver::AdaptSchedule;
+use aivm_sim::replay::replay_policy;
+use aivm_solver::{AdaptPolicy, AdaptSchedule};
 use aivm_tpcr::{generate, install_paper_view, pregenerate_streams_skewed, TpcrConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -196,7 +195,7 @@ impl ServeExperiment {
         match name {
             "naive" => Some(Box::new(NaiveFlush::new())),
             "online" => Some(Box::new(OnlineFlush::new())),
-            "planned" => Some(Box::new(PlannedFlush::new(self.schedule.clone()))),
+            "planned" => Some(Box::new(AdaptPolicy::with_fallback(self.schedule.clone()))),
             _ => None,
         }
     }
@@ -437,21 +436,13 @@ impl ServeExperiment {
         })
     }
 
-    /// Replays a recorded `planned` trace through a fresh
-    /// [`PlannedFlush`] driven by `aivm-sim`'s replay machinery and
-    /// checks that it reproduces the live run's flush schedule and total
-    /// cost exactly. Returns a description of the first mismatch.
+    /// Replays a recorded `planned` trace through a fresh `planned`
+    /// policy driven by `aivm-sim`'s replay machinery and checks that it
+    /// reproduces the live run's flush schedule and total cost exactly.
+    /// Returns a description of the first mismatch.
     pub fn verify_planned_replay(&self, trace: &Trace) -> Result<(), String> {
-        let steps: Vec<ReplayStep> = trace
-            .steps
-            .iter()
-            .map(|s| ReplayStep {
-                arrivals: s.arrivals.clone(),
-                forced: s.forced,
-            })
-            .collect();
-        let mut policy = AsSolverPolicy(PlannedFlush::new(self.schedule.clone()));
-        let outcome = replay_policy(&trace.costs, trace.budget, &steps, &mut policy);
+        let mut policy = AdaptPolicy::with_fallback(self.schedule.clone());
+        let outcome = replay_policy(&trace.costs, trace.budget, &trace.steps, &mut policy);
         let live_actions = trace.actions();
         if outcome.actions != live_actions {
             let t = (0..live_actions.len())

@@ -44,5 +44,5 @@ pub mod transform;
 pub use cost::{fits, total_cost, CostFn, CostModel, COST_EPS};
 pub use counts::Counts;
 pub use instance::{Arrivals, Instance};
-pub use plan::{naive_plan, Plan, PlanError, PlanStats};
+pub use plan::{naive_plan, Plan, PlanError, PlanStats, TraceStep};
 pub use transform::{make_lazy_plan, make_lgm_plan, minimize_action};

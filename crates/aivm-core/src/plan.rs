@@ -1,9 +1,10 @@
 //! Maintenance plans and their validity (§2, Definition 1) plus the
 //! structural predicates of §3 (lazy, greedy, minimal).
 
-use crate::cost::fits;
+use crate::cost::{fits, total_cost, CostModel};
 use crate::counts::Counts;
 use crate::instance::Instance;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A maintenance plan `P = p_0, …, p_T`: one action vector per time step.
@@ -79,8 +80,29 @@ pub struct PlanStats {
     /// `|P(i)|` for each table: the number of actions touching table `i`
     /// (the decisive quantity for linear costs, §3.3).
     pub actions_per_table: Vec<usize>,
-    /// Largest post-action refresh cost observed before `T` (slack probe).
+    /// Largest post-action refresh cost observed at an unforced step
+    /// (slack probe).
     pub max_post_cost: f64,
+    /// Steps that broke the budget: always 0 for a valid plan, counted
+    /// for a recorded run.
+    pub violations: u64,
+    /// Modifications still pending after the last step: zero for a valid
+    /// plan, possibly not for a recorded run.
+    pub leftover: Counts,
+}
+
+/// One step of a run as recorded: the arrivals closed into it, the
+/// action taken, and whether that action was *forced* (a refresh that
+/// bypassed the policy) rather than decided by one. The serving
+/// runtime's trace, its replays and the recorded-run checker share it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct TraceStep {
+    /// Modifications per table that arrived during the step's window.
+    pub arrivals: Counts,
+    /// The flush action executed (may be zero).
+    pub action: Counts,
+    /// `true` when the action was a forced refresh, not a policy's.
+    pub forced: bool,
 }
 
 impl Plan {
@@ -137,47 +159,24 @@ impl Plan {
                 got: self.actions.len(),
             });
         }
-        let mut s = Counts::zero(inst.n());
-        let mut total_cost = 0.0;
-        let mut action_count = 0;
-        let mut actions_per_table = vec![0usize; inst.n()];
-        let mut max_post_cost: f64 = 0.0;
-        for t in 0..=horizon {
-            s.add_assign(&inst.arrivals.at(t));
-            let p = &self.actions[t];
-            // In-place subtraction: `s` becomes the post-action state, with
-            // no per-step allocation. On overdraw `s` is left unchanged.
-            if !s.checked_sub_assign(p) {
-                let table = (0..inst.n()).find(|&i| p[i] > s[i]).unwrap_or(0);
-                return Err(PlanError::Overdraw { t, table });
-            }
-            if !p.is_zero() {
-                action_count += 1;
-                for i in 0..inst.n() {
-                    if p[i] > 0 {
-                        actions_per_table[i] += 1;
-                    }
-                }
-                total_cost += inst.refresh_cost(p);
-            }
-            if t < horizon {
-                let post_cost = inst.refresh_cost(&s);
-                max_post_cost = max_post_cost.max(post_cost);
-                if !fits(post_cost, inst.budget) {
-                    return Err(PlanError::BudgetViolated { t, cost: post_cost });
-                }
-            } else if !s.is_zero() {
-                return Err(PlanError::NotEmptiedAtT {
-                    leftover: s.clone(),
-                });
-            }
-        }
-        Ok(PlanStats {
-            total_cost,
-            action_count,
-            actions_per_table,
-            max_post_cost,
-        })
+        let steps =
+            (self.actions.iter().enumerate()).map(|(t, p)| (inst.arrivals.at(t), p, t == horizon));
+        check(&inst.costs, inst.budget, steps, true)
+    }
+
+    /// [`Plan::validate`] for a recorded serving run, whose steps carry
+    /// their own arrivals and actions. A forced step is a fresh read and
+    /// a violation if it costs more than `C`; every other step is one if
+    /// it leaves the state full. Violations are counted, not errors, and
+    /// the run may end with work still pending (`leftover`). Only an
+    /// overdraw fails.
+    pub fn validate_recorded(
+        costs: &[CostModel],
+        budget: f64,
+        steps: &[TraceStep],
+    ) -> Result<PlanStats, PlanError> {
+        let steps = steps.iter().map(|s| (&s.arrivals, &s.action, s.forced));
+        check(costs, budget, steps, false)
     }
 
     /// True when the plan is *lazy* (Definition 2): every non-zero action
@@ -261,6 +260,71 @@ impl Plan {
         );
         out
     }
+}
+
+/// The checker behind [`Plan::validate`] and [`Plan::validate_recorded`]:
+/// an implementation of §2's step independent of the one
+/// `aivm_solver::Ledger` drives runs with, so either side lying shows.
+/// A forced step is a refresh. In a plan (`plan = true`) it is the
+/// refresh at `T`, which must empty every delta table, and a full
+/// post-action state is an error. In a recorded run it is a fresh read,
+/// which must cost at most `C`, and violations are counted.
+fn check<'a, A: Borrow<Counts>>(
+    costs: &[CostModel],
+    budget: f64,
+    steps: impl Iterator<Item = (A, &'a Counts, bool)>,
+    plan: bool,
+) -> Result<PlanStats, PlanError> {
+    let n = costs.len();
+    let mut s = Counts::zero(n);
+    let mut stats = PlanStats {
+        total_cost: 0.0,
+        action_count: 0,
+        actions_per_table: vec![0; n],
+        max_post_cost: 0.0,
+        violations: 0,
+        leftover: Counts::zero(n),
+    };
+    for (t, (d, p, forced)) in steps.enumerate() {
+        s.add_assign(d.borrow());
+        // In-place subtraction: `s` becomes the post-action state, with
+        // no per-step allocation. On overdraw `s` is left unchanged.
+        if !s.checked_sub_assign(p) {
+            let table = (0..n).find(|&i| p[i] > s[i]).unwrap_or(0);
+            return Err(PlanError::Overdraw { t, table });
+        }
+        let mut cost = 0.0;
+        if !p.is_zero() {
+            stats.action_count += 1;
+            for i in 0..n {
+                if p[i] > 0 {
+                    stats.actions_per_table[i] += 1;
+                }
+            }
+            cost = total_cost(costs, p);
+            stats.total_cost += cost;
+        }
+        if forced && plan {
+            if !s.is_zero() {
+                return Err(PlanError::NotEmptiedAtT {
+                    leftover: s.clone(),
+                });
+            }
+        } else if forced {
+            stats.violations += u64::from(!fits(cost, budget));
+        } else {
+            let post_cost = total_cost(costs, &s);
+            stats.max_post_cost = stats.max_post_cost.max(post_cost);
+            if !fits(post_cost, budget) {
+                if plan {
+                    return Err(PlanError::BudgetViolated { t, cost: post_cost });
+                }
+                stats.violations += 1;
+            }
+        }
+    }
+    stats.leftover = s;
+    Ok(stats)
 }
 
 /// The NAIVE symmetric plan of §1/§5: whenever the pre-action state is

@@ -39,6 +39,10 @@ pub struct CostMeasurement {
     pub table_pos: usize,
     /// `(batch size, median milliseconds)` samples, ascending in size.
     pub samples: Vec<(u64, f64)>,
+    /// Executor work of the same flushes, one entry per sample: the
+    /// median over trials of rows scanned + index probes + rows emitted.
+    /// Counted, so unlike the timings no machine load can reorder it.
+    pub work: Vec<u64>,
 }
 
 impl CostMeasurement {
@@ -115,8 +119,10 @@ where
 {
     let table_name = view.def().tables[table_pos].clone();
     let mut samples = Vec::with_capacity(config.batch_sizes.len());
+    let mut work = Vec::with_capacity(config.batch_sizes.len());
     for &k in &config.batch_sizes {
         let mut times = Vec::with_capacity(config.trials);
+        let mut counted = Vec::with_capacity(config.trials);
         for _ in 0..config.trials.max(1) {
             let mut db2 = db.clone();
             let mut view2 = view.clone();
@@ -139,13 +145,20 @@ where
             }
             std::hint::black_box(warm);
             let start = Instant::now();
-            view2.flush(&db2, &counts)?;
+            let exec = view2.flush(&db2, &counts)?.exec;
             times.push(start.elapsed().as_secs_f64() * 1e3);
+            counted.push(exec.rows_scanned + exec.index_probes + exec.rows_emitted);
         }
         times.sort_by(|a, b| a.total_cmp(b));
         samples.push((k, times[times.len() / 2]));
+        counted.sort_unstable();
+        work.push(counted[counted.len() / 2]);
     }
-    Ok(CostMeasurement { table_pos, samples })
+    Ok(CostMeasurement {
+        table_pos,
+        samples,
+        work,
+    })
 }
 
 #[cfg(test)]
@@ -233,6 +246,7 @@ mod tests {
         let m = CostMeasurement {
             table_pos: 0,
             samples: vec![(5, 0.1), (15, 10.0), (30, 10.5)],
+            work: vec![],
         };
         let pw = m.to_piecewise();
         assert!(pw.check_monotone(100));
@@ -247,6 +261,7 @@ mod tests {
         let m2 = CostMeasurement {
             table_pos: 0,
             samples: vec![(5, 3.0), (15, 2.0), (30, 8.0)],
+            work: vec![],
         };
         let pw2 = m2.to_piecewise();
         assert!(pw2.check_monotone(100));

@@ -92,7 +92,7 @@ impl Kind {
     }
 }
 
-/// A test-controlled stall inside the scheduler: the policy's `decide`
+/// A test-controlled stall inside the scheduler: the policy's `act`
 /// announces its arrival, then waits for a permit (or for the gate to
 /// be opened for good). While a scheduler sits here its ingest queue is
 /// not drained and its replies are not sent — the deterministic stand-in
@@ -121,14 +121,14 @@ impl Gate {
         }
     }
 
-    /// Blocks until the scheduler has entered `decide` `n` times.
+    /// Blocks until the scheduler has entered `act` `n` times.
     fn wait_arrivals(&self, n: u64) {
         let (lock, cv) = &*self.0;
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut st = lock.lock().unwrap();
         while st.arrivals < n {
             let left = deadline.saturating_duration_since(Instant::now());
-            assert!(!left.is_zero(), "scheduler never reached decide #{n}");
+            assert!(!left.is_zero(), "scheduler never reached act #{n}");
             st = cv.wait_timeout(st, left).unwrap().0;
         }
     }
@@ -159,14 +159,14 @@ impl FlushPolicy for Scripted {
         self.naive.reset(ctx);
     }
 
-    fn decide(&mut self, t: usize, pending: &Counts) -> Counts {
+    fn act(&mut self, t: usize, pending: &Counts) -> Counts {
         if let Some(gate) = &self.gate {
             gate.pass();
         }
         if self.lazy {
             Counts::zero(pending.len())
         } else {
-            self.naive.decide(t, pending)
+            self.naive.act(t, pending)
         }
     }
 
@@ -333,7 +333,7 @@ impl Rig {
         s
     }
 
-    /// Waits until every scheduler sits in its `n`-th `decide`.
+    /// Waits until every scheduler sits in its `n`-th `act`.
     fn wait_stalled(&self, n: u64) {
         for g in &self.gates {
             g.wait_arrivals(n);

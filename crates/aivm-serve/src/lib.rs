@@ -9,9 +9,13 @@
 //!    bounded MPSC queue ([`server`]) into the pending delta tables of
 //!    every view that reads the table (the paper's state vector `s`).
 //! 2. **Scheduling** — one runtime ([`runtime`]) closes an arrival
-//!    window per tick and consults a pluggable [`FlushPolicy`]
-//!    ([`NaiveFlush`], [`OnlineFlush`], [`PlannedFlush`]) for which
-//!    pending modifications to flush, enforcing the refresh
+//!    window per tick and consults a pluggable [`FlushPolicy`] — the
+//!    solver's one [`Policy`](aivm_solver::Policy) trait, so
+//!    [`NaiveFlush`], [`OnlineFlush`] and the `planned`
+//!    [`AdaptPolicy::with_fallback`](aivm_solver::AdaptPolicy::with_fallback)
+//!    are the solver's policies — for which pending modifications to
+//!    flush, stepping through the solver's
+//!    [`Ledger`](aivm_solver::Ledger) and enforcing the refresh
 //!    response-time constraint `C` over a view registry's (group ×
 //!    table) cells. A single view is a registry of one, counts-only mode
 //!    is the runtime with no engine; [`RegistryRuntime`] is a name for
@@ -49,13 +53,17 @@
 pub mod fault;
 pub mod metrics;
 pub mod multi;
-pub mod policy;
 pub mod queue;
 pub mod runtime;
 pub mod server;
 pub mod trace;
 pub mod wal;
 
+pub use aivm_solver::TraceStep;
+/// The serving names of the solver's policy trait and policies.
+pub use aivm_solver::{
+    NaivePolicy as NaiveFlush, OnlinePolicy as OnlineFlush, Policy as FlushPolicy,
+};
 pub use fault::{CostOverrun, FaultPlan};
 pub use metrics::{
     HistogramSnapshot, LatencyHistogram, MetricsSnapshot, MultiMetricsSnapshot, ViewMetricsSnapshot,
@@ -64,14 +72,13 @@ pub use multi::{
     fold_delta, DeltaBatch, FetchOutcome, MultiConfig, RegistryRuntime, SubscriptionHub,
     DELTA_RING_CAP,
 };
-pub use policy::{AsSolverPolicy, FlushPolicy, NaiveFlush, OnlineFlush, PlannedFlush};
 pub use queue::TrySendError;
 pub use runtime::{MaintenanceRuntime, ReadMode, ReadResult, ServeConfig, TickReport, APPLY_SHARE};
 pub use server::{
     ApplyTicket, DeadlineError, Handle, MetricsTicket, ReadTicket, RegistryHandle, RegistryServer,
     ServeError, ServeHandle, ServeServer, Server, ServerConfig, Ticket,
 };
-pub use trace::{Trace, TraceStep};
+pub use trace::Trace;
 pub use wal::{
     decode_segment, read_wal, Checkpoint, EngineCheckpoint, FileWal, MemWal, WalReadOutcome,
     WalRecord, WalSegment, WalStorage, WalSyncPolicy, WalTail, WalWriter,

@@ -247,13 +247,11 @@ pub(crate) struct Metrics {
     pub flushes_per_table: Vec<u64>,
     pub mods_flushed_per_table: Vec<u64>,
     pub flush_count: u64,
-    pub total_flush_cost: f64,
     pub max_flush_cost: f64,
     pub flush_cost_millis: LatencyHistogram,
     pub fresh_reads: u64,
     pub stale_reads: u64,
     pub refresh_latency_ns: LatencyHistogram,
-    pub constraint_violations: u64,
     pub policy_demotions: u64,
     pub flush_errors: u64,
     pub cost_overruns: u64,
@@ -278,7 +276,6 @@ impl Metrics {
             return;
         }
         self.flush_count += 1;
-        self.total_flush_cost += cost;
         self.max_flush_cost = self.max_flush_cost.max(cost);
         self.flush_cost_millis
             .record((cost * 1000.0).round() as u64);
@@ -291,7 +288,8 @@ impl Metrics {
     }
 
     /// The counters this struct owns; the runtime and the server fill in
-    /// the gauges they own (WAL position, queue depths, budget, …).
+    /// what they own (the ledger's cost and violations, WAL position,
+    /// queue depths, budget, …).
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             events_ingested: self.events_ingested,
@@ -299,13 +297,11 @@ impl Metrics {
             flushes_per_table: self.flushes_per_table.clone(),
             mods_flushed_per_table: self.mods_flushed_per_table.clone(),
             flush_count: self.flush_count,
-            total_flush_cost: self.total_flush_cost,
             max_flush_cost: self.max_flush_cost,
             flush_cost_millis: self.flush_cost_millis.snapshot(),
             fresh_reads: self.fresh_reads,
             stale_reads: self.stale_reads,
             refresh_latency_ns: self.refresh_latency_ns.snapshot(),
-            constraint_violations: self.constraint_violations,
             policy_demotions: self.policy_demotions,
             flush_errors: self.flush_errors,
             cost_overruns: self.cost_overruns,

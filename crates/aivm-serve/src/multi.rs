@@ -9,8 +9,8 @@
 //! does.
 
 use crate::metrics::MultiMetricsSnapshot;
-use crate::policy::FlushPolicy;
 use crate::runtime::{MaintenanceRuntime, ServeConfig};
+use crate::FlushPolicy;
 use aivm_engine::exec::consolidate;
 use aivm_engine::{EngineError, ViewRegistry, ViewSnapshot, WRow};
 use std::collections::VecDeque;
@@ -291,15 +291,15 @@ impl From<RegistryRuntime> for MaintenanceRuntime {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::policy::{FlushPolicy, OnlineFlush};
     use crate::queue::TrySendError;
     use crate::runtime::tests::{
         base, feed, filtered_def, join_def, registry_config, registry_of, registry_over, sum_def,
     };
     use crate::runtime::ReadMode;
     use crate::server::{RegistryServer, ServerConfig};
-    use crate::trace::TraceStep;
     use crate::wal::{Checkpoint, MemWal, WalRecord, WalWriter};
+    use crate::TraceStep;
+    use crate::{FlushPolicy, OnlineFlush};
     use aivm_core::{CostModel, Counts};
     use aivm_engine::{row, rows_checksum, Database, MinStrategy, Modification, ViewDef};
     use aivm_solver::PolicyContext;
@@ -568,7 +568,7 @@ mod tests {
     struct Overdraw;
     impl FlushPolicy for Overdraw {
         fn reset(&mut self, _ctx: &PolicyContext) {}
-        fn decide(&mut self, _t: usize, pending: &Counts) -> Counts {
+        fn act(&mut self, _t: usize, pending: &Counts) -> Counts {
             let mut a = pending.clone();
             a[0] += 100;
             a

@@ -39,15 +39,15 @@
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, MetricsSnapshot, MultiMetricsSnapshot, ViewMetricsSnapshot};
 use crate::multi::SubscriptionHub;
-use crate::policy::{FlushPolicy, NaiveFlush};
 use crate::trace::Trace;
 use crate::wal::{read_wal, Checkpoint, EngineCheckpoint, WalRecord, WalWriter};
+use crate::{FlushPolicy, NaiveFlush};
 use aivm_core::{fits, total_cost, CostModel, Counts};
 use aivm_engine::{
     Database, EngineError, MaterializedView, Modification, TableId, ViewRegistry, ViewSnapshot,
     WRow,
 };
-use aivm_solver::PolicyContext;
+use aivm_solver::{Choice, Ledger, PolicyContext, Step};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -130,18 +130,8 @@ pub struct ReadResult {
     pub violated: bool,
 }
 
-/// Outcome of one scheduler tick.
-#[derive(Clone, Debug)]
-pub struct TickReport {
-    /// The tick index (policy time `t`).
-    pub t: usize,
-    /// The action the policy chose (may be zero).
-    pub action: Counts,
-    /// Model cost charged for the action.
-    pub cost: f64,
-    /// Whether the post-action state was left full.
-    pub violated: bool,
-}
+/// Outcome of one scheduler tick: the ledger's step.
+pub type TickReport = Step;
 
 /// One sharing group on the scheduling axis.
 #[derive(Clone, Debug)]
@@ -178,7 +168,9 @@ struct Engine {
 
 /// The synchronous maintenance core. See the module docs.
 pub struct MaintenanceRuntime {
-    ctx: PolicyContext,
+    /// The paper's step over the cell axis: the pending counts `s`, the
+    /// policy context, `t`, the total cost and the violation count.
+    ledger: Ledger,
     /// The cell costs as configured, before any recalibration — the
     /// stand-in for "true" flush costs when simulating drift.
     original_costs: Vec<CostModel>,
@@ -186,10 +178,8 @@ pub struct MaintenanceRuntime {
     axis: Axis,
     /// `None` in counts-only mode, and while recovery shadow-replays.
     engine: Option<Engine>,
-    /// Pending counts over the cell axis (the paper's `s`).
-    pending: Counts,
+    /// Arrivals since the last step, per cell (the trace records them).
     window: Counts,
-    t: usize,
     strict: bool,
     metrics: Metrics,
     trace: Option<Trace>,
@@ -307,30 +297,30 @@ impl MaintenanceRuntime {
     ) -> Self {
         let n = costs.len();
         let views = axis.group_of.len();
-        let ctx = PolicyContext {
+        let mut ledger = Ledger::counting(PolicyContext {
             costs,
             budget: cfg.budget,
-        };
-        policy.reset(&ctx);
-        let (pending, view_flushes) = match &engine {
-            Some(e) => (
-                Counts::from_slice(&e.registry.cell_counts()),
+        });
+        policy.reset(ledger.ctx());
+        let view_flushes = match &engine {
+            Some(e) => {
+                // Modifications a registry already holds are pending.
+                ledger.arrive(&Counts::from_slice(&e.registry.cell_counts()));
                 (0..views)
                     .map(|v| e.registry.view(v).stats.flushes)
-                    .collect(),
-            ),
-            None => (Counts::zero(n), vec![0; views]),
+                    .collect()
+            }
+            None => vec![0; views],
         };
+        let costs = &ledger.ctx().costs;
         MaintenanceRuntime {
-            trace: (cfg.record_trace).then(|| Trace::new(ctx.costs.clone(), cfg.budget)),
-            original_costs: ctx.costs.clone(),
-            ctx,
+            trace: (cfg.record_trace).then(|| Trace::new(costs.clone(), cfg.budget)),
+            original_costs: costs.clone(),
+            ledger,
             policy,
             axis,
             engine,
-            pending,
             window: Counts::zero(n),
-            t: 0,
             strict: cfg.strict,
             metrics: Metrics::new(n),
             wal: None,
@@ -425,12 +415,13 @@ impl MaintenanceRuntime {
             rt.apply_record(rec)?;
         }
         if let (Some(ck), Some(e)) = (checkpoint, payload) {
-            let pending: Vec<u64> = rt.pending.iter().collect();
-            if rt.t as u64 != ck.t || pending != ck.pending {
+            let pending: Vec<u64> = rt.pending().iter().collect();
+            let t = rt.ledger.t();
+            if t as u64 != ck.t || pending != ck.pending {
                 return Err(corrupt(format!(
-                    "shadow replay reached t = {}, pending {pending:?}; checkpoint says \
+                    "shadow replay reached t = {t}, pending {pending:?}; checkpoint says \
                      t = {}, pending {:?}",
-                    rt.t, ck.t, ck.pending
+                    ck.t, ck.pending
                 )));
             }
             engine
@@ -476,7 +467,7 @@ impl MaintenanceRuntime {
 
     /// The refresh budget `C` currently in force.
     pub fn budget(&self) -> f64 {
-        self.ctx.budget
+        self.ledger.ctx().budget
     }
 
     /// Changes the refresh budget `C` mid-run — the shard coordinator's
@@ -488,7 +479,7 @@ impl MaintenanceRuntime {
     /// schedule. A bitwise-unchanged budget is a no-op, keeping the log
     /// free of idle coordinator epochs.
     pub fn set_budget(&mut self, budget: f64) -> Result<(), EngineError> {
-        if budget.to_bits() == self.ctx.budget.to_bits() {
+        if budget.to_bits() == self.budget().to_bits() {
             return Ok(());
         }
         if !(budget.is_finite() && budget > 0.0) {
@@ -496,8 +487,8 @@ impl MaintenanceRuntime {
                 message: format!("refresh budget must be finite and positive, got {budget}"),
             });
         }
-        self.ctx.budget = budget;
-        self.policy.reset(&self.ctx);
+        self.ledger.ctx_mut().budget = budget;
+        self.policy.reset(self.ledger.ctx());
         self.metrics.budget_rebalances += 1;
         self.wal_log(WalRecord::SetBudget { budget })
     }
@@ -527,8 +518,8 @@ impl MaintenanceRuntime {
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             wal_records: self.wal_records(),
-            t: self.t as u64,
-            pending: self.pending.iter().collect(),
+            t: self.ledger.t() as u64,
+            pending: self.pending().iter().collect(),
             engine: self.engine.as_ref().map(|e| EngineCheckpoint {
                 db: aivm_engine::snapshot(e.registry.db()),
                 pending_mods: e.registry.pending_snapshot(),
@@ -588,7 +579,7 @@ impl MaintenanceRuntime {
     /// Number of cells on the scheduling axis (tables, for one view or
     /// without an engine).
     pub fn n(&self) -> usize {
-        self.ctx.n()
+        self.ledger.ctx().n()
     }
 
     /// Views maintained; reads name one by index (`0..views()`).
@@ -603,7 +594,7 @@ impl MaintenanceRuntime {
 
     /// The current pending-counts state `s` over the cell axis.
     pub fn pending(&self) -> &Counts {
-        &self.pending
+        self.ledger.state()
     }
 
     /// The active policy's name (`"naive"` after a demotion).
@@ -619,7 +610,7 @@ impl MaintenanceRuntime {
     /// Counts `k` arrivals for `table` into every cell it feeds.
     fn arrive(&mut self, table: usize, k: u64) {
         for &c in &self.axis.routes[table] {
-            self.pending[c] += k;
+            self.ledger.arrive_at(c, k);
             self.window[c] += k;
         }
         self.metrics.events_ingested += k;
@@ -672,11 +663,11 @@ impl MaintenanceRuntime {
 
     /// Closes the current arrival window and runs one scheduler step:
     /// consults the policy (under `catch_unwind`, demoting it on a
-    /// panic or overdraw), executes its flush, checks the post-action
-    /// state against the budget — globally and per view — and tracks
-    /// cost drift.
+    /// panic or overdraw), executes its flush, steps the ledger — which
+    /// judges the post-action state against the budget — counts per-view
+    /// violations, and tracks cost drift.
     pub fn tick(&mut self) -> Result<TickReport, EngineError> {
-        let t = self.t;
+        let t = self.ledger.t();
         let zero = Counts::zero(self.n());
         let arrivals = std::mem::replace(&mut self.window, zero);
         let mut action = self.decide_guarded(t);
@@ -690,19 +681,15 @@ impl MaintenanceRuntime {
             self.demote();
             action = Counts::zero(self.n());
         }
-        let cost = self.execute_flush(&action)?;
-        self.track_drift(t, &action, cost);
-        let violated = self.ctx.is_full(&self.pending);
+        self.flush_engine(&action)?;
+        let step =
+            (self.ledger.act(Choice::Recorded(action))).expect("a guarded action never overdraws");
+        self.track_drift(t, &step.action, step.cost);
         self.metrics.ticks += 1;
         self.note_view_violations();
-        self.finish_step(arrivals, action.clone(), false, cost, violated, t)?;
+        self.finish_step(arrivals, &step, false)?;
         self.wal_log(WalRecord::Tick)?;
-        Ok(TickReport {
-            t,
-            action,
-            cost,
-            violated,
-        })
+        Ok(step)
     }
 
     /// Runs the policy under `catch_unwind`. A panic (real or injected)
@@ -713,23 +700,23 @@ impl MaintenanceRuntime {
         if inject {
             self.faults.policy_panic_at = None;
         }
-        let pending = &self.pending;
+        let pending = self.ledger.state();
         let policy = &mut self.policy;
         let decided = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 panic!("injected policy fault at t = {t}");
             }
-            policy.decide(t, pending)
+            policy.act(t, pending)
         }));
         match decided {
-            Ok(a) if a.len() == self.n() && a.dominated_by(&self.pending) => return a,
+            Ok(a) if a.len() == self.n() && a.dominated_by(self.pending()) => return a,
             Ok(_) | Err(_) => {}
         }
         // The policy panicked mid-decision (its internal state can no
         // longer be trusted) or overdrew. Demote and re-decide.
         self.demote();
-        let fallback = self.policy.decide(t, &self.pending);
-        if fallback.len() == self.n() && fallback.dominated_by(&self.pending) {
+        let fallback = self.policy.act(t, self.ledger.state());
+        if fallback.len() == self.n() && fallback.dominated_by(self.pending()) {
             fallback
         } else {
             Counts::zero(self.n())
@@ -744,7 +731,7 @@ impl MaintenanceRuntime {
         }
         self.metrics.policy_demotions += 1;
         let mut naive: Box<dyn FlushPolicy> = Box::new(NaiveFlush::new());
-        naive.reset(&self.ctx);
+        naive.reset(self.ledger.ctx());
         self.policy = naive;
     }
 
@@ -764,8 +751,9 @@ impl MaintenanceRuntime {
             self.overrun_streak += 1;
             if self.overrun_streak >= RECALIBRATE_AFTER {
                 let factor = measured / estimated;
-                self.ctx.costs = self.ctx.costs.iter().map(|c| c.scaled(factor)).collect();
-                self.policy.reset(&self.ctx);
+                let ctx = self.ledger.ctx_mut();
+                ctx.costs = ctx.costs.iter().map(|c| c.scaled(factor)).collect();
+                self.policy.reset(self.ledger.ctx());
                 self.metrics.recalibrations += 1;
                 self.overrun_streak = 0;
             }
@@ -782,11 +770,9 @@ impl MaintenanceRuntime {
     /// views, which is what the per-view metrics rows report and the
     /// registry tests assert on.
     fn note_view_violations(&mut self) {
+        let ctx = self.ledger.ctx();
         for g in 0..self.axis.groups.len() {
-            if !fits(
-                self.ctx.refresh_cost(&self.group_refresh(g)),
-                self.ctx.budget,
-            ) {
+            if !fits(ctx.refresh_cost(&self.group_refresh(g)), ctx.budget) {
                 for &v in &self.axis.groups[g].views {
                     self.view_violations[v] += 1;
                 }
@@ -799,7 +785,7 @@ impl MaintenanceRuntime {
     fn group_refresh(&self, g: usize) -> Counts {
         let mut action = Counts::zero(self.n());
         for &c in &self.axis.groups[g].cells {
-            action[c] = self.pending[c];
+            action[c] = self.pending()[c];
         }
         action
     }
@@ -814,22 +800,21 @@ impl MaintenanceRuntime {
     /// The forced flush completing a fresh read of `view` (and replaying
     /// `ForcedView` records): empties the view's sharing group at
     /// refresh cost, bypassing the policy. Other groups are untouched.
+    /// The ledger counts it as a violation if it costs more than `C`,
+    /// which no valid policy allows: it leaves the *whole* post-action
+    /// state non-full, so one group of it fits a fortiori.
     fn forced_refresh(&mut self, view: usize) -> Result<(f64, bool), EngineError> {
-        let t = self.t;
         let action = self.group_refresh(self.group_of(view)?);
-        let cost = self.ctx.refresh_cost(&action);
-        // The validity invariant: any valid policy leaves the *whole*
-        // post-action state non-full, so refreshing one group (a subset
-        // of it) fits C a fortiori.
-        let violated = !fits(cost, self.ctx.budget);
-        self.execute_flush(&action)?;
+        self.flush_engine(&action)?;
+        let step =
+            (self.ledger.act(Choice::Forced(action))).expect("a group refresh never overdraws");
         self.metrics.fresh_reads += 1;
-        if violated {
+        if step.violated {
             self.view_violations[view] += 1;
         }
-        self.finish_step(Counts::zero(self.n()), action, true, cost, violated, t)?;
+        self.finish_step(Counts::zero(self.n()), &step, true)?;
         self.wal_log(WalRecord::ForcedView { view: view as u32 })?;
-        Ok((cost, violated))
+        Ok((step.cost, step.violated))
     }
 
     /// Serves a read of `view`, measuring end-to-end latency from
@@ -892,7 +877,9 @@ impl MaintenanceRuntime {
             snap.wal_fsync_lag = w.unsynced();
             snap.wal_sync_every = w.sync_every();
         }
-        snap.budget = self.ctx.budget;
+        snap.budget = self.budget();
+        snap.total_flush_cost = self.ledger.total_cost();
+        snap.constraint_violations = self.ledger.violations();
         snap
     }
 
@@ -942,13 +929,13 @@ impl MaintenanceRuntime {
         }
     }
 
-    /// Executes a flush action over the cell axis — through the engine,
-    /// publishing a delta batch for every view it advanced — and
-    /// returns its model cost.
-    fn execute_flush(&mut self, action: &Counts) -> Result<f64, EngineError> {
-        let cost = total_cost(&self.ctx.costs, action);
+    /// Executes a flush action over the cell axis through the engine,
+    /// publishing a delta batch for every view it advanced, and counts
+    /// each advanced view's flush boundary. Its cost and the pending
+    /// counts are the ledger's.
+    fn flush_engine(&mut self, action: &Counts) -> Result<(), EngineError> {
         if action.is_zero() {
-            return Ok(cost);
+            return Ok(());
         }
         if let Some(e) = &mut self.engine {
             let counts: Vec<u64> = action.iter().collect();
@@ -963,37 +950,29 @@ impl MaintenanceRuntime {
                 }
             }
         }
-        self.pending = self
-            .pending
-            .checked_sub(action)
-            .expect("flush ≤ pending checked above");
-        Ok(cost)
+        Ok(())
     }
 
+    /// Records a step the ledger took: metrics, the trace, and — in
+    /// strict mode — a violation as a typed error.
     fn finish_step(
         &mut self,
         arrivals: Counts,
-        action: Counts,
+        step: &Step,
         forced: bool,
-        cost: f64,
-        violated: bool,
-        t: usize,
     ) -> Result<(), EngineError> {
-        self.metrics.record_flush(&action, cost);
+        self.metrics.record_flush(&step.action, step.cost);
         if let Some(trace) = &mut self.trace {
-            trace.push(arrivals, action, forced);
+            trace.push(arrivals, step.action.clone(), forced);
         }
-        self.t = t + 1;
-        if violated {
-            self.metrics.constraint_violations += 1;
-            if self.strict {
-                return Err(EngineError::Maintenance {
-                    message: format!(
-                        "constraint violation at t = {t}: refresh cost exceeds budget {}",
-                        self.ctx.budget
-                    ),
-                });
-            }
+        if step.violated && self.strict {
+            return Err(EngineError::Maintenance {
+                message: format!(
+                    "constraint violation at t = {}: refresh cost exceeds budget {}",
+                    step.t,
+                    self.budget()
+                ),
+            });
         }
         Ok(())
     }
@@ -1002,8 +981,8 @@ impl MaintenanceRuntime {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::policy::{NaiveFlush, OnlineFlush};
     use crate::wal::MemWal;
+    use crate::OnlineFlush;
     use aivm_core::CostModel;
     use aivm_engine::logical::AggFunc;
     use aivm_engine::{
@@ -1121,7 +1100,7 @@ pub(crate) mod tests {
     struct Lazy;
     impl FlushPolicy for Lazy {
         fn reset(&mut self, _ctx: &PolicyContext) {}
-        fn decide(&mut self, _t: usize, pending: &Counts) -> Counts {
+        fn act(&mut self, _t: usize, pending: &Counts) -> Counts {
             Counts::zero(pending.len())
         }
         fn name(&self) -> &str {
@@ -1225,7 +1204,7 @@ pub(crate) mod tests {
     struct PanicAt(usize);
     impl FlushPolicy for PanicAt {
         fn reset(&mut self, _ctx: &PolicyContext) {}
-        fn decide(&mut self, t: usize, pending: &Counts) -> Counts {
+        fn act(&mut self, t: usize, pending: &Counts) -> Counts {
             assert!(t != self.0, "scripted policy bug at t = {t}");
             pending.clone()
         }
@@ -1257,7 +1236,7 @@ pub(crate) mod tests {
     struct Overdraw;
     impl FlushPolicy for Overdraw {
         fn reset(&mut self, _ctx: &PolicyContext) {}
-        fn decide(&mut self, _t: usize, pending: &Counts) -> Counts {
+        fn act(&mut self, _t: usize, pending: &Counts) -> Counts {
             let mut a = pending.clone();
             a[0] += 100;
             a
@@ -1421,7 +1400,7 @@ pub(crate) mod tests {
         let expect_view = rt.view_checksum().unwrap();
         let expect_db = rt.db_checksum().unwrap();
         let expect_pending = rt.pending().clone();
-        let expect_t = rt.t;
+        let expect_t = rt.ledger.t();
         let expect_steps = rt.trace().unwrap().steps.clone();
 
         // "Crash": drop the runtime; recover from WAL + checkpoint.
@@ -1439,7 +1418,7 @@ pub(crate) mod tests {
         assert_eq!(recovered.view_checksum().unwrap(), expect_view);
         assert_eq!(recovered.db_checksum().unwrap(), expect_db);
         assert_eq!(recovered.pending(), &expect_pending);
-        assert_eq!(recovered.t, expect_t);
+        assert_eq!(recovered.ledger.t(), expect_t);
         assert_eq!(recovered.trace().unwrap().steps, expect_steps);
         assert_eq!(recovered.metrics().recoveries, 1);
 

@@ -813,8 +813,8 @@ fn handle_msg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::OnlineFlush;
     use crate::runtime::ServeConfig;
+    use crate::OnlineFlush;
     use aivm_core::CostModel;
 
     fn model_runtime() -> MaintenanceRuntime {
@@ -907,8 +907,7 @@ mod tests {
         .unwrap();
         let cfg = ServeConfig::new(vec![CostModel::linear(0.5, 0.1)], 50.0);
         let rt =
-            MaintenanceRuntime::engine(cfg, Box::new(crate::policy::NaiveFlush::new()), db, view)
-                .unwrap();
+            MaintenanceRuntime::engine(cfg, Box::new(crate::NaiveFlush::new()), db, view).unwrap();
         let server = ServeServer::spawn(rt, ServerConfig::default());
         let h = server.handle();
         // The initial (empty-view) snapshot is published at spawn:
@@ -1102,8 +1101,7 @@ mod tests {
         .unwrap();
         let cfg = ServeConfig::new(vec![CostModel::linear(0.5, 0.1)], 50.0);
         let mut rt =
-            MaintenanceRuntime::engine(cfg, Box::new(crate::policy::NaiveFlush::new()), db, view)
-                .unwrap();
+            MaintenanceRuntime::engine(cfg, Box::new(crate::NaiveFlush::new()), db, view).unwrap();
         rt.attach_wal(WalWriter::create(Box::new(mem.clone()), 1).unwrap());
         let server = ServeServer::spawn(rt, ServerConfig::default());
         let h = server.handle();

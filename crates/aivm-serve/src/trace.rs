@@ -4,27 +4,16 @@
 //! run deterministically: the cost functions, the budget `C`, and one
 //! [`TraceStep`] per scheduler step with the arrivals closed into that
 //! step, the action taken, and whether the action was *forced* (a fresh
-//! read's flush-everything, which bypasses the policy) or decided by the
-//! policy.
+//! read's refresh of its view's sharing group, which bypasses the
+//! policy) or decided by the policy. The step record is the solver's, so
+//! a trace's steps feed `aivm-sim`'s replay as they are.
 //!
 //! The serialization is a line-oriented text format (the build
 //! environment has no serde); [`Trace::to_text`] / [`Trace::parse`]
 //! round-trip exactly, using `{:?}` float formatting which is shortest
 //! round-trippable in Rust.
 
-use aivm_core::{Arrivals, CostModel, Counts};
-
-/// One recorded scheduler step.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TraceStep {
-    /// Modifications per table that arrived during this step's window.
-    pub arrivals: Counts,
-    /// The flush action executed (may be zero).
-    pub action: Counts,
-    /// `true` when the action was a forced full flush (fresh read)
-    /// rather than a policy decision.
-    pub forced: bool,
-}
+use aivm_core::{CostModel, Counts, TraceStep};
 
 /// A recorded live run.
 #[derive(Clone, Debug, PartialEq)]
@@ -71,16 +60,6 @@ impl Trace {
             .iter()
             .map(|s| aivm_core::total_cost(&self.costs, &s.action))
             .sum()
-    }
-
-    /// The recorded arrival sequence as an [`Arrivals`] (one entry per
-    /// step; an empty trace becomes a single all-zero step because
-    /// `Arrivals` cannot be empty).
-    pub fn arrivals(&self) -> Arrivals {
-        if self.steps.is_empty() {
-            return Arrivals::new(vec![Counts::zero(self.n())]);
-        }
-        Arrivals::new(self.steps.iter().map(|s| s.arrivals.clone()).collect())
     }
 
     /// Serializes the trace to the line-oriented text format.
@@ -299,17 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_and_actions_extraction() {
+    fn actions_extraction() {
         let t = sample_trace();
-        assert_eq!(t.arrivals().horizon(), 1);
         assert_eq!(t.actions()[0], Counts::zero(5));
         assert!(t.total_cost() > 0.0);
-    }
-
-    #[test]
-    fn empty_trace_yields_single_zero_arrival() {
-        let t = Trace::new(vec![CostModel::linear(1.0, 0.0)], 5.0);
-        assert_eq!(t.arrivals().totals(), Counts::zero(1));
     }
 
     #[test]

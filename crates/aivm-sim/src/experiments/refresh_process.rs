@@ -10,9 +10,9 @@
 //! exactly optimal for linear costs).
 
 use crate::report::{fnum, ExpTable};
-use crate::runner::{episodic_optimal, run_policy_with_refreshes};
+use crate::runner::episodic_optimal;
 use aivm_core::{Arrivals, CostModel, Counts, Instance};
-use aivm_solver::{NaivePolicy, OnlinePolicy};
+use aivm_solver::{run_policy_with_refreshes, NaivePolicy, OnlinePolicy};
 use aivm_workload::{refresh_times, Bernoulli, DriftThreshold, Periodic};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,9 +99,11 @@ pub fn run(config: &RefreshProcessConfig) -> Vec<RefreshProcessRow> {
         .map(|(condition, instants)| {
             let naive = run_policy_with_refreshes(&inst, &mut NaivePolicy::new(), &instants)
                 .expect("naive valid")
+                .1
                 .total_cost;
             let online = run_policy_with_refreshes(&inst, &mut OnlinePolicy::new(), &instants)
                 .expect("online valid")
+                .1
                 .total_cost;
             let opt = episodic_optimal(&inst, &instants);
             RefreshProcessRow {

@@ -26,6 +26,6 @@ pub mod runner;
 
 pub use actual::{run_plan_actual, ActionTiming, ActualRun};
 pub use par::{configured_threads, par_map, set_thread_override};
-pub use replay::{replay_policy, replay_schedule, ReplayOutcome, ReplayStep};
+pub use replay::{replay_policy, verify_recovery_prefix, ReplayOutcome};
 pub use report::{fnum, ExpTable};
 pub use runner::{simulate_plan, simulate_policy, PlanSummary};

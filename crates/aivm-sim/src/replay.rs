@@ -1,37 +1,26 @@
 //! Deterministic re-execution of recorded live traces.
 //!
-//! `aivm-serve` records a live run as a sequence of steps, each with the
-//! arrivals closed into that step and a flag marking *forced* full
-//! flushes (fresh reads, which bypass the policy). This module replays
-//! such a recording offline, in two modes:
+//! `aivm-serve` records a live run as a sequence of [`TraceStep`]s, each
+//! with the arrivals closed into that step, the action taken, and a flag
+//! marking *forced* refreshes (fresh reads, which bypass the policy).
+//! This module replays such a recording offline:
 //!
-//! * [`replay_policy`] — re-runs a policy over the recorded arrivals,
-//!   reproducing the live run's decisions bit-for-bit when given the
-//!   same (deterministic) policy. This is how the serve layer's
-//!   `Planned` policy is verified: a fresh instance of the policy,
-//!   driven over the recorded trace, must emit the same flush schedule
-//!   and total cost as the live run.
-//! * [`replay_schedule`] — re-executes a recorded *action sequence*
-//!   against the recorded arrivals, checking it never overdraws, and
-//!   recomputes its cost. This audits the recording itself and prices
-//!   the same schedule under alternative cost models.
+//! * [`replay_policy`] — re-runs a policy over the recorded arrivals
+//!   through a counting [`Ledger`], reproducing the live run's decisions
+//!   bit-for-bit when given the same (deterministic) policy. This is how
+//!   the serve layer's `planned` policy is verified: a fresh instance of
+//!   the policy, driven over the recorded trace, must emit the same
+//!   flush schedule and total cost as the live run.
+//! * [`verify_recovery_prefix`] — checks a crash-recovered recording
+//!   against its uncrashed reference and re-prices it through
+//!   [`Plan::validate_recorded`], the checker independent of the ledger.
 //!
 //! Unlike [`run_policy`](aivm_solver::run_policy), replays do not force
 //! a final flush-everything action: live runs end with whatever was
 //! still pending, and the replay preserves that (`leftover`).
 
-use aivm_core::{total_cost, CostModel, Counts, PlanError};
-use aivm_solver::{Policy, PolicyContext};
-
-/// One step of a recorded live run, as needed for replay.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayStep {
-    /// Modifications per table that arrived during the step's window.
-    pub arrivals: Counts,
-    /// `true` when the live runtime force-flushed everything (a fresh
-    /// read) instead of consulting the policy.
-    pub forced: bool,
-}
+use aivm_core::{CostModel, Counts, Plan, PlanStats, TraceStep};
+use aivm_solver::{Choice, Ledger, Policy, PolicyContext};
 
 /// Outcome of a replay.
 #[derive(Clone, Debug)]
@@ -40,244 +29,175 @@ pub struct ReplayOutcome {
     pub actions: Vec<Counts>,
     /// Total model cost of all actions.
     pub total_cost: f64,
-    /// Steps whose post-action state was left full (0 for any correct
-    /// policy).
-    pub violations: usize,
+    /// Steps that broke the budget, judged as the live runtime judges
+    /// them (0 for any correct policy).
+    pub violations: u64,
     /// Pending counts remaining after the last step.
     pub leftover: Counts,
 }
 
-/// Re-runs `policy` over recorded steps. Forced steps flush everything
-/// pending without consulting the policy — exactly the live semantics —
-/// but still advance the step clock `t`.
+/// Re-runs `policy` over recorded steps. A forced step takes its
+/// recorded action without consulting the policy — on a view registry
+/// that is the read view's sharing group, not everything pending — but
+/// still advances the step clock `t`.
 ///
 /// # Panics
 ///
-/// If the policy overdraws (returns an action exceeding the pending
-/// state); solver policies never do.
+/// If an action overdraws: a policy returning more than is pending
+/// (solver policies never do), or a recorded forced action after the
+/// policy's decisions diverged from the recording's.
 pub fn replay_policy(
     costs: &[CostModel],
     budget: f64,
-    steps: &[ReplayStep],
+    steps: &[TraceStep],
     policy: &mut dyn Policy,
 ) -> ReplayOutcome {
-    let ctx = PolicyContext {
+    let mut ledger = Ledger::counting(PolicyContext {
         costs: costs.to_vec(),
         budget,
-    };
-    policy.reset(&ctx);
-    let n = costs.len();
-    let mut s = Counts::zero(n);
+    });
+    policy.reset(ledger.ctx());
     let mut actions = Vec::with_capacity(steps.len());
-    let mut cost = 0.0;
-    let mut violations = 0usize;
-    for (t, step) in steps.iter().enumerate() {
-        s.add_assign(&step.arrivals);
-        let q = if step.forced {
-            s.clone()
+    for step in steps {
+        let choice = if step.forced {
+            Choice::Forced(step.action.clone())
         } else {
-            policy.act(t, &s)
+            Choice::Policy(&mut *policy)
         };
-        s = s
-            .checked_sub(&q)
-            .unwrap_or_else(|| panic!("policy overdraw at replay step {t}"));
-        cost += total_cost(costs, &q);
-        if ctx.is_full(&s) {
-            violations += 1;
-        }
-        actions.push(q);
+        let done = (ledger.step(&step.arrivals, choice)).unwrap_or_else(|e| panic!("replay: {e}"));
+        actions.push(done.action);
     }
     ReplayOutcome {
         actions,
-        total_cost: cost,
-        violations,
-        leftover: s,
+        total_cost: ledger.total_cost(),
+        violations: ledger.violations(),
+        leftover: ledger.state().clone(),
     }
-}
-
-/// Re-executes a recorded action sequence against recorded arrivals,
-/// verifying lengths match and no action overdraws.
-pub fn replay_schedule(
-    costs: &[CostModel],
-    budget: f64,
-    steps: &[ReplayStep],
-    actions: &[Counts],
-) -> Result<ReplayOutcome, PlanError> {
-    if actions.len() != steps.len() {
-        return Err(PlanError::WrongLength {
-            expected: steps.len(),
-            got: actions.len(),
-        });
-    }
-    let ctx = PolicyContext {
-        costs: costs.to_vec(),
-        budget,
-    };
-    let n = costs.len();
-    let mut s = Counts::zero(n);
-    let mut cost = 0.0;
-    let mut violations = 0usize;
-    for (t, (step, q)) in steps.iter().zip(actions).enumerate() {
-        s.add_assign(&step.arrivals);
-        match s.checked_sub(q) {
-            Some(post) => s = post,
-            None => {
-                let table = (0..n).find(|&i| q[i] > s[i]).unwrap_or(0);
-                return Err(PlanError::Overdraw { t, table });
-            }
-        }
-        cost += total_cost(costs, q);
-        if ctx.is_full(&s) {
-            violations += 1;
-        }
-    }
-    Ok(ReplayOutcome {
-        actions: actions.to_vec(),
-        total_cost: cost,
-        violations,
-        leftover: s,
-    })
 }
 
 /// Cross-checks a crash-recovered run against its uncrashed reference.
 ///
-/// The recovered run's recorded steps and actions must be an *exact
-/// prefix* of the reference recording (recovery replays a prefix of the
-/// same event log, and the runtime is deterministic), and independently
-/// re-executing the recovered schedule through [`replay_schedule`] must
-/// reproduce the cost the recovered runtime accounted — a third
-/// implementation of the cost arithmetic catching either side lying.
+/// The recovered run's recorded steps must be an *exact prefix* of the
+/// reference recording (recovery replays a prefix of the same event
+/// log, and the runtime is deterministic), and independently
+/// re-executing the recovered schedule through
+/// [`Plan::validate_recorded`] must reproduce the cost the recovered
+/// runtime accounted — a third implementation of the cost arithmetic
+/// catching either side lying.
 ///
-/// Returns the re-execution outcome on success; on divergence, a
+/// Returns the re-execution's statistics on success; on divergence, a
 /// description of the first mismatching step.
 pub fn verify_recovery_prefix(
     costs: &[CostModel],
     budget: f64,
-    reference_steps: &[ReplayStep],
-    reference_actions: &[Counts],
-    recovered_steps: &[ReplayStep],
-    recovered_actions: &[Counts],
-) -> Result<ReplayOutcome, String> {
-    if recovered_steps.len() > reference_steps.len() {
+    reference: &[TraceStep],
+    recovered: &[TraceStep],
+) -> Result<PlanStats, String> {
+    if recovered.len() > reference.len() {
         return Err(format!(
             "recovered run has {} steps, longer than the reference's {}",
-            recovered_steps.len(),
-            reference_steps.len()
+            recovered.len(),
+            reference.len()
         ));
     }
-    if recovered_actions.len() != recovered_steps.len() {
-        return Err(format!(
-            "recovered run has {} actions for {} steps",
-            recovered_actions.len(),
-            recovered_steps.len()
-        ));
-    }
-    for (t, (rec, refr)) in recovered_steps.iter().zip(reference_steps).enumerate() {
+    for (t, (rec, refr)) in recovered.iter().zip(reference).enumerate() {
         if rec != refr {
             return Err(format!(
                 "recovered step {t} diverges: reference {refr:?}, recovered {rec:?}"
             ));
         }
     }
-    for (t, (rec, refr)) in recovered_actions.iter().zip(reference_actions).enumerate() {
-        if rec != refr {
-            return Err(format!(
-                "recovered action {t} diverges: reference {refr:?}, recovered {rec:?}"
-            ));
-        }
-    }
-    replay_schedule(costs, budget, recovered_steps, recovered_actions)
+    Plan::validate_recorded(costs, budget, recovered)
         .map_err(|e| format!("recovered schedule fails re-execution: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aivm_core::{Arrivals, CostModel, Instance};
-    use aivm_solver::{optimal_lgm_plan, NaivePolicy, ReplayPolicy};
+    use aivm_core::{Arrivals, CostModel, Instance, PlanError};
+    use aivm_solver::{optimal_lgm_plan, AdaptPolicy, AdaptSchedule, NaivePolicy};
 
     fn costs() -> Vec<CostModel> {
         vec![CostModel::linear(1.0, 0.5), CostModel::linear(1.0, 4.0)]
     }
 
-    fn uniform_steps(horizon: usize) -> Vec<ReplayStep> {
-        (0..=horizon)
-            .map(|_| ReplayStep {
-                arrivals: Counts::from_slice(&[1, 1]),
-                forced: false,
-            })
-            .collect()
+    fn step(arrivals: &[u64], action: &[u64], forced: bool) -> TraceStep {
+        TraceStep {
+            arrivals: Counts::from_slice(arrivals),
+            action: Counts::from_slice(action),
+            forced,
+        }
     }
 
     #[test]
-    fn policy_replay_matches_schedule_replay() {
+    fn policy_replay_matches_recorded_run_check() {
         let inst = Instance::new(
             costs(),
             Arrivals::uniform(Counts::from_slice(&[1, 1]), 20),
             8.0,
         );
         let sol = optimal_lgm_plan(&inst);
-        let mut steps = uniform_steps(20);
-        // The plan's final action is run_policy's forced flush at T.
-        steps.last_mut().unwrap().forced = true;
-        let mut policy = ReplayPolicy::from_plan("replay", &sol.plan);
-        let by_policy = replay_policy(&costs(), 8.0, &steps, &mut policy);
-        let by_schedule = replay_schedule(&costs(), 8.0, &steps, &by_policy.actions).unwrap();
-        assert_eq!(by_policy.actions, by_schedule.actions);
-        assert!((by_policy.total_cost - by_schedule.total_cost).abs() < 1e-9);
+        // ADAPT's own schedule flushes at T what the plan flushed there,
+        // so no step needs forcing.
+        let mut steps: Vec<TraceStep> = (sol.plan.actions.iter())
+            .map(|p| step(&[1, 1], p.as_slice(), false))
+            .collect();
+        let schedule = AdaptSchedule::from_plan(20, &sol.plan, sol.cost);
+        let by_policy = replay_policy(&costs(), 8.0, &steps, &mut AdaptPolicy::new(schedule));
+        for (s, a) in steps.iter_mut().zip(&by_policy.actions) {
+            s.action = a.clone();
+        }
+        let checked = Plan::validate_recorded(&costs(), 8.0, &steps).unwrap();
+        assert_eq!(by_policy.actions, sol.plan.actions);
+        assert!((by_policy.total_cost - checked.total_cost).abs() < 1e-9);
         assert!((by_policy.total_cost - sol.cost).abs() < 1e-9);
-        assert_eq!(by_policy.violations, 0);
-        assert!(by_policy.leftover.is_zero());
+        assert_eq!((by_policy.violations, checked.violations), (0, 0));
+        assert!(by_policy.leftover.is_zero() && checked.leftover.is_zero());
     }
 
     #[test]
-    fn forced_steps_bypass_the_policy() {
-        // NAIVE would do nothing at these low counts; the forced flag
-        // flushes anyway.
-        let steps = vec![
-            ReplayStep {
-                arrivals: Counts::from_slice(&[1, 0]),
-                forced: false,
-            },
-            ReplayStep {
-                arrivals: Counts::from_slice(&[0, 1]),
-                forced: true,
-            },
-        ];
+    fn forced_steps_take_the_recorded_action() {
+        // NAIVE would do nothing at these low counts; the forced step
+        // flushes what the recording flushed — here one table of two.
+        let steps = vec![step(&[1, 0], &[0, 0], false), step(&[0, 1], &[0, 1], true)];
         let out = replay_policy(&costs(), 100.0, &steps, &mut NaivePolicy::new());
         assert!(out.actions[0].is_zero());
-        assert_eq!(out.actions[1], Counts::from_slice(&[1, 1]));
-        assert!(out.leftover.is_zero());
+        assert_eq!(out.actions[1], Counts::from_slice(&[0, 1]));
+        assert_eq!(out.leftover, Counts::from_slice(&[1, 0]));
     }
 
     #[test]
-    fn schedule_replay_reports_overdraw() {
-        let steps = uniform_steps(1);
-        let actions = vec![Counts::from_slice(&[5, 0]), Counts::zero(2)];
-        match replay_schedule(&costs(), 8.0, &steps, &actions) {
+    fn recorded_check_reports_overdraw() {
+        let steps = vec![step(&[1, 1], &[5, 0], false), step(&[1, 1], &[0, 0], false)];
+        match Plan::validate_recorded(&costs(), 8.0, &steps) {
             Err(PlanError::Overdraw { t: 0, table: 0 }) => {}
             other => panic!("expected overdraw, got {other:?}"),
         }
     }
 
     #[test]
-    fn schedule_replay_rejects_length_mismatch() {
-        let steps = uniform_steps(2);
-        match replay_schedule(&costs(), 8.0, &steps, &[]) {
-            Err(PlanError::WrongLength { .. }) => {}
-            other => panic!("expected length error, got {other:?}"),
-        }
+    fn leftover_and_violations_are_reported() {
+        // A lazy schedule that never flushes: pending accumulates and
+        // eventually busts the small budget; then a fresh read of all
+        // of it costs more than C too.
+        let mut steps = vec![step(&[1, 1], &[0, 0], false); 11];
+        let out = Plan::validate_recorded(&costs(), 8.0, &steps).unwrap();
+        assert_eq!(out.leftover, Counts::from_slice(&[11, 11]));
+        assert_eq!(out.violations, 10, "full from the state (2, 2) on");
+        assert_eq!(out.total_cost, 0.0);
+        steps.push(step(&[0, 0], &[11, 11], true));
+        let out = Plan::validate_recorded(&costs(), 8.0, &steps).unwrap();
+        assert_eq!(out.violations, 11);
+        assert!(out.leftover.is_zero());
     }
 
     #[test]
-    fn leftover_and_violations_are_reported() {
-        // A lazy schedule that never flushes: pending accumulates and
-        // eventually busts the small budget.
-        let steps = uniform_steps(10);
-        let actions = vec![Counts::zero(2); 11];
-        let out = replay_schedule(&costs(), 8.0, &steps, &actions).unwrap();
-        assert_eq!(out.leftover, Counts::from_slice(&[11, 11]));
-        assert!(out.violations > 0);
-        assert_eq!(out.total_cost, 0.0);
+    fn recovery_prefix_must_match_the_reference() {
+        let reference = vec![step(&[1, 0], &[0, 0], false), step(&[0, 1], &[1, 1], true)];
+        let stats = verify_recovery_prefix(&costs(), 100.0, &reference, &reference[..1]);
+        assert_eq!(stats.unwrap().leftover, Counts::from_slice(&[1, 0]));
+        let forged = vec![step(&[1, 0], &[1, 0], false)];
+        let err = verify_recovery_prefix(&costs(), 100.0, &reference, &forged).unwrap_err();
+        assert!(err.contains("step 0 diverges"), "{err}");
     }
 }

@@ -6,8 +6,8 @@
 //! under the measured cost functions. This module is that simulator; the
 //! engine-backed validation lives in [`crate::actual`].
 
-use aivm_core::{fits, Counts, Instance, Plan, PlanError};
-use aivm_solver::{run_policy, Policy, PolicyContext};
+use aivm_core::{Counts, Instance, Plan, PlanError, PlanStats};
+use aivm_solver::{run_policy, Policy};
 
 /// Summary of a simulated plan execution.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,14 +38,7 @@ impl PlanSummary {
 /// Simulates a precomputed plan: validates it against the instance and
 /// summarizes.
 pub fn simulate_plan(name: &str, inst: &Instance, plan: &Plan) -> Result<PlanSummary, PlanError> {
-    let stats = plan.validate(inst)?;
-    Ok(PlanSummary {
-        name: name.to_string(),
-        total_cost: stats.total_cost,
-        actions: stats.action_count,
-        actions_per_table: stats.actions_per_table,
-        total_mods: inst.arrivals.totals().total(),
-    })
+    Ok(summary(name, inst, plan.validate(inst)?))
 }
 
 /// Runs a policy through the instance's arrivals and summarizes the
@@ -56,78 +49,17 @@ pub fn simulate_policy(
     policy: &mut dyn Policy,
 ) -> Result<(Plan, PlanSummary), PlanError> {
     let (plan, stats) = run_policy(inst, policy)?;
-    Ok((
-        plan,
-        PlanSummary {
-            name: name.to_string(),
-            total_cost: stats.total_cost,
-            actions: stats.action_count,
-            actions_per_table: stats.actions_per_table,
-            total_mods: inst.arrivals.totals().total(),
-        },
-    ))
+    Ok((plan, summary(name, inst, stats)))
 }
 
-/// Runs a policy over a stream with **multiple refresh instants** — the
-/// operational pub/sub setting: between notifications the policy keeps
-/// the budget; at each refresh instant (and at the horizon) everything
-/// pending is flushed. Returns the realized summary after checking the
-/// budget at every non-refresh step.
-pub fn run_policy_with_refreshes(
-    inst: &Instance,
-    policy: &mut dyn Policy,
-    refresh_times: &[usize],
-) -> Result<PlanSummary, PlanError> {
-    let ctx = PolicyContext::of(inst);
-    policy.reset(&ctx);
-    let horizon = inst.horizon();
-    let n = inst.n();
-    let mut s = Counts::zero(n);
-    let mut total_cost = 0.0;
-    let mut actions = 0usize;
-    let mut actions_per_table = vec![0usize; n];
-    let mut refresh_idx = 0usize;
-    for t in 0..=horizon {
-        s.add_assign(&inst.arrivals.at(t));
-        let is_refresh = {
-            while refresh_idx < refresh_times.len() && refresh_times[refresh_idx] < t {
-                refresh_idx += 1;
-            }
-            refresh_times.get(refresh_idx) == Some(&t) || t == horizon
-        };
-        let p = if is_refresh {
-            s.clone()
-        } else {
-            policy.act(t, &s)
-        };
-        let post = s.checked_sub(&p).ok_or({
-            let table = (0..n).find(|&i| p[i] > s[i]).unwrap_or(0);
-            PlanError::Overdraw { t, table }
-        })?;
-        if !p.is_zero() {
-            actions += 1;
-            total_cost += inst.refresh_cost(&p);
-            for i in 0..n {
-                if p[i] > 0 {
-                    actions_per_table[i] += 1;
-                }
-            }
-        }
-        if t < horizon && !is_refresh {
-            let cost = inst.refresh_cost(&post);
-            if !fits(cost, inst.budget) {
-                return Err(PlanError::BudgetViolated { t, cost });
-            }
-        }
-        s = post;
-    }
-    Ok(PlanSummary {
-        name: policy.name().to_string(),
-        total_cost,
-        actions,
-        actions_per_table,
+fn summary(name: &str, inst: &Instance, stats: PlanStats) -> PlanSummary {
+    PlanSummary {
+        name: name.to_string(),
+        total_cost: stats.total_cost,
+        actions: stats.action_count,
+        actions_per_table: stats.actions_per_table,
         total_mods: inst.arrivals.totals().total(),
-    })
+    }
 }
 
 /// A lower bound on any strategy's cost under multiple refresh instants:
@@ -194,17 +126,17 @@ mod tests {
     }
 
     #[test]
-    fn multi_refresh_runner_flushes_at_instants() {
+    fn episodic_optimal_lower_bounds_the_refresh_runner() {
         let inst = inst();
         let mut policy = NaivePolicy::new();
-        let summary = run_policy_with_refreshes(&inst, &mut policy, &[5, 12]).expect("valid");
+        let (_, stats) =
+            aivm_solver::run_policy_with_refreshes(&inst, &mut policy, &[5, 12]).expect("valid");
         // Refreshes at 5, 12 and the horizon 20 all force full flushes;
         // NAIVE may act in between as well.
-        assert!(summary.actions >= 3);
-        assert_eq!(summary.total_mods, 42);
+        assert!(stats.action_count >= 3);
         // The episodic optimum lower-bounds the realized cost.
         let opt = episodic_optimal(&inst, &[5, 12]);
-        assert!(opt <= summary.total_cost + 1e-9);
+        assert!(opt <= stats.total_cost + 1e-9);
         assert!(opt > 0.0);
     }
 

@@ -14,7 +14,8 @@
 //! check it.
 
 use crate::astar::optimal_lgm_plan;
-use crate::policy::{Policy, PolicyContext};
+use crate::online::OnlinePolicy;
+use crate::policy::{drive, Ledger, Policy, PolicyContext};
 use aivm_core::{CostModel, Counts, Instance, Plan};
 
 /// A precomputed schedule adapted to arbitrary refresh times.
@@ -54,22 +55,34 @@ impl AdaptSchedule {
     pub fn subset_at(&self, t: usize) -> &[usize] {
         &self.subsets[t % (self.t0 + 1)]
     }
+
+    /// The scheduled action at `t`: everything pending on
+    /// [`AdaptSchedule::subset_at`]'s tables.
+    fn flush_at(&self, t: usize, pre_state: &Counts) -> Counts {
+        let mut p = Counts::zero(pre_state.len());
+        for &i in self.subset_at(t) {
+            p[i] = pre_state[i];
+        }
+        p
+    }
 }
 
 /// The ADAPT policy: replays the precomputed flush subsets (cyclically
-/// when `T > T_0`); the policy runner's forced final flush implements the
+/// when `T > T_0`); the runner's forced final flush implements the
 /// process-everything-at-`T` step for both `T < T_0` and `T > T_0`.
 ///
 /// When the actual arrivals deviate from the predicted ones, the
-/// scheduled subsets may no longer keep the budget; with `safe = true`
-/// the policy falls back to flushing everything whenever a scheduled
-/// action leaves the state full (a best-effort guard the paper does not
-/// need because it assumes periodic arrivals).
+/// scheduled subsets may no longer keep the budget. The paper does not
+/// need a guard (it assumes periodic arrivals); a serving stream does.
+/// [`AdaptPolicy::with_fallback`] hands the rest of the run to a freshly
+/// reset ONLINE policy at the first step whose scheduled action would
+/// leave the state full ([`AdaptPolicy::diverged`] reports it).
 #[derive(Clone, Debug)]
 pub struct AdaptPolicy {
     schedule: AdaptSchedule,
-    safe: bool,
+    fallback: Option<OnlinePolicy>,
     ctx: Option<PolicyContext>,
+    diverged_at: Option<usize>,
 }
 
 impl AdaptPolicy {
@@ -78,84 +91,75 @@ impl AdaptPolicy {
     pub fn new(schedule: AdaptSchedule) -> Self {
         AdaptPolicy {
             schedule,
-            safe: false,
+            fallback: None,
             ctx: None,
+            diverged_at: None,
         }
     }
 
-    /// Creates an ADAPT policy with the full-flush fallback enabled.
+    /// Creates an ADAPT policy that falls back to ONLINE for good once
+    /// the stream outruns the schedule — the serving `planned` policy.
     pub fn with_fallback(schedule: AdaptSchedule) -> Self {
         AdaptPolicy {
-            schedule,
-            safe: true,
-            ctx: None,
+            fallback: Some(OnlinePolicy::new()),
+            ..Self::new(schedule)
         }
+    }
+
+    /// The step at which the stream diverged from the schedule and the
+    /// ONLINE fallback took over, if it did.
+    pub fn diverged(&self) -> Option<usize> {
+        self.diverged_at
     }
 }
 
 impl Policy for AdaptPolicy {
     fn reset(&mut self, ctx: &PolicyContext) {
         self.ctx = Some(ctx.clone());
+        self.diverged_at = None;
+        if let Some(fallback) = &mut self.fallback {
+            fallback.reset(ctx);
+        }
     }
 
     fn act(&mut self, t: usize, pre_state: &Counts) -> Counts {
-        let mut p = Counts::zero(pre_state.len());
-        for &i in self.schedule.subset_at(t) {
-            p[i] = pre_state[i];
+        let Some(fallback) = &mut self.fallback else {
+            return self.schedule.flush_at(t, pre_state);
+        };
+        if self.diverged_at.is_some() {
+            return fallback.act(t, pre_state);
         }
-        if self.safe {
-            let ctx = self.ctx.as_ref().expect("reset before act");
-            let post = pre_state.checked_sub(&p).expect("greedy ≤ pending");
-            if ctx.is_full(&post) {
-                return pre_state.clone();
-            }
+        let p = self.schedule.flush_at(t, pre_state);
+        let post = pre_state.checked_sub(&p).expect("greedy flush ≤ pending");
+        let ctx = self.ctx.as_ref().expect("reset before act");
+        if ctx.is_full(&post) {
+            // The live arrivals outran the plan's assumptions: ONLINE
+            // takes over, reset so its rate estimates start from the
+            // divergence point rather than stale zeros.
+            self.diverged_at = Some(t);
+            fallback.reset(ctx);
+            return fallback.act(t, pre_state);
         }
         p
     }
 
     fn name(&self) -> &str {
-        "ADAPT"
+        if self.fallback.is_some() {
+            "planned"
+        } else {
+            "adapt"
+        }
     }
 }
 
 /// Builds the adapted *plan* for an actual instance (horizon `T`) from a
 /// schedule precomputed for `T_0`, using strict paper semantics. The
 /// returned plan replays the scheduled subsets through `T − 1` and
-/// flushes everything at `T`.
+/// flushes everything at `T`. It is not validated: callers do that.
 pub fn adapt_plan(schedule: &AdaptSchedule, actual: &Instance) -> Plan {
-    let policy = ReplayPolicyCyclic {
-        schedule: schedule.clone(),
-    };
-    // Reuse the runner logic manually to avoid the validity requirement:
-    // callers validate explicitly.
-    let horizon = actual.horizon();
-    let mut actions = Vec::with_capacity(horizon + 1);
-    let mut s = Counts::zero(actual.n());
-    for t in 0..=horizon {
-        s.add_assign(&actual.arrivals.at(t));
-        let p = if t == horizon {
-            s.clone()
-        } else {
-            policy.flush_at(t, &s)
-        };
-        s = s.checked_sub(&p).expect("greedy flush ≤ pending");
-        actions.push(p);
-    }
-    Plan { actions }
-}
-
-struct ReplayPolicyCyclic {
-    schedule: AdaptSchedule,
-}
-
-impl ReplayPolicyCyclic {
-    fn flush_at(&self, t: usize, pre: &Counts) -> Counts {
-        let mut p = Counts::zero(pre.len());
-        for &i in self.schedule.subset_at(t) {
-            p[i] = pre[i];
-        }
-        p
-    }
+    let mut policy = AdaptPolicy::new(schedule.clone());
+    let ledger = Ledger::counting(PolicyContext::of(actual));
+    drive(actual, &mut policy, ledger, &[]).expect("greedy flushes never overdraw")
 }
 
 /// The Theorem 4 additive bound for linear cost functions: given the
@@ -250,16 +254,39 @@ mod tests {
         let base = instance(50);
         let schedule = AdaptSchedule::precompute(&base);
         // Heavier arrivals than predicted: strict replay would violate
-        // the budget; the fallback flushes everything instead.
+        // the budget; the fallback hands over to ONLINE instead.
         let heavy = Instance::new(
             base.costs.clone(),
             Arrivals::uniform(Counts::from_slice(&[2, 2]), 50),
             base.budget,
         );
-        let mut policy = AdaptPolicy::with_fallback(schedule);
+        let mut policy = AdaptPolicy::with_fallback(schedule.clone());
         let (_, stats) =
             crate::policy::run_policy(&heavy, &mut policy).expect("fallback keeps validity");
         assert!(stats.total_cost > 0.0);
+        assert!(policy.diverged().is_some());
+        assert!(crate::policy::run_policy(&heavy, &mut AdaptPolicy::new(schedule)).is_err());
+    }
+
+    #[test]
+    fn planned_follows_schedule_then_falls_back() {
+        let inst = instance(20);
+        let schedule = AdaptSchedule::precompute(&inst);
+        let mut p = AdaptPolicy::with_fallback(schedule);
+        p.reset(&PolicyContext::of(&inst));
+        // Replay the plan's own arrivals: never diverges.
+        let mut s = Counts::zero(2);
+        for t in 0..=20 {
+            s.add_assign(&inst.arrivals.at(t));
+            let q = p.act(t, &s);
+            s = s.checked_sub(&q).expect("no overdraw");
+        }
+        assert_eq!(p.diverged(), None);
+        // A flood the plan never anticipated triggers the fallback.
+        let flood = Counts::from_slice(&[40, 40]);
+        let q = p.act(21, &flood);
+        assert_eq!(p.diverged(), Some(21));
+        assert!(!q.is_zero(), "fallback must act on a full state");
     }
 
     #[test]

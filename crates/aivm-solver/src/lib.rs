@@ -15,6 +15,10 @@
 //!   predicted window optimally, execute one action, repeat.
 //! * [`policy::NaivePolicy`] — the symmetric flush-everything baseline.
 //!
+//! Every policy implements the one [`Policy`] trait, and every run —
+//! offline, replayed or live in `aivm-serve` — steps through a
+//! [`Ledger`], §2's step written once.
+//!
 //! [`exhaustive`] provides a ground-truth optimal solver (all lazy plans,
 //! arbitrary actions) for small instances, used to verify Theorems 1
 //! and 2 empirically. [`actions`] holds the shared enumeration of
@@ -33,6 +37,7 @@ pub mod policy;
 
 pub use actions::{minimal_greedy_actions, valid_greedy_actions};
 pub use adapt::{adapt_plan, theorem4_bound, AdaptPolicy, AdaptSchedule};
+pub use aivm_core::TraceStep;
 pub use astar::{
     optimal_lgm_plan, optimal_lgm_plan_dijkstra, optimal_lgm_plan_with, HeuristicMode, SearchStats,
     Solution,
@@ -40,4 +45,6 @@ pub use astar::{
 pub use exhaustive::optimal_plan;
 pub use lookahead::{LookaheadConfig, LookaheadPolicy};
 pub use online::{CandidateSet, OnlineConfig, OnlinePolicy, RateEstimator};
-pub use policy::{run_policy, NaivePolicy, Policy, PolicyContext, ReplayPolicy};
+pub use policy::{
+    run_policy, run_policy_with_refreshes, Choice, Ledger, NaivePolicy, Policy, PolicyContext, Step,
+};

@@ -129,7 +129,7 @@ impl Policy for LookaheadPolicy {
     }
 
     fn name(&self) -> &str {
-        "LOOKAHEAD"
+        "lookahead"
     }
 }
 

@@ -256,7 +256,7 @@ impl Policy for OnlinePolicy {
     }
 
     fn name(&self) -> &str {
-        "ONLINE"
+        "online"
     }
 }
 

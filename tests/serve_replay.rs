@@ -4,9 +4,9 @@
 //! schedule, same total cost — and the trace text format must round-trip.
 
 use aivm::core::{Arrivals, Counts, Instance};
-use aivm::serve::{AsSolverPolicy, MaintenanceRuntime, PlannedFlush, ReadMode, ServeConfig, Trace};
-use aivm::sim::replay::{replay_policy, ReplayStep};
-use aivm::solver::AdaptSchedule;
+use aivm::serve::{MaintenanceRuntime, ReadMode, ServeConfig, Trace};
+use aivm::sim::replay::replay_policy;
+use aivm::solver::{AdaptPolicy, AdaptSchedule};
 use aivm::workload::bursty_arrivals;
 
 fn costs() -> Vec<aivm::core::CostModel> {
@@ -27,7 +27,7 @@ fn recorded_live_run() -> Trace {
     let schedule = AdaptSchedule::precompute(&est);
     let mut cfg = ServeConfig::new(costs(), BUDGET);
     cfg.strict = true;
-    let mut rt = MaintenanceRuntime::model(cfg, Box::new(PlannedFlush::new(schedule)));
+    let mut rt = MaintenanceRuntime::model(cfg, Box::new(AdaptPolicy::with_fallback(schedule)));
     // A bursty stream the uniform estimation instance did not predict,
     // with fresh reads sprinkled in: exercises the schedule, the ONLINE
     // fallback after divergence, and forced flushes.
@@ -54,14 +54,6 @@ fn recorded_live_run() -> Trace {
 fn planned_live_trace_replays_with_identical_schedule_and_cost() {
     let trace = recorded_live_run();
     assert!(trace.steps.iter().any(|s| s.forced), "fresh reads recorded");
-    let steps: Vec<ReplayStep> = trace
-        .steps
-        .iter()
-        .map(|s| ReplayStep {
-            arrivals: s.arrivals.clone(),
-            forced: s.forced,
-        })
-        .collect();
     // A *fresh* policy instance over the recorded arrivals must make the
     // same decisions the live run made.
     let est = Instance::new(
@@ -69,8 +61,8 @@ fn planned_live_trace_replays_with_identical_schedule_and_cost() {
         Arrivals::uniform(Counts::from_slice(&[1, 1]), 40),
         BUDGET,
     );
-    let mut policy = AsSolverPolicy(PlannedFlush::new(AdaptSchedule::precompute(&est)));
-    let outcome = replay_policy(&trace.costs, trace.budget, &steps, &mut policy);
+    let mut policy = AdaptPolicy::with_fallback(AdaptSchedule::precompute(&est));
+    let outcome = replay_policy(&trace.costs, trace.budget, &trace.steps, &mut policy);
     assert_eq!(outcome.actions, trace.actions());
     assert!((outcome.total_cost - trace.total_cost()).abs() < 1e-9);
     assert_eq!(outcome.violations, 0);
